@@ -26,7 +26,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .operators import AntilinearOperator, BasisDescriptor, TruncatedOperator
+from .operators import (
+    AntilinearOperator,
+    BasisDescriptor,
+    TruncatedOperator,
+    TruncationError,
+)
 from .quadruple import SpectralQuadruple
 
 __all__ = [
@@ -50,7 +55,6 @@ __all__ = [
 
 # fiber matrices in the orthonormal time-vector eigenbasis
 E_PERP_FIBER = np.diag([1j, -1j])
-E2_FIBER = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 GAMMA_FIBER = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
 FIBER_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -68,7 +72,7 @@ class DeSitterParams:
 
     def __post_init__(self):
         if self.nmax < 4:
-            raise ValueError("nmax must be >= 4")
+            raise TruncationError("nmax must be >= 4")
         for name in ("rm", "theta", "rho", "y"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -204,11 +208,6 @@ def eigenframe(theta: float) -> np.ndarray:
     return np.array([[ch, sh], [sh, ch]], dtype=complex)
 
 
-def _eigenframe_derivative(theta: float) -> np.ndarray:
-    ch, sh = np.cosh(theta / 2.0), np.sinh(theta / 2.0)
-    return 0.5 * np.array([[sh, ch], [ch, sh]], dtype=complex)
-
-
 def evolution_block(n: float, rm: float, theta: float) -> np.ndarray:
     """Per-level block of the stored generator iH: the theta-derivative
     blocks transported into the frame normalized against the conserved
@@ -221,26 +220,10 @@ def evolution_block(n: float, rm: float, theta: float) -> np.ndarray:
     return np.array([[1j * rm, -n / c], [n / c, -1j * rm]], dtype=complex)
 
 
-def _evolution_block_transport(n: float, rm: float, theta: float) -> np.ndarray:
-    # V~ = V / sqrt(cosh th); iH = V~^{-1} (M V~ - dV~/dth)
-    v = eigenframe(theta)
-    vinv = np.linalg.inv(v)
-    m = np.array([
-        [(n - 0.5) * np.tanh(theta) + 1j * rm * np.cosh(theta),
-         (0.5 - n) - 1j * rm * np.sinh(theta)],
-        [(n + 0.5) + 1j * rm * np.sinh(theta),
-         -(n + 0.5) * np.tanh(theta) - 1j * rm * np.cosh(theta)],
-    ], dtype=complex)
-    connection = vinv @ _eigenframe_derivative(theta) - 0.5 * np.tanh(theta) * np.eye(2)
-    return vinv @ m @ v - connection
-
-
 def charge_conjugation(basis: BasisDescriptor) -> AntilinearOperator:
-    """C: |n, sigma> -> conj o |-n, -sigma> with overall phase +1."""
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for n in basis.levels:
-        mat[basis.level_slice(-n), basis.level_slice(n)] = FIBER_FLIP
-    return AntilinearOperator(basis, mat)
+    """C: |n, sigma> -> conj o |-n, -sigma> with overall phase +1: the level
+    reflection times the fiber flip."""
+    return AntilinearOperator(TruncatedOperator.from_fiber(basis, FIBER_FLIP))
 
 
 def gauge_unitary(basis: BasisDescriptor, rho: float, y: float) -> TruncatedOperator:
@@ -276,13 +259,11 @@ def assemble_quadruple(p: DeSitterParams) -> SpectralQuadruple:
         w_h = w.adjoint()
 
         def conj(x: TruncatedOperator) -> TruncatedOperator:
-            out = w_h @ x @ w
-            return TruncatedOperator(basis, out.mat, x.shift_degree)
+            return w_h @ x @ w
 
-        cc_mat = w_h.mat @ cc.mat @ np.conj(w.mat)
         quad = SpectralQuadruple(
             basis=basis, u=conj(u), e_perp=conj(e_perp), gamma=conj(gamma),
-            cc=AntilinearOperator(basis, cc_mat),
+            cc=cc.before(w_h).after(w),
             t21=conj(t21), t_plus=conj(t_plus), t_minus=conj(t_minus),
             ih=conj(ih), spacetime_dim=2)
     return quad

@@ -1,18 +1,19 @@
-"""Complex linear algebra on truncated level bases.
+"""Complex linear algebra on truncated level bases, stored band by band.
 
 Operators live on a basis indexed by a uniformly spaced ladder of "levels"
 (weights of the compact rotation generator) times a small fiber (the spinor
-index).  Everything is dense; the optional ``shift_degree`` tag records that
-an operator only connects level n to level n + k, which lets tests reason
-about band structure cheaply.  Truncation simply drops states beyond the
-cutoff, so identities that hold on the infinite ladder are checked through
-an interior projector that masks the contaminated boundary levels.
+index).  Each quadruple operator maps level n to level n + k for one fixed
+k, so operators are stored as shift bands of fiber blocks and multiply band
+by band in O(nlevels).  Truncation simply drops states beyond the cutoff, so
+identities that hold on the infinite ladder are checked on interior levels
+away from the contaminated boundary.  ``to_dense``/``from_dense`` are the
+dense oracle for tests at small sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -21,11 +22,10 @@ __all__ = [
     "TruncatedOperator",
     "AntilinearOperator",
     "InteriorProjector",
+    "TruncationError",
     "commutator",
     "anticommutator",
-    "adjoint",
     "op_norm",
-    "frobenius_norm",
     "interior_residual",
     "bch_terms",
     "antilinear_conjugate",
@@ -34,6 +34,10 @@ __all__ = [
 
 class BasisMismatchError(ValueError):
     """Raised when two operands live on different bases."""
+
+
+class TruncationError(ValueError):
+    """Raised when a truncation window is too small for the requested margin."""
 
 
 @dataclass(frozen=True)
@@ -109,79 +113,75 @@ class BasisDescriptor:
             raise KeyError(f"fiber index {sigma} out of range")
         return self.level_index(n) * self.fiber_dim + sigma
 
-    def level_slice(self, n: float) -> slice:
-        i = self.level_index(n) * self.fiber_dim
-        return slice(i, i + self.fiber_dim)
 
-
-def _frozen_matrix(mat: np.ndarray, dim: int) -> np.ndarray:
-    out = np.array(mat, dtype=complex)
-    if out.shape != (dim, dim):
-        raise ValueError(f"matrix shape {out.shape} does not match basis dim {dim}")
-    out.setflags(write=False)
+def _shifted(arr: np.ndarray, s: int) -> np.ndarray:
+    """out[i] = arr[i + s] along the level axis, zero where i + s leaves it."""
+    if s == 0:
+        return arr
+    out = np.zeros_like(arr)
+    if s > 0:
+        out[:-s] = arr[s:]
+    else:
+        out[-s:] = arr[:s]
     return out
 
 
-def _merge_shift(a: int | None, b: int | None) -> int | None:
-    return a if a == b else None
+def _dense_norm(mat: np.ndarray) -> float:
+    """Spectral norm of a dense matrix by SVD."""
+    mat = np.asarray(mat)
+    if mat.size == 0:
+        return 0.0
+    return float(np.linalg.norm(mat, 2))
 
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """A dense complex matrix on a :class:`BasisDescriptor`.
+    """A complex operator on a :class:`BasisDescriptor`, stored as shift bands.
 
-    ``shift_degree = k`` asserts that the operator maps level n to level n+k
-    only; it is advisory metadata validated at construction, never a storage
-    format.
+    ``bands[k]`` has shape (nlevels, d, d); entry i is the fiber block mapping
+    level index i to level index i + k.  Blocks whose target leaves the
+    window are zero and all-zero bands are not stored, so ``shift_degree``
+    (the k of the single stored band) is exact, never advisory.
     """
 
     basis: BasisDescriptor
-    mat: np.ndarray
-    shift_degree: int | None = None
+    bands: Mapping[int, np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen_matrix(self.mat, self.basis.dim))
-        if self.shift_degree is not None:
-            off = self._off_band_max(self.shift_degree)
-            if off > 0.0:
-                raise ValueError(
-                    f"operator has entries off the declared shift band k={self.shift_degree}"
-                )
-
-    def _off_band_max(self, k: int) -> float:
-        b = self.basis
-        li = np.repeat(np.arange(b.nlevels), b.fiber_dim)
-        off_band = (li[:, None] - li[None, :]) != k
-        if not off_band.any():
-            return 0.0
-        return float(np.abs(self.mat[off_band]).max())
+        nl, d = self.basis.nlevels, self.basis.fiber_dim
+        bands = {}
+        for k, arr in sorted(self.bands.items()):
+            arr = np.array(arr, dtype=complex)
+            if arr.shape != (nl, d, d):
+                raise ValueError(f"band {k} has shape {arr.shape}, expected {(nl, d, d)}")
+            lo, hi = max(0, -k), nl - max(0, k)
+            arr[:lo] = 0.0
+            arr[max(lo, hi):] = 0.0
+            if arr.any():
+                arr.setflags(write=False)
+                bands[int(k)] = arr
+        object.__setattr__(self, "bands", bands)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, basis: BasisDescriptor) -> "TruncatedOperator":
-        return cls(basis, np.zeros((basis.dim, basis.dim), dtype=complex), shift_degree=0)
+        return cls(basis, {})
 
     @classmethod
     def identity(cls, basis: BasisDescriptor) -> "TruncatedOperator":
-        return cls(basis, np.eye(basis.dim, dtype=complex), shift_degree=0)
+        return cls.from_fiber(basis, np.eye(basis.fiber_dim))
 
     @classmethod
     def from_fiber(cls, basis: BasisDescriptor, fiber: np.ndarray) -> "TruncatedOperator":
         """Same fiber matrix at every level (level-scalar operator)."""
-        mat = np.kron(np.eye(basis.nlevels), np.asarray(fiber, dtype=complex))
-        return cls(basis, mat, shift_degree=0)
+        return cls.from_shift(basis, 0, lambda n: fiber)
 
     @classmethod
     def from_level_diagonal(cls, basis: BasisDescriptor,
                             block: Callable[[float], np.ndarray]) -> "TruncatedOperator":
         """Level-diagonal operator with fiber block ``block(n)`` at level n."""
-        d = basis.fiber_dim
-        mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-        for n in basis.levels:
-            s = basis.level_slice(n)
-            mat[s, s] = np.asarray(block(n), dtype=complex).reshape(d, d)
-        return cls(basis, mat, shift_degree=0)
+        return cls.from_shift(basis, 0, block)
 
     @classmethod
     def from_shift(cls, basis: BasisDescriptor, k: int,
@@ -189,23 +189,58 @@ class TruncatedOperator:
         """Banded operator |n> -> |n+k> with fiber block ``block(n)``.
 
         Bands leaving the truncation window are dropped (the shift
-        annihilates the outermost levels).
+        annihilates the outermost levels); ``block`` is only called on
+        levels whose image stays inside.
         """
         d = basis.fiber_dim
-        mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-        for n in basis.levels:
-            m = n + k
-            if m < basis.levels[0] - 1e-9 or m > basis.levels[-1] + 1e-9:
-                continue
-            mat[basis.level_slice(m), basis.level_slice(n)] = \
-                np.asarray(block(n), dtype=complex).reshape(d, d)
-        return cls(basis, mat, shift_degree=k)
+        arr = np.zeros((basis.nlevels, d, d), dtype=complex)
+        for i in range(max(0, -k), basis.nlevels - max(0, k)):
+            arr[i] = np.asarray(block(basis.levels[i]), dtype=complex).reshape(d, d)
+        return cls(basis, {k: arr})
+
+    @classmethod
+    def from_dense(cls, basis: BasisDescriptor, mat: np.ndarray,
+                   shift_degree: int | None = None) -> "TruncatedOperator":
+        """Split a dense level-major matrix into its bands.
+
+        With ``shift_degree = k`` the matrix must lie in band k.
+        """
+        nl, d = basis.nlevels, basis.fiber_dim
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape != (basis.dim, basis.dim):
+            raise ValueError(f"matrix shape {mat.shape} does not match basis dim {basis.dim}")
+        m4, i = mat.reshape(nl, d, nl, d), np.arange(nl)
+        # wrapped-around blocks leave the window and are zeroed on construction
+        op = cls(basis, {k: m4[(i + k) % nl, :, i, :] for k in range(1 - nl, nl)})
+        if shift_degree is not None and set(op.bands) - {shift_degree}:
+            raise ValueError(f"matrix has entries off the declared shift band k={shift_degree}")
+        return op
+
+    def to_dense(self) -> np.ndarray:
+        """The dense level-major, fiber-minor matrix (a test oracle)."""
+        nl, d = self.basis.nlevels, self.basis.fiber_dim
+        m4, i = np.zeros((nl, d, nl, d), dtype=complex), np.arange(nl)
+        for k, arr in self.bands.items():
+            m4[(i + k) % nl, :, i, :] += arr  # the wrapped-around blocks are zero
+        return m4.reshape(self.basis.dim, self.basis.dim)
 
     # -- band access -------------------------------------------------------
 
+    @property
+    def shift_degree(self) -> int | None:
+        """k when the operator has the single band k; None when it is zero
+        or spreads over several bands."""
+        return next(iter(self.bands)) if len(self.bands) == 1 else None
+
+    def band(self, k: int) -> np.ndarray:
+        """The blocks of band k, shape (nlevels, d, d); zeros if not stored."""
+        d = self.basis.fiber_dim
+        return self.bands.get(k, np.zeros((self.basis.nlevels, d, d), dtype=complex))
+
     def band_block(self, n: float, k: int) -> np.ndarray:
         """The fiber block mapping level n to level n+k."""
-        return self.mat[self.basis.level_slice(n + k), self.basis.level_slice(n)]
+        self.basis.level_index(n + k)
+        return self.band(k)[self.basis.level_index(n)]
 
     # -- algebra -----------------------------------------------------------
 
@@ -213,34 +248,44 @@ class TruncatedOperator:
         if self.basis != other.basis:
             raise BasisMismatchError("operands live on different bases")
 
-    def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
+    def _merge(self, other: "TruncatedOperator", op) -> "TruncatedOperator":
         self._check(other)
-        return TruncatedOperator(self.basis, self.mat + other.mat,
-                                 _merge_shift(self.shift_degree, other.shift_degree))
+        keys = set(self.bands) | set(other.bands)
+        return TruncatedOperator(self.basis, {
+            k: op(self.bands.get(k, 0.0), other.bands.get(k, 0.0)) for k in keys})
+
+    def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
+        return self._merge(other, np.add)
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        self._check(other)
-        return TruncatedOperator(self.basis, self.mat - other.mat,
-                                 _merge_shift(self.shift_degree, other.shift_degree))
+        return self._merge(other, np.subtract)
 
     def __neg__(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.basis, -self.mat, self.shift_degree)
+        return TruncatedOperator(self.basis, {k: -a for k, a in self.bands.items()})
 
     def __mul__(self, scalar: complex) -> "TruncatedOperator":
-        return TruncatedOperator(self.basis, self.mat * scalar, self.shift_degree)
+        return TruncatedOperator(self.basis, {k: a * scalar for k, a in self.bands.items()})
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
+        # (AB) block i -> i + k1 + k2 is A_k1[i + k2] B_k2[i]
         self._check(other)
-        k = None
-        if self.shift_degree is not None and other.shift_degree is not None:
-            k = self.shift_degree + other.shift_degree
-        return TruncatedOperator(self.basis, self.mat @ other.mat, k)
+        out: dict[int, np.ndarray] = {}
+        for k1, a in self.bands.items():
+            for k2, b in other.bands.items():
+                prod = _shifted(a, k2) @ b
+                k = k1 + k2
+                out[k] = out[k] + prod if k in out else prod
+        return TruncatedOperator(self.basis, out)
 
     def adjoint(self) -> "TruncatedOperator":
-        k = None if self.shift_degree is None else -self.shift_degree
-        return TruncatedOperator(self.basis, self.mat.conj().T, k)
+        return TruncatedOperator(self.basis, {
+            -k: _shifted(a, -k).conj().swapaxes(1, 2) for k, a in self.bands.items()})
+
+    def conj(self) -> "TruncatedOperator":
+        """Entrywise complex conjugate."""
+        return TruncatedOperator(self.basis, {k: a.conj() for k, a in self.bands.items()})
 
     def power(self, p: int) -> "TruncatedOperator":
         """Integer power; negative p uses the adjoint (valid for unitaries)."""
@@ -250,11 +295,25 @@ class TruncatedOperator:
             out = out @ base
         return out
 
-    def norm(self) -> float:
-        return op_norm(self)
-
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.mat @ np.asarray(v, dtype=complex)
+        nl, d = self.basis.nlevels, self.basis.fiber_dim
+        v = np.asarray(v, dtype=complex).reshape(nl, d, 1)
+        out = np.zeros((nl, d, 1), dtype=complex)
+        for k, a in self.bands.items():
+            out += _shifted(a @ v, -k)
+        return out.reshape(-1)
+
+
+def _reflect(x: TruncatedOperator) -> TruncatedOperator:
+    """R x R with R the level reflection n -> -n: band k becomes band -k
+    with the level order reversed."""
+    return TruncatedOperator(x.basis, {-k: a[::-1] for k, a in x.bands.items()})
+
+
+def _reflect_rows(basis: BasisDescriptor, mat: np.ndarray) -> np.ndarray:
+    """R mat for a dense matrix or vector."""
+    mat = np.asarray(mat, dtype=complex)
+    return mat.reshape(basis.nlevels, basis.fiber_dim, -1)[::-1].reshape(mat.shape)
 
 
 def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
@@ -267,72 +326,65 @@ def anticommutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOpera
     return a @ b + b @ a
 
 
-def adjoint(a: TruncatedOperator) -> TruncatedOperator:
-    return a.adjoint()
-
-
 def op_norm(a: TruncatedOperator | np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
-    mat = a.mat if isinstance(a, TruncatedOperator) else np.asarray(a)
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.norm(mat, 2))
-
-
-def frobenius_norm(a: TruncatedOperator | np.ndarray) -> float:
-    mat = a.mat if isinstance(a, TruncatedOperator) else np.asarray(a)
-    return float(np.linalg.norm(mat))
+    if not isinstance(a, TruncatedOperator):
+        return _dense_norm(a)
+    return interior_residual(a, 0)
 
 
 @dataclass(frozen=True)
 class AntilinearOperator:
-    """v -> mat @ conj(v); represents charge conjugation C and the real
-    structure J of finite triples."""
+    """v -> R B conj(v) with R the level reflection n -> -n and B banded;
+    represents charge conjugation C (R times a fiber flip).  Keeping the
+    reflection out of B keeps every product with C banded."""
 
-    basis: BasisDescriptor
-    mat: np.ndarray
+    linear: TruncatedOperator
 
-    def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen_matrix(self.mat, self.basis.dim))
+    @property
+    def basis(self) -> BasisDescriptor:
+        return self.linear.basis
+
+    @classmethod
+    def from_dense(cls, basis: BasisDescriptor, mat: np.ndarray) -> "AntilinearOperator":
+        """The map v -> mat @ conj(v)."""
+        return cls(TruncatedOperator.from_dense(basis, _reflect_rows(basis, mat)))
+
+    def to_dense(self) -> np.ndarray:
+        """The matrix M of v -> M conj(v) (a test oracle)."""
+        return _reflect_rows(self.basis, self.linear.to_dense())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.mat @ np.conj(np.asarray(v, dtype=complex))
+        return _reflect_rows(self.basis, self.linear.apply(np.conj(np.asarray(v, dtype=complex))))
 
     def compose(self, other: "AntilinearOperator") -> TruncatedOperator:
-        """self o other is linear with matrix M1 conj(M2)."""
-        if self.basis != other.basis:
-            raise BasisMismatchError("operands live on different bases")
-        return TruncatedOperator(self.basis, self.mat @ np.conj(other.mat))
+        """self o other is linear: R B1 conj(R B2) = (R B1 R) conj(B2)."""
+        return _reflect(self.linear) @ other.linear.conj()
 
     def squared(self) -> TruncatedOperator:
         return self.compose(self)
 
     def after(self, a: TruncatedOperator) -> "AntilinearOperator":
-        """self o a (antilinear), matrix M conj(A)."""
-        if self.basis != a.basis:
-            raise BasisMismatchError("operands live on different bases")
-        return AntilinearOperator(self.basis, self.mat @ np.conj(a.mat))
+        """self o a (antilinear): R B conj(A)."""
+        return AntilinearOperator(self.linear @ a.conj())
 
     def before(self, a: TruncatedOperator) -> "AntilinearOperator":
-        """a o self (antilinear), matrix A M."""
-        if self.basis != a.basis:
-            raise BasisMismatchError("operands live on different bases")
-        return AntilinearOperator(self.basis, a.mat @ self.mat)
+        """a o self (antilinear): A R B = R (R A R) B."""
+        return AntilinearOperator(_reflect(a) @ self.linear)
 
 
 def antilinear_conjugate(c: AntilinearOperator, a: TruncatedOperator) -> TruncatedOperator:
     """The opposite-algebra element C a* C (a* the adjoint), a linear map.
 
-    Composing the three maps gives the matrix M a^T conj(M).
+    Composing the three maps gives R B a^T conj(B) R, and
+    a^T conj(B) = conj(a* B).
     """
-    if c.basis != a.basis:
-        raise BasisMismatchError("operands live on different bases")
-    return TruncatedOperator(c.basis, c.mat @ a.mat.T @ np.conj(c.mat))
+    return _reflect(c.linear @ (a.adjoint() @ c.linear).conj())
 
 
 @dataclass(frozen=True)
 class InteriorProjector:
-    """Orthogonal projector onto levels with |n| <= max_level - margin."""
+    """Orthogonal projector P onto levels with |n| <= max_level - margin."""
 
     basis: BasisDescriptor
     margin: int = 0
@@ -341,37 +393,44 @@ class InteriorProjector:
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
         if self.margin >= self.basis.nmax:
-            raise ValueError(f"margin {self.margin} >= nmax {self.basis.nmax}")
+            raise TruncationError(f"margin {self.margin} >= nmax {self.basis.nmax}")
 
-    @property
-    def kept_levels(self) -> tuple[float, ...]:
+    def _band_mask(self, k: int) -> np.ndarray:
+        """Source levels i such that levels i and i + k are both kept."""
         cut = self.basis.max_level - self.margin
-        return tuple(n for n in self.basis.levels if abs(n) <= cut + 1e-9)
+        keep = np.abs(np.asarray(self.basis.levels)) <= cut + 1e-9
+        return keep & _shifted(keep, k)
 
-    def diagonal(self) -> np.ndarray:
-        cut = self.basis.max_level - self.margin
-        keep = np.array([abs(n) <= cut + 1e-9 for n in self.basis.levels])
-        return np.repeat(keep, self.basis.fiber_dim).astype(float)
+    def band(self, a: TruncatedOperator, k: int) -> np.ndarray:
+        """The kept blocks of band k (source and target kept), in level order."""
+        return a.band(k)[self._band_mask(k)]
 
-    def operator(self) -> TruncatedOperator:
-        return TruncatedOperator(self.basis, np.diag(self.diagonal()), shift_degree=0)
+    def band_norms(self, a: TruncatedOperator, k: int) -> np.ndarray:
+        """Spectral norms of the kept blocks of band k."""
+        return np.linalg.norm(self.band(a, k), 2, axis=(1, 2))
+
+    def project(self, a: TruncatedOperator) -> TruncatedOperator:
+        """P A P, band by band."""
+        return TruncatedOperator(a.basis, {
+            k: arr * self._band_mask(k)[:, None, None] for k, arr in a.bands.items()})
 
     def compress(self, a: TruncatedOperator | np.ndarray) -> np.ndarray:
-        """P A P restricted to the kept rows/columns."""
-        mat = a.mat if isinstance(a, TruncatedOperator) else np.asarray(a)
-        keep = self.diagonal() > 0.5
+        """P A P restricted to the kept rows/columns, as a dense matrix."""
+        mat = a.to_dense() if isinstance(a, TruncatedOperator) else np.asarray(a)
+        keep = np.repeat(self._band_mask(0), self.basis.fiber_dim)
         return mat[np.ix_(keep, keep)]
 
 
 def interior_residual(a: TruncatedOperator, margin: int) -> float:
-    """Spectral norm of P A P; asserts "A = 0 away from the cutoff"."""
-    proj = InteriorProjector(a.basis, margin)
-    return op_norm(proj.compress(a))
+    """Spectral norm of P A P; asserts "A = 0 away from the cutoff".
 
-
-def interior_frobenius(a: TruncatedOperator, margin: int) -> float:
+    A single-band operator is a direct sum of its blocks, so its norm is
+    the largest block norm; several bands fall back to the dense SVD.
+    """
     proj = InteriorProjector(a.basis, margin)
-    return float(np.linalg.norm(proj.compress(a)))
+    if len(a.bands) > 1:
+        return _dense_norm(proj.compress(a))
+    return max((float(proj.band_norms(a, k).max(initial=0.0)) for k in a.bands), default=0.0)
 
 
 def bch_terms(generator: TruncatedOperator, f: TruncatedOperator,

@@ -13,7 +13,6 @@ construction metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +35,11 @@ __all__ = [
     "third_order_coefficient",
 ]
 
+# kappa * cosh^2(theta) / rm of the third-order term under the 1/k!
+# convention of the expansion
+_THIRD_ORDER_C0 = 2.0 / 3.0
+
+
 @dataclass(frozen=True)
 class OrderCoefficients:
     """Interior-projected expansion terms [ad_{iH}^k(f)/k!, g], k = 0..K."""
@@ -48,13 +52,6 @@ class OrderCoefficients:
 
     def __getitem__(self, k: int) -> TruncatedOperator:
         return self.terms[k]
-
-    def residuals(self) -> list[float]:
-        return [op_norm_interior(t, self.margin) for t in self.terms]
-
-
-def op_norm_interior(t: TruncatedOperator, margin: int) -> float:
-    return interior_residual(t, margin)
 
 
 @dataclass(frozen=True)
@@ -80,16 +77,14 @@ def commutator_expansion(ih: TruncatedOperator, f: TruncatedOperator,
     """
     if kmax > margin:
         raise ValueError(f"kmax {kmax} exceeds margin {margin}: edge contamination")
-    proj = InteriorProjector(ih.basis, margin).operator()
-    out = []
-    for term in bch_terms(ih, f, kmax):
-        out.append(proj @ commutator(term, g) @ proj)
-    return OrderCoefficients(terms=tuple(out), margin=margin)
+    proj = InteriorProjector(ih.basis, margin)
+    terms = tuple(proj.project(commutator(term, g)) for term in bch_terms(ih, f, kmax))
+    return OrderCoefficients(terms=terms, margin=margin)
 
 
-def _fiber_trace(block: np.ndarray) -> complex:
+def _fiber_traces(blocks: np.ndarray) -> np.ndarray:
     # normalized so that tr(e_perp e_perp) -> 1
-    return -0.5 * complex(np.trace(block))
+    return -0.5 * np.trace(blocks, axis1=1, axis2=2)
 
 
 def _band_fit(term: TruncatedOperator, k: int, reference: TruncatedOperator,
@@ -98,75 +93,39 @@ def _band_fit(term: TruncatedOperator, k: int, reference: TruncatedOperator,
     same band of ``reference``, per level; returns (median coefficient,
     relative fit residual).  Fitting against the quadruple's own operators
     keeps the extraction covariant under basis-phase gauge changes."""
-    basis = term.basis
-    cut = basis.max_level - margin
-    coefs = []
-    num = 0.0
-    den = 0.0
-    for n in basis.levels:
-        if abs(n) > cut or abs(n + k) > cut:
-            continue
-        blk = term.band_block(n, k)
-        ref = reference.band_block(n, k)
-        ref_sq = float(np.vdot(ref, ref).real)
-        if ref_sq == 0.0:
-            continue
-        c = complex(np.vdot(ref, blk)) / ref_sq
-        coefs.append(c)
-        num += float(np.linalg.norm(blk - c * ref) ** 2)
-        den += float(np.linalg.norm(blk) ** 2)
-    if not coefs:
+    proj = InteriorProjector(term.basis, margin)
+    blk, ref = proj.band(term, k), proj.band(reference, k)
+    ref_sq = (np.abs(ref) ** 2).sum(axis=(1, 2))
+    used = ref_sq != 0.0
+    if not used.any():
         raise ValueError("no interior levels left at this margin")
+    blk, ref, ref_sq = blk[used], ref[used], ref_sq[used]
+    coefs = (ref.conj() * blk).sum(axis=(1, 2)) / ref_sq
+    den = float((np.abs(blk) ** 2).sum())
     if den == 0.0:
         return 0.0, 0.0
-    med = float(np.median([c.real for c in coefs]))
-    return med, float(np.sqrt(num / den))
+    num = float((np.abs(blk - coefs[:, None, None] * ref) ** 2).sum())
+    return float(np.median(coefs.real)), float(np.sqrt(num / den))
 
 
 def _metric_cosh(q: SpectralQuadruple, margin: int) -> float:
     """Recover cosh(theta) of the slice from the ADM spatial-Clifford datum:
     the shift-1 band of [[iH, e_perp], u] has fiber (2/cosh) i e2."""
     adm = commutator(commutator(q.ih, q.e_perp), q.u)
-    basis = q.basis
-    cut = basis.max_level - margin
-    mags = [np.linalg.norm(adm.band_block(n, 1), 2)
-            for n in basis.levels if abs(n) <= cut and abs(n + 1) <= cut]
-    med = float(np.median(mags))
+    med = float(np.median(InteriorProjector(q.basis, margin).band_norms(adm, 1)))
     if med <= 0.0:
         raise ValueError("spatial Clifford datum vanishes: no metric scale")
     return 2.0 / med
 
 
-@lru_cache(maxsize=1)
-def _third_order_calibration() -> float:
-    """Calibration constant kappa * cosh^2 / rm, fixed once at the reference
-    point (rm, theta) = (1, 0) against the constructed generator."""
-    from .desitter import DeSitterParams, assemble_quadruple
-
-    q = assemble_quadruple(DeSitterParams(rm=1.0, theta=0.0, nmax=12))
-    margin = 4
-    kappa, _ = _band_fit(commutator_expansion(q.ih, q.u, q.u, 3, margin)[3],
-                         2, q.e_perp @ q.u @ q.u, margin)
-    return kappa * _metric_cosh(q, margin) ** 2
-
-
 def third_order_coefficient(q: SpectralQuadruple, margin: int = 4) -> tuple[float, float]:
     """(kappa, fit residual) of the third-order term against e_perp u^2."""
-    exp = commutator_expansion(q.ih, q.u, q.u, 3, margin)
-    return _band_fit(exp[3], 2, q.e_perp @ q.u @ q.u, margin)
+    return _band_fit(commutator_expansion(q.ih, q.u, q.u, 3, margin)[3], 2,
+                     q.e_perp @ q.u @ q.u, margin)
 
 
-def extract_mass_scale(q: SpectralQuadruple, margin: int = 4,
-                       fit_tolerance: float = 1e-6) -> float:
-    """Recover rm from the third-order commutator term.
-
-    The term is fitted to kappa * e_perp u^2 per interior level; kappa is
-    inverted through the calibrated proportionality kappa = C0 rm / cosh^2
-    with cosh recovered from the first-order ADM commutator.  A vanishing
-    third order returns 0 (massless degeneracy).
-    """
-    exp = commutator_expansion(q.ih, q.u, q.u, 3, margin)
-    t3 = exp[3]
+def _mass_scale(q: SpectralQuadruple, t3: TruncatedOperator, margin: int,
+                fit_tolerance: float) -> float:
     scale = max(interior_residual(q.ih, margin), 1.0)
     if interior_residual(t3, margin) <= 1e-12 * scale ** 3:
         return 0.0
@@ -174,8 +133,20 @@ def extract_mass_scale(q: SpectralQuadruple, margin: int = 4,
     if resid > fit_tolerance:
         raise ValueError(
             f"third-order term not of the predicted shape (fit residual {resid:.3g})")
-    cosh = _metric_cosh(q, margin)
-    return kappa * cosh ** 2 / _third_order_calibration()
+    return kappa * _metric_cosh(q, margin) ** 2 / _THIRD_ORDER_C0
+
+
+def extract_mass_scale(q: SpectralQuadruple, margin: int = 4,
+                       fit_tolerance: float = 1e-6) -> float:
+    """Recover rm from the third-order commutator term.
+
+    The term is fitted to kappa * e_perp u^2 per interior level; kappa is
+    inverted through the closed form kappa = (2/3) rm / cosh^2 with cosh
+    recovered from the first-order ADM commutator.  A vanishing third order
+    returns 0 (massless degeneracy).
+    """
+    return _mass_scale(q, commutator_expansion(q.ih, q.u, q.u, 3, margin)[3], margin,
+                       fit_tolerance)
 
 
 def extract_adm(q: SpectralQuadruple, f: TruncatedOperator | None = None,
@@ -188,24 +159,15 @@ def extract_adm(q: SpectralQuadruple, f: TruncatedOperator | None = None,
     the shift band of f.
     """
     f = q.u if f is None else f
-    basis = q.basis
-    cut = basis.max_level - margin
+    proj = InteriorProjector(q.basis, margin)
+    lapse_mass = float(np.mean(_fiber_traces(proj.band(q.ih @ q.e_perp, 0)).real))
 
-    ih_eperp = q.ih @ q.e_perp
-    lm = [_fiber_trace(ih_eperp.band_block(n, 0))
-          for n in basis.levels if abs(n) <= cut]
-    lapse_mass = float(np.mean([c.real for c in lm]))
-
-    shift = 0.0
     comm_f = commutator(q.ih, f)
     k = f.shift_degree
     if k is None or k == 0:
-        levels = [n for n in basis.levels if abs(n) <= cut]
-        shift = max(abs(_fiber_trace(comm_f.band_block(n, 0))) for n in levels)
+        shift = float(np.max(np.abs(_fiber_traces(proj.band(comm_f, 0)))))
     else:
-        traces = [_fiber_trace(comm_f.band_block(n, k))
-                  for n in basis.levels if abs(n) <= cut and abs(n + k) <= cut]
-        shift = float(np.median(np.abs(traces)))
+        shift = float(np.median(np.abs(_fiber_traces(proj.band(comm_f, k)))))
 
     shape_residual = 0.0
     if k:
@@ -213,12 +175,11 @@ def extract_adm(q: SpectralQuadruple, f: TruncatedOperator | None = None,
         _, shape_residual = _band_fit(adm, k, q.gamma @ q.e_perp @ f, margin)
 
     exp = commutator_expansion(q.ih, q.u, q.u, 3, margin)
-    order_residuals = tuple(interior_residual(t, margin) for t in exp.terms)
     return ADMExtract(
         lapse_mass=lapse_mass,
         shift=shift,
-        mass_scale=extract_mass_scale(q, margin),
-        order_residuals=order_residuals,
+        mass_scale=_mass_scale(q, exp[3], margin, 1e-6),
+        order_residuals=tuple(interior_residual(t, margin) for t in exp.terms),
         shape_residual=shape_residual,
     )
 

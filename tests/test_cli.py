@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from specquad import cli
 from specquad.cli import run
 
 
@@ -117,6 +118,17 @@ class TestSweep:
         entry = report["grid"][0]
         assert entry["skipped"] is True
         assert "truncation too small" in entry["notes"]
+
+    def test_numerical_error_is_not_a_skipped_point(self, tmp_path, monkeypatch):
+        # only a too-small truncation may be reported as a skipped point
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "verify_quadruple", boom)
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--rm", "1", "--theta", "0", "--nmax", "8",
+                    "-o", str(out)]) == 2
+        assert not out.exists()
 
     def test_empty_grid_is_usage_error(self):
         assert run(["sweep", "--rm", "", "--theta", "1"]) == 2

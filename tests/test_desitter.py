@@ -13,7 +13,6 @@ from specquad.desitter import (
     crosscheck_construction_vs_appendix,
     eigenframe,
     evolution_block,
-    _evolution_block_transport,
     hamiltonian_theta,
     seed_operators,
     solve_order_one_recursion,
@@ -28,6 +27,25 @@ from specquad.operators import (
 )
 from specquad.quadruple import verify_quadruple
 
+
+
+def _eigenframe_derivative(theta: float) -> np.ndarray:
+    ch, sh = np.cosh(theta / 2.0), np.sinh(theta / 2.0)
+    return 0.5 * np.array([[sh, ch], [ch, sh]], dtype=complex)
+
+
+def _evolution_block_transport(n: float, rm: float, theta: float) -> np.ndarray:
+    # V~ = V / sqrt(cosh th); iH = V~^{-1} (M V~ - dV~/dth)
+    v = eigenframe(theta)
+    vinv = np.linalg.inv(v)
+    m = np.array([
+        [(n - 0.5) * np.tanh(theta) + 1j * rm * np.cosh(theta),
+         (0.5 - n) - 1j * rm * np.sinh(theta)],
+        [(n + 0.5) + 1j * rm * np.sinh(theta),
+         -(n + 0.5) * np.tanh(theta) - 1j * rm * np.cosh(theta)],
+    ], dtype=complex)
+    connection = vinv @ _eigenframe_derivative(theta) - 0.5 * np.tanh(theta) * np.eye(2)
+    return vinv @ m @ v - connection
 
 class TestU2Parametrization:
     def test_origin(self):
@@ -201,18 +219,18 @@ class TestChargeConjugationOperator:
     def test_square_is_identity(self):
         basis = BasisDescriptor.spinor(6)
         cc = charge_conjugation(basis)
-        np.testing.assert_allclose(cc.squared().mat, np.eye(basis.dim), atol=0)
+        np.testing.assert_allclose(cc.squared().to_dense(), np.eye(basis.dim), atol=0)
 
     def test_intertwines_ladder(self, q_standard):
         cc = q_standard.cc
-        r_plus = op_norm(cc.mat @ np.conj(q_standard.t_plus.mat)
-                         - q_standard.t_minus.mat @ cc.mat)
+        r_plus = op_norm(cc.to_dense() @ np.conj(q_standard.t_plus.to_dense())
+                         - q_standard.t_minus.to_dense() @ cc.to_dense())
         assert r_plus <= 1e-10
 
     def test_conjugates_algebra_generator(self, q_standard):
         cc = q_standard.cc
-        resid = op_norm(cc.mat @ np.conj(q_standard.u.mat)
-                        - q_standard.u.adjoint().mat @ cc.mat)
+        resid = op_norm(cc.to_dense() @ np.conj(q_standard.u.to_dense())
+                        - q_standard.u.adjoint().to_dense() @ cc.to_dense())
         assert resid == 0.0
 
 

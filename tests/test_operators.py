@@ -25,7 +25,7 @@ def two_dim_basis():
 
 
 def op2(mat, basis=None):
-    return TruncatedOperator(basis or two_dim_basis(), np.asarray(mat, dtype=complex))
+    return TruncatedOperator.from_dense(basis or two_dim_basis(), np.asarray(mat, dtype=complex))
 
 
 class TestBasisDescriptor:
@@ -53,24 +53,24 @@ class TestCommutatorArithmetic:
         a = op2(np.diag([1j, -1j]))
         b = op2([[0, 1], [1, 0]])
         expected = np.array([[0, 2j], [-2j, 0]])
-        np.testing.assert_allclose(commutator(a, b).mat, expected)
+        np.testing.assert_allclose(commutator(a, b).to_dense(), expected)
 
     def test_anticommutator(self):
         a = op2(np.diag([1j, -1j]))
         b = op2([[0, 1], [1, 0]])
-        np.testing.assert_allclose(anticommutator(a, b).mat, np.zeros((2, 2)))
+        np.testing.assert_allclose(anticommutator(a, b).to_dense(), np.zeros((2, 2)))
 
     def test_adjoint_of_antihermitian(self):
         a = 1j * TruncatedOperator.identity(two_dim_basis())
-        np.testing.assert_allclose(a.adjoint().mat, -1j * np.eye(2))
+        np.testing.assert_allclose(a.adjoint().to_dense(), -1j * np.eye(2))
 
     def test_op_norm_diagonal(self):
         assert op_norm(op2(np.diag([3.0, 4j]))) == pytest.approx(4.0)
 
     def test_basis_mismatch(self):
         a = op2(np.eye(2))
-        b = TruncatedOperator(BasisDescriptor.weight_lattice(1, "integer"),
-                              np.eye(3))
+        b = TruncatedOperator.from_dense(BasisDescriptor.weight_lattice(1, "integer"),
+                                         np.eye(3))
         with pytest.raises(BasisMismatchError):
             commutator(a, b)
 
@@ -88,7 +88,7 @@ class TestCommutatorArithmetic:
         mat = np.zeros((8, 8))
         mat[0, 0] = 1.0
         with pytest.raises(ValueError):
-            TruncatedOperator(b, mat, shift_degree=1)
+            TruncatedOperator.from_dense(b, mat, shift_degree=1)
 
 
 class TestInteriorResidual:
@@ -107,7 +107,7 @@ class TestInteriorResidual:
         b = BasisDescriptor.spinor(4)
         mat = np.zeros((b.dim, b.dim), dtype=complex)
         mat[b.index(3.5, 0), b.index(3.5, 0)] = 0.7
-        a = TruncatedOperator(b, mat)
+        a = TruncatedOperator.from_dense(b, mat)
         assert interior_residual(a, 1) == 0.0
         assert interior_residual(a, 0) == pytest.approx(0.7)
 
@@ -120,8 +120,8 @@ class TestInteriorResidual:
 
     def test_monotone_in_margin(self, rng):
         b = BasisDescriptor.spinor(8)
-        a = TruncatedOperator(b, rng.normal(size=(b.dim, b.dim))
-                              + 1j * rng.normal(size=(b.dim, b.dim)))
+        a = TruncatedOperator.from_dense(b, rng.normal(size=(b.dim, b.dim))
+                                         + 1j * rng.normal(size=(b.dim, b.dim)))
         values = [interior_residual(a, m) for m in range(8)]
         assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
 
@@ -132,7 +132,7 @@ class TestBchTerms:
         f = TruncatedOperator.from_level_diagonal(b, lambda n: n * np.eye(2))
         terms = bch_terms(TruncatedOperator.zero(b), f, 3)
         assert len(terms) == 4
-        np.testing.assert_allclose(terms[0].mat, f.mat)
+        np.testing.assert_allclose(terms[0].to_dense(), f.to_dense())
         for t in terms[1:]:
             assert op_norm(t) == 0.0
 
@@ -152,21 +152,21 @@ class TestBchTerms:
         b = BasisDescriptor.spinor(3)
         gm = rng.normal(size=(b.dim, b.dim)) + 1j * rng.normal(size=(b.dim, b.dim))
         gm = gm - gm.conj().T
-        gen = TruncatedOperator(b, 0.4 * gm / np.linalg.norm(gm, 2))
+        gen = TruncatedOperator.from_dense(b, 0.4 * gm / np.linalg.norm(gm, 2))
         fm = rng.normal(size=(b.dim, b.dim)) + 1j * rng.normal(size=(b.dim, b.dim))
-        f = TruncatedOperator(b, fm / np.linalg.norm(fm, 2))
+        f = TruncatedOperator.from_dense(b, fm / np.linalg.norm(fm, 2))
         terms = bch_terms(gen, f, 2)
 
         h = 1e-3
 
         def evolved(t):
-            e = expm(t * gen.mat)
-            return e @ f.mat @ np.linalg.inv(e)
+            e = expm(t * gen.to_dense())
+            return e @ f.to_dense() @ np.linalg.inv(e)
 
         d1 = (evolved(h) - evolved(-h)) / (2 * h)
         d2 = (evolved(h) - 2 * evolved(0.0) + evolved(-h)) / h ** 2
-        assert np.abs(d1 - terms[1].mat).max() < 1e-6
-        assert np.abs(d2 / 2.0 - terms[2].mat).max() < 1e-6
+        assert np.abs(d1 - terms[1].to_dense()).max() < 1e-6
+        assert np.abs(d2 / 2.0 - terms[2].to_dense()).max() < 1e-6
 
     def test_negative_kmax_rejected(self):
         b = BasisDescriptor.spinor(2)
@@ -177,26 +177,26 @@ class TestBchTerms:
 class TestAntilinear:
     def test_pure_conjugation_case(self):
         b = two_dim_basis()
-        c = AntilinearOperator(b, np.eye(2))
+        c = AntilinearOperator.from_dense(b, np.eye(2))
         a = op2(np.diag([1j, -1j]))
         # C A* C with M = 1 is the entrywise conjugate of the adjoint
-        np.testing.assert_allclose(antilinear_conjugate(c, a).mat, np.diag([1j, -1j]))
+        np.testing.assert_allclose(antilinear_conjugate(c, a).to_dense(), np.diag([1j, -1j]))
 
     def test_composition_is_linear(self, rng):
         b = two_dim_basis()
         m1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         m2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        c1, c2 = AntilinearOperator(b, m1), AntilinearOperator(b, m2)
+        c1, c2 = AntilinearOperator.from_dense(b, m1), AntilinearOperator.from_dense(b, m2)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         np.testing.assert_allclose(c1.apply(c2.apply(v)), c1.compose(c2).apply(v))
 
     def test_unitary_stays_unitary(self):
         b = two_dim_basis()
-        c = AntilinearOperator(b, np.array([[0, 1], [1, 0]], dtype=complex))
+        c = AntilinearOperator.from_dense(b, np.array([[0, 1], [1, 0]], dtype=complex))
         theta = 0.37
         a = op2([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         out = antilinear_conjugate(c, a)
-        np.testing.assert_allclose(out.mat @ out.mat.conj().T, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(out.to_dense() @ out.to_dense().conj().T, np.eye(2), atol=1e-14)
 
     def test_desitter_u_opposite_is_u(self, q_standard):
         u_op = antilinear_conjugate(q_standard.cc, q_standard.u)
@@ -216,15 +216,15 @@ def small_operators(draw):
     entries = draw(st.lists(
         st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
         min_size=b.dim * b.dim, max_size=b.dim * b.dim))
-    return TruncatedOperator(b, np.array(entries).reshape(b.dim, b.dim))
+    return TruncatedOperator.from_dense(b, np.array(entries).reshape(b.dim, b.dim))
 
 
 class TestAlgebraicProperties:
     @settings(max_examples=25, deadline=None)
     @given(small_operators(), small_operators())
     def test_antisymmetry(self, a, b):
-        lhs = commutator(a, b).mat
-        np.testing.assert_allclose(lhs, -commutator(b, a).mat, atol=1e-9)
+        lhs = commutator(a, b).to_dense()
+        np.testing.assert_allclose(lhs, -commutator(b, a).to_dense(), atol=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(small_operators(), small_operators(), small_operators())

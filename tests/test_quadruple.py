@@ -140,7 +140,7 @@ class TestOrientability:
     def test_random_hermitian_gamma_not_member(self, q_standard, rng):
         h = rng.normal(size=(q_standard.basis.dim,) * 2)
         q = with_operator(q_standard,
-                          gamma=TruncatedOperator(q_standard.basis, h + h.T))
+                          gamma=TruncatedOperator.from_dense(q_standard.basis, h + h.T))
         # report-only: typically far from the span
         assert check_orientability(q, 2) > 0.1
 

@@ -66,6 +66,13 @@ class TestMassScale:
         assert fit <= 1e-12
         assert kappa == pytest.approx((2.0 / 3.0) / np.cosh(0.3) ** 2, rel=1e-10)
 
+    @pytest.mark.parametrize("rm,theta", [(1.0, 0.0), (0.5, 0.7), (2.0, 1.2)])
+    def test_third_order_closed_form(self, rm, theta):
+        # kappa cosh^2(theta) / rm = 2/3, the constant extract_mass_scale divides by
+        q = assemble_quadruple(DeSitterParams(rm=rm, theta=theta, nmax=12))
+        kappa, _ = third_order_coefficient(q, 4)
+        assert abs(kappa * np.cosh(theta) ** 2 / rm - 2.0 / 3.0) <= 1e-14
+
     def test_wrong_shape_rejected(self, q_standard):
         # replacing iH with a generator whose third order is not e_perp u^2
         bad = replace(q_standard, ih=q_standard.ih @ q_standard.ih @ q_standard.ih)

@@ -111,11 +111,11 @@ class TestGenerators:
     def test_t21_entry(self):
         basis, (t21, _, _) = self.build()
         idx = basis.index(1.5)
-        assert t21.mat[idx, idx] == pytest.approx(1.5j)
+        assert t21.to_dense()[idx, idx] == pytest.approx(1.5j)
 
     def test_vanishing_coefficient_at_massless_weight(self):
         basis, (_, tp, _) = self.build(r2m2=0.0)
-        assert abs(tp.mat[basis.index(0.5), basis.index(-0.5)]) == 0.0
+        assert abs(tp.to_dense()[basis.index(0.5), basis.index(-0.5)]) == 0.0
 
     def test_discrete_series_refused(self):
         basis = BasisDescriptor.weight_lattice(6, "half_integer")
