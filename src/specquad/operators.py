@@ -376,10 +376,10 @@ class AntilinearOperator:
 def antilinear_conjugate(c: AntilinearOperator, a: TruncatedOperator) -> TruncatedOperator:
     """The opposite-algebra element C a* C (a* the adjoint), a linear map.
 
-    Composing the three maps gives R B a^T conj(B) R, and
-    a^T conj(B) = conj(a* B).
+    With C = R B conj, composing the three maps gives R B a^T R conj(B),
+    i.e. (R (B a^T) R) conj(B) with a^T = conj(a*).
     """
-    return _reflect(c.linear @ (a.adjoint() @ c.linear).conj())
+    return _reflect(c.linear @ a.adjoint().conj()) @ c.linear.conj()
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from specquad import operators
 from specquad.desitter import DeSitterParams, assemble_quadruple
@@ -19,6 +20,7 @@ from specquad.operators import (
 )
 from specquad.quadruple import (
     check_charge_conjugation,
+    check_noncommutativity,
     check_symmetric_conditions,
     verify_quadruple,
 )
@@ -58,6 +60,11 @@ def test_algebra_matches_dense(nmax, rm, theta, rho, y):
     assert_matches(q.cc.compose(q.cc).to_dense(), c @ np.conj(c))
     other = AntilinearOperator.from_dense(q.basis, dense["t21"] @ c)
     assert_matches(q.cc.compose(other).to_dense(), c @ np.conj(dense["t21"] @ c))
+    # a C whose banded part does not commute with the level reflection
+    m = other.to_dense()
+    for name in LINEAR:
+        assert_matches(antilinear_conjugate(other, getattr(q, name)).to_dense(),
+                       m @ dense[name].T @ np.conj(m))
 
 
 @pytest.mark.parametrize("nmax,rm,theta,rho,y", CASES)
@@ -131,3 +138,14 @@ def test_desitter_checks_stay_banded(monkeypatch):
 def test_verify_at_nmax_256():
     rep = verify_quadruple(assemble_quadruple(DeSitterParams(rm=1.0, theta=0.3, nmax=256)))
     assert [c.check_id for c in rep if not c.passed] == []
+
+
+def test_noncommutativity_with_off_band_generator(rng):
+    q = quadruple(4, 1.0, 0.3, 0.0, 0.0)
+    g = rng.normal(size=(q.basis.dim,) * 2) + 1j * rng.normal(size=(q.basis.dim,) * 2)
+    ih = 0.1 * (g - g.conj().T)
+    ut, u = expm(ih), q.u.to_dense()
+    evolved = ut @ u @ ut.conj().T
+    want = np.linalg.norm(evolved @ u - u @ evolved, 2)
+    got = check_noncommutativity(dataclasses.replace(q, ih=TruncatedOperator.from_dense(q.basis, ih)))
+    assert got == pytest.approx(want, rel=1e-12)
