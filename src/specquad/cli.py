@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from . import desitter, finite, geometry, reconstruct, sl2, spinfields
-from .operators import TruncationError, interior_residual
-from .quadruple import AxiomReport, verify_quadruple
+from .operators import TruncationError
+from .quadruple import DEFAULT_TOLERANCES, AxiomReport, validate_overrides, verify_quadruple
 
 REPORT_VERSION = 1
 DEFAULT_SEED = 20201121
@@ -36,7 +36,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common.add_argument("--output", "-o", help="report path (default: stdout)")
     common.add_argument("--format", choices=("json", "csv"), default=None)
     common.add_argument("--tol", action="append", default=None, metavar="ID=VALUE",
-                        help="tolerance override per check id (repeatable)")
+                        help="tolerance override per report check id (repeatable); "
+                             "name@k shares the entry of name; unknown ids exit 2")
 
     parser = argparse.ArgumentParser(
         prog="specquad",
@@ -132,13 +133,12 @@ def _apply_config(args: argparse.Namespace, parser_defaults: dict, cfg: dict[str
                 setattr(args, attr, kind(value) if kind is not bool else value == "true")
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    if tol_overrides:
-        existing = list(args.tol or [])
-        existing.extend(f"{k}={v}" for k, v in tol_overrides.items())
-        args.tol = existing
+    # config entries go first, so a --tol flag for the same id wins
+    args.tol = [f"{k}={v}" for k, v in tol_overrides.items()] + list(args.tol or [])
 
 
 def _parse_tolerances(pairs: Sequence[str] | None) -> dict[str, float]:
+    """ID=VALUE overrides, later ones winning; ids must be registry keys."""
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
@@ -148,121 +148,106 @@ def _parse_tolerances(pairs: Sequence[str] | None) -> dict[str, float]:
             out[key.strip()] = float(value)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in {pair!r}") from exc
-    return out
+    return validate_overrides(out)
 
 
 # -- sections ----------------------------------------------------------------
 
-def _section_sl2(r2m2: float, lattice: str, tol: dict) -> AxiomReport:
+# KO-dimension signs (J^2, JD = +-DJ, J gamma = +-gamma J) for n mod 8, from
+# Connes, "Noncommutative geometry and reality", J. Math. Phys. 36 (1995);
+# None: odd n has no grading
+KO_SIGNS = ((1, 1, 1), (1, -1, None), (-1, 1, -1), (-1, 1, None),
+            (-1, 1, 1), (-1, -1, None), (1, 1, -1), (1, 1, None))
+
+
+def _section_sl2(r2m2: float, lattice: str) -> AxiomReport:
     rep = AxiomReport()
     ns = np.arange(-9.5, 10.5) if lattice == "half_integer" else np.arange(-9, 10)
-    rep.add("sl2.ladder_recursion", sl2.verify_ladder_recursion(r2m2, ns),
-            tol.get("sl2.ladder_recursion", 1e-14))
+    rep.add("sl2.ladder_recursion", sl2.verify_ladder_recursion(r2m2, ns))
     closed = max(abs(sl2.ladder_coefficient_sq(n, r2m2)
                      - ((n + 0.5) ** 2 + r2m2)) for n in ns)
-    rep.add("sl2.ladder_closed_form", closed, tol.get("sl2.ladder_closed_form", 0.0))
+    rep.add("sl2.ladder_closed_form", closed)
     lat = sl2.Lattice.INTEGER if lattice == "integer" else sl2.Lattice.HALF_INTEGER
     classes = sl2.classify(sl2.RepParams(r2m2=r2m2, lattice=lat))
-    rep.add("sl2.classification", 0.0, 0.0,
+    rep.add("sl2.classification", 0.0,
             notes="; ".join(str(c) for c in classes)
                   + " [complementary bound read as 0 >= r2m2 > -1/4]")
     return rep
 
 
-def _section_quadruple(rm: float, theta: float, nmax: int, margin: int,
-                       tol: dict) -> AxiomReport:
+def _section_quadruple(rm: float, theta: float, nmax: int, margin: int) -> AxiomReport:
     q = desitter.assemble_quadruple(desitter.DeSitterParams(rm=rm, theta=theta, nmax=nmax))
-    return verify_quadruple(q, margin=margin,
-                            include_noncommutativity=(rm != 0.0), tolerances=tol)
+    return verify_quadruple(q, margin=margin, include_noncommutativity=(rm != 0.0))
 
 
-def _section_crosscheck(rm: float, theta: float, nmax: int, tol: dict) -> AxiomReport:
+def _section_crosscheck(rm: float, theta: float, nmax: int) -> AxiomReport:
     rep = AxiomReport()
     params = desitter.DeSitterParams(rm=rm, theta=theta, nmax=max(nmax, 8))
     rep.add("crosscheck.recursion_vs_closed_form",
-            desitter.crosscheck_construction_vs_appendix(params),
-            tol.get("crosscheck.recursion_vs_closed_form", 1e-12))
+            desitter.crosscheck_construction_vs_appendix(params))
     worst = 0.0
     for n in np.arange(-7.5, 8.5):
         blk = desitter.appendix_t_plus(n, rm, theta)
         target = ((n + 0.5) ** 2 + rm ** 2) * np.eye(2)
         worst = max(worst, float(np.abs(blk @ blk.conj().T - target).max()))
-    rep.add("crosscheck.norm_law", worst, tol.get("crosscheck.norm_law", 1e-12),
-            notes="T+(n) T+(n)* = ((n+1/2)^2 + rm^2) 1")
+    rep.add("crosscheck.norm_law", worst, notes="T+(n) T+(n)* = ((n+1/2)^2 + rm^2) 1")
     return rep
 
 
 def _section_reconstruct(rm: float, theta: float, nmax: int, margin: int,
-                         orders: int, tol: dict) -> AxiomReport:
+                         orders: int) -> AxiomReport:
     rep = AxiomReport()
     q = desitter.assemble_quadruple(desitter.DeSitterParams(rm=rm, theta=theta, nmax=nmax))
-    exp = reconstruct.commutator_expansion(q.ih, q.u, q.u, min(orders, margin), margin)
-    for k in range(min(3, len(exp.terms))):
-        rep.add(f"reconstruct.order_{k}", interior_residual(exp[k], margin),
-                tol.get(f"reconstruct.order_{k}", 1e-10))
+    adm = reconstruct.extract_adm(q, margin=margin)
+    for k in range(min(3, orders + 1)):
+        rep.add(f"reconstruct.order_{k}", adm.order_residuals[k])
     if rm == 0.0:
         rep.add("reconstruct.massless_degeneracy",
                 reconstruct.massless_degeneracy_check(q, kmax=min(5, margin), margin=margin),
-                tol.get("reconstruct.massless_degeneracy", 1e-10),
                 notes="all orders vanish for rm = 0")
-        rep.add("reconstruct.mass_roundtrip", abs(reconstruct.extract_mass_scale(q, margin)),
-                tol.get("reconstruct.mass_roundtrip", 1e-8), notes="recovered rm vs 0")
+        rep.add("reconstruct.mass_roundtrip", abs(adm.mass_scale), notes="recovered rm vs 0")
         return rep
-    kappa, fit = reconstruct.third_order_coefficient(q, margin)
-    rep.add("reconstruct.third_order_fit", fit,
-            tol.get("reconstruct.third_order_fit", 1e-8),
-            notes=f"measured coefficient kappa = {kappa:.12g}")
-    adm = reconstruct.extract_adm(q, margin=margin)
+    rep.add("reconstruct.third_order_fit", adm.third_order_fit,
+            notes=f"measured coefficient kappa = {adm.kappa:.12g}")
     rep.add("reconstruct.mass_roundtrip", abs(adm.mass_scale - rm),
-            tol.get("reconstruct.mass_roundtrip", 1e-8),
             notes=f"recovered rm = {adm.mass_scale:.12g}")
     q2 = desitter.assemble_quadruple(
         desitter.DeSitterParams(rm=2 * rm, theta=theta, nmax=nmax))
     kappa2, _ = reconstruct.third_order_coefficient(q2, margin)
-    rep.add("reconstruct.linearity_in_mass", abs(kappa2 - 2 * kappa),
-            tol.get("reconstruct.linearity_in_mass", 1e-8 * abs(kappa)),
+    rep.add("reconstruct.linearity_in_mass", abs(kappa2 - 2 * adm.kappa),
+            DEFAULT_TOLERANCES["reconstruct.linearity_in_mass"] * abs(adm.kappa),
             notes="kappa(2 rm) vs 2 kappa(rm)")
     rep.add("reconstruct.lapse_mass", abs(adm.lapse_mass - rm),
-            tol.get("reconstruct.lapse_mass", 1e-8), notes="fiber trace of iH e_perp")
-    rep.add("reconstruct.shift", adm.shift, tol.get("reconstruct.shift", 1e-10))
-    rep.add("reconstruct.adm_shape", adm.shape_residual,
-            tol.get("reconstruct.adm_shape", 1e-10))
+            notes="fiber trace of iH e_perp")
+    rep.add("reconstruct.shift", adm.shift)
+    rep.add("reconstruct.adm_shape", adm.shape_residual)
     return rep
 
 
-def _section_finite_verify(m: complex, tol: dict) -> AxiomReport:
-    rep = finite.validate_finite_triple(finite.two_point_triple(m),
-                                        tol.get("finite.validation", 1e-12))
-    mism = 0
-    for n in range(0, 9):
-        table = finite.sign_table(n)
-        j2 = (-1) ** (((n - 1) * n * (n + 1) * (n + 2) // 8) % 2)
-        jd = (-1) ** ((n * (n + 1) * (n + 2) // 2) % 2)
-        jg = (-1) ** ((n // 2) % 2) if n % 2 == 0 else None
-        mism += int((table.j_squared, table.d_commutation, table.gamma_commutation)
-                    != (j2, jd, jg))
-    rep.add("finite.sign_table", float(mism), 0.0,
-            notes="mismatches against direct exponent evaluation, n in [0, 8]")
+def _section_finite_verify(m: complex) -> AxiomReport:
+    rep = finite.validate_finite_triple(finite.two_point_triple(m))
+    mism = sum(tuple(finite.sign_table(n)) != KO_SIGNS[n % 8] for n in range(16))
+    rep.add("finite.sign_table", float(mism),
+            notes="mismatches against the KO-dimension sign table of Connes "
+                  "(J. Math. Phys. 36, 1995), n in [0, 15]")
     quad = finite.quadruple_from_triple(
         finite.two_point_triple(m), [(0.0, m), (1.0, m)])
-    rep.extend(quad.validate(tol.get("finite.quadruple", 1e-12)))
-    return rep
+    return rep.extend(quad.validate())
 
 
-def _section_finite_distance(m: complex, tol: dict) -> AxiomReport:
+def _section_finite_distance(m: complex) -> AxiomReport:
     rep = AxiomReport()
     d = finite.connes_distance(finite.two_point_triple(m), 0, 1)
     if abs(m) == 0.0:
-        rep.add("finite.distance_unbounded", 0.0 if math.isinf(d) else 1.0, 0.0,
+        rep.add("finite.distance_unbounded", 0.0 if math.isinf(d) else 1.0,
                 notes="m = 0: distance must be flagged unbounded")
     else:
         rep.add("finite.distance", abs(d - 1.0 / abs(m)),
-                tol.get("finite.distance", 1e-6),
                 notes=f"d = {d:.9g}, analytic 1/|m| = {1.0 / abs(m):.9g}")
     return rep
 
 
-def _section_oracle(seed: int, tol: dict) -> AxiomReport:
+def _section_oracle(seed: int) -> AxiomReport:
     rep = AxiomReport()
     rng = np.random.default_rng(seed)
 
@@ -270,17 +255,16 @@ def _section_oracle(seed: int, tol: dict) -> AxiomReport:
            for th, ph in zip(rng.uniform(-1.5, 1.5, 50), rng.uniform(0, 2 * np.pi, 50))]
     emb = max(abs(-g.embedding[0] ** 2 + g.embedding[1] ** 2 + g.embedding[2] ** 2 - 1.0)
               for g in map(geometry.geometry_at, pts))
-    rep.add("oracle.embedding", emb, tol.get("oracle.embedding", 1e-12))
+    rep.add("oracle.embedding", emb)
     ktrace = max(abs(geometry.geometry_at(p).extrinsic_trace - 2.0 / p.radius)
                  for p in pts)
-    rep.add("oracle.extrinsic_trace", ktrace, tol.get("oracle.extrinsic_trace", 1e-9),
+    rep.add("oracle.extrinsic_trace", ktrace,
             notes="K_A^A = (n-1)/R with n = 3 the embedding dimension")
 
     sym = geometry.symmetry_checks(geometry.ChartPoint(0.5, 1.0))
     rep.add("oracle.killing_brackets",
-            max(sym["bracket_l01_l21"], sym["bracket_l02_l21"], sym["bracket_l01_l02"]),
-            tol.get("oracle.killing_brackets", 1e-9))
-    rep.add("oracle.casimir", sym["casimir"], tol.get("oracle.casimir", 1e-9))
+            max(sym["bracket_l01_l21"], sym["bracket_l02_l21"], sym["bracket_l01_l02"]))
+    rep.add("oracle.casimir", sym["casimir"])
 
     cliff = 0.0
     gammas = (geometry.GAMMA0, geometry.GAMMA1, geometry.GAMMA2)
@@ -293,11 +277,11 @@ def _section_oracle(seed: int, tol: dict) -> AxiomReport:
                 cliff = max(cliff, float(np.abs(got - 2 * geometry.ETA[i, j] * np.eye(2)).max()))
                 flat = gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
                 cliff = max(cliff, float(np.abs(flat - 2 * geometry.ETA[i, j] * np.eye(2)).max()))
-    rep.add("oracle.clifford", cliff, tol.get("oracle.clifford", 1e-12))
+    rep.add("oracle.clifford", cliff)
 
     btw = max(float(np.abs(g.conj().T @ geometry.B_INTERTWINER
                            + geometry.B_INTERTWINER @ g).max()) for g in gammas)
-    rep.add("oracle.b_intertwiner", btw, tol.get("oracle.b_intertwiner", 1e-14))
+    rep.add("oracle.b_intertwiner", btw)
 
     dirac_worst = 0.0
     for _ in range(20):
@@ -305,7 +289,7 @@ def _section_oracle(seed: int, tol: dict) -> AxiomReport:
         p = geometry.ChartPoint(float(rng.uniform(-1.2, 1.2)),
                                 float(rng.uniform(0.1, 6.1)))
         dirac_worst = max(dirac_worst, spinfields.dirac_agreement_residual(psi, p))
-    rep.add("oracle.dirac_pair", dirac_worst, tol.get("oracle.dirac_pair", 1e-9))
+    rep.add("oracle.dirac_pair", dirac_worst)
 
     rm, theta = 1.0, 0.4
     basis = desitter.assemble_quadruple(
@@ -319,71 +303,70 @@ def _section_oracle(seed: int, tol: dict) -> AxiomReport:
             worst = max(worst, abs(coefs[(n, +1)] - blk[0, col]))
             worst = max(worst, abs(coefs[(n, -1)] - blk[1, col]))
     rep.add("oracle.hamiltonian_vs_grid", worst,
-            tol.get("oracle.hamiltonian_vs_grid", 1e-9),
             notes="matrix theta-derivative blocks vs grid T-action, |n| <= 11/2")
 
     sol1 = spinfields.SolutionCoefficients(rm, {0.5: np.array([1.0, 0.2j]),
                                                 1.5: np.array([0.1, 0.0])})
     sol2 = spinfields.SolutionCoefficients(rm, {0.5: np.array([0.3, 1.0]),
                                                 1.5: np.array([0.0, 0.5j])})
-    rep.add("oracle.slice_independence",
-            spinfields.slice_independence(sol1, sol2, 0.0, 0.7),
-            tol.get("oracle.slice_independence", 1e-8))
+    rep.add("oracle.slice_independence", spinfields.slice_independence(sol1, sol2, 0.0, 0.7))
 
     mink = 0.0
     for _ in range(5):
         field = spinfields.random_poly_spinor(rng)
         sample = [rng.uniform(-1.0, 1.0, 3) for _ in range(4)]
         mink = max(mink, spinfields.minkowski_commutation_residual(field, sample))
-    rep.add("oracle.minkowski_commutation", mink,
-            tol.get("oracle.minkowski_commutation", 1e-8))
+    rep.add("oracle.minkowski_commutation", mink)
     return rep
 
 
-def _run_subcommand(args: argparse.Namespace, tol: dict) -> tuple[dict, AxiomReport | None, dict | None]:
-    """Returns (params echo, flat report or None, extra payload for sweep)."""
+# one sweep point: (params echo, report or None when skipped, skip note)
+SweepCell = tuple[dict, AxiomReport | None, str]
+
+
+def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[list[SweepCell]]]:
+    """Returns (params echo, flat report), or for sweep (params echo, grid rows)."""
     sc = args.subcommand
     if sc == "sl2-classify":
         return ({"r2m2": args.r2m2, "lattice": args.lattice},
-                _section_sl2(args.r2m2, args.lattice, tol), None)
+                _section_sl2(args.r2m2, args.lattice))
     if sc == "quadruple-verify":
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax,
                   "margin": args.margin}
-        return params, _section_quadruple(args.rm, args.theta, args.nmax,
-                                          args.margin, tol), None
+        return params, _section_quadruple(args.rm, args.theta, args.nmax, args.margin)
     if sc == "desitter-crosscheck":
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax}
-        return params, _section_crosscheck(args.rm, args.theta, args.nmax, tol), None
+        return params, _section_crosscheck(args.rm, args.theta, args.nmax)
     if sc == "reconstruct":
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax,
                   "margin": args.margin, "orders": args.orders}
         if args.orders > args.margin:
             raise ConfigError("orders must not exceed margin")
         return params, _section_reconstruct(args.rm, args.theta, args.nmax,
-                                            args.margin, args.orders, tol), None
+                                            args.margin, args.orders)
     if sc == "finite-verify":
         m = _parse_complex(args.m)
-        return {"m": str(m)}, _section_finite_verify(m, tol), None
+        return {"m": str(m)}, _section_finite_verify(m)
     if sc == "finite-distance":
         m = _parse_complex(args.m)
-        return {"m": str(m)}, _section_finite_distance(m, tol), None
+        return {"m": str(m)}, _section_finite_distance(m)
     if sc == "oracle-check":
-        return {"seed": args.seed}, _section_oracle(args.seed, tol), None
+        return {"seed": args.seed}, _section_oracle(args.seed)
     if sc == "all":
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax,
                   "margin": args.margin, "orders": args.orders, "seed": args.seed}
         rep = AxiomReport()
-        rep.extend(_section_sl2(args.rm ** 2, "half_integer", tol))
-        rep.extend(_section_quadruple(args.rm, args.theta, args.nmax, args.margin, tol))
-        rep.extend(_section_crosscheck(args.rm, args.theta, 16, tol))
+        rep.extend(_section_sl2(args.rm ** 2, "half_integer"))
+        rep.extend(_section_quadruple(args.rm, args.theta, args.nmax, args.margin))
+        rep.extend(_section_crosscheck(args.rm, args.theta, 16))
         rep.extend(_section_reconstruct(args.rm, args.theta, args.nmax,
-                                        args.margin, args.orders, tol))
-        rep.extend(_section_finite_verify(1 + 2j, tol))
-        rep.extend(_section_finite_distance(2.0, tol))
-        rep.extend(_section_oracle(args.seed, tol))
-        return params, rep, None
+                                        args.margin, args.orders))
+        rep.extend(_section_finite_verify(1 + 2j))
+        rep.extend(_section_finite_distance(2.0))
+        rep.extend(_section_oracle(args.seed))
+        return params, rep
     if sc == "sweep":
-        return _run_sweep(args, tol)
+        return _run_sweep(args)
     raise ConfigError(f"unknown subcommand {sc}")
 
 
@@ -404,33 +387,38 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
-def _run_sweep(args: argparse.Namespace, tol: dict) -> tuple[dict, None, dict]:
+def _run_sweep(args: argparse.Namespace) -> tuple[dict, list[list[SweepCell]]]:
     rms = _parse_grid(args.rm)
     thetas = _parse_grid(args.theta)
     params = {"rm": rms, "theta": thetas, "nmax": args.nmax, "margin": args.margin}
-    grid = []
-    matrix = []
+    rows = []
     for rm in rms:
         row = []
         for theta in thetas:
             point = {"rm": rm, "theta": theta, "nmax": args.nmax,
                      "margin": args.margin}
             try:
-                rep = _section_quadruple(rm, theta, args.nmax, args.margin, tol)
-                entry = {"params": point, "checks": rep.as_dicts(),
-                         "passed": rep.passed, "skipped": False, "notes": ""}
-                row.append(rep.passed)
+                row.append((point, _section_quadruple(rm, theta, args.nmax, args.margin), ""))
             except TruncationError as exc:
-                entry = {"params": point, "checks": [], "passed": False,
-                         "skipped": True,
-                         "notes": f"truncation too small: {exc}"}
-                row.append(None)
-            grid.append(entry)
-        matrix.append(row)
-    effective = [cell for row in matrix for cell in row if cell is not None]
-    aggregate = {"passed": bool(effective) and all(effective),
-                 "pass_matrix": matrix, "rm_values": rms, "theta_values": thetas}
-    return params, None, {"grid": grid, "aggregate": aggregate}
+                row.append((point, None, f"truncation too small: {exc}"))
+        rows.append(row)
+    return params, rows
+
+
+def _sweep_payload(params: dict, rows: list[list[SweepCell]], tol: dict) -> dict:
+    """Grid entries and aggregate of a sweep, overrides applied per point."""
+    cells = [cell for row in rows for cell in row]
+    for _, rep, _ in cells:
+        if rep is not None:
+            rep.override(tol)
+    grid = [{"params": point, "checks": [] if rep is None else rep.as_dicts(),
+             "passed": rep is not None and rep.passed, "skipped": rep is None,
+             "notes": note} for point, rep, note in cells]
+    matrix = [[None if rep is None else rep.passed for _, rep, _ in row] for row in rows]
+    effective = [rep.passed for _, rep, _ in cells if rep is not None]
+    aggregate = {"passed": bool(effective) and all(effective), "pass_matrix": matrix,
+                 "rm_values": params["rm"], "theta_values": params["theta"]}
+    return {"grid": grid, "aggregate": aggregate}
 
 
 def _render_json(payload: dict) -> str:
@@ -481,15 +469,16 @@ def run(argv: Sequence[str] | None = None) -> int:
             _apply_config(args, defaults, _load_config(args.config))
         tol = _parse_tolerances(args.tol)
 
-        params, rep, extra = _run_subcommand(args, tol)
+        params, result = _run_subcommand(args)
         payload: dict = {"version": REPORT_VERSION, "subcommand": args.subcommand,
                          "params": params}
-        if rep is not None:
-            payload["checks"] = rep.as_dicts()
-            payload["passed"] = rep.passed
-        if extra is not None:
-            payload.update(extra)
-            payload["passed"] = extra["aggregate"]["passed"]
+        if isinstance(result, AxiomReport):
+            result.override(tol)
+            payload["checks"] = result.as_dicts()
+            payload["passed"] = result.passed
+        else:
+            payload.update(_sweep_payload(params, result, tol))
+            payload["passed"] = payload["aggregate"]["passed"]
     except ConfigError as exc:
         print(f"specquad: error: {exc}", file=sys.stderr)
         return 2

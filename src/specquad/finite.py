@@ -237,17 +237,16 @@ def two_point_triple(m: complex) -> FiniteTriple:
     return build_finite_triple(two_point_spec(), two_point_dirac(m))
 
 
-def validate_finite_triple(t: FiniteTriple, tolerance: float = 1e-12) -> AxiomReport:
+def validate_finite_triple(t: FiniteTriple) -> AxiomReport:
     """Residuals of D = D*, JD = DJ, gamma D = -D gamma, and the first-order
     condition over an algebra basis."""
     rep = AxiomReport()
     d = t.dirac
-    rep.add("finite.selfadjoint", float(np.linalg.norm(d - d.conj().T, 2)), tolerance)
+    rep.add("finite.selfadjoint", float(np.linalg.norm(d - d.conj().T, 2)))
     rep.add("finite.j_commutes",
-            float(np.linalg.norm(t.real_structure.after(d) - t.real_structure.before(d), 2)),
-            tolerance)
+            float(np.linalg.norm(t.real_structure.after(d) - t.real_structure.before(d), 2)))
     g = np.diag(t.gamma)
-    rep.add("finite.gamma_anticommutes", float(np.linalg.norm(g @ d + d @ g, 2)), tolerance)
+    rep.add("finite.gamma_anticommutes", float(np.linalg.norm(g @ d + d @ g, 2)))
     basis = t.algebra_basis()
     worst = 0.0
     for a in basis:
@@ -255,7 +254,7 @@ def validate_finite_triple(t: FiniteTriple, tolerance: float = 1e-12) -> AxiomRe
         for b in basis:
             bo = t.pi_op(b)
             worst = max(worst, float(np.linalg.norm(da @ bo - bo @ da, 2)))
-    rep.add("finite.first_order", worst, tolerance)
+    rep.add("finite.first_order", worst)
     return rep
 
 
@@ -351,7 +350,7 @@ class FiniteQuadruple:
     def hamiltonian(self, idx: int) -> np.ndarray:
         return self.e_perp(idx) @ self.triples[idx].dirac
 
-    def validate(self, tolerance: float = 1e-12) -> AxiomReport:
+    def validate(self) -> AxiomReport:
         """Time-vector and odd-spacetime volume-element conditions at every
         scheduled time: e_perp^2 = -1, e_perp* = -e_perp, [e_perp, gamma] = 0."""
         rep = AxiomReport()
@@ -361,11 +360,11 @@ class FiniteQuadruple:
             eye = np.eye(t.hilbert_dim)
             note = f"t = {self.times[idx]:g}"
             rep.add(f"finite.e_perp_square@{idx}",
-                    float(np.linalg.norm(e @ e + eye, 2)), tolerance, notes=note)
+                    float(np.linalg.norm(e @ e + eye, 2)), notes=note)
             rep.add(f"finite.e_perp_antihermitian@{idx}",
-                    float(np.linalg.norm(e.conj().T + e, 2)), tolerance, notes=note)
+                    float(np.linalg.norm(e.conj().T + e, 2)), notes=note)
             rep.add(f"finite.volume_braiding@{idx}",
-                    float(np.linalg.norm(e @ g - g @ e, 2)), tolerance, notes=note)
+                    float(np.linalg.norm(e @ g - g @ e, 2)), notes=note)
         return rep
 
 

@@ -8,12 +8,16 @@ sign convention leaks downstream).  Every check returns named residuals that
 are compared against tolerances.  Fiberwise identities are checked on the
 whole window; identities that the truncation breaks at the cutoff are
 checked on the interior levels only, by level masks on the operator bands.
+
+``DEFAULT_TOLERANCES`` bounds every check id that a specquad module reports;
+a report id ``name@k`` shares the entry of ``name``.  Overrides are keyed by
+report ids, replace bounds on a finished report and reject unknown ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Mapping
 
 import numpy as np
 from scipy.linalg import expm
@@ -35,6 +39,8 @@ __all__ = [
     "AxiomCheck",
     "AxiomReport",
     "DEFAULT_TOLERANCES",
+    "registry_key",
+    "validate_overrides",
     "s_exponent",
     "check_time_vector",
     "check_volume_element",
@@ -97,11 +103,22 @@ class AxiomCheck:
 class AxiomReport:
     entries: list[AxiomCheck] = field(default_factory=list)
 
-    def add(self, check_id: str, residual: float, tolerance: float,
+    def add(self, check_id: str, residual: float, tolerance: float | None = None,
             margin: int = 0, notes: str = "") -> AxiomCheck:
+        """Append a check; without a tolerance its bound is the table's."""
+        if tolerance is None:
+            tolerance = DEFAULT_TOLERANCES[registry_key(check_id)]
         entry = AxiomCheck(check_id, float(residual), float(tolerance), margin, notes)
         self.entries.append(entry)
         return entry
+
+    def override(self, tolerances: Mapping[str, float] | None) -> "AxiomReport":
+        """Replace, in place, the tolerance of every entry whose registry key
+        is overridden; raises ValueError for an id not in the table."""
+        tolerances = validate_overrides(tolerances)
+        self.entries = [replace(e, tolerance=tolerances.get(registry_key(e.check_id), e.tolerance))
+                        for e in self.entries]
+        return self
 
     def extend(self, other: "AxiomReport") -> "AxiomReport":
         self.entries.extend(other.entries)
@@ -138,41 +155,54 @@ class AxiomReport:
 
 
 DEFAULT_TOLERANCES = {
-    "time_vector.square": 1e-14,
-    "time_vector.antihermitian": 1e-14,
-    "volume.gamma_square": 1e-14,
-    "volume.braiding": 1e-14,
-    "first_order.u_u": 1e-10,
-    "first_order.usq_u": 1e-10,
-    "first_order.u_uadj": 1e-10,
-    "charge_conjugation.square": 1e-12,
-    "charge_conjugation.t21": 1e-10,
-    "charge_conjugation.tplus": 1e-10,
-    "charge_conjugation.tminus": 1e-10,
-    "charge_conjugation.u": 1e-10,
-    "charge_conjugation.generator": 1e-10,
+    "time_vector.square": 1e-14, "time_vector.antihermitian": 1e-14,
+    "volume.gamma_square": 1e-14, "volume.braiding": 1e-14,
+    "first_order.u_u": 1e-10, "first_order.usq_u": 1e-10, "first_order.u_uadj": 1e-10,
+    "charge_conjugation.square": 1e-12, "charge_conjugation.t21": 1e-10,
+    "charge_conjugation.tplus": 1e-10, "charge_conjugation.tminus": 1e-10,
+    "charge_conjugation.u": 1e-10, "charge_conjugation.generator": 1e-10,
     "orientability.membership": 1e-8,
-    "spatial.selfadjoint": 1e-8,
-    "spatial.bounded_uniform": 1e-8,
-    "spatial.first_order": 1e-8,
-    "spatial.eigenspace_algebra": 1e-12,
-    "symmetric.t21_u": 1e-10,
-    "symmetric.t21_e_perp": 1e-10,
-    "symmetric.t21_gamma": 1e-10,
-    "symmetric.sl2_raise": 1e-10,
-    "symmetric.sl2_lower": 1e-10,
-    "symmetric.sl2_pair": 1e-10,
-    "symmetric.tplus_adjoint": 1e-10,
-    "symmetric.tminus_adjoint": 1e-10,
+    "spatial.selfadjoint": 1e-8, "spatial.bounded_uniform": 1e-8,
+    "spatial.first_order": 1e-8, "spatial.eigenspace_algebra": 1e-12,
+    "symmetric.t21_u": 1e-10, "symmetric.t21_e_perp": 1e-10, "symmetric.t21_gamma": 1e-10,
+    "symmetric.sl2_raise": 1e-10, "symmetric.sl2_lower": 1e-10, "symmetric.sl2_pair": 1e-10,
+    "symmetric.tplus_adjoint": 1e-10, "symmetric.tminus_adjoint": 1e-10,
     "algebra.u_unitary": 1e-12,
     "evolution.noncommutative": 0.0,
+    "sl2.ladder_recursion": 1e-14, "sl2.ladder_closed_form": 0.0, "sl2.classification": 0.0,
+    "crosscheck.recursion_vs_closed_form": 1e-12, "crosscheck.norm_law": 1e-12,
+    "reconstruct.order_0": 1e-10, "reconstruct.order_1": 1e-10, "reconstruct.order_2": 1e-10,
+    "reconstruct.massless_degeneracy": 1e-10, "reconstruct.mass_roundtrip": 1e-8,
+    "reconstruct.third_order_fit": 1e-8, "reconstruct.lapse_mass": 1e-8,
+    "reconstruct.shift": 1e-10, "reconstruct.adm_shape": 1e-10,
+    # relative: the reconstruct section multiplies it by |kappa|
+    "reconstruct.linearity_in_mass": 1e-8,
+    "finite.selfadjoint": 1e-12, "finite.j_commutes": 1e-12,
+    "finite.gamma_anticommutes": 1e-12, "finite.first_order": 1e-12,
+    "finite.sign_table": 0.0, "finite.e_perp_square": 1e-12,
+    "finite.e_perp_antihermitian": 1e-12, "finite.volume_braiding": 1e-12,
+    "finite.distance": 1e-6, "finite.distance_unbounded": 0.0,
+    "oracle.embedding": 1e-12, "oracle.extrinsic_trace": 1e-9,
+    "oracle.killing_brackets": 1e-9, "oracle.casimir": 1e-9, "oracle.clifford": 1e-12,
+    "oracle.b_intertwiner": 1e-14, "oracle.dirac_pair": 1e-9,
+    "oracle.hamiltonian_vs_grid": 1e-9, "oracle.slice_independence": 1e-8,
+    "oracle.minkowski_commutation": 1e-8,
 }
 
 
-def _tol(check_id: str, overrides: dict | None) -> float:
-    if overrides and check_id in overrides:
-        return float(overrides[check_id])
-    return DEFAULT_TOLERANCES[check_id]
+def registry_key(check_id: str) -> str:
+    """Table key of a report id: ``name@k`` shares the entry of ``name``."""
+    return check_id.split("@", 1)[0]
+
+
+def validate_overrides(tolerances: Mapping[str, float] | None) -> dict[str, float]:
+    """Tolerance overrides as floats; raises ValueError for any id that is
+    not a key of DEFAULT_TOLERANCES."""
+    tolerances = dict(tolerances or {})
+    unknown = sorted(set(tolerances) - DEFAULT_TOLERANCES.keys())
+    if unknown:
+        raise ValueError("unknown tolerance id " + ", ".join(map(repr, unknown)))
+    return {k: float(v) for k, v in tolerances.items()}
 
 
 def s_exponent(n: int) -> int:
@@ -180,18 +210,16 @@ def s_exponent(n: int) -> int:
     return (n - 1) * (n - 2) * (n - 3) * (n - 4) // 8
 
 
-def check_time_vector(q: SpectralQuadruple, tolerances: dict | None = None) -> AxiomReport:
+def check_time_vector(q: SpectralQuadruple) -> AxiomReport:
     """e_perp^2 = -1 and e_perp* = -e_perp (fiberwise, no edge effects)."""
     rep = AxiomReport()
     one = TruncatedOperator.identity(q.basis)
-    rep.add("time_vector.square", op_norm(q.e_perp @ q.e_perp + one),
-            _tol("time_vector.square", tolerances))
-    rep.add("time_vector.antihermitian", op_norm(q.e_perp.adjoint() + q.e_perp),
-            _tol("time_vector.antihermitian", tolerances))
+    rep.add("time_vector.square", op_norm(q.e_perp @ q.e_perp + one))
+    rep.add("time_vector.antihermitian", op_norm(q.e_perp.adjoint() + q.e_perp))
     return rep
 
 
-def check_volume_element(q: SpectralQuadruple, tolerances: dict | None = None) -> AxiomReport:
+def check_volume_element(q: SpectralQuadruple) -> AxiomReport:
     """gamma^2 = +-1 (sign recorded) and the braiding with the time vector:
     anticommutator for even spacetime dimension, commutator for odd."""
     rep = AxiomReport()
@@ -199,17 +227,15 @@ def check_volume_element(q: SpectralQuadruple, tolerances: dict | None = None) -
     r_plus = op_norm(q.gamma @ q.gamma - one)
     r_minus = op_norm(q.gamma @ q.gamma + one)
     if r_plus <= r_minus:
-        rep.add("volume.gamma_square", r_plus, _tol("volume.gamma_square", tolerances),
-                notes="gamma^2 = +1")
+        rep.add("volume.gamma_square", r_plus, notes="gamma^2 = +1")
     else:
-        rep.add("volume.gamma_square", r_minus, _tol("volume.gamma_square", tolerances),
-                notes="gamma^2 = -1")
+        rep.add("volume.gamma_square", r_minus, notes="gamma^2 = -1")
     if q.even_dim:
         rep.add("volume.braiding", op_norm(anticommutator(q.e_perp, q.gamma)),
-                _tol("volume.braiding", tolerances), notes="{e_perp, gamma}, even dim")
+                notes="{e_perp, gamma}, even dim")
     else:
         rep.add("volume.braiding", op_norm(commutator(q.e_perp, q.gamma)),
-                _tol("volume.braiding", tolerances), notes="[e_perp, gamma], odd dim")
+                notes="[e_perp, gamma], odd dim")
     return rep
 
 
@@ -230,8 +256,7 @@ def _antilinear_intertwine_residual(c: AntilinearOperator, x: TruncatedOperator,
     return interior_residual(c.after(x).linear - c.before(y).linear, margin)
 
 
-def check_charge_conjugation(q: SpectralQuadruple, margin: int = 2,
-                             tolerances: dict | None = None) -> AxiomReport:
+def check_charge_conjugation(q: SpectralQuadruple, margin: int = 2) -> AxiomReport:
     """C^2 = (-1)^{s(n)} and the intertwining of C with the symmetry
     generators: C T21 = T21 C, C T+ = T- C, C T- = T+ C, C iH = iH C, and
     the algebra conjugation C u = u* C."""
@@ -239,26 +264,24 @@ def check_charge_conjugation(q: SpectralQuadruple, margin: int = 2,
     sign = (-1.0) ** s_exponent(q.spacetime_dim)
     target = sign * TruncatedOperator.identity(q.basis)
     rep.add("charge_conjugation.square",
-            interior_residual(q.cc.squared() - target, margin),
-            _tol("charge_conjugation.square", tolerances), margin,
+            interior_residual(q.cc.squared() - target, margin), margin=margin,
             notes=f"C^2 = {'+1' if sign > 0 else '-1'} for n = {q.spacetime_dim}")
     rep.add("charge_conjugation.t21",
-            _antilinear_intertwine_residual(q.cc, q.t21, q.t21, margin),
-            _tol("charge_conjugation.t21", tolerances), margin)
+            _antilinear_intertwine_residual(q.cc, q.t21, q.t21, margin), margin=margin)
     rep.add("charge_conjugation.tplus",
             _antilinear_intertwine_residual(q.cc, q.t_plus, q.t_minus, margin),
-            _tol("charge_conjugation.tplus", tolerances), margin)
+            margin=margin)
     rep.add("charge_conjugation.tminus",
             _antilinear_intertwine_residual(q.cc, q.t_minus, q.t_plus, margin),
-            _tol("charge_conjugation.tminus", tolerances), margin)
+            margin=margin)
     # conjugation acts on the commutative algebra as pointwise complex
     # conjugation, so the unitary generator intertwines with its adjoint
     rep.add("charge_conjugation.u",
             _antilinear_intertwine_residual(q.cc, q.u, q.u.adjoint(), margin),
-            _tol("charge_conjugation.u", tolerances), margin, notes="C u = u* C")
+            margin=margin, notes="C u = u* C")
     rep.add("charge_conjugation.generator",
             _antilinear_intertwine_residual(q.cc, q.ih, q.ih, margin),
-            _tol("charge_conjugation.generator", tolerances), margin, notes="C iH = iH C")
+            margin=margin, notes="C iH = iH C")
     return rep
 
 
@@ -319,8 +342,7 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
     return float(np.linalg.norm(a @ coef - b) / np.linalg.norm(b))
 
 
-def check_spatial_triple(q: SpectralQuadruple, margin: int = 4,
-                         tolerances: dict | None = None) -> AxiomReport:
+def check_spatial_triple(q: SpectralQuadruple, margin: int = 4) -> AxiomReport:
     """Spectral-triple conditions for the spatial slice operator
     D_s = e_perp [H, e_perp] (built from the stored iH as e_perp [-i iH, e_perp]).
 
@@ -335,45 +357,40 @@ def check_spatial_triple(q: SpectralQuadruple, margin: int = 4,
     rep = AxiomReport()
     d_s = q.e_perp @ commutator(-1j * q.ih, q.e_perp)
     rep.add("spatial.selfadjoint",
-            interior_residual(d_s - d_s.adjoint(), margin),
-            _tol("spatial.selfadjoint", tolerances), margin)
+            interior_residual(d_s - d_s.adjoint(), margin), margin=margin)
 
     comm_ds_u = commutator(d_s, q.u)
     norms = InteriorProjector(q.basis, margin).band_norms(comm_ds_u, 1)
     med = float(np.median(norms)) if norms.size else 0.0
     if med <= 1e-14:
-        rep.add("spatial.bounded_uniform", 0.0,
-                _tol("spatial.bounded_uniform", tolerances), margin,
+        rep.add("spatial.bounded_uniform", 0.0, margin=margin,
                 notes="degenerate: [D_s, u] vanishes (no spatial dynamics)")
     else:
         rel = float(np.max(np.abs(norms - med)) / med)
-        rep.add("spatial.bounded_uniform", rel,
-                _tol("spatial.bounded_uniform", tolerances), margin,
+        rep.add("spatial.bounded_uniform", rel, margin=margin,
                 notes=f"median fiber-block norm {med:.6g}")
 
     u_op = antilinear_conjugate(q.cc, q.u)
     rep.add("spatial.first_order",
             interior_residual(commutator(commutator(q.u, d_s), u_op), margin),
-            _tol("spatial.first_order", tolerances), margin)
+            margin=margin)
 
     # eigenspace restriction: P+- = (1 -+ i e_perp)/2 must commute with the algebra
     one = TruncatedOperator.identity(q.basis)
     p_plus = 0.5 * (one + (-1j) * q.e_perp)
     rep.add("spatial.eigenspace_algebra",
-            interior_residual(commutator(p_plus, q.u), margin),
-            _tol("spatial.eigenspace_algebra", tolerances), margin)
+            interior_residual(commutator(p_plus, q.u), margin), margin=margin)
     return rep
 
 
-def check_symmetric_conditions(q: SpectralQuadruple, margin: int = 2,
-                               tolerances: dict | None = None) -> AxiomReport:
+def check_symmetric_conditions(q: SpectralQuadruple, margin: int = 2) -> AxiomReport:
     """The de Sitter quadruple postulates and the sl2 structure relations:
     [T21, u] = iu, [T21, e_perp] = 0, [T21, gamma] = 0, [T21, T+-] = +-iT+-,
     [T+, T-] = -2iT21, T+-* = -T-+."""
     rep = AxiomReport()
 
     def add(cid, resid):
-        rep.add(cid, resid, _tol(cid, tolerances), margin)
+        rep.add(cid, resid, margin=margin)
 
     add("symmetric.t21_u", interior_residual(commutator(q.t21, q.u) - 1j * q.u, margin))
     add("symmetric.t21_e_perp", interior_residual(commutator(q.t21, q.e_perp), margin))
@@ -407,39 +424,36 @@ def verify_quadruple(q: SpectralQuadruple, margin: int = 4,
                      monomial_degree_bound: int = 2,
                      include_noncommutativity: bool = True,
                      noncommutativity_threshold: float = 1e-4,
-                     tolerances: dict | None = None) -> AxiomReport:
-    """Run the full axiom suite and return one combined report."""
+                     tolerances: Mapping[str, float] | None = None) -> AxiomReport:
+    """Run the full axiom suite and return one combined report; the
+    ``tolerances`` overrides replace the table's bounds by report id."""
+    tolerances = validate_overrides(tolerances)
     rep = AxiomReport()
-    rep.extend(check_time_vector(q, tolerances))
-    rep.extend(check_volume_element(q, tolerances))
-    rep.extend(check_symmetric_conditions(q, min(margin, 2), tolerances))
-    rep.extend(check_charge_conjugation(q, min(margin, 2), tolerances))
+    rep.extend(check_time_vector(q))
+    rep.extend(check_volume_element(q))
+    rep.extend(check_symmetric_conditions(q, min(margin, 2)))
+    rep.extend(check_charge_conjugation(q, min(margin, 2)))
 
     one = TruncatedOperator.identity(q.basis)
-    rep.add("algebra.u_unitary",
-            interior_residual(q.u.adjoint() @ q.u - one, 1),
-            _tol("algebra.u_unitary", tolerances), 1)
+    rep.add("algebra.u_unitary", interior_residual(q.u.adjoint() @ q.u - one, 1), margin=1)
 
     fo_margin = min(margin, 2)
-    rep.add("first_order.u_u", check_first_order(q, q.u, q.u, fo_margin),
-            _tol("first_order.u_u", tolerances), fo_margin)
+    rep.add("first_order.u_u", check_first_order(q, q.u, q.u, fo_margin), margin=fo_margin)
     rep.add("first_order.usq_u", check_first_order(q, q.u @ q.u, q.u, margin=min(margin + 1, 3)),
-            _tol("first_order.usq_u", tolerances), min(margin + 1, 3))
+            margin=min(margin + 1, 3))
     rep.add("first_order.u_uadj", check_first_order(q, q.u, q.u.adjoint(), fo_margin),
-            _tol("first_order.u_uadj", tolerances), fo_margin)
+            margin=fo_margin)
 
     orient_margin = min(2 * monomial_degree_bound, margin + 2)
     rep.add("orientability.membership",
-            check_orientability(q, monomial_degree_bound, orient_margin),
-            _tol("orientability.membership", tolerances), orient_margin)
+            check_orientability(q, monomial_degree_bound, orient_margin), margin=orient_margin)
 
     if q.even_dim:
-        rep.extend(check_spatial_triple(q, margin, tolerances))
+        rep.extend(check_spatial_triple(q, margin))
 
     if include_noncommutativity:
         value = check_noncommutativity(q)
         rep.add("evolution.noncommutative",
                 max(0.0, noncommutativity_threshold - value),
-                _tol("evolution.noncommutative", tolerances),
                 notes=f"||[u(1), u]|| = {value:.6g}, required > {noncommutativity_threshold:g}")
-    return rep
+    return rep.override(tolerances)

@@ -57,12 +57,14 @@ class OrderCoefficients:
 @dataclass(frozen=True)
 class ADMExtract:
     """Scalar data recovered from the slicing: the lapse-mass product, the
-    fiber-traced shift magnitude, the recovered mass scale and the residual
-    diagnostics of the fits."""
+    fiber-traced shift magnitude, the recovered mass scale, the third-order
+    coefficient kappa and the residual diagnostics of the fits."""
 
     lapse_mass: float
     shift: float
     mass_scale: float
+    kappa: float
+    third_order_fit: float
     order_residuals: tuple[float, ...]
     shape_residual: float
 
@@ -125,15 +127,17 @@ def third_order_coefficient(q: SpectralQuadruple, margin: int = 4) -> tuple[floa
 
 
 def _mass_scale(q: SpectralQuadruple, t3: TruncatedOperator, margin: int,
-                fit_tolerance: float) -> float:
+                fit_tolerance: float) -> tuple[float, float, float]:
+    """(mass scale, kappa, fit residual) from the third-order term t3; all
+    three are 0 when t3 vanishes (massless degeneracy), and no fit is run."""
     scale = max(interior_residual(q.ih, margin), 1.0)
     if interior_residual(t3, margin) <= 1e-12 * scale ** 3:
-        return 0.0
+        return 0.0, 0.0, 0.0
     kappa, resid = _band_fit(t3, 2, q.e_perp @ q.u @ q.u, margin)
     if resid > fit_tolerance:
         raise ValueError(
             f"third-order term not of the predicted shape (fit residual {resid:.3g})")
-    return kappa * _metric_cosh(q, margin) ** 2 / _THIRD_ORDER_C0
+    return kappa * _metric_cosh(q, margin) ** 2 / _THIRD_ORDER_C0, kappa, resid
 
 
 def extract_mass_scale(q: SpectralQuadruple, margin: int = 4,
@@ -146,7 +150,7 @@ def extract_mass_scale(q: SpectralQuadruple, margin: int = 4,
     returns 0 (massless degeneracy).
     """
     return _mass_scale(q, commutator_expansion(q.ih, q.u, q.u, 3, margin)[3], margin,
-                       fit_tolerance)
+                       fit_tolerance)[0]
 
 
 def extract_adm(q: SpectralQuadruple, f: TruncatedOperator | None = None,
@@ -175,10 +179,13 @@ def extract_adm(q: SpectralQuadruple, f: TruncatedOperator | None = None,
         _, shape_residual = _band_fit(adm, k, q.gamma @ q.e_perp @ f, margin)
 
     exp = commutator_expansion(q.ih, q.u, q.u, 3, margin)
+    mass_scale, kappa, fit = _mass_scale(q, exp[3], margin, 1e-6)
     return ADMExtract(
         lapse_mass=lapse_mass,
         shift=shift,
-        mass_scale=_mass_scale(q, exp[3], margin, 1e-6),
+        mass_scale=mass_scale,
+        kappa=kappa,
+        third_order_fit=fit,
         order_residuals=tuple(interior_residual(t, margin) for t in exp.terms),
         shape_residual=shape_residual,
     )

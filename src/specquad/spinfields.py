@@ -22,9 +22,13 @@ from scipy.integrate import solve_ivp
 
 from .geometry import (
     B_INTERTWINER,
+    COS_PHI,
     GAMMA0,
     GAMMA1,
     GAMMA2,
+    SECH,
+    SIN_PHI,
+    TANH,
     ChartPoint,
     HypFn,
     frame_intertwiner_inverse,
@@ -43,7 +47,6 @@ __all__ = [
     "inner_product_slice",
     "slice_independence",
     "fiber_gram",
-    "orthonormal_frame_change",
     "dirac_pair",
     "dirac_agreement_residual",
     "random_spinor_field",
@@ -52,13 +55,7 @@ __all__ = [
     "minkowski_commutation_residual",
 ]
 
-GENERATOR_IDS = ("T21", "Tplus", "Tminus", "e0", "n_slash", "r_slash", "d_theta")
-
 _ZERO = HypFn()
-_SIN = HypFn({(0, 0, 1): -0.5j, (0, 0, -1): 0.5j})
-_COS = HypFn({(0, 0, 1): 0.5, (0, 0, -1): 0.5})
-_TANH = HypFn({(1, -1, 0): 1.0})
-_SECH = HypFn({(0, -1, 0): 1.0})
 _SINH = HypFn.monomial(1, 0, 0)
 _COSH = HypFn.monomial(0, 1, 0)
 
@@ -125,8 +122,8 @@ def _on_shell_d_theta(f: SpinorField, rm: float) -> SpinorField:
     """theta derivative of the solution through the Dirac equation:
     d_theta psi = nslash (sech d_phi - e0slash) psi + rm e0slash psi."""
     e0f = _mat_apply(_E0_MAT, f)
-    inner = _mat_apply(_N_MAT, SpinorField(_SECH * f.d_phi().up,
-                                           _SECH * f.d_phi().down) - e0f)
+    inner = _mat_apply(_N_MAT, SpinorField(SECH * f.d_phi().up,
+                                           SECH * f.d_phi().down) - e0f)
     return inner + e0f.scale(rm)
 
 
@@ -153,12 +150,12 @@ def apply_generator(gen_id: str, f: SpinorField, rm: float = 0.0) -> SpinorField
         fph = f.d_phi()
         t01 = (_mat_apply(((_ZERO, HypFn.constant(0.5)),
                            (HypFn.constant(0.5), _ZERO)), f)  # (1/2) gamma2
-               - SpinorField(_COS * fth.up, _COS * fth.down)
-               + SpinorField((_SIN * _TANH) * fph.up, (_SIN * _TANH) * fph.down))
+               - SpinorField(COS_PHI * fth.up, COS_PHI * fth.down)
+               + SpinorField((SIN_PHI * TANH) * fph.up, (SIN_PHI * TANH) * fph.down))
         t02 = (_mat_apply(((_ZERO, HypFn.constant(0.5j)),
                            (HypFn.constant(-0.5j), _ZERO)), f)  # -(1/2) gamma1
-               - SpinorField(_SIN * fth.up, _SIN * fth.down)
-               - SpinorField((_COS * _TANH) * fph.up, (_COS * _TANH) * fph.down))
+               - SpinorField(SIN_PHI * fth.up, SIN_PHI * fth.down)
+               - SpinorField((COS_PHI * TANH) * fph.up, (COS_PHI * TANH) * fph.down))
         if gen_id == "T01":
             return t01
         if gen_id == "T02":
@@ -307,14 +304,6 @@ def fiber_gram(theta: float, npts: int = 1024) -> np.ndarray:
             gram[a, b] = inner_product_slice(basis[a], basis[b], theta, npts) \
                 / (2.0 * np.pi * np.cosh(theta))
     return gram
-
-
-def orthonormal_frame_change(theta: float) -> np.ndarray:
-    """Columns are the +i and -i eigenvectors of the time vector in T-basis
-    coordinates, normalized under the B-weighted fiber product; the smooth
-    representative is the half-angle boost matrix."""
-    ch, sh = np.cosh(theta / 2.0), np.sinh(theta / 2.0)
-    return np.array([[ch, sh], [sh, ch]], dtype=complex)
 
 
 # -- intrinsic vs extrinsic Dirac --------------------------------------------

@@ -129,3 +129,40 @@ class TestMasslessDegeneracy:
 
     def test_order_zero_trivial(self, q_massless):
         assert massless_degeneracy_check(q_massless, kmax=0, margin=2) == 0.0
+
+
+class TestSharedExpansion:
+    @pytest.mark.parametrize("rm,theta,nmax", [(1.0, 0.3, 32), (0.5, 1.0, 32), (2.0, 0.0, 16)])
+    def test_adm_carries_the_third_order_fit(self, rm, theta, nmax):
+        # extract_adm reuses its one order-3 expansion for kappa and the low
+        # orders; the values must be those of the standalone paths, bit for bit
+        q = assemble_quadruple(DeSitterParams(rm=rm, theta=theta, nmax=nmax))
+        adm = extract_adm(q, margin=4)
+        assert (adm.kappa, adm.third_order_fit) == third_order_coefficient(q, 4)
+        for orders in range(4):
+            exp = commutator_expansion(q.ih, q.u, q.u, orders, 4)
+            assert adm.order_residuals[:orders + 1] == tuple(
+                interior_residual(t, 4) for t in exp.terms)
+
+    def test_massless_runs_no_fit(self, q_massless):
+        # a vanishing third order reports kappa = fit = 0, also when the
+        # interior is too small for any shift-2 level pair to fit
+        for q, margin in ((q_massless, 4),
+                          (assemble_quadruple(DeSitterParams(rm=0.0, theta=0.3, nmax=4)), 3)):
+            adm = extract_adm(q, margin=margin)
+            assert (adm.mass_scale, adm.kappa, adm.third_order_fit) == (0.0, 0.0, 0.0)
+
+    def test_cli_builds_one_expansion_per_quadruple(self, tmp_path, monkeypatch):
+        from specquad import cli, reconstruct
+
+        calls = []
+        original = reconstruct.commutator_expansion
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reconstruct, "commutator_expansion", counted)
+        assert cli.run(["reconstruct", "--nmax", "16", "-o", str(tmp_path / "r.json")]) == 0
+        # one for q inside extract_adm, one for the 2 rm quadruple
+        assert calls == [3, 3]

@@ -15,7 +15,6 @@ from specquad.spinfields import (
     inner_product_slice,
     level_block,
     minkowski_commutation_residual,
-    orthonormal_frame_change,
     propagate,
     random_poly_spinor,
     random_spinor_field,
@@ -191,12 +190,12 @@ class TestInnerProduct:
 
 class TestFrameChange:
     def test_identity_at_origin(self):
-        np.testing.assert_allclose(orthonormal_frame_change(0.0), np.eye(2),
+        np.testing.assert_allclose(eigenframe(0.0), np.eye(2),
                                    atol=1e-15)
 
     def test_diagonalizes_time_vector(self):
         for th in (0.3, 1.0, -0.8):
-            v = orthonormal_frame_change(th)
+            v = eigenframe(th)
             # T-basis matrix of the time vector from the grid action
             m = np.zeros((2, 2), dtype=complex)
             for ci, sign in ((0, +1), (1, -1)):
@@ -208,13 +207,13 @@ class TestFrameChange:
 
     def test_b_orthonormal_columns(self):
         for th in (0.2, 0.9, -1.3):
-            v = orthonormal_frame_change(th)
+            v = eigenframe(th)
             g = fiber_gram(th)
             np.testing.assert_allclose(v.conj().T @ g @ v, np.eye(2), atol=1e-10)
 
     def test_matches_displayed_normalization(self):
         th = 0.8
-        v = orthonormal_frame_change(th)
+        v = eigenframe(th)
         c, s = np.cosh(th), np.sinh(th)
         np.testing.assert_allclose(v[:, 0], np.array([c + 1, s]) / np.sqrt(2 * c + 2),
                                    atol=1e-14)
