@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from typing import Sequence
@@ -446,11 +447,27 @@ def _render_csv(payload: dict) -> str:
 
 
 def _write_atomic(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".specquad-")
+    """Write the report through a temporary file renamed over the path, so a
+    reader never sees half of it.  A symlink is followed and its target gets
+    the report; an existing file that is not a regular file (a device or a
+    FIFO) is written in place.  The file keeps the mode an ordinary open
+    would give it."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".specquad-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -22,7 +22,7 @@ it is [[i rm, -n/cosh(th)], [n/cosh(th), -i rm]].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -135,24 +135,27 @@ def seed_operators(rm: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
     return u_plus, u_minus
 
 
-def appendix_t_plus(n: float, rm: float, theta: float) -> np.ndarray:
-    """Closed-form raising block at level n (orthonormal frame)."""
-    t, c = np.tanh(theta), np.cosh(theta)
-    a = n + 0.5
-    return np.array([
-        [-1j * rm + a * t, a / c],
-        [-a / c, 1j * rm + a * t],
-    ], dtype=complex)
+def _blocks(b00, b01, b10, b11) -> np.ndarray:
+    """2x2 blocks from entries that are scalars or level arrays: shape
+    (2, 2) for scalars, (N, 2, 2) for arrays of length N."""
+    b00, b01, b10, b11 = np.broadcast_arrays(b00, b01, b10, b11)
+    return np.stack([np.stack([b00, b01], -1), np.stack([b10, b11], -1)], -2).astype(complex)
 
 
-def appendix_t_minus(n: float, rm: float, theta: float) -> np.ndarray:
-    """Closed-form lowering block at level n (orthonormal frame)."""
+def appendix_t_plus(n, rm: float, theta: float) -> np.ndarray:
+    """Closed-form raising block at level n (orthonormal frame); an array
+    of levels gives the stack of blocks."""
     t, c = np.tanh(theta), np.cosh(theta)
-    a = n - 0.5
-    return np.array([
-        [-1j * rm - a * t, a / c],
-        [-a / c, 1j * rm - a * t],
-    ], dtype=complex)
+    a = np.asarray(n) + 0.5
+    return _blocks(-1j * rm + a * t, a / c, -a / c, 1j * rm + a * t)
+
+
+def appendix_t_minus(n, rm: float, theta: float) -> np.ndarray:
+    """Closed-form lowering block at level n (orthonormal frame); an array
+    of levels gives the stack of blocks."""
+    t, c = np.tanh(theta), np.cosh(theta)
+    a = np.asarray(n) - 0.5
+    return _blocks(-1j * rm - a * t, a / c, -a / c, 1j * rm - a * t)
 
 
 def solve_order_one_recursion(
@@ -208,16 +211,19 @@ def eigenframe(theta: float) -> np.ndarray:
     return np.array([[ch, sh], [sh, ch]], dtype=complex)
 
 
-def evolution_block(n: float, rm: float, theta: float) -> np.ndarray:
+def evolution_block(n, rm: float, theta: float) -> np.ndarray:
     """Per-level block of the stored generator iH: the theta-derivative
     blocks transported into the frame normalized against the conserved
     inner product (measure factor cosh theta), which subtracts the frame
     connection and yields the antihermitian closed form
 
         iH(n) = [[i rm, -n/cosh th], [n/cosh th, -i rm]].
+
+    An array of levels gives the stack of blocks.
     """
     c = np.cosh(theta)
-    return np.array([[1j * rm, -n / c], [n / c, -1j * rm]], dtype=complex)
+    n = np.asarray(n)
+    return _blocks(1j * rm, -n / c, n / c, -1j * rm)
 
 
 def charge_conjugation(basis: BasisDescriptor) -> AntilinearOperator:
@@ -237,17 +243,16 @@ def gauge_unitary(basis: BasisDescriptor, rho: float, y: float) -> TruncatedOper
 def assemble_quadruple(p: DeSitterParams) -> SpectralQuadruple:
     """Assemble the full de Sitter quadruple at the given parameters."""
     basis = BasisDescriptor.spinor(p.nmax)
+    levels = np.asarray(basis.levels)
     ident = np.eye(2)
-    u = TruncatedOperator.from_shift(basis, +1, lambda n: ident)
+    # blocks whose image leaves the window are dropped by the constructor
+    u = TruncatedOperator(basis, {1: np.broadcast_to(ident, (basis.nlevels, 2, 2))})
     e_perp = TruncatedOperator.from_fiber(basis, E_PERP_FIBER)
     gamma = TruncatedOperator.from_fiber(basis, GAMMA_FIBER)
-    t21 = TruncatedOperator.from_level_diagonal(basis, lambda n: 1j * n * ident)
-    t_plus = TruncatedOperator.from_shift(
-        basis, +1, lambda n: appendix_t_plus(n, p.rm, p.theta))
-    t_minus = TruncatedOperator.from_shift(
-        basis, -1, lambda n: appendix_t_minus(n, p.rm, p.theta))
-    ih = TruncatedOperator.from_level_diagonal(
-        basis, lambda n: evolution_block(n, p.rm, p.theta))
+    t21 = TruncatedOperator(basis, {0: 1j * levels[:, None, None] * ident})
+    t_plus = TruncatedOperator(basis, {1: appendix_t_plus(levels, p.rm, p.theta)})
+    t_minus = TruncatedOperator(basis, {-1: appendix_t_minus(levels, p.rm, p.theta)})
+    ih = TruncatedOperator(basis, {0: evolution_block(levels, p.rm, p.theta)})
     cc = charge_conjugation(basis)
 
     quad = SpectralQuadruple(

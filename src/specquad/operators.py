@@ -94,8 +94,9 @@ class BasisDescriptor:
 
     @property
     def nmax(self) -> int:
-        """Number of positive levels (equals the spinor-basis cutoff)."""
-        return sum(1 for n in self.levels if n > 0)
+        """Number of positive levels (equals the spinor-basis cutoff); the
+        levels are symmetric and unit spaced, so that is half of them."""
+        return self.nlevels // 2
 
     @property
     def max_level(self) -> float:
@@ -175,7 +176,9 @@ class TruncatedOperator:
     @classmethod
     def from_fiber(cls, basis: BasisDescriptor, fiber: np.ndarray) -> "TruncatedOperator":
         """Same fiber matrix at every level (level-scalar operator)."""
-        return cls.from_shift(basis, 0, lambda n: fiber)
+        d = basis.fiber_dim
+        return cls(basis, {0: np.broadcast_to(np.asarray(fiber).reshape(d, d),
+                                              (basis.nlevels, d, d))})
 
     @classmethod
     def from_level_diagonal(cls, basis: BasisDescriptor,
@@ -406,8 +409,22 @@ class InteriorProjector:
         return a.band(k)[self._band_mask(k)]
 
     def band_norms(self, a: TruncatedOperator, k: int) -> np.ndarray:
-        """Spectral norms of the kept blocks of band k."""
-        return np.linalg.norm(self.band(a, k), 2, axis=(1, 2))
+        """Spectral norms of the kept blocks of band k.
+
+        For a 2-dim fiber the squared norm of a block B is the largest
+        eigenvalue of B*B = [[p, r], [conj(r), q]], (p + q)/2 +
+        hypot((p - q)/2, |r|): sums of squares and a hypot only, so it keeps
+        full relative accuracy when the two singular values nearly coincide,
+        where sqrt(f + sqrt(f^2 - |det B|^2)) cancels.  Entries beyond about
+        1e+-154 over- or underflow when squared.  Other fibers use the SVD.
+        """
+        blocks = self.band(a, k)
+        if blocks.shape[1:] != (2, 2):
+            return np.linalg.norm(blocks, 2, axis=(1, 2))
+        sq = blocks.real ** 2 + blocks.imag ** 2
+        p, q = sq[:, 0, 0] + sq[:, 1, 0], sq[:, 0, 1] + sq[:, 1, 1]
+        r = blocks[:, 0, 0].conj() * blocks[:, 0, 1] + blocks[:, 1, 0].conj() * blocks[:, 1, 1]
+        return np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(r)))
 
     def project(self, a: TruncatedOperator) -> TruncatedOperator:
         """P A P, band by band."""

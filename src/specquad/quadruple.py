@@ -310,6 +310,13 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
 
     Returns the interior-Frobenius residual normalized by ||gamma||; small
     residual certifies membership up to scale.
+
+    The fit is split by band, which is exact: entries of different bands
+    are different rows, so a group of candidates that shares no band,
+    directly or through other candidates, with gamma has a zero right-hand
+    side, fits 0 and adds nothing to the residual.  Only the group linked
+    to the bands of gamma is fitted (4 of the 20 candidates for de Sitter,
+    where e_perp u^p [D, u^q] is band p + q and gamma band 0).
     """
     d = monomial_degree_bound
     if d < 1:
@@ -321,23 +328,29 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
     gamma = proj.project(q.gamma)
     if not gamma.bands:
         raise ValueError("volume element vanishes on the interior")
+    powers = {p: q.u.power(p) for p in range(-d, d + 1)}
+    comms = [commutator(dirac, powers[deg]) for deg in powers if deg != 0]
     cands = []
-    for p in range(-d, d + 1):
-        up = q.u.power(p)
-        for deg in range(-d, d + 1):
-            if deg == 0:
-                continue
-            cand = up @ commutator(dirac, q.u.power(deg))
+    for up in powers.values():
+        for comm in comms:
+            cand = up @ comm
             if q.even_dim:
                 cand = q.e_perp @ cand
             cands.append(proj.project(cand))
-    # every other entry vanishes in all operands, so fitting the stored bands'
-    # entries is the Frobenius fit (e_perp u^p [D, u^q] is band p + q)
-    bands = sorted(set(gamma.bands).union(*(c.bands for c in cands)))
-    a = np.array([np.concatenate([c.band(k).ravel() for k in bands]) for c in cands]).T
-    b = np.concatenate([gamma.band(k).ravel() for k in bands])
-    if np.linalg.norm(a) == 0.0:
+    bands = set(gamma.bands)
+    while True:
+        linked = [c for c in cands if bands & c.bands.keys()]
+        grown = bands.union(*(c.bands for c in linked))
+        if grown == bands:
+            break
+        bands = grown
+    if not linked:
         return 1.0
+    # every other entry of the linked bands vanishes in all operands, so
+    # fitting the stored entries is the Frobenius fit
+    bands = sorted(bands)
+    a = np.array([np.concatenate([c.band(k).ravel() for k in bands]) for c in linked]).T
+    b = np.concatenate([gamma.band(k).ravel() for k in bands])
     coef, *_ = np.linalg.lstsq(a, b, rcond=None)
     return float(np.linalg.norm(a @ coef - b) / np.linalg.norm(b))
 
@@ -408,12 +421,35 @@ def check_symmetric_conditions(q: SpectralQuadruple, margin: int = 2) -> AxiomRe
     return rep
 
 
+def _expm2(a: np.ndarray) -> np.ndarray:
+    """exp of a stack of 2x2 blocks, shape (N, 2, 2), by the closed form in
+    ``check_noncommutativity``.  Both coefficients are even in s, so either
+    square root serves; sinh s / s is its series 1 + s^2/6 for |s| < 1e-4,
+    where the next term is below the roundoff."""
+    tau = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
+    half = 0.5 * (a[:, 0, 0] - a[:, 1, 1])
+    b = np.array(a, dtype=complex)
+    b[:, 0, 0], b[:, 1, 1] = half, -half
+    s2 = half * half + a[:, 0, 1] * a[:, 1, 0]
+    s = np.sqrt(s2)
+    small = np.abs(s) < 1e-4
+    sinhc = np.where(small, 1.0 + s2 / 6.0, np.sinh(s) / np.where(small, 1.0, s))
+    out = np.cosh(s)[:, None, None] * np.eye(2) + sinhc[:, None, None] * b
+    return np.exp(tau)[:, None, None] * out
+
+
 def check_noncommutativity(q: SpectralQuadruple, t: float = 1.0) -> float:
     """Norm of [e^{t iH} u e^{-t iH}, u]: the evolved algebra must not
     commute with the original one (vanishes identically in the massless
-    degenerate case)."""
-    if set(q.ih.bands) <= {0}:
-        ut = TruncatedOperator(q.basis, {0: expm(t * q.ih.band(0))})
+    degenerate case).
+
+    A level-diagonal iH on a 2-dim fiber is exponentiated block by block in
+    closed form: with tau = tr A / 2, the traceless B = A - tau 1 squares to
+    s^2 1, s^2 = -det B, so exp(A) = e^tau (cosh s 1 + (sinh s / s) B).
+    Any other generator takes the dense ``expm``.
+    """
+    if set(q.ih.bands) <= {0} and q.basis.fiber_dim == 2:
+        ut = TruncatedOperator(q.basis, {0: _expm2(t * q.ih.band(0))})
     else:
         ut = TruncatedOperator.from_dense(q.basis, expm(t * q.ih.to_dense()))
     evolved = ut @ q.u @ ut.adjoint()

@@ -4,14 +4,16 @@ guarantee that the de Sitter checks never leave the banded fast path."""
 import dataclasses
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from specquad import operators
-from specquad.desitter import DeSitterParams, assemble_quadruple
+from specquad import operators, quadruple as quad
+from specquad.desitter import DeSitterParams, assemble_quadruple, evolution_block
 from specquad.operators import (
     AntilinearOperator,
+    BasisDescriptor,
     InteriorProjector,
     TruncatedOperator,
     antilinear_conjugate,
@@ -21,6 +23,7 @@ from specquad.operators import (
 from specquad.quadruple import (
     check_charge_conjugation,
     check_noncommutativity,
+    check_orientability,
     check_symmetric_conditions,
     verify_quadruple,
 )
@@ -149,3 +152,93 @@ def test_noncommutativity_with_off_band_generator(rng):
     want = np.linalg.norm(evolved @ u - u @ evolved, 2)
     got = check_noncommutativity(dataclasses.replace(q, ih=TruncatedOperator.from_dense(q.basis, ih)))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+def random_blocks(rng, count, scale=1.0):
+    return scale * (rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)))
+
+
+def test_closed_form_exponential_matches_expm(rng):
+    levels = np.concatenate([np.arange(-10.5, 11.0), [-1e4 + 0.5, -777.5, 4321.5, 1e4 - 0.5]])
+    nilpotent = np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.3 + 2j, 5.0], [0.0, 0.3 + 2j]]])
+    stacks = [random_blocks(rng, 200, scale) for scale in (1e-6, 0.1, 1.0, 3.0)]
+    stacks += [nilpotent, evolution_block(levels, 1.0, 0.3), evolution_block(levels, 0.0, 1.0),
+               evolution_block(levels, 2.0, 0.0)]
+    for a in stacks:
+        got, want = quad._expm2(a), expm(a)
+        for g, w, blk in zip(got, want, a):
+            # exp is conditioned like ||A||: at level 1e4 scipy's expm itself
+            # is off by about eps ||A|| from the exact exponential
+            tol = max(1e-12, 8 * EPS * np.linalg.norm(blk, 2)) * np.linalg.norm(w, 2)
+            assert np.abs(g - w).max() <= tol
+
+
+def test_block_norms_match_svd(rng):
+    blocks = random_blocks(rng, 200) * np.exp(rng.uniform(-20, 20, size=(200, 1, 1)))
+    # scaled unitaries perturbed by 1e-9: the two singular values nearly coincide
+    unitaries = np.linalg.qr(random_blocks(rng, 200))[0] * rng.uniform(0.1, 10, size=(200, 1, 1))
+    near = unitaries + 1e-9 * random_blocks(rng, 200)
+    for stack in (blocks, near):
+        basis = BasisDescriptor.spinor(len(stack) // 2)
+        got = InteriorProjector(basis, 0).band_norms(TruncatedOperator(basis, {0: stack}), 0)
+        want = np.linalg.norm(stack, 2, axis=(1, 2))
+        assert np.abs(got / want - 1).max() <= 4 * EPS
+        # the SVD carries most of that; against the exact norm the closed
+        # form stays within one rounding
+        with mpmath.workdps(40):
+            for g, blk in zip(got[:20], stack[:20]):
+                exact = max(mpmath.svd_c(mpmath.matrix(blk.tolist()), compute_uv=False))
+                assert abs(g / exact - 1) <= EPS
+
+
+def full_orientability(q, d, margin):
+    """Every candidate e_perp u^p [D, u^q] in one least-squares fit."""
+    dirac = quad._hochschild_dirac(q)
+    proj = InteriorProjector(q.basis, margin)
+    gamma = proj.project(q.gamma)
+    cands = [proj.project(q.e_perp @ q.u.power(p) @ commutator(dirac, q.u.power(k)))
+             for p in range(-d, d + 1) for k in range(-d, d + 1) if k != 0]
+    a = np.array([c.to_dense().ravel() for c in cands]).T
+    b = gamma.to_dense().ravel()
+    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return np.linalg.norm(a @ coef - b) / np.linalg.norm(b)
+
+
+def orientability_cases(rng):
+    grid = [quadruple(16, rm, theta, 0.0, 0.0) for rm in (0.0, 0.5, 1.0, 2.0)
+            for theta in (0.0, 0.3, 1.0)]
+    q = quadruple(16, 1.0, 0.3, 0.0, 0.0)
+    h = rng.normal(size=(q.basis.dim,) * 2)
+    dense_gamma = TruncatedOperator.from_dense(q.basis, h + h.T)
+    band2 = TruncatedOperator(q.basis, {2: 0.3 * random_blocks(rng, q.basis.nlevels)})
+    off_band = np.zeros((q.basis.dim,) * 2, dtype=complex)
+    off_band[34, 29] = 0.7
+    # a whole extra band of iH links the candidate groups in a chain:
+    # p + q = 0 and -1 share band 0 with gamma, the others only join
+    # through them
+    ih_band1 = TruncatedOperator(q.basis, {1: 0.3 * random_blocks(rng, q.basis.nlevels)})
+    return grid + [
+        quadruple(16, 1.0, 0.3, 0.4, 0.9),
+        dataclasses.replace(q, gamma=dense_gamma),
+        dataclasses.replace(q, gamma=q.gamma + band2),
+        dataclasses.replace(q, ih=q.ih + TruncatedOperator.from_dense(q.basis, off_band)),
+        dataclasses.replace(q, ih=q.ih + ih_band1),
+    ]
+
+
+def test_split_orientability_matches_full_fit(rng):
+    for q in orientability_cases(rng):
+        for d, margin in ((2, 4), (1, 2)):
+            assert abs(check_orientability(q, d, margin) - full_orientability(q, d, margin)) <= 1e-14
+
+
+def test_orientability_builds_each_power_once(monkeypatch):
+    calls = []
+    power = TruncatedOperator.power
+    monkeypatch.setattr(TruncatedOperator, "power",
+                        lambda self, p: calls.append(p) or power(self, p))
+    check_orientability(quadruple(16, 1.0, 0.3, 0.0, 0.0), 2)
+    assert sorted(calls) == [-2, -1, 0, 1, 2]

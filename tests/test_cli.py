@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import pytest
 
@@ -158,3 +159,43 @@ class TestDeterminism:
         run(["desitter-crosscheck", "--nmax", "8", "-o", str(out)])
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".specquad")]
         assert leftovers == []
+
+
+class TestOutputPath:
+    def test_symlinked_output_writes_the_target(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old", encoding="utf-8")
+        link.symlink_to(target)
+        run(["desitter-crosscheck", "--nmax", "8", "-o", str(link)])
+        assert link.is_symlink()
+        assert json.loads(read(target))["subcommand"] == "desitter-crosscheck"
+
+    def test_new_report_gets_the_umask_mode(self, tmp_path):
+        out = tmp_path / "r.json"
+        old = os.umask(0o022)
+        try:
+            run(["desitter-crosscheck", "--nmax", "8", "-o", str(out)])
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o644
+
+    def test_existing_report_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_text("old", encoding="utf-8")
+        out.chmod(0o640)
+        run(["desitter-crosscheck", "--nmax", "8", "-o", str(out)])
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert json.loads(read(out))["subcommand"] == "desitter-crosscheck"
+
+    def test_fifo_output_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "r.fifo"
+        os.mkfifo(fifo)
+        # a reader must hold the FIFO open before a writer can open it
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            run(["desitter-crosscheck", "--nmax", "8", "-o", str(fifo)])
+            data = os.read(fd, 1 << 16)
+        finally:
+            os.close(fd)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert json.loads(data)["subcommand"] == "desitter-crosscheck"
