@@ -74,12 +74,6 @@ class RealStructure:
 
     mat: np.ndarray
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.mat @ np.conj(np.asarray(v, dtype=complex))
-
-    def squared(self) -> np.ndarray:
-        return self.mat @ np.conj(self.mat)
-
     def after(self, a: np.ndarray) -> np.ndarray:
         """Matrix of J o a (antilinear)."""
         return self.mat @ np.conj(a)

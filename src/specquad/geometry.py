@@ -4,15 +4,17 @@ This module is the appendix-style side of the toolkit: charts, metric,
 Christoffel symbols, Killing fields, extrinsic curvature, Clifford frames
 and spin matrices, all in closed form.  It serves as the independent oracle
 against which the operator construction is cross-checked, so derivatives
-are exact: functions on the chart are represented in the algebra spanned by
-sinh^a(theta) cosh^b(theta) e^{ik phi} (a >= 0, b and k integers), which is
-closed under multiplication and under d/dtheta, d/dphi.
+are exact: functions on the chart are ``HypFn``, in the algebra spanned by
+sinh^a(theta) cosh^b(theta) e^{ik phi} (a >= 0, b and k integers), closed
+under multiplication and d/dtheta, d/dphi, with exact phi-Fourier modes.
+``SparseMonomials`` is the sparse-monomial base it shares with
+``spinfields.PolyG``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -24,6 +26,7 @@ __all__ = [
     "B_INTERTWINER",
     "ChartPoint",
     "GeometryData",
+    "SparseMonomials",
     "HypFn",
     "geometry_at",
     "frame_vectors",
@@ -61,22 +64,47 @@ class ChartPoint:
             raise ValueError("radius must be positive")
 
 
-class HypFn:
-    """Function in the closed algebra sinh^a cosh^b e^{ik phi}.
+class SparseMonomials:
+    """Exact sparse sum of monomials: a dict from integer exponent triples to
+    complex coefficients.
 
-    Internally a mapping (a, b, k) -> complex coefficient; exact under
-    products and chart derivatives, so composed differential operators
-    (Killing brackets, Laplacians) carry no discretization error.
+    The constructor takes a dict or an iterable of (key, coef) pairs; it
+    adds up the coefficients of repeated keys and drops zeros.  Sums and
+    scalar multiples live here; a subclass says what its monomials are and
+    supplies their products, derivatives and evaluation.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int, int], complex] | None = None):
-        self.terms: dict[tuple[int, int, int], complex] = {}
-        if terms:
-            for key, coef in terms.items():
-                if coef != 0:
-                    self.terms[key] = self.terms.get(key, 0.0) + complex(coef)
+    def __init__(self, terms: dict | Iterable = ()):
+        if not isinstance(terms, dict):
+            acc: dict = {}
+            for key, coef in terms:
+                acc[key] = acc[key] + coef if key in acc else coef
+            terms = acc
+        self.terms = {key: complex(coef) for key, coef in terms.items() if coef != 0}
+
+    def __add__(self, other):
+        return type(self)([*self.terms.items(), *other.terms.items()])
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar):
+        return type(self)({key: coef * scalar for key, coef in self.terms.items()})
+
+    __rmul__ = __mul__
+
+
+class HypFn(SparseMonomials):
+    """Function in the closed algebra sinh^a cosh^b e^{ik phi}.
+
+    The key (a, b, k) stands for sinh^a(theta) cosh^b(theta) e^{ik phi};
+    exact under products and chart derivatives, so composed differential
+    operators (Killing brackets, Laplacians) carry no discretization error.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def constant(cls, c: complex) -> "HypFn":
@@ -88,45 +116,22 @@ class HypFn:
             raise ValueError("sinh power must be nonnegative")
         return cls({(a, b, k): coef})
 
-    def _accumulate(self, key, coef, out):
-        if coef != 0:
-            out[key] = out.get(key, 0.0) + coef
-
-    def __add__(self, other: "HypFn") -> "HypFn":
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
-            out[key] = out.get(key, 0.0) + coef
-        return HypFn(out)
-
-    def __sub__(self, other: "HypFn") -> "HypFn":
-        return self + (-1.0) * other
-
     def __mul__(self, other):
-        if isinstance(other, HypFn):
-            out: dict = {}
-            for (a1, b1, k1), c1 in self.terms.items():
-                for (a2, b2, k2), c2 in other.terms.items():
-                    self._accumulate((a1 + a2, b1 + b2, k1 + k2), c1 * c2, out)
-            return HypFn(out)
-        out = {key: coef * other for key, coef in self.terms.items()}
-        return HypFn(out)
-
-    __rmul__ = __mul__
+        if not isinstance(other, HypFn):
+            return super().__mul__(other)
+        return HypFn(((a1 + a2, b1 + b2, k1 + k2), c1 * c2)
+                     for (a1, b1, k1), c1 in self.terms.items()
+                     for (a2, b2, k2), c2 in other.terms.items())
 
     def d_theta(self) -> "HypFn":
-        out: dict = {}
-        for (a, b, k), coef in self.terms.items():
-            if a:
-                self._accumulate((a - 1, b + 1, k), a * coef, out)
-            if b:
-                self._accumulate((a + 1, b - 1, k), b * coef, out)
-        return HypFn(out)
+        # d(s^a c^b) = a s^(a-1) c^(b+1) + b s^(a+1) c^(b-1); a zero power
+        # gives a zero coefficient, which the constructor drops
+        return HypFn(pair for (a, b, k), coef in self.terms.items()
+                     for pair in (((a - 1, b + 1, k), a * coef),
+                                  ((a + 1, b - 1, k), b * coef)))
 
     def d_phi(self) -> "HypFn":
         return HypFn({(a, b, k): 1j * k * coef for (a, b, k), coef in self.terms.items()})
-
-    def conj(self) -> "HypFn":
-        return HypFn({(a, b, -k): np.conj(coef) for (a, b, k), coef in self.terms.items()})
 
     def __call__(self, theta: float, phi: float) -> complex:
         s, c = np.sinh(theta), np.cosh(theta)
@@ -135,8 +140,14 @@ class HypFn:
             total += coef * s ** a * c ** b * np.exp(1j * k * phi)
         return total
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
+    def phi_modes(self, theta: float) -> dict[int, complex]:
+        """Exact phi-Fourier coefficients at fixed theta: mode k is the sum
+        of coef sinh^a cosh^b over the terms with that k."""
+        s, c = np.sinh(theta), np.cosh(theta)
+        modes: dict[int, complex] = {}
+        for (a, b, k), coef in self.terms.items():
+            modes[k] = modes.get(k, 0.0) + coef * s ** a * c ** b
+        return modes
 
 
 # trigonometric building blocks as algebra elements

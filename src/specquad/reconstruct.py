@@ -126,17 +126,15 @@ def third_order_coefficient(q: SpectralQuadruple, margin: int = 4) -> tuple[floa
                      q.e_perp @ q.u @ q.u, margin)
 
 
-def _mass_scale(q: SpectralQuadruple, t3: TruncatedOperator, margin: int,
-                fit_tolerance: float) -> tuple[float, float, float]:
+def _mass_scale(q: SpectralQuadruple, t3: TruncatedOperator,
+                margin: int) -> tuple[float, float, float]:
     """(mass scale, kappa, fit residual) from the third-order term t3; all
-    three are 0 when t3 vanishes (massless degeneracy), and no fit is run."""
+    three are 0 when t3 vanishes (massless degeneracy), and no fit is run.
+    The mass scale only means something when the fit residual is small."""
     scale = max(interior_residual(q.ih, margin), 1.0)
     if interior_residual(t3, margin) <= 1e-12 * scale ** 3:
         return 0.0, 0.0, 0.0
     kappa, resid = _band_fit(t3, 2, q.e_perp @ q.u @ q.u, margin)
-    if resid > fit_tolerance:
-        raise ValueError(
-            f"third-order term not of the predicted shape (fit residual {resid:.3g})")
     return kappa * _metric_cosh(q, margin) ** 2 / _THIRD_ORDER_C0, kappa, resid
 
 
@@ -147,10 +145,15 @@ def extract_mass_scale(q: SpectralQuadruple, margin: int = 4,
     The term is fitted to kappa * e_perp u^2 per interior level; kappa is
     inverted through the closed form kappa = (2/3) rm / cosh^2 with cosh
     recovered from the first-order ADM commutator.  A vanishing third order
-    returns 0 (massless degeneracy).
+    returns 0 (massless degeneracy); a fit residual above fit_tolerance
+    raises ValueError.
     """
-    return _mass_scale(q, commutator_expansion(q.ih, q.u, q.u, 3, margin)[3], margin,
-                       fit_tolerance)[0]
+    mass_scale, _, resid = _mass_scale(
+        q, commutator_expansion(q.ih, q.u, q.u, 3, margin)[3], margin)
+    if resid > fit_tolerance:
+        raise ValueError(
+            f"third-order term not of the predicted shape (fit residual {resid:.3g})")
+    return mass_scale
 
 
 def extract_adm(q: SpectralQuadruple, f: TruncatedOperator | None = None,
@@ -160,7 +163,8 @@ def extract_adm(q: SpectralQuadruple, f: TruncatedOperator | None = None,
     lapse_mass is the interior average of the fiber trace of iH e_perp;
     shift is the magnitude of the fiber-traced shift band of [iH, f]; the
     shape residual measures [[iH, e_perp], f] against the span of e2 times
-    the shift band of f.
+    the shift band of f.  A third order not of the predicted shape does not
+    raise: its fit residual is returned as third_order_fit.
     """
     f = q.u if f is None else f
     proj = InteriorProjector(q.basis, margin)
@@ -179,7 +183,7 @@ def extract_adm(q: SpectralQuadruple, f: TruncatedOperator | None = None,
         _, shape_residual = _band_fit(adm, k, q.gamma @ q.e_perp @ f, margin)
 
     exp = commutator_expansion(q.ih, q.u, q.u, 3, margin)
-    mass_scale, kappa, fit = _mass_scale(q, exp[3], margin, 1e-6)
+    mass_scale, kappa, fit = _mass_scale(q, exp[3], margin)
     return ADMExtract(
         lapse_mass=lapse_mass,
         shift=shift,

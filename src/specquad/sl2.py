@@ -161,9 +161,3 @@ def build_generators(
     tminus = TruncatedOperator.from_shift(
         basis, -1, lambda n: np.array([[-np.conj(c_coeff(n - 1.0))]]))
     return t21, tplus, tminus
-
-
-def casimir_candidate(t21: TruncatedOperator, tplus: TruncatedOperator,
-                      tminus: TruncatedOperator) -> TruncatedOperator:
-    """T21^2 - (T+T- + T-T+)/2; scalar = r2m2 + 1/4 on the interior."""
-    return t21 @ t21 - 0.5 * (tplus @ tminus + tminus @ tplus)

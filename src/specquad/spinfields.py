@@ -1,15 +1,15 @@
 """Spinor fields on the de Sitter chart and the symmetry action on them.
 
-Fields are pairs of closed-form functions (components in the global-frame
-spinor basis), so chart derivatives are exact.  The time derivative of a
-solution is eliminated through the Dirac equation, which lets the boost
-generators act on slice data; decomposing the results over the compact
-generator's eigenbasis yields the matrix elements that the operator
-construction must reproduce.  The module also carries the conserved
-solution inner product, the frame change to the orthonormal time-vector
-eigenbasis, and a polynomial-Gaussian field algebra on Minkowski space used
-to check that the flat Dirac operator commutes with the symmetry
-generators.
+``SpinorField`` is the one two-component field type (components in the
+global-frame spinor basis): ``HypFn`` components on the chart, so chart
+derivatives are exact, or ``PolyG`` components on Minkowski space.  The time
+derivative of a solution is eliminated through the Dirac equation, which
+lets the boost generators act on slice data; the exact phi-Fourier modes of
+the results give their matrix elements in the compact generator's
+eigenbasis, which the operator construction must reproduce.  The module
+also carries the conserved solution inner product, the frame change to the
+orthonormal time-vector eigenbasis, and the check on Minkowski space that
+the flat Dirac operator commutes with the symmetry generators.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .geometry import (
     TANH,
     ChartPoint,
     HypFn,
+    SparseMonomials,
     frame_intertwiner_inverse,
     frame_vectors,
     slash,
@@ -50,28 +51,35 @@ __all__ = [
     "dirac_pair",
     "dirac_agreement_residual",
     "random_spinor_field",
-    "PolySpinor",
+    "PolyG",
     "random_poly_spinor",
     "minkowski_commutation_residual",
 ]
 
-_ZERO = HypFn()
 _SINH = HypFn.monomial(1, 0, 0)
 _COSH = HypFn.monomial(0, 1, 0)
 
 
 @dataclass(frozen=True)
 class SpinorField:
-    """Two-component field in the global-frame spinor basis."""
+    """Two-component field in the global-frame spinor basis, with ``HypFn``
+    components on the de Sitter chart or ``PolyG`` components on Minkowski
+    space; derivatives act componentwise."""
 
-    up: HypFn
-    down: HypFn
+    up: SparseMonomials
+    down: SparseMonomials
 
     def d_theta(self) -> "SpinorField":
         return SpinorField(self.up.d_theta(), self.down.d_theta())
 
     def d_phi(self) -> "SpinorField":
         return SpinorField(self.up.d_phi(), self.down.d_phi())
+
+    def d(self, i: int) -> "SpinorField":
+        return SpinorField(self.up.d(i), self.down.d(i))
+
+    def mul_x(self, i: int) -> "SpinorField":
+        return SpinorField(self.up.mul_x(i), self.down.mul_x(i))
 
     def __add__(self, other: "SpinorField") -> "SpinorField":
         return SpinorField(self.up + other.up, self.down + other.down)
@@ -80,20 +88,16 @@ class SpinorField:
         return SpinorField(self.up - other.up, self.down - other.down)
 
     def scale(self, c) -> "SpinorField":
+        """Multiply both components by a scalar or a HypFn."""
         return SpinorField(c * self.up, c * self.down)
 
-    def __call__(self, theta: float, phi: float) -> np.ndarray:
-        return np.array([self.up(theta, phi), self.down(theta, phi)])
+    def mat(self, m) -> "SpinorField":
+        """Apply a 2x2 matrix whose entries are scalars or HypFn."""
+        return SpinorField(self.up * m[0][0] + self.down * m[0][1],
+                           self.up * m[1][0] + self.down * m[1][1])
 
-
-def _mat_apply(m, f: SpinorField) -> SpinorField:
-    """Apply a 2x2 matrix whose entries are HypFn or scalars."""
-    def entry(x):
-        return x if isinstance(x, HypFn) else HypFn.constant(x)
-    return SpinorField(
-        entry(m[0][0]) * f.up + entry(m[0][1]) * f.down,
-        entry(m[1][0]) * f.up + entry(m[1][1]) * f.down,
-    )
+    def __call__(self, *args) -> np.ndarray:
+        return np.array([self.up(*args), self.down(*args)])
 
 
 # pointwise Clifford matrices with closed-form entries (global frame):
@@ -102,8 +106,8 @@ _E0_MAT = ((1j * _COSH, HypFn({(1, 0, 1): -1j})),
            (HypFn({(1, 0, -1): 1j}), -1j * _COSH))
 _N_MAT = ((1j * _SINH, HypFn({(0, 1, 1): -1j})),
           (HypFn({(0, 1, -1): 1j}), -1j * _SINH))
-_RHAT_MAT = ((_ZERO, HypFn({(0, 0, 1): -1j})),
-             (HypFn({(0, 0, -1): 1j}), _ZERO))
+_RHAT_MAT = ((0.0, HypFn({(0, 0, 1): -1j})),
+             (HypFn({(0, 0, -1): 1j}), 0.0))
 
 
 def t_basis_field(n: float, sign: int) -> SpinorField:
@@ -114,17 +118,15 @@ def t_basis_field(n: float, sign: int) -> SpinorField:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if sign > 0:
-        return SpinorField(HypFn.monomial(0, 0, int(round(-(n - 0.5)))), _ZERO)
-    return SpinorField(_ZERO, HypFn.monomial(0, 0, int(round(-(n + 0.5)))))
+        return SpinorField(HypFn.monomial(0, 0, int(round(-(n - 0.5)))), HypFn())
+    return SpinorField(HypFn(), HypFn.monomial(0, 0, int(round(-(n + 0.5)))))
 
 
 def _on_shell_d_theta(f: SpinorField, rm: float) -> SpinorField:
     """theta derivative of the solution through the Dirac equation:
     d_theta psi = nslash (sech d_phi - e0slash) psi + rm e0slash psi."""
-    e0f = _mat_apply(_E0_MAT, f)
-    inner = _mat_apply(_N_MAT, SpinorField(SECH * f.d_phi().up,
-                                           SECH * f.d_phi().down) - e0f)
-    return inner + e0f.scale(rm)
+    e0f = f.mat(_E0_MAT)
+    return (f.d_phi().scale(SECH) - e0f).mat(_N_MAT) + e0f.scale(rm)
 
 
 def apply_generator(gen_id: str, f: SpinorField, rm: float = 0.0) -> SpinorField:
@@ -135,27 +137,20 @@ def apply_generator(gen_id: str, f: SpinorField, rm: float = 0.0) -> SpinorField
     through rm.
     """
     if gen_id == "T21":
-        half_g0 = ((HypFn.constant(0.5j), _ZERO), (_ZERO, HypFn.constant(-0.5j)))
-        return _mat_apply(half_g0, f) - f.d_phi()
+        return f.mat(0.5 * GAMMA0) - f.d_phi()
     if gen_id == "e0":
-        return _mat_apply(_E0_MAT, f)
+        return f.mat(_E0_MAT)
     if gen_id == "n_slash":
-        return _mat_apply(_N_MAT, f)
+        return f.mat(_N_MAT)
     if gen_id == "r_slash":
-        return _mat_apply(_RHAT_MAT, f)
+        return f.mat(_RHAT_MAT)
     if gen_id == "d_theta":
         return _on_shell_d_theta(f, rm)
     if gen_id in ("Tplus", "Tminus", "T01", "T02"):
         fth = _on_shell_d_theta(f, rm)
         fph = f.d_phi()
-        t01 = (_mat_apply(((_ZERO, HypFn.constant(0.5)),
-                           (HypFn.constant(0.5), _ZERO)), f)  # (1/2) gamma2
-               - SpinorField(COS_PHI * fth.up, COS_PHI * fth.down)
-               + SpinorField((SIN_PHI * TANH) * fph.up, (SIN_PHI * TANH) * fph.down))
-        t02 = (_mat_apply(((_ZERO, HypFn.constant(0.5j)),
-                           (HypFn.constant(-0.5j), _ZERO)), f)  # -(1/2) gamma1
-               - SpinorField(SIN_PHI * fth.up, SIN_PHI * fth.down)
-               - SpinorField((COS_PHI * TANH) * fph.up, (COS_PHI * TANH) * fph.down))
+        t01 = f.mat(0.5 * GAMMA2) - fth.scale(COS_PHI) + fph.scale(SIN_PHI * TANH)
+        t02 = f.mat(-0.5 * GAMMA1) - fth.scale(SIN_PHI) - fph.scale(COS_PHI * TANH)
         if gen_id == "T01":
             return t01
         if gen_id == "T02":
@@ -166,27 +161,10 @@ def apply_generator(gen_id: str, f: SpinorField, rm: float = 0.0) -> SpinorField
     raise ValueError(f"unknown generator {gen_id!r}")
 
 
-def _component_frequencies(comp: HypFn, theta: float) -> dict[int, complex]:
-    """Exact phi-Fourier coefficients of a component at fixed theta, from the
-    uniform 1024-point grid (trapezoid rule is exact for trigonometric
-    polynomials of bounded degree)."""
-    npts = 1024
-    phi = np.arange(npts) * 2.0 * np.pi / npts
-    values = np.asarray(comp(theta, phi)) + np.zeros(npts, dtype=complex)
-    spec = np.fft.fft(values) / npts
-    out = {}
-    for idx, c in enumerate(spec):
-        if abs(c) < 1e-15:
-            continue
-        k = idx if idx <= npts // 2 else idx - npts
-        out[k] = complex(c)
-    return out
-
-
 def apply_T_grid(gen_id: str, n: float, sign: int, rm: float, theta: float,
                  leak_tol: float = 1e-9) -> dict[tuple[float, int], complex]:
     """Apply a generator to |T: n, sign> and decompose the result in the
-    T-basis by phi-Fourier analysis at the given slice.
+    T-basis through the exact phi-Fourier modes at the given slice.
 
     Raises if the decomposition leaks outside the two target basis vectors
     (the displayed matrix elements would then be wrong).
@@ -197,7 +175,7 @@ def apply_T_grid(gen_id: str, n: float, sign: int, rm: float, theta: float,
     coefs: dict[tuple[float, int], complex] = {}
     total = 0.0
     for comp_sign, comp in ((+1, result.up), (-1, result.down)):
-        for k, c in _component_frequencies(comp, theta).items():
+        for k, c in comp.phi_modes(theta).items():
             # component exponents: e^{-i(n'-1/2)phi} (up), e^{-i(n'+1/2)phi} (down)
             n_prime = 0.5 - k if comp_sign > 0 else -0.5 - k
             coefs[(float(n_prime), comp_sign)] = c
@@ -328,14 +306,10 @@ def dirac_pair(psi: SpinorField, p: ChartPoint) -> tuple[np.ndarray, np.ndarray]
                  - slash(e1) @ val / r)
 
     sinv = frame_intertwiner_inverse(th, ph)
-    # d(S^{-1} psi) = (dS^{-1}) psi + S^{-1} dpsi, all in closed form
-    ch2, sh2 = np.cosh(th / 2.0), np.sinh(th / 2.0)
-    dboost_inv = 0.5 * np.array([[sh2, -ch2], [-ch2, sh2]], dtype=complex)
-    rot_inv = np.diag([np.exp(-0.5j * ph), np.exp(0.5j * ph)])
-    dsinv_dth = dboost_inv @ rot_inv
-    boost_inv = np.array([[ch2, -sh2], [-sh2, ch2]], dtype=complex)
-    drot_inv = np.diag([-0.5j * np.exp(-0.5j * ph), 0.5j * np.exp(0.5j * ph)])
-    dsinv_dph = boost_inv @ drot_inv
+    # d(S^{-1} psi) = (dS^{-1}) psi + S^{-1} dpsi, with
+    # S^{-1} = exp(-theta g2 / 2) exp(-phi g0 / 2)
+    dsinv_dth = -0.5 * GAMMA2 @ sinv
+    dsinv_dph = -0.5 * sinv @ GAMMA0
 
     e_val = sinv @ val
     e_vth = dsinv_dth @ val + sinv @ vth
@@ -369,49 +343,22 @@ def random_spinor_field(rng: np.random.Generator, max_k: int = 3) -> SpinorField
 # -- Minkowski-space check: the flat Dirac operator commutes with the
 #    symmetry generators ------------------------------------------------------
 
-class PolyG:
-    """Polynomial in (x0, x1, x2) times the Gaussian e^{-|x|^2/2}; closed
-    under coordinate multiplication and differentiation."""
+class PolyG(SparseMonomials):
+    """Polynomial in (x0, x1, x2) times the Gaussian e^{-|x|^2/2}; the key
+    (a, b, c) stands for x0^a x1^b x2^c e^{-|x|^2/2}.  Closed under
+    coordinate multiplication and differentiation, but not under products."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int, int], complex] | None = None):
-        self.terms = {k: complex(v) for k, v in (terms or {}).items() if v != 0}
-
-    def __add__(self, other: "PolyG") -> "PolyG":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) + v
-        return PolyG(out)
-
-    def __sub__(self, other: "PolyG") -> "PolyG":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "PolyG":
-        return PolyG({k: v * scalar for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
+    __slots__ = ()
 
     def mul_x(self, i: int) -> "PolyG":
-        out = {}
-        for k, v in self.terms.items():
-            kk = list(k)
-            kk[i] += 1
-            out[tuple(kk)] = out.get(tuple(kk), 0.0) + v
-        return PolyG(out)
+        return PolyG({_shifted(key, i, 1): coef for key, coef in self.terms.items()})
 
     def d(self, i: int) -> "PolyG":
-        # d_i (P e^G) = (d_i P - x_i P) e^G
-        out: dict = {}
-        for k, v in self.terms.items():
-            if k[i]:
-                kk = list(k)
-                kk[i] -= 1
-                out[tuple(kk)] = out.get(tuple(kk), 0.0) + k[i] * v
-            kk = list(k)
-            kk[i] += 1
-            out[tuple(kk)] = out.get(tuple(kk), 0.0) - v
-        return PolyG(out)
+        # d_i (P e^G) = (d_i P - x_i P) e^G; a zero power of x_i gives a zero
+        # coefficient, which the constructor drops
+        return PolyG(pair for key, coef in self.terms.items()
+                     for pair in ((_shifted(key, i, -1), key[i] * coef),
+                                  (_shifted(key, i, 1), -coef)))
 
     def __call__(self, x: np.ndarray) -> complex:
         g = np.exp(-0.5 * float(np.dot(x, x)))
@@ -421,60 +368,39 @@ class PolyG:
         return total * g
 
 
-@dataclass(frozen=True)
-class PolySpinor:
-    up: PolyG
-    down: PolyG
-
-    def d(self, i: int) -> "PolySpinor":
-        return PolySpinor(self.up.d(i), self.down.d(i))
-
-    def mul_x(self, i: int) -> "PolySpinor":
-        return PolySpinor(self.up.mul_x(i), self.down.mul_x(i))
-
-    def __add__(self, other: "PolySpinor") -> "PolySpinor":
-        return PolySpinor(self.up + other.up, self.down + other.down)
-
-    def __sub__(self, other: "PolySpinor") -> "PolySpinor":
-        return PolySpinor(self.up - other.up, self.down - other.down)
-
-    def scale(self, c) -> "PolySpinor":
-        return PolySpinor(c * self.up, c * self.down)
-
-    def mat(self, m: np.ndarray) -> "PolySpinor":
-        return PolySpinor(m[0, 0] * self.up + m[0, 1] * self.down,
-                          m[1, 0] * self.up + m[1, 1] * self.down)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.up(x), self.down(x)])
+def _shifted(key: tuple[int, int, int], i: int, step: int) -> tuple[int, int, int]:
+    out = list(key)
+    out[i] += step
+    return tuple(out)
 
 
 _MINK_ETA = (-1.0, 1.0, 1.0)
 _OMEGA = {(0, 1): 0.5 * GAMMA2, (0, 2): -0.5 * GAMMA1, (2, 1): 0.5 * GAMMA0}
 
 
-def _dirac_minkowski(f: PolySpinor) -> PolySpinor:
+def _dirac_minkowski(f: SpinorField) -> SpinorField:
     # gamma^k d_k with the index raised by eta
     return (f.d(0).mat(-GAMMA0) + f.d(1).mat(GAMMA1) + f.d(2).mat(GAMMA2))
 
 
-def _symmetry_generator(i: int, j: int, f: PolySpinor) -> PolySpinor:
+def _symmetry_generator(i: int, j: int, f: SpinorField) -> SpinorField:
     # T_ij = -L_ij + omega_ij with L_ij = x_j d_i - x_i d_j (indices lowered)
     l_term = f.d(i).mul_x(j).scale(_MINK_ETA[j]) - f.d(j).mul_x(i).scale(_MINK_ETA[i])
     return f.mat(_OMEGA[(i, j)]) - l_term
 
 
-def random_poly_spinor(rng: np.random.Generator, degree: int = 2) -> PolySpinor:
+def random_poly_spinor(rng: np.random.Generator, degree: int = 2) -> SpinorField:
+    """Random field with PolyG components of the given degree per coordinate."""
     def comp():
         terms = {}
         for _ in range(5):
             key = tuple(int(rng.integers(0, degree + 1)) for _ in range(3))
             terms[key] = complex(rng.normal(), rng.normal())
         return PolyG(terms)
-    return PolySpinor(comp(), comp())
+    return SpinorField(comp(), comp())
 
 
-def minkowski_commutation_residual(field: PolySpinor,
+def minkowski_commutation_residual(field: SpinorField,
                                    points: Iterable[np.ndarray]) -> float:
     """Max over sample points and generator pairs of |[Dslash_M, T_ij] psi|,
     computed with exact derivatives; vanishes identically for the flat Dirac

@@ -1,10 +1,11 @@
 import json
 import os
 import stat
+from dataclasses import replace
 
 import pytest
 
-from specquad import cli
+from specquad import cli, desitter
 from specquad.cli import run
 
 
@@ -37,6 +38,22 @@ class TestExitCodes:
 
     def test_bad_complex_is_two(self):
         assert run(["finite-distance", "--m", "zzz"]) == 2
+
+    def test_wrong_shape_third_order_is_a_failed_check(self, tmp_path, monkeypatch):
+        # iH^3 in place of iH: the third order is not kappa e_perp u^2, which
+        # is a numerical failure (exit 1, a named red check), not a usage error
+        real = desitter.assemble_quadruple
+
+        def cubed(params):
+            q = real(params)
+            return replace(q, ih=q.ih @ q.ih @ q.ih)
+
+        monkeypatch.setattr(desitter, "assemble_quadruple", cubed)
+        out = tmp_path / "r.json"
+        assert run(["reconstruct", "-o", str(out)]) == 1
+        checks = {c["id"]: c for c in json.loads(read(out))["checks"]}
+        fit = checks["reconstruct.third_order_fit"]
+        assert fit["pass"] is False and fit["residual"] > 0.1
 
 
 class TestReportFormat:

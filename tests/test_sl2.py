@@ -6,12 +6,16 @@ from specquad.sl2 import (
     Lattice,
     RepParams,
     SeriesKind,
-    casimir_candidate,
     classify,
     build_generators,
     ladder_coefficient_sq,
     verify_ladder_recursion,
 )
+
+
+def casimir_candidate(t21, tplus, tminus):
+    """T21^2 - (T+T- + T-T+)/2; scalar = r2m2 + 1/4 on the interior."""
+    return t21 @ t21 - 0.5 * (tplus @ tminus + tminus @ tplus)
 
 
 class TestLadderCoefficients:

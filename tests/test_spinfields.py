@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from specquad.desitter import DeSitterParams, assemble_quadruple, eigenframe, hamiltonian_theta
-from specquad.geometry import ChartPoint, HypFn
+from specquad.geometry import ChartPoint, HypFn, frame_vectors, slash
 from specquad.operators import BasisDescriptor
 from specquad.spinfields import (
+    PolyG,
     SolutionCoefficients,
     SpinorField,
     apply_T_grid,
@@ -21,6 +22,14 @@ from specquad.spinfields import (
     slice_independence,
     t_basis_field,
 )
+
+
+def fft_modes(comp, theta, npts=1024):
+    """phi-Fourier coefficients of a component from the uniform grid; the
+    trapezoid rule is exact for trigonometric polynomials of degree below
+    npts / 2."""
+    phi = np.arange(npts) * 2.0 * np.pi / npts
+    return np.fft.fft(comp(theta, phi) + np.zeros(npts)) / npts
 
 
 def tplus_display(n, sign, rm, theta):
@@ -103,6 +112,21 @@ class TestTBasisActions:
             got = complex(image.conj() @ g @ image).real
             ref = complex(basis_vec.conj() @ g @ basis_vec).real
             assert got == pytest.approx(((n + 0.5) ** 2 + rm ** 2) * ref, abs=1e-9)
+
+    @pytest.mark.parametrize("gen_id", ["d_theta", "Tplus", "Tminus", "T21", "e0"])
+    def test_exact_modes_match_fft(self, gen_id):
+        # apply_T_grid reads the exact phi modes; the FFT of the component on
+        # the 1024-point grid is the independent oracle
+        rm, th, npts = 1.0, 0.4, 1024
+        for n in np.arange(-5.5, 6.5):
+            for sign in (+1, -1):
+                field = apply_generator(gen_id, t_basis_field(n, sign), rm)
+                for comp in (field.up, field.down):
+                    exact = np.zeros(npts, dtype=complex)
+                    for k, c in comp.phi_modes(th).items():
+                        exact[k % npts] += c
+                    np.testing.assert_allclose(exact, fft_modes(comp, th, npts),
+                                               rtol=0, atol=1e-13)
 
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
@@ -255,6 +279,50 @@ class TestDiracPair:
         i1, _ = dirac_pair(psi, ChartPoint(0.3, 1.0, radius=1.0))
         i2, _ = dirac_pair(psi, ChartPoint(0.3, 1.0, radius=2.0))
         np.testing.assert_allclose(i2, 0.5 * i1, atol=1e-13)
+
+
+class TestPolyG:
+    def test_derivative_matches_central_differences(self, rng):
+        # d_i (P e^G) = (d_i P - x_i P) e^G against a central difference
+        h = 1e-5
+        for _ in range(5):
+            field = random_poly_spinor(rng)
+            x = rng.uniform(-1.5, 1.5, 3)
+            for comp in (field.up, field.down):
+                for i in range(3):
+                    step = np.zeros(3)
+                    step[i] = h
+                    fd = (comp(x + step) - comp(x - step)) / (2 * h)
+                    assert abs(comp.d(i)(x) - fd) <= 1e-8 * max(1.0, abs(fd))
+
+    def test_mul_x_matches_central_differences(self, rng):
+        # mul_x is multiplication by x_i, and d_i (x_i f) = f + x_i d_i f
+        h = 1e-5
+        for _ in range(5):
+            f = random_poly_spinor(rng).up
+            x = rng.uniform(-1.5, 1.5, 3)
+            for i in range(3):
+                g = f.mul_x(i)
+                assert g(x) == pytest.approx(x[i] * f(x), rel=1e-14, abs=1e-14)
+                step = np.zeros(3)
+                step[i] = h
+                fd = (g(x + step) - g(x - step)) / (2 * h)
+                assert abs(fd - (f(x) + x[i] * f.d(i)(x))) <= 1e-8 * max(1.0, abs(fd))
+
+    def test_mat_matches_pointwise_matrix(self, rng):
+        # scalar entries on PolyG components, HypFn entries (the Clifford
+        # elements e0slash and nslash) on HypFn components
+        field = random_poly_spinor(rng)
+        assert isinstance(field.up, PolyG)
+        x = rng.uniform(-1.0, 1.0, 3)
+        m = np.array([[0.5, 2j], [-1.0, 0.25]])
+        np.testing.assert_allclose(field.mat(m)(x), m @ field(x), rtol=1e-14)
+        psi = random_spinor_field(rng)
+        p = ChartPoint(0.7, 2.1)
+        e0, e1, _ = frame_vectors(p)
+        for gen_id, vec in (("e0", e0), ("n_slash", e1)):
+            np.testing.assert_allclose(apply_generator(gen_id, psi)(p.theta, p.phi),
+                                       slash(vec) @ psi(p.theta, p.phi), atol=1e-12)
 
 
 class TestMinkowskiCommutation:
