@@ -257,7 +257,7 @@ def _section_oracle(seed: int) -> AxiomReport:
     emb = max(abs(-g.embedding[0] ** 2 + g.embedding[1] ** 2 + g.embedding[2] ** 2 - 1.0)
               for g in map(geometry.geometry_at, pts))
     rep.add("oracle.embedding", emb)
-    ktrace = max(abs(geometry.geometry_at(p).extrinsic_trace - 2.0 / p.radius)
+    ktrace = max(abs(geometry.embedding_extrinsic_trace(p) - 2.0 / p.radius)
                  for p in pts)
     rep.add("oracle.extrinsic_trace", ktrace,
             notes="K_A^A = (n-1)/R with n = 3 the embedding dimension")
@@ -267,8 +267,10 @@ def _section_oracle(seed: int) -> AxiomReport:
             max(sym["bracket_l01_l21"], sym["bracket_l02_l21"], sym["bracket_l01_l02"]))
     rep.add("oracle.casimir", sym["casimir"])
 
-    cliff = 0.0
     gammas = (geometry.GAMMA0, geometry.GAMMA1, geometry.GAMMA2)
+    cliff = max(float(np.abs(gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
+                             - 2 * geometry.ETA[i, j] * np.eye(2)).max())
+                for i in range(3) for j in range(3))
     for p in pts[:20]:
         frames = geometry.frame_vectors(p)
         for i in range(3):
@@ -276,8 +278,6 @@ def _section_oracle(seed: int) -> AxiomReport:
                 got = (geometry.slash(frames[i]) @ geometry.slash(frames[j])
                        + geometry.slash(frames[j]) @ geometry.slash(frames[i]))
                 cliff = max(cliff, float(np.abs(got - 2 * geometry.ETA[i, j] * np.eye(2)).max()))
-                flat = gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
-                cliff = max(cliff, float(np.abs(flat - 2 * geometry.ETA[i, j] * np.eye(2)).max()))
     rep.add("oracle.clifford", cliff)
 
     btw = max(float(np.abs(g.conj().T @ geometry.B_INTERTWINER
@@ -312,12 +312,7 @@ def _section_oracle(seed: int) -> AxiomReport:
                                                 1.5: np.array([0.0, 0.5j])})
     rep.add("oracle.slice_independence", spinfields.slice_independence(sol1, sol2, 0.0, 0.7))
 
-    mink = 0.0
-    for _ in range(5):
-        field = spinfields.random_poly_spinor(rng)
-        sample = [rng.uniform(-1.0, 1.0, 3) for _ in range(4)]
-        mink = max(mink, spinfields.minkowski_commutation_residual(field, sample))
-    rep.add("oracle.minkowski_commutation", mink)
+    rep.add("oracle.minkowski_commutation", spinfields.minkowski_commutation_residual())
     return rep
 
 

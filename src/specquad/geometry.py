@@ -7,8 +7,6 @@ against which the operator construction is cross-checked, so derivatives
 are exact: functions on the chart are ``HypFn``, in the algebra spanned by
 sinh^a(theta) cosh^b(theta) e^{ik phi} (a >= 0, b and k integers), closed
 under multiplication and d/dtheta, d/dphi, with exact phi-Fourier modes.
-``SparseMonomials`` is the sparse-monomial base it shares with
-``spinfields.PolyG``.
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ __all__ = [
     "B_INTERTWINER",
     "ChartPoint",
     "GeometryData",
-    "SparseMonomials",
     "HypFn",
     "geometry_at",
+    "embedding_extrinsic_trace",
     "frame_vectors",
     "slash",
     "killing_l21",
@@ -64,14 +62,14 @@ class ChartPoint:
             raise ValueError("radius must be positive")
 
 
-class SparseMonomials:
-    """Exact sparse sum of monomials: a dict from integer exponent triples to
-    complex coefficients.
+class HypFn:
+    """Function in the closed algebra sinh^a cosh^b e^{ik phi}.
 
+    The key (a, b, k) stands for sinh^a(theta) cosh^b(theta) e^{ik phi};
+    exact under products and chart derivatives, so composed differential
+    operators (Killing brackets, Laplacians) carry no discretization error.
     The constructor takes a dict or an iterable of (key, coef) pairs; it
-    adds up the coefficients of repeated keys and drops zeros.  Sums and
-    scalar multiples live here; a subclass says what its monomials are and
-    supplies their products, derivatives and evaluation.
+    adds up the coefficients of repeated keys and drops zeros.
     """
 
     __slots__ = ("terms",)
@@ -84,28 +82,6 @@ class SparseMonomials:
             terms = acc
         self.terms = {key: complex(coef) for key, coef in terms.items() if coef != 0}
 
-    def __add__(self, other):
-        return type(self)([*self.terms.items(), *other.terms.items()])
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar):
-        return type(self)({key: coef * scalar for key, coef in self.terms.items()})
-
-    __rmul__ = __mul__
-
-
-class HypFn(SparseMonomials):
-    """Function in the closed algebra sinh^a cosh^b e^{ik phi}.
-
-    The key (a, b, k) stands for sinh^a(theta) cosh^b(theta) e^{ik phi};
-    exact under products and chart derivatives, so composed differential
-    operators (Killing brackets, Laplacians) carry no discretization error.
-    """
-
-    __slots__ = ()
-
     @classmethod
     def constant(cls, c: complex) -> "HypFn":
         return cls({(0, 0, 0): c})
@@ -116,12 +92,21 @@ class HypFn(SparseMonomials):
             raise ValueError("sinh power must be nonnegative")
         return cls({(a, b, k): coef})
 
-    def __mul__(self, other):
+    def __add__(self, other: "HypFn") -> "HypFn":
+        return HypFn([*self.terms.items(), *other.terms.items()])
+
+    def __sub__(self, other: "HypFn") -> "HypFn":
+        return self + (-1.0) * other
+
+    def __mul__(self, other) -> "HypFn":
+        """Product with another HypFn, or a scalar multiple."""
         if not isinstance(other, HypFn):
-            return super().__mul__(other)
+            return HypFn({key: coef * other for key, coef in self.terms.items()})
         return HypFn(((a1 + a2, b1 + b2, k1 + k2), c1 * c2)
                      for (a1, b1, k1), c1 in self.terms.items()
                      for (a2, b2, k2), c2 in other.terms.items())
+
+    __rmul__ = __mul__
 
     def d_theta(self) -> "HypFn":
         # d(s^a c^b) = a s^(a-1) c^(b+1) + b s^(a+1) c^(b-1); a zero power
@@ -196,6 +181,22 @@ def geometry_at(p: ChartPoint) -> GeometryData:
         extrinsic=np.eye(2) / r,
         extrinsic_trace=2.0 / r,
     )
+
+
+def embedding_extrinsic_trace(p: ChartPoint) -> float:
+    """K_A^A from exact second derivatives of the embedding ``x_embedding``:
+    K_AB = -<n, d_A d_B X>_eta with n the unit normal e1 of the frame
+    (n = X/R), traced with the induced metric g_AB = <d_A X, d_B X>_eta,
+    which is diagonal on the chart.  Equals 2/R on the hyperboloid."""
+    th, ph = p.theta, p.phi
+    xs = x_embedding(p.radius)
+    normal = frame_vectors(p)[1]
+    trace = 0.0
+    for d in (HypFn.d_theta, HypFn.d_phi):
+        first = np.array([d(x)(th, ph) for x in xs])
+        second = np.array([d(d(x))(th, ph) for x in xs])
+        trace += -(normal @ ETA @ second).real / (first @ ETA @ first).real
+    return float(trace)
 
 
 def frame_vectors(p: ChartPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

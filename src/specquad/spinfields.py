@@ -1,27 +1,26 @@
 """Spinor fields on the de Sitter chart and the symmetry action on them.
 
-``SpinorField`` is the one two-component field type (components in the
-global-frame spinor basis): ``HypFn`` components on the chart, so chart
-derivatives are exact, or ``PolyG`` components on Minkowski space.  The time
-derivative of a solution is eliminated through the Dirac equation, which
-lets the boost generators act on slice data; the exact phi-Fourier modes of
-the results give their matrix elements in the compact generator's
-eigenbasis, which the operator construction must reproduce.  The module
-also carries the conserved solution inner product, the frame change to the
-orthonormal time-vector eigenbasis, and the check on Minkowski space that
-the flat Dirac operator commutes with the symmetry generators.
+``SpinorField`` is the one two-component field type: ``HypFn`` components
+in the global-frame spinor basis on the chart, so chart derivatives are
+exact.  The time derivative of a solution is eliminated through the Dirac
+equation, which lets the boost generators act on slice data; the exact
+phi-Fourier modes of the results give their matrix elements in the compact
+generator's eigenbasis, which the operator construction must reproduce.
+The module also carries the per-level evolution of solutions and their
+conserved inner product, the intrinsic-vs-extrinsic Dirac comparison, and
+the check on Minkowski space that the flat Dirac operator commutes with the
+symmetry generators, read off the operators' coefficient matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .geometry import (
-    B_INTERTWINER,
     COS_PHI,
     GAMMA0,
     GAMMA1,
@@ -31,7 +30,6 @@ from .geometry import (
     TANH,
     ChartPoint,
     HypFn,
-    SparseMonomials,
     frame_intertwiner_inverse,
     frame_vectors,
     slash,
@@ -51,8 +49,6 @@ __all__ = [
     "dirac_pair",
     "dirac_agreement_residual",
     "random_spinor_field",
-    "PolyG",
-    "random_poly_spinor",
     "minkowski_commutation_residual",
 ]
 
@@ -63,23 +59,16 @@ _COSH = HypFn.monomial(0, 1, 0)
 @dataclass(frozen=True)
 class SpinorField:
     """Two-component field in the global-frame spinor basis, with ``HypFn``
-    components on the de Sitter chart or ``PolyG`` components on Minkowski
-    space; derivatives act componentwise."""
+    components on the de Sitter chart; derivatives act componentwise."""
 
-    up: SparseMonomials
-    down: SparseMonomials
+    up: HypFn
+    down: HypFn
 
     def d_theta(self) -> "SpinorField":
         return SpinorField(self.up.d_theta(), self.down.d_theta())
 
     def d_phi(self) -> "SpinorField":
         return SpinorField(self.up.d_phi(), self.down.d_phi())
-
-    def d(self, i: int) -> "SpinorField":
-        return SpinorField(self.up.d(i), self.down.d(i))
-
-    def mul_x(self, i: int) -> "SpinorField":
-        return SpinorField(self.up.mul_x(i), self.down.mul_x(i))
 
     def __add__(self, other: "SpinorField") -> "SpinorField":
         return SpinorField(self.up + other.up, self.down + other.down)
@@ -96,8 +85,8 @@ class SpinorField:
         return SpinorField(self.up * m[0][0] + self.down * m[0][1],
                            self.up * m[1][0] + self.down * m[1][1])
 
-    def __call__(self, *args) -> np.ndarray:
-        return np.array([self.up(*args), self.down(*args)])
+    def __call__(self, theta: float, phi: float) -> np.ndarray:
+        return np.array([self.up(theta, phi), self.down(theta, phi)])
 
 
 # pointwise Clifford matrices with closed-form entries (global frame):
@@ -161,13 +150,13 @@ def apply_generator(gen_id: str, f: SpinorField, rm: float = 0.0) -> SpinorField
     raise ValueError(f"unknown generator {gen_id!r}")
 
 
-def apply_T_grid(gen_id: str, n: float, sign: int, rm: float, theta: float,
-                 leak_tol: float = 1e-9) -> dict[tuple[float, int], complex]:
+def apply_T_grid(gen_id: str, n: float, sign: int, rm: float,
+                 theta: float) -> dict[tuple[float, int], complex]:
     """Apply a generator to |T: n, sign> and decompose the result in the
     T-basis through the exact phi-Fourier modes at the given slice.
 
-    Raises if the decomposition leaks outside the two target basis vectors
-    (the displayed matrix elements would then be wrong).
+    Raises if more than 1e-9 of the result's norm leaks outside the two
+    target basis vectors (the displayed matrix elements would then be wrong).
     """
     result = apply_generator(gen_id, t_basis_field(n, sign), rm)
     target_n = n + 1.0 if gen_id == "Tplus" else n - 1.0 if gen_id == "Tminus" else n
@@ -184,21 +173,23 @@ def apply_T_grid(gen_id: str, n: float, sign: int, rm: float, theta: float,
     kept = {key: coefs.get(key, 0.0 + 0.0j) for key in targets}
     leak_sq = total - sum(abs(c) ** 2 for c in kept.values())
     scale = max(np.sqrt(total), 1e-30)
-    if np.sqrt(max(leak_sq, 0.0)) > leak_tol * scale:
+    if np.sqrt(max(leak_sq, 0.0)) > 1e-9 * scale:
         raise ValueError(
             f"decomposition of {gen_id} |T:{n},{sign:+d}> leaks outside the "
             f"target level {target_n}")
     return kept
 
 
-def level_block(n: float, rm: float, theta: float) -> np.ndarray:
+def level_block(n, rm: float, theta: float) -> np.ndarray:
     """On-shell theta-derivative block on the span of |T: n, +->, built by
     composing the Clifford actions restricted to the level (independent of
-    the displayed derivative formula)."""
+    the displayed derivative formula); an array of levels gives the stack
+    of blocks."""
     s, c = np.sinh(theta), np.cosh(theta)
     n_t = 1j * np.array([[s, -c], [c, -s]])
     e0_t = 1j * np.array([[c, -s], [s, -c]])
-    dphi_t = np.diag([-1j * (n - 0.5), -1j * (n + 0.5)])
+    # d_phi is diagonal: -i(n - 1/2) on the up and -i(n + 1/2) on the down pair
+    dphi_t = -1j * np.eye(2) * (np.asarray(n)[..., None, None] + np.array([-0.5, 0.5]))
     return n_t @ (dphi_t / c - e0_t) + rm * e0_t
 
 
@@ -214,51 +205,47 @@ class SolutionCoefficients:
 
 
 def propagate(sol: SolutionCoefficients, theta_from: float,
-              theta_to: float, rtol: float = 1e-12) -> SolutionCoefficients:
-    """Propagate slice data by integrating the per-level 2x2 evolution ODE."""
+              theta_to: float) -> SolutionCoefficients:
+    """Propagate slice data by integrating the evolution ODE of all levels at
+    once: the per-level 2x2 blocks act on the stacked level pairs."""
     if theta_from == theta_to:
         return sol
-    out = {}
-    for n, v in sol.coeffs.items():
-        res = solve_ivp(
-            lambda th, y, n=n: level_block(n, sol.rm, th) @ y,
-            (theta_from, theta_to), np.asarray(v, dtype=complex),
-            method="DOP853", rtol=rtol, atol=1e-14)
-        if not res.success:
-            raise RuntimeError(f"propagation failed at level {n}: {res.message}")
-        out[n] = res.y[:, -1]
-    return SolutionCoefficients(rm=sol.rm, coeffs=out)
+    levels = sol.levels()
+    nn = np.array(levels)
+    y0 = np.array([sol.coeffs[n] for n in levels], dtype=complex).ravel()
+    res = solve_ivp(
+        lambda th, y: (level_block(nn, sol.rm, th) @ y.reshape(-1, 2, 1)).ravel(),
+        (theta_from, theta_to), y0, method="DOP853", rtol=1e-12, atol=1e-14)
+    if not res.success:
+        raise RuntimeError(f"propagation failed: {res.message}")
+    return SolutionCoefficients(rm=sol.rm,
+                                coeffs=dict(zip(levels, res.y[:, -1].reshape(-1, 2))))
 
 
-def _field_on_grid(sol: SolutionCoefficients, phi: np.ndarray) -> np.ndarray:
-    up = np.zeros_like(phi, dtype=complex)
-    down = np.zeros_like(phi, dtype=complex)
-    for n, v in sol.coeffs.items():
-        up += v[0] * np.exp(-1j * (n - 0.5) * phi)
-        down += v[1] * np.exp(-1j * (n + 0.5) * phi)
-    return np.stack([up, down])
+def fiber_gram(theta: float) -> np.ndarray:
+    """Gram matrix of the T-basis pair at one level under the pointwise
+    B-weighted product B(., e0slash .): e0slash maps the pair to itself by
+    i[[c, -s], [s, -c]] and B = diag(-i, i), so G = [[c, -s], [-s, c]] with
+    c = cosh(theta), s = sinh(theta)."""
+    s, c = np.sinh(theta), np.cosh(theta)
+    return np.array([[c, -s], [-s, c]], dtype=complex)
 
 
 def inner_product_slice(sol1: SolutionCoefficients, sol2: SolutionCoefficients,
-                        theta: float, npts: int = 1024) -> complex:
+                        theta: float) -> complex:
     """Conserved solution product at a slice: the flux integral
-    int B(psi1, e0slash psi2) cosh(theta) dphi on the uniform grid.
+    int B(psi1, e0slash psi2) cosh(theta) dphi.
 
-    The cosh factor is the slice volume element; without it the integral is
-    not slice independent.
+    The phi integral keeps the mode-0 part of the integrand, where each level
+    pairs with itself through the fiber Gram matrix, so the product is
+    2 pi cosh(theta) sum_n v1_n^* G v2_n over the levels both solutions
+    carry.  The cosh factor is the slice volume element; without it the
+    integral is not slice independent.
     """
-    phi = np.arange(npts) * 2.0 * np.pi / npts
-    f1 = _field_on_grid(sol1, phi)
-    f2 = _field_on_grid(sol2, phi)
-    s, c = np.sinh(theta), np.cosh(theta)
-    # e0slash on the grid: [[i c, -i s e^{i phi}], [i s e^{-i phi}, -i c]]
-    eip = np.exp(1j * phi)
-    g1 = np.conj(f1)
-    bw = B_INTERTWINER
-    e0f2_up = 1j * c * f2[0] - 1j * s * eip * f2[1]
-    e0f2_down = 1j * s * np.conj(eip) * f2[0] - 1j * c * f2[1]
-    integrand = g1[0] * bw[0, 0] * e0f2_up + g1[1] * bw[1, 1] * e0f2_down
-    return complex(np.sum(integrand) * (2.0 * np.pi / npts) * c)
+    g = fiber_gram(theta)
+    total = sum((np.conj(sol1.coeffs[n]) @ g @ sol2.coeffs[n]
+                 for n in sorted(sol1.coeffs.keys() & sol2.coeffs.keys())), 0.0j)
+    return complex(2.0 * np.pi * np.cosh(theta) * total)
 
 
 def slice_independence(sol1: SolutionCoefficients, sol2: SolutionCoefficients,
@@ -269,19 +256,6 @@ def slice_independence(sol1: SolutionCoefficients, sol2: SolutionCoefficients,
     p_b = inner_product_slice(propagate(sol1, theta_a, theta_b),
                               propagate(sol2, theta_a, theta_b), theta_b)
     return abs(p_a - p_b)
-
-
-def fiber_gram(theta: float, npts: int = 1024) -> np.ndarray:
-    """Gram matrix of the T-basis pair at one level under the pointwise
-    B-weighted product B(., e0slash .), computed on the grid."""
-    gram = np.zeros((2, 2), dtype=complex)
-    basis = [SolutionCoefficients(0.0, {0.5: np.array([1.0, 0.0])}),
-             SolutionCoefficients(0.0, {0.5: np.array([0.0, 1.0])})]
-    for a in range(2):
-        for b in range(2):
-            gram[a, b] = inner_product_slice(basis[a], basis[b], theta, npts) \
-                / (2.0 * np.pi * np.cosh(theta))
-    return gram
 
 
 # -- intrinsic vs extrinsic Dirac --------------------------------------------
@@ -343,73 +317,28 @@ def random_spinor_field(rng: np.random.Generator, max_k: int = 3) -> SpinorField
 # -- Minkowski-space check: the flat Dirac operator commutes with the
 #    symmetry generators ------------------------------------------------------
 
-class PolyG(SparseMonomials):
-    """Polynomial in (x0, x1, x2) times the Gaussian e^{-|x|^2/2}; the key
-    (a, b, c) stands for x0^a x1^b x2^c e^{-|x|^2/2}.  Closed under
-    coordinate multiplication and differentiation, but not under products."""
-
-    __slots__ = ()
-
-    def mul_x(self, i: int) -> "PolyG":
-        return PolyG({_shifted(key, i, 1): coef for key, coef in self.terms.items()})
-
-    def d(self, i: int) -> "PolyG":
-        # d_i (P e^G) = (d_i P - x_i P) e^G; a zero power of x_i gives a zero
-        # coefficient, which the constructor drops
-        return PolyG(pair for key, coef in self.terms.items()
-                     for pair in ((_shifted(key, i, -1), key[i] * coef),
-                                  (_shifted(key, i, 1), -coef)))
-
-    def __call__(self, x: np.ndarray) -> complex:
-        g = np.exp(-0.5 * float(np.dot(x, x)))
-        total = 0.0 + 0.0j
-        for (a, b, c), v in self.terms.items():
-            total += v * x[0] ** a * x[1] ** b * x[2] ** c
-        return total * g
-
-
-def _shifted(key: tuple[int, int, int], i: int, step: int) -> tuple[int, int, int]:
-    out = list(key)
-    out[i] += step
-    return tuple(out)
-
-
 _MINK_ETA = (-1.0, 1.0, 1.0)
 _OMEGA = {(0, 1): 0.5 * GAMMA2, (0, 2): -0.5 * GAMMA1, (2, 1): 0.5 * GAMMA0}
 
 
-def _dirac_minkowski(f: SpinorField) -> SpinorField:
-    # gamma^k d_k with the index raised by eta
-    return (f.d(0).mat(-GAMMA0) + f.d(1).mat(GAMMA1) + f.d(2).mat(GAMMA2))
+def minkowski_commutation_residual() -> float:
+    """Max over the generators T_ij and over k of |C_k|, where
+    [Dslash_M, T_ij] = sum_k C_k d_k; vanishes exactly for the flat Dirac
+    operator.
 
-
-def _symmetry_generator(i: int, j: int, f: SpinorField) -> SpinorField:
-    # T_ij = -L_ij + omega_ij with L_ij = x_j d_i - x_i d_j (indices lowered)
-    l_term = f.d(i).mul_x(j).scale(_MINK_ETA[j]) - f.d(j).mul_x(i).scale(_MINK_ETA[i])
-    return f.mat(_OMEGA[(i, j)]) - l_term
-
-
-def random_poly_spinor(rng: np.random.Generator, degree: int = 2) -> SpinorField:
-    """Random field with PolyG components of the given degree per coordinate."""
-    def comp():
-        terms = {}
-        for _ in range(5):
-            key = tuple(int(rng.integers(0, degree + 1)) for _ in range(3))
-            terms[key] = complex(rng.normal(), rng.normal())
-        return PolyG(terms)
-    return SpinorField(comp(), comp())
-
-
-def minkowski_commutation_residual(field: SpinorField,
-                                   points: Iterable[np.ndarray]) -> float:
-    """Max over sample points and generator pairs of |[Dslash_M, T_ij] psi|,
-    computed with exact derivatives; vanishes identically for the flat Dirac
-    operator."""
+    Dslash_M = sum_k A_k d_k with A_k = eta_kk gamma_k (index raised by eta),
+    and T_ij = omega_ij - L_ij with L_ij = eta_j x_j d_i - eta_i x_i d_j, i.e.
+    T_ij = omega_ij + sum_kl M_kl x_l d_k with M_ij = -eta_j, M_ji = eta_i.
+    Both are first order with affine coefficients, so the second-order parts
+    cancel and C_k = [A_k, omega_ij] + sum_l M_kl A_l is constant: the
+    commutator vanishes on every field iff every C_k does.
+    """
+    a = [eta * g for eta, g in zip(_MINK_ETA, (GAMMA0, GAMMA1, GAMMA2))]
     worst = 0.0
-    for (i, j) in _OMEGA:
-        lhs = _dirac_minkowski(_symmetry_generator(i, j, field))
-        rhs = _symmetry_generator(i, j, _dirac_minkowski(field))
-        diff = lhs - rhs
-        for x in points:
-            worst = max(worst, float(np.abs(diff(np.asarray(x, dtype=float))).max()))
+    for (i, j), omega in _OMEGA.items():
+        m = np.zeros((3, 3))
+        m[i, j], m[j, i] = -_MINK_ETA[j], _MINK_ETA[i]
+        for k in range(3):
+            c_k = a[k] @ omega - omega @ a[k] + sum(m[k, l] * a[l] for l in range(3))
+            worst = max(worst, float(np.abs(c_k).max()))
     return worst

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from specquad import cli, desitter
+from specquad import cli, desitter, geometry, spinfields
 from specquad.cli import run
 
 
@@ -54,6 +54,40 @@ class TestExitCodes:
         checks = {c["id"]: c for c in json.loads(read(out))["checks"]}
         fit = checks["reconstruct.third_order_fit"]
         assert fit["pass"] is False and fit["residual"] > 0.1
+
+
+class TestOraclePlantedDefects:
+    """A planted defect turns exactly its own oracle check red."""
+
+    def red_ids(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["oracle-check", "-o", str(out)]) == 1
+        return [c["id"] for c in json.loads(read(out))["checks"] if not c["pass"]]
+
+    def test_flipped_spin_generator(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(spinfields._OMEGA, (0, 1), -0.5 * geometry.GAMMA2)
+        assert self.red_ids(tmp_path) == ["oracle.minkowski_commutation"]
+
+    def test_shifted_level_block(self, tmp_path, monkeypatch):
+        real = spinfields.level_block
+
+        def shifted(n, rm, theta):
+            blk = real(n, rm, theta)
+            blk[..., 0, 0] += 1e-6
+            return blk
+
+        monkeypatch.setattr(spinfields, "level_block", shifted)
+        assert self.red_ids(tmp_path) == ["oracle.slice_independence"]
+
+    def test_wrong_sign_normal(self, tmp_path, monkeypatch):
+        real = geometry.frame_vectors
+
+        def flipped(p):
+            e0, e1, e2 = real(p)
+            return e0, -e1, e2
+
+        monkeypatch.setattr(geometry, "frame_vectors", flipped)
+        assert self.red_ids(tmp_path) == ["oracle.extrinsic_trace"]
 
 
 class TestReportFormat:

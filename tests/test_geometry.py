@@ -10,6 +10,7 @@ from specquad.geometry import (
     ChartPoint,
     HypFn,
     default_test_functions,
+    embedding_extrinsic_trace,
     frame_intertwiner,
     frame_intertwiner_inverse,
     frame_vectors,
@@ -107,6 +108,13 @@ class TestGeometryData:
             g = geometry_at(p)
             np.testing.assert_allclose(g.extrinsic, np.eye(2) / p.radius)
             assert g.extrinsic_trace == pytest.approx(2.0 / p.radius)
+
+    def test_extrinsic_trace_from_embedding(self, rng):
+        # K_A^A from exact second derivatives of the embedding
+        for _ in range(50):
+            p = ChartPoint(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0, 6)),
+                           radius=float(rng.uniform(0.5, 2.0)))
+            assert abs(embedding_extrinsic_trace(p) - 2.0 / p.radius) <= 1e-13
 
     def test_extrinsic_trace_from_normal_derivatives(self, rng):
         # independent check: K_A^B = e_A(n)^B via finite differences of the
