@@ -157,16 +157,10 @@ class GeometryData:
     metric_inv: np.ndarray
     christoffel_theta_phiphi: float
     christoffel_phi_thetaphi: float
-    extrinsic: np.ndarray
-    extrinsic_trace: float
 
 
 def geometry_at(p: ChartPoint) -> GeometryData:
-    """All chart data at a point, by direct evaluation.
-
-    The extrinsic curvature of the hyperboloid in the 3-dim Minkowski
-    embedding is K_A^B = (1/R) delta_A^B, trace (3-1)/R.
-    """
+    """All chart data at a point, by direct evaluation."""
     r, th = p.radius, p.theta
     s, c = np.sinh(th), np.cosh(th)
     embedding = np.array([r * s, r * c * np.cos(p.phi), r * c * np.sin(p.phi)])
@@ -178,25 +172,30 @@ def geometry_at(p: ChartPoint) -> GeometryData:
         metric_inv=metric_inv,
         christoffel_theta_phiphi=c * s,
         christoffel_phi_thetaphi=s / c,
-        extrinsic=np.eye(2) / r,
-        extrinsic_trace=2.0 / r,
     )
+
+
+# first and second chart derivatives of the unit-radius embedding, along
+# theta and along phi
+_EMBEDDING_DERIVATIVES = tuple(
+    (tuple(d(x) for x in x_embedding()), tuple(d(d(x)) for x in x_embedding()))
+    for d in (HypFn.d_theta, HypFn.d_phi))
 
 
 def embedding_extrinsic_trace(p: ChartPoint) -> float:
     """K_A^A from exact second derivatives of the embedding ``x_embedding``:
     K_AB = -<n, d_A d_B X>_eta with n the unit normal e1 of the frame
     (n = X/R), traced with the induced metric g_AB = <d_A X, d_B X>_eta,
-    which is diagonal on the chart.  Equals 2/R on the hyperboloid."""
+    which is diagonal on the chart.  X scales with R, so the trace is the
+    unit-radius one over R.  Equals 2/R on the hyperboloid."""
     th, ph = p.theta, p.phi
-    xs = x_embedding(p.radius)
     normal = frame_vectors(p)[1]
     trace = 0.0
-    for d in (HypFn.d_theta, HypFn.d_phi):
-        first = np.array([d(x)(th, ph) for x in xs])
-        second = np.array([d(d(x))(th, ph) for x in xs])
-        trace += -(normal @ ETA @ second).real / (first @ ETA @ first).real
-    return float(trace)
+    for first, second in _EMBEDDING_DERIVATIVES:
+        d1 = np.array([x(th, ph) for x in first])
+        d2 = np.array([x(th, ph) for x in second])
+        trace += -(normal @ ETA @ d2).real / (d1 @ ETA @ d1).real
+    return float(trace) / p.radius
 
 
 def frame_vectors(p: ChartPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

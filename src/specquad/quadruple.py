@@ -315,8 +315,11 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
     are different rows, so a group of candidates that shares no band,
     directly or through other candidates, with gamma has a zero right-hand
     side, fits 0 and adds nothing to the residual.  Only the group linked
-    to the bands of gamma is fitted (4 of the 20 candidates for de Sitter,
-    where e_perp u^p [D, u^q] is band p + q and gamma band 0).
+    to the bands of gamma is built and fitted (4 of the 20 candidates for
+    de Sitter, where e_perp u^p [D, u^q] is band p + q and gamma band 0).
+    The links are read from the bands a candidate can have, the sums of
+    its factors' bands: a superset of its stored bands, so the linked group
+    is a union of the exact groups and the fit stays exact.
     """
     d = monomial_degree_bound
     if d < 1:
@@ -330,26 +333,24 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
         raise ValueError("volume element vanishes on the interior")
     powers = {p: q.u.power(p) for p in range(-d, d + 1)}
     comms = [commutator(dirac, powers[deg]) for deg in powers if deg != 0]
-    cands = []
-    for up in powers.values():
-        for comm in comms:
-            cand = up @ comm
-            if q.even_dim:
-                cand = q.e_perp @ cand
-            cands.append(proj.project(cand))
+    prefix = q.e_perp.bands.keys() if q.even_dim else {0}
+    factors = [(up, comm, {e + a + b for e in prefix for a in up.bands for b in comm.bands})
+               for up in powers.values() for comm in comms]
     bands = set(gamma.bands)
     while True:
-        linked = [c for c in cands if bands & c.bands.keys()]
-        grown = bands.union(*(c.bands for c in linked))
+        linked = [f for f in factors if bands & f[2]]
+        grown = bands.union(*(reach for *_, reach in linked))
         if grown == bands:
             break
         bands = grown
     if not linked:
         return 1.0
+    cands = [proj.project(q.e_perp @ (up @ comm) if q.even_dim else up @ comm)
+             for up, comm, _ in linked]
     # every other entry of the linked bands vanishes in all operands, so
     # fitting the stored entries is the Frobenius fit
     bands = sorted(bands)
-    a = np.array([np.concatenate([c.band(k).ravel() for k in bands]) for c in linked]).T
+    a = np.array([np.concatenate([c.band(k).ravel() for k in bands]) for c in cands]).T
     b = np.concatenate([gamma.band(k).ravel() for k in bands])
     coef, *_ = np.linalg.lstsq(a, b, rcond=None)
     return float(np.linalg.norm(a @ coef - b) / np.linalg.norm(b))

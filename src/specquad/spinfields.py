@@ -6,19 +6,18 @@ exact.  The time derivative of a solution is eliminated through the Dirac
 equation, which lets the boost generators act on slice data; the exact
 phi-Fourier modes of the results give their matrix elements in the compact
 generator's eigenbasis, which the operator construction must reproduce.
-The module also carries the per-level evolution of solutions and their
-conserved inner product, the intrinsic-vs-extrinsic Dirac comparison, and
-the check on Minkowski space that the flat Dirac operator commutes with the
-symmetry generators, read off the operators' coefficient matrices.
+The module also carries the per-level evolution generator and fiber Gram
+matrix, with the identity that makes the solution product slice
+independent, the intrinsic-vs-extrinsic Dirac comparison, and the check on
+Minkowski space that the flat Dirac operator commutes with the symmetry
+generators, read off the operators' coefficient matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry import (
     COS_PHI,
@@ -41,11 +40,8 @@ __all__ = [
     "apply_generator",
     "apply_T_grid",
     "level_block",
-    "SolutionCoefficients",
-    "propagate",
-    "inner_product_slice",
-    "slice_independence",
     "fiber_gram",
+    "conservation_defect",
     "dirac_pair",
     "dirac_agreement_residual",
     "random_spinor_field",
@@ -180,82 +176,63 @@ def apply_T_grid(gen_id: str, n: float, sign: int, rm: float,
     return kept
 
 
-def level_block(n, rm: float, theta: float) -> np.ndarray:
+# n_t and e0_t, the Clifford actions on a level pair, are s Z + c W and
+# c Z + s W times i, with s = sinh(theta), c = cosh(theta)
+_Z = np.diag([1.0, -1.0])
+_W = np.array([[0.0, -1.0], [1.0, 0.0]])
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _sinh_cosh(theta):
+    theta = np.asarray(theta, dtype=float)[..., None, None]
+    return np.sinh(theta), np.cosh(theta)
+
+
+def level_block(n, rm: float, theta) -> np.ndarray:
     """On-shell theta-derivative block on the span of |T: n, +->, built by
     composing the Clifford actions restricted to the level (independent of
-    the displayed derivative formula); an array of levels gives the stack
-    of blocks."""
-    s, c = np.sinh(theta), np.cosh(theta)
-    n_t = 1j * np.array([[s, -c], [c, -s]])
-    e0_t = 1j * np.array([[c, -s], [s, -c]])
+    the displayed derivative formula).  Arrays of levels and of slices
+    broadcast against each other and give the stack of blocks."""
+    s, c = _sinh_cosh(theta)
+    n_t = 1j * (s * _Z + c * _W)
+    e0_t = 1j * (c * _Z + s * _W)
     # d_phi is diagonal: -i(n - 1/2) on the up and -i(n + 1/2) on the down pair
     dphi_t = -1j * np.eye(2) * (np.asarray(n)[..., None, None] + np.array([-0.5, 0.5]))
     return n_t @ (dphi_t / c - e0_t) + rm * e0_t
 
 
-@dataclass(frozen=True)
-class SolutionCoefficients:
-    """T-basis coefficient data of a Dirac solution at one slice."""
-
-    rm: float
-    coeffs: Mapping[float, np.ndarray]
-
-    def levels(self) -> list[float]:
-        return sorted(self.coeffs)
-
-
-def propagate(sol: SolutionCoefficients, theta_from: float,
-              theta_to: float) -> SolutionCoefficients:
-    """Propagate slice data by integrating the evolution ODE of all levels at
-    once: the per-level 2x2 blocks act on the stacked level pairs."""
-    if theta_from == theta_to:
-        return sol
-    levels = sol.levels()
-    nn = np.array(levels)
-    y0 = np.array([sol.coeffs[n] for n in levels], dtype=complex).ravel()
-    res = solve_ivp(
-        lambda th, y: (level_block(nn, sol.rm, th) @ y.reshape(-1, 2, 1)).ravel(),
-        (theta_from, theta_to), y0, method="DOP853", rtol=1e-12, atol=1e-14)
-    if not res.success:
-        raise RuntimeError(f"propagation failed: {res.message}")
-    return SolutionCoefficients(rm=sol.rm,
-                                coeffs=dict(zip(levels, res.y[:, -1].reshape(-1, 2))))
+def fiber_gram(theta) -> np.ndarray:
+    """Gram matrix G of the level pair |T: n, +-> under the flux density
+    B(., e0slash .) of the solution product: e0slash maps the pair to itself
+    by i[[c, -s], [s, -c]] and B = diag(-i, i), so G = [[c, -s], [-s, c]]
+    with c = cosh(theta), s = sinh(theta).  The phi integral pairs each
+    level with itself, so the product of two solutions on a slice is
+    2 pi cosh(theta) sum_n v1_n^* G v2_n; the cosh is the slice volume
+    element.  An array of slices gives the stack of matrices."""
+    s, c = _sinh_cosh(theta)
+    return (c * np.eye(2) - s * _X).astype(complex)
 
 
-def fiber_gram(theta: float) -> np.ndarray:
-    """Gram matrix of the T-basis pair at one level under the pointwise
-    B-weighted product B(., e0slash .): e0slash maps the pair to itself by
-    i[[c, -s], [s, -c]] and B = diag(-i, i), so G = [[c, -s], [-s, c]] with
-    c = cosh(theta), s = sinh(theta)."""
-    s, c = np.sinh(theta), np.cosh(theta)
-    return np.array([[c, -s], [-s, c]], dtype=complex)
+# the entries cosh^2 and -cosh sinh of cosh(theta) G, differentiated exactly
+_D_COSH_GRAM = tuple(tuple(f.d_theta() for f in row) for row in (
+    (_COSH * _COSH, -1.0 * _COSH * _SINH), (-1.0 * _COSH * _SINH, _COSH * _COSH)))
 
 
-def inner_product_slice(sol1: SolutionCoefficients, sol2: SolutionCoefficients,
-                        theta: float) -> complex:
-    """Conserved solution product at a slice: the flux integral
-    int B(psi1, e0slash psi2) cosh(theta) dphi.
+def conservation_defect(n, rm: float, theta) -> np.ndarray:
+    """K_n = (cosh G)' + M_n^* cosh G + cosh G M_n with M_n = level_block and
+    G = fiber_gram; arrays broadcast as in ``level_block``.
 
-    The phi integral keeps the mode-0 part of the integrand, where each level
-    pairs with itself through the fiber Gram matrix, so the product is
-    2 pi cosh(theta) sum_n v1_n^* G v2_n over the levels both solutions
-    carry.  The cosh factor is the slice volume element; without it the
-    integral is not slice independent.
+    Along solutions v' = M_n v the slice product 2 pi cosh(theta) sum_n
+    v1_n^* G v2_n has derivative 2 pi sum_n v1_n^* K_n v2_n, so it is the
+    same on every slice for every solution exactly when K_n vanishes at
+    every level and slice.
     """
-    g = fiber_gram(theta)
-    total = sum((np.conj(sol1.coeffs[n]) @ g @ sol2.coeffs[n]
-                 for n in sorted(sol1.coeffs.keys() & sol2.coeffs.keys())), 0.0j)
-    return complex(2.0 * np.pi * np.cosh(theta) * total)
-
-
-def slice_independence(sol1: SolutionCoefficients, sol2: SolutionCoefficients,
-                       theta_a: float, theta_b: float) -> float:
-    """|product at theta_a - product at theta_b| after propagating both
-    solutions; zero for true solutions of the evolution ODE."""
-    p_a = inner_product_slice(sol1, sol2, theta_a)
-    p_b = inner_product_slice(propagate(sol1, theta_a, theta_b),
-                              propagate(sol2, theta_a, theta_b), theta_b)
-    return abs(p_a - p_b)
+    theta = np.asarray(theta, dtype=float)
+    m = level_block(n, rm, theta)
+    cg = np.cosh(theta)[..., None, None] * fiber_gram(theta)
+    dcg = np.moveaxis(np.array([[f(theta, 0.0) for f in row] for row in _D_COSH_GRAM]),
+                      (0, 1), (-2, -1))
+    return dcg + m.conj().swapaxes(-1, -2) @ cg + cg @ m
 
 
 # -- intrinsic vs extrinsic Dirac --------------------------------------------

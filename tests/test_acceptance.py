@@ -23,6 +23,8 @@ from specquad.quadruple import (
     check_volume_element,
 )
 
+from evolution_reference import SolutionCoefficients, slice_independence
+
 GRID = [(rm, theta) for rm in (0.0, 0.5, 1.0, 2.0) for theta in (0.0, 0.3, 1.0)]
 
 
@@ -214,7 +216,7 @@ def test_acceptance_8_oracle_suite(rng):
         r = float(rng.uniform(0.5, 2.0))
         p = geometry.ChartPoint(float(rng.uniform(-2, 2)),
                                 float(rng.uniform(0, 6)), radius=r)
-        worst = max(worst, abs(geometry.geometry_at(p).extrinsic_trace - 2.0 / r))
+        worst = max(worst, abs(geometry.embedding_extrinsic_trace(p) - 2.0 / r))
     report("AC8b extrinsic-curvature trace (n-1)/R, n = 3", worst, 1e-9)
 
     worst = 0.0
@@ -244,11 +246,11 @@ def test_acceptance_8_oracle_suite(rng):
                         abs(coefs[(n, -1)] - blk[1, col]))
     report("AC8e matrix Hamiltonian vs grid T-action, |n| <= 11/2", worst, 1e-9)
 
-    sol1 = spinfields.SolutionCoefficients(rm, {0.5: np.array([1.0, 0.2j]),
-                                                2.5: np.array([-0.4j, 0.3])})
-    sol2 = spinfields.SolutionCoefficients(rm, {0.5: np.array([0.3, 1.0]),
-                                                2.5: np.array([0.1, 0.6])})
-    worst = spinfields.slice_independence(sol1, sol2, 0.0, 0.7)
+    sol1 = SolutionCoefficients(rm, {0.5: np.array([1.0, 0.2j]),
+                                     2.5: np.array([-0.4j, 0.3])})
+    sol2 = SolutionCoefficients(rm, {0.5: np.array([0.3, 1.0]),
+                                     2.5: np.array([0.1, 0.6])})
+    worst = slice_independence(sol1, sol2, 0.0, 0.7)
     report("AC8f inner-product slice independence (theta 0 -> 0.7)", worst, 1e-8)
 
 

@@ -235,6 +235,19 @@ def test_split_orientability_matches_full_fit(rng):
             assert abs(check_orientability(q, d, margin) - full_orientability(q, d, margin)) <= 1e-14
 
 
+def test_orientability_builds_only_linked_candidates(monkeypatch):
+    # e_perp u^p [D, u^q] is band p + q and gamma band 0, so de Sitter at
+    # d = 2 builds the 4 candidates with p + q = 0; every built candidate is
+    # projected once, and so is gamma
+    q = quadruple(16, 1.0, 0.3, 0.0, 0.0)
+    built = []
+    project = InteriorProjector.project
+    monkeypatch.setattr(InteriorProjector, "project",
+                        lambda self, a: built.append(a is not q.gamma) or project(self, a))
+    check_orientability(q, 2)
+    assert sum(built) == 4
+
+
 def test_orientability_builds_each_power_once(monkeypatch):
     calls = []
     power = TruncatedOperator.power

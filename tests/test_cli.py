@@ -79,6 +79,18 @@ class TestOraclePlantedDefects:
         monkeypatch.setattr(spinfields, "level_block", shifted)
         assert self.red_ids(tmp_path) == ["oracle.slice_independence"]
 
+    def test_flipped_gram_off_diagonal(self, tmp_path, monkeypatch):
+        real = spinfields.fiber_gram
+
+        def flipped(theta):
+            g = real(theta)
+            g[..., 0, 1] *= -1
+            g[..., 1, 0] *= -1
+            return g
+
+        monkeypatch.setattr(spinfields, "fiber_gram", flipped)
+        assert self.red_ids(tmp_path) == ["oracle.slice_independence"]
+
     def test_wrong_sign_normal(self, tmp_path, monkeypatch):
         real = geometry.frame_vectors
 

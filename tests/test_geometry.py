@@ -105,9 +105,7 @@ class TestGeometryData:
         for _ in range(10):
             p = ChartPoint(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0, 6)),
                            radius=float(rng.uniform(0.5, 2.0)))
-            g = geometry_at(p)
-            np.testing.assert_allclose(g.extrinsic, np.eye(2) / p.radius)
-            assert g.extrinsic_trace == pytest.approx(2.0 / p.radius)
+            assert embedding_extrinsic_trace(p) == pytest.approx(2.0 / p.radius)
 
     def test_extrinsic_trace_from_embedding(self, rng):
         # K_A^A from exact second derivatives of the embedding

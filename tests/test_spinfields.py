@@ -4,22 +4,26 @@ import pytest
 from specquad.desitter import DeSitterParams, assemble_quadruple, eigenframe, hamiltonian_theta
 from specquad.geometry import ChartPoint, HypFn, frame_vectors, slash
 from specquad.operators import BasisDescriptor
-from specquad import spinfields
 from specquad.spinfields import (
-    SolutionCoefficients,
     SpinorField,
     apply_T_grid,
     apply_generator,
+    conservation_defect,
     dirac_agreement_residual,
     dirac_pair,
     fiber_gram,
-    inner_product_slice,
     level_block,
     minkowski_commutation_residual,
-    propagate,
     random_spinor_field,
-    slice_independence,
     t_basis_field,
+)
+
+import evolution_reference
+from evolution_reference import (
+    SolutionCoefficients,
+    inner_product_slice,
+    propagate,
+    slice_independence,
 )
 
 
@@ -253,13 +257,13 @@ class TestInnerProduct:
 
     def test_propagation_is_one_integration(self, monkeypatch):
         calls = []
-        real = spinfields.solve_ivp
+        real = evolution_reference.solve_ivp
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(spinfields, "solve_ivp", counting)
+        monkeypatch.setattr(evolution_reference, "solve_ivp", counting)
         sol = SolutionCoefficients(1.0, {0.5: np.array([1.0, 0.2j]),
                                          1.5: np.array([0.1, 0.0])})
         out = propagate(sol, 0.0, 0.7)
@@ -272,11 +276,60 @@ class TestInnerProduct:
         assert stack.shape == (3, 2, 2)
         for n, blk in zip(levels, stack):
             np.testing.assert_allclose(blk, level_block(n, 0.8, 0.3), rtol=0, atol=1e-15)
+        # levels against slices, as the conservation check evaluates them
+        thetas = np.array([-0.9, 0.0, 0.7])
+        grid = level_block(levels[:, None], 0.8, thetas)
+        grams = fiber_gram(thetas)
+        assert grid.shape == (3, 3, 2, 2) and grams.shape == (3, 2, 2)
+        for j, th in enumerate(thetas):
+            np.testing.assert_allclose(grams[j], fiber_gram(th), rtol=0, atol=1e-15)
+            for i, n in enumerate(levels):
+                np.testing.assert_allclose(grid[i, j], level_block(n, 0.8, th),
+                                           rtol=0, atol=1e-15)
 
     def test_different_levels_orthogonal(self):
         sol1 = SolutionCoefficients(1.0, {0.5: np.array([1.0, 0.0])})
         sol2 = SolutionCoefficients(1.0, {1.5: np.array([1.0, 0.0])})
         assert abs(inner_product_slice(sol1, sol2, 0.6)) <= 1e-12
+
+
+class TestConservation:
+    """The slice product is conserved because K_n = (cosh G)' + M_n^* cosh G
+    + cosh G M_n vanishes at every level: proved symbolically, and checked
+    against the integrated reference."""
+
+    def test_identity_holds_symbolically(self):
+        import sympy as sp
+        n, th, rm = sp.symbols("n theta rm", real=True)
+        s, c = sp.sinh(th), sp.cosh(th)
+        # level_block's composition n_t (dphi_t / cosh - e0_t) + rm e0_t
+        n_t = sp.I * sp.Matrix([[s, -c], [c, -s]])
+        e0_t = sp.I * sp.Matrix([[c, -s], [s, -c]])
+        dphi_t = -sp.I * sp.diag(n - sp.Rational(1, 2), n + sp.Rational(1, 2))
+        m = n_t * (dphi_t / c - e0_t) + rm * e0_t
+        g = sp.Matrix([[c, -s], [-s, c]])
+        k = (c * g).diff(th) + m.H * c * g + c * g * m
+        assert k.applyfunc(sp.simplify) == sp.zeros(2, 2)
+        # the symbolic blocks are the ones the library evaluates
+        for nv, rv, tv in ((0.5, 1.0, 0.3), (-3.5, 0.4, -1.1), (7.5, 2.0, 0.8)):
+            at = {n: nv, rm: rv, th: tv}
+            np.testing.assert_allclose(level_block(nv, rv, tv),
+                                       np.array(m.subs(at).evalf(), dtype=complex),
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(fiber_gram(tv),
+                                       np.array(g.subs(at).evalf(), dtype=complex),
+                                       rtol=0, atol=1e-15)
+            assert np.abs(conservation_defect(nv, rv, tv)).max() <= 1e-13
+
+    def test_product_conserved_along_propagation(self, rng):
+        # random solutions on several levels keep their product when the
+        # integrated reference carries them between slices
+        levels = (-4.5, -1.5, -0.5, 0.5, 2.5, 5.5)
+        for theta_a, theta_b in ((0.0, 0.7), (-1.0, 0.4), (0.9, -0.3)):
+            for rm in (0.0, 1.0, 2.3):
+                sol1 = random_solution(rng, rm, levels)
+                sol2 = random_solution(rng, rm, levels)
+                assert slice_independence(sol1, sol2, theta_a, theta_b) <= 1e-8
 
 
 class TestFrameChange:
