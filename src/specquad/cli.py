@@ -268,16 +268,12 @@ def _section_oracle(seed: int) -> AxiomReport:
     rep.add("oracle.casimir", sym["casimir"])
 
     gammas = (geometry.GAMMA0, geometry.GAMMA1, geometry.GAMMA2)
-    cliff = max(float(np.abs(gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
+    # the constant gammas, then the slashed moving frame at 20 points
+    triads = [gammas] + [tuple(map(geometry.slash, geometry.frame_vectors(p)))
+                         for p in pts[:20]]
+    cliff = max(float(np.abs(s[i] @ s[j] + s[j] @ s[i]
                              - 2 * geometry.ETA[i, j] * np.eye(2)).max())
-                for i in range(3) for j in range(3))
-    for p in pts[:20]:
-        frames = geometry.frame_vectors(p)
-        for i in range(3):
-            for j in range(3):
-                got = (geometry.slash(frames[i]) @ geometry.slash(frames[j])
-                       + geometry.slash(frames[j]) @ geometry.slash(frames[i]))
-                cliff = max(cliff, float(np.abs(got - 2 * geometry.ETA[i, j] * np.eye(2)).max()))
+                for s in triads for i in range(3) for j in range(3))
     rep.add("oracle.clifford", cliff)
 
     btw = max(float(np.abs(g.conj().T @ geometry.B_INTERTWINER
@@ -295,15 +291,17 @@ def _section_oracle(seed: int) -> AxiomReport:
     rm, theta = 1.0, 0.4
     ham = desitter.hamiltonian_theta(rm, theta, BasisDescriptor.spinor(8))
     levels = np.arange(-5.5, 6.5)
-    worst = 0.0
-    for n in levels:
-        blk = ham.band_block(n, 0)
-        for col, sign in ((0, +1), (1, -1)):
-            coefs = spinfields.apply_T_grid("d_theta", n, sign, rm, theta)
-            worst = max(worst, abs(coefs[(n, +1)] - blk[0, col]))
-            worst = max(worst, abs(coefs[(n, -1)] - blk[1, col]))
-    rep.add("oracle.hamiltonian_vs_grid", worst,
-            notes="matrix theta-derivative blocks vs grid T-action, |n| <= 11/2")
+    # the column for sign holds the grid T-action on |T: n, sign>, its rows
+    # the |T: n, +> and |T: n, -> components
+    cols = [[spinfields.apply_T_grid("d_theta", n, sign, rm, theta) for sign in (+1, -1)]
+            for n in levels]
+    grid = np.array([[[c[(n, row)] for c in col] for row in (+1, -1)]
+                     for n, col in zip(levels, cols)])
+    blocks = np.stack([[ham.band_block(n, 0) for n in levels],
+                       spinfields.level_block(levels, rm, theta)])
+    rep.add("oracle.hamiltonian_vs_grid", float(np.abs(blocks - grid).max()),
+            notes="hamiltonian_theta and level_block theta-derivative blocks "
+                  "vs grid T-action, |n| <= 11/2")
 
     defect = spinfields.conservation_defect(levels[:, None], rm, np.array([0.0, 0.35, 0.7]))
     rep.add("oracle.slice_independence", float(np.abs(defect).max()),

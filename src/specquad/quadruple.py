@@ -353,7 +353,9 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
     a = np.array([np.concatenate([c.band(k).ravel() for k in bands]) for c in cands]).T
     b = np.concatenate([gamma.band(k).ravel() for k in bands])
     coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return float(np.linalg.norm(a @ coef - b) / np.linalg.norm(b))
+    # a threaded BLAS matrix-vector product on this tall, narrow a can
+    # stall for milliseconds; the few columns are summed by hand instead
+    return float(np.linalg.norm((a * coef).sum(axis=1) - b) / np.linalg.norm(b))
 
 
 def check_spatial_triple(q: SpectralQuadruple, margin: int = 4) -> AxiomReport:

@@ -70,6 +70,29 @@ def test_algebra_matches_dense(nmax, rm, theta, rho, y):
                        m @ dense[name].T @ np.conj(m))
 
 
+def random_bands(rng, basis, shifts):
+    shape = (basis.nlevels, basis.fiber_dim, basis.fiber_dim)
+    return TruncatedOperator(basis, {k: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                                     for k in shifts})
+
+
+@pytest.mark.parametrize("fiber_dim", [1, 2, 3])
+def test_random_bands_match_dense(rng, fiber_dim):
+    # the block-product kernel at every fiber size, with products whose band
+    # leaves the window (7 + 5 and -7 - 4 on 8 levels) and the empty operator
+    basis = BasisDescriptor(tuple(np.arange(-3.5, 4.5)), fiber_dim=fiber_dim)
+    ops = [random_bands(rng, basis, (0,)), random_bands(rng, basis, (-2, 1, 3)),
+           random_bands(rng, basis, (7, 5)), random_bands(rng, basis, (-7, -4, 2)),
+           TruncatedOperator.zero(basis)]
+    for x, y in itertools.product(ops, repeat=2):
+        xd, yd = x.to_dense(), y.to_dense()
+        assert_matches((x @ y).to_dense(), xd @ yd)
+        assert_matches(commutator(x, y).to_dense(), xd @ yd - yd @ xd)
+    v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    for x in ops:
+        assert_matches(x.apply(v), x.to_dense() @ v)
+
+
 @pytest.mark.parametrize("nmax,rm,theta,rho,y", CASES)
 def test_interior_residual_matches_dense(nmax, rm, theta, rho, y):
     q = quadruple(nmax, rm, theta, rho, y)

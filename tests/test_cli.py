@@ -77,7 +77,16 @@ class TestOraclePlantedDefects:
             return blk
 
         monkeypatch.setattr(spinfields, "level_block", shifted)
-        assert self.red_ids(tmp_path) == ["oracle.slice_independence"]
+        assert self.red_ids(tmp_path) == ["oracle.hamiltonian_vs_grid",
+                                          "oracle.slice_independence"]
+
+    def test_flipped_level_block_mass(self, tmp_path, monkeypatch):
+        # the block is affine in rm, so 2 M(0) - M(rm) flips the mass term;
+        # the conservation defect does not depend on rm and stays green
+        real = spinfields.level_block
+        monkeypatch.setattr(spinfields, "level_block",
+                            lambda n, rm, theta: 2 * real(n, 0.0, theta) - real(n, rm, theta))
+        assert self.red_ids(tmp_path) == ["oracle.hamiltonian_vs_grid"]
 
     def test_flipped_gram_off_diagonal(self, tmp_path, monkeypatch):
         real = spinfields.fiber_gram
