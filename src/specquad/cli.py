@@ -24,14 +24,14 @@ from typing import Sequence
 import numpy as np
 
 from . import desitter, finite, geometry, reconstruct, sl2, spinfields
-from .operators import BasisDescriptor, TruncationError
+from .operators import BasisDescriptor, TruncationError, interior_residual
 from .quadruple import DEFAULT_TOLERANCES, AxiomReport, validate_overrides, verify_quadruple
 
 REPORT_VERSION = 1
 DEFAULT_SEED = 20201121
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value file; flags take precedence")
     common.add_argument("--output", "-o", help="report path (default: stdout)")
@@ -44,12 +44,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         prog="specquad",
         description="verification suite for truncated spectral quadruples")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
 
     def add(name, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        subparsers[name] = p
-        return p
+        return sub.add_parser(name, parents=[common], **kwargs)
 
     p = add("sl2-classify", help="series classification and ladder law")
     p.add_argument("--r2m2", type=float, required=True)
@@ -93,7 +90,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="comma-separated theta grid")
     p.add_argument("--nmax", type=int, default=32)
     p.add_argument("--margin", type=int, default=4)
-    return parser, subparsers
+    return parser
 
 
 class ConfigError(Exception):
@@ -117,25 +114,22 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict, cfg: dict[str, str]):
-    tol_overrides = {}
-    for key, value in cfg.items():
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse the command line; config lines enter as flags placed before
+    it, so they get the flags' type and choice checks and an explicit flag
+    wins.  A tol.ID line becomes --tol ID=VALUE."""
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    tokens = []
+    for key, value in _load_config(args.config).items():
         if key.startswith("tol."):
-            tol_overrides[key[4:]] = value
-            continue
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+            key, value = "tol", f"{key[4:]}={value}"
+        elif not hasattr(args, key):
             raise ConfigError(f"unknown config key {key!r}")
-        current = getattr(args, attr)
-        default = parser_defaults.get(attr)
-        if current == default or current is None:
-            kind = type(default) if default is not None else str
-            try:
-                setattr(args, attr, kind(value) if kind is not bool else value == "true")
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    # config entries go first, so a --tol flag for the same id wins
-    args.tol = [f"{k}={v}" for k, v in tol_overrides.items()] + list(args.tol or [])
+        tokens.append(f"--{key}={value}")
+    # argv[0] is the subcommand: the top-level parser has no options
+    return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 
 def _parse_tolerances(pairs: Sequence[str] | None) -> dict[str, float]:
@@ -197,21 +191,29 @@ def _section_crosscheck(rm: float, theta: float, nmax: int) -> AxiomReport:
 
 def _section_reconstruct(rm: float, theta: float, nmax: int, margin: int,
                          orders: int) -> AxiomReport:
+    """Needs margin >= 3.  At rm = 0 the order rows, the degeneracy and the
+    mass read one expansion of order min(5, margin); otherwise they come
+    from ``extract_adm``, and linearity from the 2 rm quadruple."""
     rep = AxiomReport()
     q = desitter.assemble_quadruple(desitter.DeSitterParams(rm=rm, theta=theta, nmax=nmax))
-    adm = reconstruct.extract_adm(q, margin=margin)
-    for k in range(min(3, orders + 1)):
-        rep.add(f"reconstruct.order_{k}", adm.order_residuals[k])
     if rm == 0.0:
-        rep.add("reconstruct.massless_degeneracy",
-                reconstruct.massless_degeneracy_check(q, kmax=min(5, margin), margin=margin),
+        terms = reconstruct.commutator_expansion(q.ih, q.u, q.u, min(5, margin), margin)
+        residuals = [interior_residual(t, margin) for t in terms]
+        mass_scale = reconstruct.fit_third_order(q, terms[3], margin)[0]
+    else:
+        adm = reconstruct.extract_adm(q, margin=margin)
+        residuals, mass_scale = adm.order_residuals, adm.mass_scale
+    for k in range(min(3, orders + 1)):
+        rep.add(f"reconstruct.order_{k}", residuals[k])
+    if rm == 0.0:
+        rep.add("reconstruct.massless_degeneracy", max(residuals),
                 notes="all orders vanish for rm = 0")
-        rep.add("reconstruct.mass_roundtrip", abs(adm.mass_scale), notes="recovered rm vs 0")
+        rep.add("reconstruct.mass_roundtrip", abs(mass_scale), notes="recovered rm vs 0")
         return rep
     rep.add("reconstruct.third_order_fit", adm.third_order_fit,
             notes=f"measured coefficient kappa = {adm.kappa:.12g}")
-    rep.add("reconstruct.mass_roundtrip", abs(adm.mass_scale - rm),
-            notes=f"recovered rm = {adm.mass_scale:.12g}")
+    rep.add("reconstruct.mass_roundtrip", abs(mass_scale - rm),
+            notes=f"recovered rm = {mass_scale:.12g}")
     q2 = desitter.assemble_quadruple(
         desitter.DeSitterParams(rm=2 * rm, theta=theta, nmax=nmax))
     kappa2, _ = reconstruct.third_order_coefficient(q2, margin)
@@ -328,11 +330,15 @@ def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[
     if sc == "desitter-crosscheck":
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax}
         return params, _section_crosscheck(args.rm, args.theta, args.nmax)
+    if sc in ("reconstruct", "all"):
+        # the reconstruct section reads the third-order term
+        if args.margin < 3:
+            raise ConfigError(f"--margin {args.margin}: reconstruct needs a margin of at least 3")
+        if not 0 <= args.orders <= args.margin:
+            raise ConfigError(f"--orders {args.orders} outside 0..{args.margin} (the margin)")
     if sc == "reconstruct":
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax,
                   "margin": args.margin, "orders": args.orders}
-        if args.orders > args.margin:
-            raise ConfigError("orders must not exceed margin")
         return params, _section_reconstruct(args.rm, args.theta, args.nmax,
                                             args.margin, args.orders)
     if sc == "finite-verify":
@@ -466,14 +472,10 @@ def _write_atomic(path: str, text: str):
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser, subparsers = _build_parser()
-    args = parser.parse_args(argv)
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if args.config:
-            defaults = {action.dest: action.default
-                        for action in subparsers[args.subcommand]._actions
-                        if action.dest != "help"}
-            _apply_config(args, defaults, _load_config(args.config))
+        args = _parse_args(parser, argv)
         tol = _parse_tolerances(args.tol)
 
         params, result = _run_subcommand(args)
@@ -486,10 +488,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         else:
             payload.update(_sweep_payload(params, result, tol))
             payload["passed"] = payload["aggregate"]["passed"]
-    except ConfigError as exc:
-        print(f"specquad: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"specquad: error: {exc}", file=sys.stderr)
         return 2
 

@@ -274,14 +274,12 @@ def assemble_quadruple(p: DeSitterParams) -> SpectralQuadruple:
     return quad
 
 
-def crosscheck_construction_vs_appendix(p: DeSitterParams,
-                                        nrange: Iterable[float] | None = None) -> float:
+def crosscheck_construction_vs_appendix(p: DeSitterParams) -> float:
     """Max elementwise difference between the recursion-built ladder blocks
-    and the direct closed-form evaluation, on the given level range."""
-    if nrange is None:
-        nrange = BasisDescriptor.spinor(p.nmax).levels
+    and the direct closed-form evaluation, on the levels up to p.nmax."""
     u_plus, u_minus = seed_operators(p.rm, p.theta)
-    tplus, tminus = solve_order_one_recursion(u_plus, u_minus, nrange)
+    tplus, tminus = solve_order_one_recursion(u_plus, u_minus,
+                                              BasisDescriptor.spinor(p.nmax).levels)
     worst = 0.0
     for n in tplus:
         worst = max(worst, float(np.abs(tplus[n] - appendix_t_plus(n, p.rm, p.theta)).max()))

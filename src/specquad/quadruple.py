@@ -441,8 +441,8 @@ def _expm2(a: np.ndarray) -> np.ndarray:
     return np.exp(tau)[:, None, None] * out
 
 
-def check_noncommutativity(q: SpectralQuadruple, t: float = 1.0) -> float:
-    """Norm of [e^{t iH} u e^{-t iH}, u]: the evolved algebra must not
+def check_noncommutativity(q: SpectralQuadruple) -> float:
+    """Norm of [e^{iH} u e^{-iH}, u]: the evolved algebra must not
     commute with the original one (vanishes identically in the massless
     degenerate case).
 
@@ -452,17 +452,21 @@ def check_noncommutativity(q: SpectralQuadruple, t: float = 1.0) -> float:
     Any other generator takes the dense ``expm``.
     """
     if set(q.ih.bands) <= {0} and q.basis.fiber_dim == 2:
-        ut = TruncatedOperator(q.basis, {0: _expm2(t * q.ih.band(0))})
+        ut = TruncatedOperator(q.basis, {0: _expm2(q.ih.band(0))})
     else:
-        ut = TruncatedOperator.from_dense(q.basis, expm(t * q.ih.to_dense()))
+        ut = TruncatedOperator.from_dense(q.basis, expm(q.ih.to_dense()))
     evolved = ut @ q.u @ ut.adjoint()
     return op_norm(commutator(evolved, q.u))
 
 
+# degree bound of the orientability candidates verify_quadruple fits, and
+# the least ||[u(1), u]|| it accepts as a noncommutative evolution
+_DEGREE_BOUND = 2
+_NONCOMMUTATIVITY_THRESHOLD = 1e-4
+
+
 def verify_quadruple(q: SpectralQuadruple, margin: int = 4,
-                     monomial_degree_bound: int = 2,
                      include_noncommutativity: bool = True,
-                     noncommutativity_threshold: float = 1e-4,
                      tolerances: Mapping[str, float] | None = None) -> AxiomReport:
     """Run the full axiom suite and return one combined report; the
     ``tolerances`` overrides replace the table's bounds by report id."""
@@ -483,9 +487,9 @@ def verify_quadruple(q: SpectralQuadruple, margin: int = 4,
     rep.add("first_order.u_uadj", check_first_order(q, q.u, q.u.adjoint(), fo_margin),
             margin=fo_margin)
 
-    orient_margin = min(2 * monomial_degree_bound, margin + 2)
+    orient_margin = min(2 * _DEGREE_BOUND, margin + 2)
     rep.add("orientability.membership",
-            check_orientability(q, monomial_degree_bound, orient_margin), margin=orient_margin)
+            check_orientability(q, _DEGREE_BOUND, orient_margin), margin=orient_margin)
 
     if q.even_dim:
         rep.extend(check_spatial_triple(q, margin))
@@ -493,6 +497,6 @@ def verify_quadruple(q: SpectralQuadruple, margin: int = 4,
     if include_noncommutativity:
         value = check_noncommutativity(q)
         rep.add("evolution.noncommutative",
-                max(0.0, noncommutativity_threshold - value),
-                notes=f"||[u(1), u]|| = {value:.6g}, required > {noncommutativity_threshold:g}")
+                max(0.0, _NONCOMMUTATIVITY_THRESHOLD - value),
+                notes=f"||[u(1), u]|| = {value:.6g}, required > {_NONCOMMUTATIVITY_THRESHOLD:g}")
     return rep.override(tolerances)

@@ -1,13 +1,17 @@
 """Recovery of geometric data from commutators of evolved algebra elements.
 
-The commutator of two algebra elements taken at different evolution
+The commutator [u(t), u] of the algebra element u taken at two evolution
 parameters expands in the parameter separation; term k is
-[ad_{iH}^k(f)/k!, g].  For the de Sitter quadruple with f = g = u the
-orders 0..2 vanish identically, the massless case vanishes at all orders,
-and the third order is kappa * e_perp u^2 with kappa linear in the mass.
-Fitting that term and the first-order ADM commutator [[iH, e_perp], f]
-recovers the mass scale and the slice metric factor without using any
-construction metadata.
+[ad_{iH}^k(u)/k!, u].  For the de Sitter quadruple the orders 0..2 vanish
+identically, the massless case vanishes at all orders, and the third order
+is kappa * e_perp u^2 with kappa linear in the mass.  Fitting that term and
+the first-order ADM commutator [[iH, e_perp], u] recovers the mass scale and
+the slice metric factor without using any construction metadata.
+
+Each extraction builds one expansion and at most one ADM commutator; a
+caller that already holds the expansion (the CLI's massless branch reads
+its order rows, the degeneracy and the mass from one expansion) passes its
+third-order term to ``fit_third_order``.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from .operators import (
 from .quadruple import SpectralQuadruple
 
 __all__ = [
-    "OrderCoefficients",
     "ADMExtract",
     "commutator_expansion",
     "extract_mass_scale",
     "extract_adm",
+    "fit_third_order",
     "massless_degeneracy_check",
     "third_order_coefficient",
 ]
@@ -39,19 +43,8 @@ __all__ = [
 # convention of the expansion
 _THIRD_ORDER_C0 = 2.0 / 3.0
 
-
-@dataclass(frozen=True)
-class OrderCoefficients:
-    """Interior-projected expansion terms [ad_{iH}^k(f)/k!, g], k = 0..K."""
-
-    terms: tuple[TruncatedOperator, ...]
-    margin: int
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __getitem__(self, k: int) -> TruncatedOperator:
-        return self.terms[k]
+# largest third-order fit residual extract_mass_scale accepts
+_FIT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,17 +64,16 @@ class ADMExtract:
 
 def commutator_expansion(ih: TruncatedOperator, f: TruncatedOperator,
                          g: TruncatedOperator, kmax: int,
-                         margin: int) -> OrderCoefficients:
-    """Expansion terms of [f(t), g] in the evolution parameter, interior
-    projected at the given margin.  Requires kmax <= margin: each order
-    widens the band by the shift degree of f, so smaller margins would let
-    boundary contamination leak in.
+                         margin: int) -> tuple[TruncatedOperator, ...]:
+    """Expansion terms [ad_{iH}^k(f)/k!, g], k = 0..kmax, interior projected
+    at the given margin.  Requires kmax <= margin: each order widens the
+    band by the shift degree of f, so smaller margins would let boundary
+    contamination leak in.
     """
     if kmax > margin:
         raise ValueError(f"kmax {kmax} exceeds margin {margin}: edge contamination")
     proj = InteriorProjector(ih.basis, margin)
-    terms = tuple(proj.project(commutator(term, g)) for term in bch_terms(ih, f, kmax))
-    return OrderCoefficients(terms=terms, margin=margin)
+    return tuple(proj.project(commutator(term, g)) for term in bch_terms(ih, f, kmax))
 
 
 def _fiber_traces(blocks: np.ndarray) -> np.ndarray:
@@ -110,14 +102,9 @@ def _band_fit(term: TruncatedOperator, k: int, reference: TruncatedOperator,
     return float(np.median(coefs.real)), float(np.sqrt(num / den))
 
 
-def _metric_cosh(q: SpectralQuadruple, margin: int) -> float:
-    """Recover cosh(theta) of the slice from the ADM spatial-Clifford datum:
-    the shift-1 band of [[iH, e_perp], u] has fiber (2/cosh) i e2."""
-    adm = commutator(commutator(q.ih, q.e_perp), q.u)
-    med = float(np.median(InteriorProjector(q.basis, margin).band_norms(adm, 1)))
-    if med <= 0.0:
-        raise ValueError("spatial Clifford datum vanishes: no metric scale")
-    return 2.0 / med
+def _adm_commutator(q: SpectralQuadruple) -> TruncatedOperator:
+    """[[iH, e_perp], u]: its shift-1 band has fiber (2/cosh theta) i e2."""
+    return commutator(commutator(q.ih, q.e_perp), q.u)
 
 
 def third_order_coefficient(q: SpectralQuadruple, margin: int = 4) -> tuple[float, float]:
@@ -126,71 +113,66 @@ def third_order_coefficient(q: SpectralQuadruple, margin: int = 4) -> tuple[floa
                      q.e_perp @ q.u @ q.u, margin)
 
 
-def _mass_scale(q: SpectralQuadruple, t3: TruncatedOperator,
-                margin: int) -> tuple[float, float, float]:
-    """(mass scale, kappa, fit residual) from the third-order term t3; all
-    three are 0 when t3 vanishes (massless degeneracy), and no fit is run.
-    The mass scale only means something when the fit residual is small."""
+def fit_third_order(q: SpectralQuadruple, t3: TruncatedOperator, margin: int,
+                    adm: TruncatedOperator | None = None) -> tuple[float, float, float]:
+    """(mass scale, kappa, fit residual) from the third-order term t3.
+
+    All three are 0 when t3 vanishes (massless degeneracy), and no fit is
+    run.  Otherwise kappa is inverted through kappa = (2/3) rm / cosh^2,
+    with cosh(theta) read from the ADM commutator ``adm`` (built here when
+    the caller has none).  The mass scale only means something when the fit
+    residual is small.
+    """
     scale = max(interior_residual(q.ih, margin), 1.0)
     if interior_residual(t3, margin) <= 1e-12 * scale ** 3:
         return 0.0, 0.0, 0.0
     kappa, resid = _band_fit(t3, 2, q.e_perp @ q.u @ q.u, margin)
-    return kappa * _metric_cosh(q, margin) ** 2 / _THIRD_ORDER_C0, kappa, resid
+    adm = _adm_commutator(q) if adm is None else adm
+    med = float(np.median(InteriorProjector(q.basis, margin).band_norms(adm, 1)))
+    if med <= 0.0:
+        raise ValueError("spatial Clifford datum vanishes: no metric scale")
+    return kappa * (2.0 / med) ** 2 / _THIRD_ORDER_C0, kappa, resid
 
 
-def extract_mass_scale(q: SpectralQuadruple, margin: int = 4,
-                       fit_tolerance: float = 1e-6) -> float:
-    """Recover rm from the third-order commutator term.
-
-    The term is fitted to kappa * e_perp u^2 per interior level; kappa is
-    inverted through the closed form kappa = (2/3) rm / cosh^2 with cosh
-    recovered from the first-order ADM commutator.  A vanishing third order
-    returns 0 (massless degeneracy); a fit residual above fit_tolerance
-    raises ValueError.
+def extract_mass_scale(q: SpectralQuadruple, margin: int = 4) -> float:
+    """Recover rm from the third-order commutator term (``fit_third_order``).
+    A vanishing third order returns 0 (massless degeneracy); a fit residual
+    above 1e-6 raises ValueError.
     """
-    mass_scale, _, resid = _mass_scale(
+    mass_scale, _, resid = fit_third_order(
         q, commutator_expansion(q.ih, q.u, q.u, 3, margin)[3], margin)
-    if resid > fit_tolerance:
+    if resid > _FIT_TOLERANCE:
         raise ValueError(
             f"third-order term not of the predicted shape (fit residual {resid:.3g})")
     return mass_scale
 
 
-def extract_adm(q: SpectralQuadruple, f: TruncatedOperator | None = None,
-                margin: int = 4) -> ADMExtract:
-    """ADM-style scalars from fiber traces.
+def extract_adm(q: SpectralQuadruple, margin: int = 4) -> ADMExtract:
+    """ADM-style scalars from fiber traces, one order-3 expansion and one
+    ADM commutator [[iH, e_perp], u].
 
     lapse_mass is the interior average of the fiber trace of iH e_perp;
-    shift is the magnitude of the fiber-traced shift band of [iH, f]; the
-    shape residual measures [[iH, e_perp], f] against the span of e2 times
-    the shift band of f.  A third order not of the predicted shape does not
-    raise: its fit residual is returned as third_order_fit.
+    shift is the median fiber-traced magnitude of the shift-1 band of
+    [iH, u] (u raises the level by one); the shape residual measures
+    [[iH, e_perp], u] against the span of gamma e_perp u per level, and the
+    same commutator gives cosh(theta) to the mass scale.  A third order not
+    of the predicted shape does not raise: its fit residual is returned as
+    third_order_fit.
     """
-    f = q.u if f is None else f
     proj = InteriorProjector(q.basis, margin)
     lapse_mass = float(np.mean(_fiber_traces(proj.band(q.ih @ q.e_perp, 0)).real))
-
-    comm_f = commutator(q.ih, f)
-    k = f.shift_degree
-    if k is None or k == 0:
-        shift = float(np.max(np.abs(_fiber_traces(proj.band(comm_f, 0)))))
-    else:
-        shift = float(np.median(np.abs(_fiber_traces(proj.band(comm_f, k)))))
-
-    shape_residual = 0.0
-    if k:
-        adm = commutator(commutator(q.ih, q.e_perp), f)
-        _, shape_residual = _band_fit(adm, k, q.gamma @ q.e_perp @ f, margin)
-
-    exp = commutator_expansion(q.ih, q.u, q.u, 3, margin)
-    mass_scale, kappa, fit = _mass_scale(q, exp[3], margin)
+    shift = float(np.median(np.abs(_fiber_traces(proj.band(commutator(q.ih, q.u), 1)))))
+    adm = _adm_commutator(q)
+    _, shape_residual = _band_fit(adm, 1, q.gamma @ q.e_perp @ q.u, margin)
+    terms = commutator_expansion(q.ih, q.u, q.u, 3, margin)
+    mass_scale, kappa, fit = fit_third_order(q, terms[3], margin, adm)
     return ADMExtract(
         lapse_mass=lapse_mass,
         shift=shift,
         mass_scale=mass_scale,
         kappa=kappa,
         third_order_fit=fit,
-        order_residuals=tuple(interior_residual(t, margin) for t in exp.terms),
+        order_residuals=tuple(interior_residual(t, margin) for t in terms),
         shape_residual=shape_residual,
     )
 
@@ -200,5 +182,5 @@ def massless_degeneracy_check(q: SpectralQuadruple, kmax: int = 5,
     """Max interior residual of all expansion orders k <= kmax for f = g = u;
     for a massless quadruple the commutator vanishes at all times, so every
     order must vanish."""
-    exp = commutator_expansion(q.ih, q.u, q.u, kmax, margin)
-    return max(interior_residual(t, margin) for t in exp.terms)
+    return max(interior_residual(t, margin)
+               for t in commutator_expansion(q.ih, q.u, q.u, kmax, margin))

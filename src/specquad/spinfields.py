@@ -278,14 +278,15 @@ def dirac_agreement_residual(psi: SpinorField, p: ChartPoint) -> float:
     return float(np.abs(intrinsic - transported).max())
 
 
-def random_spinor_field(rng: np.random.Generator, max_k: int = 3) -> SpinorField:
-    """Random closed-form field: small combinations of sinh^a cosh^b e^{ik phi}."""
+def random_spinor_field(rng: np.random.Generator) -> SpinorField:
+    """Random closed-form field: small combinations of sinh^a cosh^b e^{ik phi},
+    |k| <= 3."""
     def comp():
         terms = {}
         for _ in range(4):
             a = int(rng.integers(0, 3))
             b = int(rng.integers(-2, 3))
-            k = int(rng.integers(-max_k, max_k + 1))
+            k = int(rng.integers(-3, 4))
             terms[(a, b, k)] = complex(rng.normal(), rng.normal())
         return HypFn(terms)
     return SpinorField(comp(), comp())

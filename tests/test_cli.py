@@ -3,10 +3,13 @@ import os
 import stat
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from specquad import cli, desitter, geometry, spinfields
+from specquad import cli, desitter, geometry, reconstruct, spinfields
 from specquad.cli import run
+from specquad.operators import TruncatedOperator
+from specquad.quadruple import DEFAULT_TOLERANCES
 
 
 def read(path):
@@ -38,6 +41,19 @@ class TestExitCodes:
 
     def test_bad_complex_is_two(self):
         assert run(["finite-distance", "--m", "zzz"]) == 2
+
+    @pytest.mark.parametrize("sc", ["reconstruct", "all"])
+    @pytest.mark.parametrize("argv,flag", [
+        (["--margin", "2", "--orders", "2"], "--margin"),
+        (["--orders", "-1"], "--orders"),
+        (["--margin", "3", "--orders", "4"], "--orders"),
+    ], ids=["margin-below-3", "negative-orders", "orders-above-margin"])
+    def test_reconstruct_usage_is_two(self, capsys, sc, argv, flag):
+        # the section reads the order-3 term, so margin >= 3 and orders in
+        # 0..margin; the message names the flag, not an internal kmax
+        assert run([sc, "--nmax", "8", *argv]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "kmax" not in err
 
     def test_wrong_shape_third_order_is_a_failed_check(self, tmp_path, monkeypatch):
         # iH^3 in place of iH: the third order is not kappa e_perp u^2, which
@@ -111,6 +127,94 @@ class TestOraclePlantedDefects:
         assert self.red_ids(tmp_path) == ["oracle.extrinsic_trace"]
 
 
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+E11 = np.diag([1.0, 0.0]).astype(complex)
+E_PERP = np.diag([1j, -1j])
+
+
+def at_mid_level(q, block, band=0):
+    """``block`` on the band-``band`` entry of level 1/2 only."""
+    return TruncatedOperator.from_shift(q.basis, band,
+                                        lambda n: block if n == 0.5 else 0 * block)
+
+
+def plant(field, defect, when=lambda params: True):
+    """assemble_quadruple with q.field replaced by defect(q) when ``when`` holds."""
+    def patch(monkeypatch):
+        real = desitter.assemble_quadruple
+
+        def planted(params):
+            q = real(params)
+            return replace(q, **{field: defect(q)}) if when(params) else q
+
+        monkeypatch.setattr(desitter, "assemble_quadruple", planted)
+    return patch
+
+
+# [u, u] is exactly 0 by construction, so no defect can turn it red
+CANNOT_FAIL = {"reconstruct.order_0"}
+
+# (id, extra argv, defect, the ids it turns red, in report order); every
+# case runs `reconstruct --nmax 16` (rm 1, theta 0.3 unless argv says)
+RECONSTRUCT_DEFECTS = [
+    # for a perturbed iH, T_1 is the second level difference of iH times
+    # u^2, so it vanishes only for iH affine in n, which keeps T_2 at 0 as
+    # well: orders 1 and 2 turn red together
+    ("reconstruct.order_1", [], plant("ih", lambda q: q.ih + at_mid_level(q, 1e-6 * E11)),
+     ["reconstruct.order_1", "reconstruct.order_2", "reconstruct.third_order_fit"]),
+    ("reconstruct.order_2", [], plant("u", lambda q: q.u + at_mid_level(q, 1e-6 * SX, 1)),
+     ["reconstruct.order_1", "reconstruct.order_2", "reconstruct.third_order_fit"]),
+    # a level-constant i sigma_x tilts the third order off e_perp u^2 and
+    # leaves every other datum alone
+    ("reconstruct.third_order_fit", [],
+     plant("ih", lambda q: q.ih + TruncatedOperator.from_fiber(q.basis, 1e-6j * SX)),
+     ["reconstruct.third_order_fit"]),
+    ("reconstruct.mass_roundtrip", [],
+     lambda mp: mp.setattr(reconstruct, "_THIRD_ORDER_C0", (2.0 / 3.0) * (1 + 1e-6)),
+     ["reconstruct.mass_roundtrip"]),
+    ("reconstruct.mass_roundtrip", ["--rm", "0"], plant("ih", lambda q: q.ih + 1e-6 * q.e_perp),
+     ["reconstruct.massless_degeneracy", "reconstruct.mass_roundtrip"]),
+    # a mass below the third-order vanishing cut still shows in the orders
+    ("reconstruct.massless_degeneracy", ["--rm", "0"],
+     plant("ih", lambda q: q.ih + 1e-9 * q.e_perp), ["reconstruct.massless_degeneracy"]),
+    # only the 2 rm quadruple gets the extra mass
+    ("reconstruct.linearity_in_mass", [],
+     plant("ih", lambda q: q.ih + 1e-6 * q.e_perp, when=lambda params: params.rm == 2.0),
+     ["reconstruct.linearity_in_mass"]),
+    # e_perp scaled by 1 + 1e-6 on one level: the per-level fits absorb it
+    ("reconstruct.lapse_mass", [],
+     plant("e_perp", lambda q: q.e_perp + at_mid_level(q, 1e-6 * E_PERP)),
+     ["reconstruct.lapse_mass"]),
+    # a level-scalar i n commutes with every fiber and moves [iH, u] along u
+    ("reconstruct.shift", [],
+     plant("ih", lambda q: q.ih + TruncatedOperator.from_level_diagonal(
+         q.basis, lambda n: 1e-6j * n * np.eye(2))),
+     ["reconstruct.shift"]),
+    ("reconstruct.adm_shape", [],
+     plant("gamma", lambda q: q.gamma + at_mid_level(q, 1e-6 * E_PERP)),
+     ["reconstruct.adm_shape"]),
+]
+
+
+class TestReconstructPlantedDefects:
+    """Each planted defect turns exactly the reconstruct ids listed red."""
+
+    def test_table_covers_the_registry(self):
+        ids = {key for key in DEFAULT_TOLERANCES if key.startswith("reconstruct.")}
+        assert {row[0] for row in RECONSTRUCT_DEFECTS} | CANNOT_FAIL == ids
+        assert all(CANNOT_FAIL.isdisjoint(row[3]) for row in RECONSTRUCT_DEFECTS)
+
+    @pytest.mark.parametrize("cid,argv,defect,red", RECONSTRUCT_DEFECTS,
+                             ids=[" ".join([row[0], *row[1]]) for row in RECONSTRUCT_DEFECTS])
+    def test_defect(self, tmp_path, monkeypatch, cid, argv, defect, red):
+        defect(monkeypatch)
+        out = tmp_path / "r.json"
+        assert run(["reconstruct", "--nmax", "16", *argv, "-o", str(out)]) == 1
+        checks = json.loads(read(out))["checks"]
+        assert cid in red
+        assert [c["id"] for c in checks if not c["pass"]] == red
+
+
 class TestReportFormat:
     def test_json_schema(self, tmp_path):
         out = tmp_path / "r.json"
@@ -162,6 +266,27 @@ class TestConfigFile:
         run(["quadruple-verify", "--config", str(cfg), "--rm", "0.5",
              "-o", str(out)])
         assert json.loads(read(out))["params"]["rm"] == 0.5
+
+    def test_flag_at_its_default_beats_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nmax = 16\ntol.first_order.u_u = 1e-6\n")
+        out = tmp_path / "r.json"
+        assert run(["quadruple-verify", "--nmax", "32", "--config", str(cfg),
+                    "--tol", "first_order.u_u=1e-9", "-o", str(out)]) == 0
+        report = json.loads(read(out))
+        assert report["params"]["nmax"] == 32
+        fo = [c for c in report["checks"] if c["id"] == "first_order.u_u"][0]
+        assert fo["tolerance"] == 1e-9
+
+    @pytest.mark.parametrize("line", ["format = xml", "nmax = 16.5", "rm = heavy"])
+    def test_config_values_get_the_flag_checks(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["quadruple-verify", "--nmax", "8", "--config", str(cfg), "-o", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -102,12 +102,6 @@ class TestAdm:
         adm = extract_adm(q_standard, margin=4)
         assert adm.lapse_mass == pytest.approx(1.0, abs=1e-8)
 
-    def test_identity_element(self, q_standard):
-        from specquad.operators import TruncatedOperator
-        one = TruncatedOperator.identity(q_standard.basis)
-        adm = extract_adm(q_standard, f=one, margin=4)
-        assert adm.shift == 0.0 and adm.shape_residual == 0.0
-
     def test_shape_check(self, q_standard):
         adm = extract_adm(q_standard, margin=4)
         assert adm.shape_residual <= 1e-10
@@ -142,7 +136,7 @@ class TestSharedExpansion:
         for orders in range(4):
             exp = commutator_expansion(q.ih, q.u, q.u, orders, 4)
             assert adm.order_residuals[:orders + 1] == tuple(
-                interior_residual(t, 4) for t in exp.terms)
+                interior_residual(t, 4) for t in exp)
 
     def test_massless_runs_no_fit(self, q_massless):
         # a vanishing third order reports kappa = fit = 0, also when the
@@ -163,6 +157,33 @@ class TestSharedExpansion:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(reconstruct, "commutator_expansion", counted)
-        assert cli.run(["reconstruct", "--nmax", "16", "-o", str(tmp_path / "r.json")]) == 0
-        # one for q inside extract_adm, one for the 2 rm quadruple
-        assert calls == [3, 3]
+        out = str(tmp_path / "r.json")
+        for argv, orders in [
+                # one for q inside extract_adm, one for the 2 rm quadruple
+                ([], [3, 3]),
+                # rm = 0: the order rows, the degeneracy and the mass share
+                # one expansion of order min(5, margin)
+                (["--rm", "0"], [4]),
+                (["--rm", "0", "--margin", "3"], [3]),
+                (["--rm", "0", "--margin", "6"], [5])]:
+            calls.clear()
+            assert cli.run(["reconstruct", "--nmax", "16", *argv, "-o", out]) == 0
+            assert calls == orders, argv
+
+    def test_adm_builds_each_commutator_once(self, monkeypatch):
+        # one order-3 expansion (14 products), one [[iH, e_perp], u] for the
+        # shape fit and cosh(theta) (4), [iH, u] (2), iH e_perp, gamma e_perp u
+        # and e_perp u^2 (5)
+        from specquad.operators import TruncatedOperator
+
+        q = assemble_quadruple(DeSitterParams(rm=1.0, theta=0.3, nmax=128))
+        calls = []
+        original = TruncatedOperator.__matmul__
+
+        def counted(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(TruncatedOperator, "__matmul__", counted)
+        extract_adm(q)
+        assert len(calls) <= 25
