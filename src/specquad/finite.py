@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .quadruple import AxiomReport
 
@@ -304,6 +303,9 @@ def connes_distance(t: FiniteTriple, i: int, j: int,
     if not free:
         mu = _distance_norm(t, assemble(np.zeros(0)))
     else:
+        # imported here, not at module load: no default path needs scipy
+        from scipy.optimize import minimize
+
         # deterministic multi-start simplex descent; the objective is convex
         # (a seminorm on an affine slice), so local descent finds the optimum
         best_x, best_f = None, np.inf

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
 import numpy as np
-from scipy.linalg import expm
 
 from .operators import (
     AntilinearOperator,
@@ -454,6 +453,8 @@ def check_noncommutativity(q: SpectralQuadruple) -> float:
     if set(q.ih.bands) <= {0} and q.basis.fiber_dim == 2:
         ut = TruncatedOperator(q.basis, {0: _expm2(q.ih.band(0))})
     else:
+        # imported here, not at module load: no default path needs scipy
+        from scipy.linalg import expm
         ut = TruncatedOperator.from_dense(q.basis, expm(q.ih.to_dense()))
     evolved = ut @ q.u @ ut.adjoint()
     return op_norm(commutator(evolved, q.u))

@@ -123,8 +123,9 @@ def fit_third_order(q: SpectralQuadruple, t3: TruncatedOperator, margin: int,
     the caller has none).  The mass scale only means something when the fit
     residual is small.
     """
+    # the massless roundoff in t3 grows about linearly with ||iH||, so the cut does too
     scale = max(interior_residual(q.ih, margin), 1.0)
-    if interior_residual(t3, margin) <= 1e-12 * scale ** 3:
+    if interior_residual(t3, margin) <= 1e-12 * scale:
         return 0.0, 0.0, 0.0
     kappa, resid = _band_fit(t3, 2, q.e_perp @ q.u @ q.u, margin)
     adm = _adm_commutator(q) if adm is None else adm

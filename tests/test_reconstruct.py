@@ -52,6 +52,19 @@ class TestMassScale:
     def test_massless_returns_zero(self, q_massless):
         assert extract_mass_scale(q_massless, 4) == 0.0
 
+    # the vanishing cut scales like ||iH|| (about nmax), as the massless
+    # roundoff does, so a small mass stays visible at large nmax
+    @pytest.mark.parametrize("rm,nmax", [(1e-6, 128), (3e-8, 128), (1e-6, 512)])
+    def test_small_mass_recovered_at_large_nmax(self, rm, nmax):
+        q = assemble_quadruple(DeSitterParams(rm=rm, theta=0.3, nmax=nmax))
+        assert extract_mass_scale(q, 4) == pytest.approx(rm, rel=1e-6)
+
+    # nmax 32 is test_massless_returns_zero
+    @pytest.mark.parametrize("nmax", [128, 512])
+    def test_massless_roundoff_stays_below_cut(self, nmax):
+        q = assemble_quadruple(DeSitterParams(rm=0.0, theta=0.3, nmax=nmax))
+        assert extract_mass_scale(q, 4) == 0.0
+
     def test_linearity_in_mass(self):
         theta = 0.4
         qa = assemble_quadruple(DeSitterParams(rm=0.8, theta=theta, nmax=20))
