@@ -368,10 +368,15 @@ def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[
 
 
 def _parse_complex(text: str) -> complex:
+    """The --m value; a nan or inf part would reach the SVD of the finite
+    triple, so it is rejected here as a usage error."""
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
-        raise ConfigError(f"bad complex literal {text!r}") from exc
+        raise ConfigError(f"--m: bad complex literal {text!r}") from exc
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ConfigError(f"--m {text!r}: real and imaginary parts must be finite")
+    return value
 
 
 def _parse_grid(text: str) -> list[float]:

@@ -243,7 +243,7 @@ def gauge_unitary(basis: BasisDescriptor, rho: float, y: float) -> TruncatedOper
 def assemble_quadruple(p: DeSitterParams) -> SpectralQuadruple:
     """Assemble the full de Sitter quadruple at the given parameters."""
     basis = BasisDescriptor.spinor(p.nmax)
-    levels = np.asarray(basis.levels)
+    levels = basis.level_array
     ident = np.eye(2)
     # blocks whose image leaves the window are dropped by the constructor
     u = TruncatedOperator(basis, {1: np.broadcast_to(ident, (basis.nlevels, 2, 2))})

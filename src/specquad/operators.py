@@ -4,17 +4,22 @@ Operators live on a basis indexed by a uniformly spaced ladder of "levels"
 (weights of the compact rotation generator) times a small fiber (the spinor
 index).  Each quadruple operator maps level n to level n + k for one fixed
 k, so operators are stored as shift bands of fiber blocks and multiply band
-by band in O(nlevels).  A product of two bands multiplies all their fiber
-blocks at once with ``_block_product``, an explicit sum over the fiber index
-on the whole stack, so no BLAS call is made per block.  Truncation simply
-drops states beyond the cutoff, so identities that hold on the infinite
-ladder are checked on interior levels away from the contaminated boundary.
+by band in O(nlevels).  Each band is stored fiber-major, as a C-contiguous
+(d, d, nlevels) array: entry [:, :, i] is the block leaving level index i.
+So the block product (``_block_product``, an explicit sum over the fiber
+index with no BLAS call per block), the block norms, the level masks and
+the shifts all run over contiguous level vectors.  That format stays in
+this module: constructors, ``band``, ``band_block``, ``InteriorProjector.band``
+and ``from_dense``/``to_dense`` take and give the level-major (nlevels, d, d)
+layout, through views where they can.  Truncation simply drops states
+beyond the cutoff, so identities that hold on the infinite ladder are
+checked on interior levels away from the contaminated boundary.
 ``to_dense``/``from_dense`` are the dense oracle for tests at small sizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -49,10 +54,12 @@ class BasisDescriptor:
     ``levels`` must be strictly increasing with spacing 1 and symmetric about
     zero (all half-odd integers for the spinor basis, all integers for the
     scalar weight lattices of the representation module).
+    ``level_array`` holds the same levels as one read-only float array.
     """
 
     levels: tuple[float, ...]
     fiber_dim: int = 2
+    level_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lv = np.asarray(self.levels, dtype=float)
@@ -64,14 +71,15 @@ class BasisDescriptor:
             raise ValueError("levels must be uniformly spaced with spacing 1")
         if not np.allclose(lv + lv[::-1], 0.0, atol=1e-12):
             raise ValueError("levels must be symmetric about 0")
+        lv.setflags(write=False)
+        object.__setattr__(self, "level_array", lv)
 
     @classmethod
     def spinor(cls, nmax: int) -> "BasisDescriptor":
         """Half-integer levels n with |n| <= nmax - 1/2 and a 2-dim fiber."""
         if nmax < 1:
             raise ValueError("nmax must be a positive integer")
-        lv = tuple(float(x) for x in np.arange(-nmax + 0.5, nmax + 0.5))
-        return cls(levels=lv, fiber_dim=2)
+        return cls(levels=tuple(np.arange(-nmax + 0.5, nmax + 0.5).tolist()), fiber_dim=2)
 
     @classmethod
     def weight_lattice(cls, nmax: int, lattice: str = "half_integer") -> "BasisDescriptor":
@@ -118,27 +126,30 @@ class BasisDescriptor:
 
 
 def _shifted(arr: np.ndarray, s: int) -> np.ndarray:
-    """out[i] = arr[i + s] along the level axis, zero where i + s leaves it."""
+    """out[..., i] = arr[..., i + s] along the last (level) axis, zero where
+    i + s leaves it."""
     if s == 0:
         return arr
     out = np.zeros_like(arr)
     if s > 0:
-        out[:-s] = arr[s:]
+        out[..., :-s] = arr[..., s:]
     else:
-        out[-s:] = arr[:s]
+        out[..., -s:] = arr[..., :s]
     return out
 
 
 def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The block products a[i] b[i] at every level i of two stacked arrays.
+    """The block products a[:, :, i] b[:, :, i] at every level i of two
+    fiber-major stacks, shapes (d, d, nlevels) and (d, m, nlevels).
 
-    The sum over the fiber index j of a[:, :, j] b[:, j, :] runs on the
-    whole stack at once; numpy's ``@`` on (nlevels, d, d) stacks makes one
-    BLAS call per block, which costs more than the few flops of a 2x2 block.
+    The sum over the fiber index j of a[:, j] b[j] runs on the whole stack
+    at once, each term a product of contiguous level vectors; numpy's ``@``
+    on level-major (nlevels, d, d) stacks makes one BLAS call per block,
+    which costs more than the few flops of a 2x2 block.
     """
-    out = a[:, :, :1] * b[:, :1, :]
-    for j in range(1, a.shape[2]):
-        out += a[:, :, j:j + 1] * b[:, j:j + 1, :]
+    out = a[:, :1] * b[:1]
+    for j in range(1, a.shape[1]):
+        out += a[:, j:j + 1] * b[j:j + 1]
     return out
 
 
@@ -154,8 +165,11 @@ def _dense_norm(mat: np.ndarray) -> float:
 class TruncatedOperator:
     """A complex operator on a :class:`BasisDescriptor`, stored as shift bands.
 
-    ``bands[k]`` has shape (nlevels, d, d); entry i is the fiber block mapping
-    level index i to level index i + k.  Blocks whose target leaves the
+    The constructor takes ``bands[k]`` level-major, shape (nlevels, d, d):
+    entry i is the fiber block mapping level index i to level index i + k.
+    It copies each band once into the stored fiber-major, read-only
+    (d, d, nlevels) array, whose entry [:, :, i] is that block; ``band(k)``
+    gives it back level-major as a view.  Blocks whose target leaves the
     window are zero and all-zero bands are not stored, so ``shift_degree``
     (the k of the single stored band) is exact, never advisory.
     """
@@ -166,17 +180,41 @@ class TruncatedOperator:
     def __post_init__(self):
         nl, d = self.basis.nlevels, self.basis.fiber_dim
         bands = {}
-        for k, arr in sorted(self.bands.items()):
-            arr = np.array(arr, dtype=complex)
+        for k, arr in self.bands.items():
+            arr = np.asarray(arr)
             if arr.shape != (nl, d, d):
                 raise ValueError(f"band {k} has shape {arr.shape}, expected {(nl, d, d)}")
-            lo, hi = max(0, -k), nl - max(0, k)
-            arr[:lo] = 0.0
-            arr[max(lo, hi):] = 0.0
+            lo = max(0, -k)
+            hi = max(lo, nl - max(0, k))
+            out = np.zeros((d, d, nl), dtype=complex)
+            out[..., lo:hi] = arr[lo:hi].transpose(1, 2, 0)
+            bands[int(k)] = out
+        self._store(bands)
+
+    def _store(self, bands: Mapping[int, np.ndarray]):
+        """Keep the nonzero fiber-major bands, in key order, read-only."""
+        kept = {}
+        for k in sorted(bands):
+            arr = bands[k]
             if arr.any():
                 arr.setflags(write=False)
-                bands[int(k)] = arr
-        object.__setattr__(self, "bands", bands)
+                kept[k] = arr
+        object.__setattr__(self, "bands", kept)
+
+    @classmethod
+    def _result(cls, basis: BasisDescriptor,
+                bands: Mapping[int, np.ndarray]) -> "TruncatedOperator":
+        """An algebra result from fresh fiber-major bands, without the copy,
+        shape check and edge zeroing of the public constructor.  That relies
+        on the invariant of the band algebra: every result of ``@``, ``+``,
+        ``-``, scalar ``*``, ``adjoint``, ``conj``, ``_reflect`` and
+        ``InteriorProjector.project`` built from stored bands vanishes
+        outside the window, as its operands do, so there is nothing to zero.
+        The arrays must belong to no one else: they are made read-only."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "basis", basis)
+        op._store(bands)
+        return op
 
     # -- constructors ------------------------------------------------------
 
@@ -239,7 +277,7 @@ class TruncatedOperator:
         nl, d = self.basis.nlevels, self.basis.fiber_dim
         m4, i = np.zeros((nl, d, nl, d), dtype=complex), np.arange(nl)
         for k, arr in self.bands.items():
-            m4[(i + k) % nl, :, i, :] += arr  # the wrapped-around blocks are zero
+            m4[(i + k) % nl, :, i, :] += arr.transpose(2, 0, 1)  # wrapped-around blocks are zero
         return m4.reshape(self.basis.dim, self.basis.dim)
 
     # -- band access -------------------------------------------------------
@@ -251,9 +289,12 @@ class TruncatedOperator:
         return next(iter(self.bands)) if len(self.bands) == 1 else None
 
     def band(self, k: int) -> np.ndarray:
-        """The blocks of band k, shape (nlevels, d, d); zeros if not stored."""
+        """The blocks of band k, level-major (nlevels, d, d); a read-only
+        view of the stored band, zeros if it is not stored."""
+        if k in self.bands:
+            return self.bands[k].transpose(2, 0, 1)
         d = self.basis.fiber_dim
-        return self.bands.get(k, np.zeros((self.basis.nlevels, d, d), dtype=complex))
+        return np.zeros((self.basis.nlevels, d, d), dtype=complex)
 
     def band_block(self, n: float, k: int) -> np.ndarray:
         """The fiber block mapping level n to level n+k."""
@@ -263,13 +304,13 @@ class TruncatedOperator:
     # -- algebra -----------------------------------------------------------
 
     def _check(self, other: "TruncatedOperator"):
-        if self.basis != other.basis:
+        if self.basis is not other.basis and self.basis != other.basis:
             raise BasisMismatchError("operands live on different bases")
 
     def _merge(self, other: "TruncatedOperator", op) -> "TruncatedOperator":
         self._check(other)
         keys = set(self.bands) | set(other.bands)
-        return TruncatedOperator(self.basis, {
+        return TruncatedOperator._result(self.basis, {
             k: op(self.bands.get(k, 0.0), other.bands.get(k, 0.0)) for k in keys})
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
@@ -279,10 +320,11 @@ class TruncatedOperator:
         return self._merge(other, np.subtract)
 
     def __neg__(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.basis, {k: -a for k, a in self.bands.items()})
+        return TruncatedOperator._result(self.basis, {k: -a for k, a in self.bands.items()})
 
     def __mul__(self, scalar: complex) -> "TruncatedOperator":
-        return TruncatedOperator(self.basis, {k: a * scalar for k, a in self.bands.items()})
+        return TruncatedOperator._result(self.basis,
+                                         {k: a * scalar for k, a in self.bands.items()})
 
     __rmul__ = __mul__
 
@@ -295,15 +337,17 @@ class TruncatedOperator:
                 prod = _block_product(_shifted(a, k2), b)
                 k = k1 + k2
                 out[k] = out[k] + prod if k in out else prod
-        return TruncatedOperator(self.basis, out)
+        return TruncatedOperator._result(self.basis, out)
 
     def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.basis, {
-            -k: _shifted(a, -k).conj().swapaxes(1, 2) for k, a in self.bands.items()})
+        return TruncatedOperator._result(self.basis, {
+            -k: np.conjugate(_shifted(a, -k).swapaxes(0, 1), order="C")
+            for k, a in self.bands.items()})
 
     def conj(self) -> "TruncatedOperator":
         """Entrywise complex conjugate."""
-        return TruncatedOperator(self.basis, {k: a.conj() for k, a in self.bands.items()})
+        return TruncatedOperator._result(self.basis,
+                                         {k: a.conj() for k, a in self.bands.items()})
 
     def power(self, p: int) -> "TruncatedOperator":
         """Integer power; negative p uses the adjoint (valid for unitaries)."""
@@ -317,17 +361,18 @@ class TruncatedOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         nl, d = self.basis.nlevels, self.basis.fiber_dim
-        v = np.asarray(v, dtype=complex).reshape(nl, d, 1)
-        out = np.zeros((nl, d, 1), dtype=complex)
+        v = np.asarray(v, dtype=complex).reshape(nl, d).T[:, None]
+        out = np.zeros((d, 1, nl), dtype=complex)
         for k, a in self.bands.items():
             out += _shifted(_block_product(a, v), -k)
-        return out.reshape(-1)
+        return out[:, 0].T.reshape(-1)
 
 
 def _reflect(x: TruncatedOperator) -> TruncatedOperator:
     """R x R with R the level reflection n -> -n: band k becomes band -k
     with the level order reversed."""
-    return TruncatedOperator(x.basis, {-k: a[::-1] for k, a in x.bands.items()})
+    return TruncatedOperator._result(x.basis, {
+        -k: np.ascontiguousarray(a[..., ::-1]) for k, a in x.bands.items()})
 
 
 def _reflect_rows(basis: BasisDescriptor, mat: np.ndarray) -> np.ndarray:
@@ -418,12 +463,22 @@ class InteriorProjector:
     def _band_mask(self, k: int) -> np.ndarray:
         """Source levels i such that levels i and i + k are both kept."""
         cut = self.basis.max_level - self.margin
-        keep = np.abs(np.asarray(self.basis.levels)) <= cut + 1e-9
+        keep = np.abs(self.basis.level_array) <= cut + 1e-9
         return keep & _shifted(keep, k)
 
     def band(self, a: TruncatedOperator, k: int) -> np.ndarray:
-        """The kept blocks of band k (source and target kept), in level order."""
-        return a.band(k)[self._band_mask(k)]
+        """The kept blocks of band k (source and target kept), in level
+        order, level-major (nkept, d, d)."""
+        return self._kept(a, k).transpose(2, 0, 1)
+
+    def _kept(self, a: TruncatedOperator, k: int) -> np.ndarray:
+        """The kept blocks of band k, fiber-major (d, d, nkept): a view, as
+        the kept source levels are one contiguous run."""
+        mask = self._band_mask(k)
+        lo, count = int(mask.argmax()), int(mask.sum())
+        if k not in a.bands:
+            return np.zeros((self.basis.fiber_dim,) * 2 + (count,), dtype=complex)
+        return a.bands[k][..., lo:lo + count]
 
     def band_norms(self, a: TruncatedOperator, k: int) -> np.ndarray:
         """Spectral norms of the kept blocks of band k.
@@ -435,18 +490,18 @@ class InteriorProjector:
         where sqrt(f + sqrt(f^2 - |det B|^2)) cancels.  Entries beyond about
         1e+-154 over- or underflow when squared.  Other fibers use the SVD.
         """
-        blocks = self.band(a, k)
-        if blocks.shape[1:] != (2, 2):
-            return np.linalg.norm(blocks, 2, axis=(1, 2))
+        blocks = self._kept(a, k)
+        if blocks.shape[:2] != (2, 2):
+            return np.linalg.norm(blocks, 2, axis=(0, 1))
         sq = blocks.real ** 2 + blocks.imag ** 2
-        p, q = sq[:, 0, 0] + sq[:, 1, 0], sq[:, 0, 1] + sq[:, 1, 1]
-        r = blocks[:, 0, 0].conj() * blocks[:, 0, 1] + blocks[:, 1, 0].conj() * blocks[:, 1, 1]
+        p, q = sq[0, 0] + sq[1, 0], sq[0, 1] + sq[1, 1]
+        r = blocks[0, 0].conj() * blocks[0, 1] + blocks[1, 0].conj() * blocks[1, 1]
         return np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(r)))
 
     def project(self, a: TruncatedOperator) -> TruncatedOperator:
         """P A P, band by band."""
-        return TruncatedOperator(a.basis, {
-            k: arr * self._band_mask(k)[:, None, None] for k, arr in a.bands.items()})
+        return TruncatedOperator._result(a.basis, {
+            k: arr * self._band_mask(k) for k, arr in a.bands.items()})
 
     def compress(self, a: TruncatedOperator | np.ndarray) -> np.ndarray:
         """P A P restricted to the kept rows/columns, as a dense matrix."""

@@ -115,6 +115,8 @@ class AxiomReport:
         """Replace, in place, the tolerance of every entry whose registry key
         is overridden; raises ValueError for an id not in the table."""
         tolerances = validate_overrides(tolerances)
+        if not tolerances:
+            return self
         self.entries = [replace(e, tolerance=tolerances.get(registry_key(e.check_id), e.tolerance))
                         for e in self.entries]
         return self

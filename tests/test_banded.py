@@ -76,9 +76,13 @@ def random_bands(rng, basis, shifts):
                                      for k in shifts})
 
 
+def random_dense(rng, basis):
+    return rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
+
+
 @pytest.mark.parametrize("fiber_dim", [1, 2, 3])
 def test_random_bands_match_dense(rng, fiber_dim):
-    # the block-product kernel at every fiber size, with products whose band
+    # every band operation at every fiber size, with products whose band
     # leaves the window (7 + 5 and -7 - 4 on 8 levels) and the empty operator
     basis = BasisDescriptor(tuple(np.arange(-3.5, 4.5)), fiber_dim=fiber_dim)
     ops = [random_bands(rng, basis, (0,)), random_bands(rng, basis, (-2, 1, 3)),
@@ -88,9 +92,72 @@ def test_random_bands_match_dense(rng, fiber_dim):
         xd, yd = x.to_dense(), y.to_dense()
         assert_matches((x @ y).to_dense(), xd @ yd)
         assert_matches(commutator(x, y).to_dense(), xd @ yd - yd @ xd)
+        assert_matches((x + y).to_dense(), xd + yd)
+        assert_matches((x - y).to_dense(), xd - yd)
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    d, levels = fiber_dim, np.asarray(basis.levels)
     for x in ops:
-        assert_matches(x.apply(v), x.to_dense() @ v)
+        xd = x.to_dense()
+        assert_matches(x.apply(v), xd @ v)
+        assert_matches((-x).to_dense(), -xd)
+        assert_matches(((0.5 - 2j) * x).to_dense(), (0.5 - 2j) * xd)
+        assert_matches((x * 3.0).to_dense(), 3.0 * xd)
+        assert_matches(x.adjoint().to_dense(), xd.conj().T)
+        assert_matches(x.conj().to_dense(), xd.conj())
+        for margin in range(4):
+            proj = InteriorProjector(basis, margin)
+            keep = np.abs(levels) <= levels[-1] - margin + 1e-9
+            p = np.diag(np.repeat(keep, d).astype(float))
+            assert_matches(proj.project(x).to_dense(), p @ xd @ p)
+            blk4 = xd.reshape(basis.nlevels, d, basis.nlevels, d)
+            for k in range(1 - basis.nlevels, basis.nlevels):
+                src = [i for i in range(basis.nlevels)
+                       if 0 <= i + k < basis.nlevels and keep[i] and keep[i + k]]
+                want = np.array([np.linalg.norm(blk4[i + k, :, i, :], 2) for i in src])
+                got = proj.band_norms(x, k)
+                assert got.shape == (len(src),)
+                if src:
+                    assert_matches(got, want)
+    # antilinear maps v -> m conj(v) from dense matrices with every band
+    maps = [AntilinearOperator.from_dense(basis, random_dense(rng, basis)) for _ in range(2)]
+    for c1, c2 in itertools.product(maps, repeat=2):
+        assert_matches(c1.compose(c2).to_dense(), c1.to_dense() @ np.conj(c2.to_dense()))
+    for c, x in itertools.product(maps, ops):
+        m, xd = c.to_dense(), x.to_dense()
+        assert_matches(c.after(x).to_dense(), m @ np.conj(xd))
+        assert_matches(c.before(x).to_dense(), xd @ m)
+        assert_matches(antilinear_conjugate(c, x).to_dense(), m @ xd.T @ np.conj(m))
+
+
+def algebra_results(x, y, c, margin=1):
+    """One result of every band operation on x, y and the antilinear c."""
+    return [x @ y, x + y, x - y, -x, (0.5 - 2j) * x, x.adjoint(), x.conj(),
+            InteriorProjector(x.basis, margin).project(x), c.compose(c),
+            c.after(x).linear, c.before(x).linear, antilinear_conjugate(c, x)]
+
+
+def test_band_arrays_are_owned_and_read_only(rng):
+    # the constructor copies its input, no algebra result can be written
+    # through, and the band accessors give level-major blocks
+    for d in (1, 2, 3):
+        basis = BasisDescriptor(tuple(np.arange(-3.5, 4.5)), fiber_dim=d)
+        arr = rng.normal(size=(basis.nlevels, d, d)) + 0j
+        orig = arr.copy()
+        x = TruncatedOperator(basis, {1: arr})
+        arr[:] = 7.0
+        # the block leaving the window is dropped, every other one is kept
+        assert np.array_equal(x.band(1)[:-1], orig[:-1]) and not x.band(1)[-1].any()
+        y = random_bands(rng, basis, (-2, 0, 3))
+        c = AntilinearOperator.from_dense(basis, random_dense(rng, basis))
+        for op in [x, y, *algebra_results(x, y, c), *algebra_results(y, x, c, margin=2)]:
+            for k, stored in op.bands.items():
+                assert not stored.flags.writeable
+                assert op.band(k).shape == (basis.nlevels, d, d)
+                with pytest.raises(ValueError):
+                    op.band(k)[...] = 0.0
+        assert x.band(5).shape == (basis.nlevels, d, d) and not x.band(5).any()
+        assert x.band_block(0.5, 1).shape == (d, d)
+        assert np.array_equal(x.band_block(0.5, 1), orig[basis.level_index(0.5)])
 
 
 @pytest.mark.parametrize("nmax,rm,theta,rho,y", CASES)

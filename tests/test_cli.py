@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,16 @@ class TestExitCodes:
 
     def test_bad_complex_is_two(self):
         assert run(["finite-distance", "--m", "zzz"]) == 2
+
+    @pytest.mark.parametrize("sc", ["finite-distance", "finite-verify"])
+    @pytest.mark.parametrize("m", ["nan", "inf", "1+nanj"])
+    def test_non_finite_mass_is_two(self, capsys, sc, m):
+        # a nan or inf part is a usage error named by its flag, caught
+        # before any numpy call can warn or fail to converge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([sc, "--m", m]) == 2
+        assert "--m" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sc", ["reconstruct", "all"])
     @pytest.mark.parametrize("argv,flag", [
