@@ -7,13 +7,17 @@ k, so operators are stored as shift bands of fiber blocks and multiply band
 by band in O(nlevels).  Each band is stored fiber-major, as a C-contiguous
 (d, d, nlevels) array: entry [:, :, i] is the block leaving level index i.
 So the block product (``_block_product``, an explicit sum over the fiber
-index with no BLAS call per block), the block norms, the level masks and
-the shifts all run over contiguous level vectors.  That format stays in
-this module: constructors, ``band``, ``band_block``, ``InteriorProjector.band``
-and ``from_dense``/``to_dense`` take and give the level-major (nlevels, d, d)
+index with no BLAS call per block), the block norms and the shifts all run
+over contiguous level vectors.  That format stays in this module:
+constructors, ``band``, ``band_block``, ``InteriorProjector.band`` and
+``from_dense``/``to_dense`` take and give the level-major (nlevels, d, d)
 layout, through views where they can.  Truncation simply drops states
 beyond the cutoff, so identities that hold on the infinite ladder are
-checked on interior levels away from the contaminated boundary.
+checked on interior levels away from the contaminated boundary.  The levels
+are symmetric about 0 and unit spaced, so the interior levels
+|n| <= max_level - margin are exactly the level indices
+[margin, nlevels - margin): ``InteriorProjector`` slices that index run and
+compares no float levels.
 ``to_dense``/``from_dense`` are the dense oracle for tests at small sizes.
 """
 
@@ -130,7 +134,7 @@ def _shifted(arr: np.ndarray, s: int) -> np.ndarray:
     i + s leaves it."""
     if s == 0:
         return arr
-    out = np.zeros_like(arr)
+    out = np.zeros(arr.shape, arr.dtype)
     if s > 0:
         out[..., :-s] = arr[..., s:]
     else:
@@ -192,11 +196,21 @@ class TruncatedOperator:
         self._store(bands)
 
     def _store(self, bands: Mapping[int, np.ndarray]):
-        """Keep the nonzero fiber-major bands, in key order, read-only."""
+        """Keep the nonzero fiber-major bands, in key order, read-only.
+
+        A band is kept when it has an entry that is not zero.  The first
+        and the last entry of the first fiber row at the middle level are
+        probed first, and the whole band is scanned only when both are
+        zero: fiber-diagonal blocks have the first, fiber-off-diagonal 2x2
+        blocks the second, so most nonzero bands are decided by one or two
+        reads.  The test stays exact: a nonzero probe proves the band
+        nonzero, and the scan decides every other band.  NaN counts as
+        nonzero and -0.0 as zero in the probe as in ``any()``."""
         kept = {}
         for k in sorted(bands):
             arr = bands[k]
-            if arr.any():
+            mid = arr.shape[2] // 2
+            if arr.item(0, 0, mid) != 0 or arr.item(0, -1, mid) != 0 or arr.any():
                 arr.setflags(write=False)
                 kept[k] = arr
         object.__setattr__(self, "bands", kept)
@@ -210,7 +224,9 @@ class TruncatedOperator:
         ``-``, scalar ``*``, ``adjoint``, ``conj``, ``_reflect`` and
         ``InteriorProjector.project`` built from stored bands vanishes
         outside the window, as its operands do, so there is nothing to zero.
-        The arrays must belong to no one else: they are made read-only."""
+        All-zero bands are dropped by the probe-then-scan test of
+        ``_store``.  The arrays must belong to no one else: they are made
+        read-only."""
         op = object.__new__(cls)
         object.__setattr__(op, "basis", basis)
         op._store(bands)
@@ -328,7 +344,10 @@ class TruncatedOperator:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
+    def _products(self, other: "TruncatedOperator") -> dict[int, np.ndarray]:
+        """The fresh fiber-major bands of the product self @ other, all-zero
+        ones included: the one band-product loop of ``@``, ``commutator``
+        and ``anticommutator``."""
         # (AB) block i -> i + k1 + k2 is A_k1[i + k2] B_k2[i]
         self._check(other)
         out: dict[int, np.ndarray] = {}
@@ -337,7 +356,10 @@ class TruncatedOperator:
                 prod = _block_product(_shifted(a, k2), b)
                 k = k1 + k2
                 out[k] = out[k] + prod if k in out else prod
-        return TruncatedOperator._result(self.basis, out)
+        return out
+
+    def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
+        return TruncatedOperator._result(self.basis, self._products(other))
 
     def adjoint(self) -> "TruncatedOperator":
         return TruncatedOperator._result(self.basis, {
@@ -381,14 +403,25 @@ def _reflect_rows(basis: BasisDescriptor, mat: np.ndarray) -> np.ndarray:
     return mat.reshape(basis.nlevels, basis.fiber_dim, -1)[::-1].reshape(mat.shape)
 
 
+def _fused(a: TruncatedOperator, b: TruncatedOperator, op) -> TruncatedOperator:
+    """op(AB, BA) from both products formed in one pass, as one result.
+
+    Each band is op(ab.get(k, 0.0), ba.get(k, 0.0)), the order and the 0.0
+    default of ``_merge``, so the floats equal those of ``a @ b - b @ a``
+    (or ``+``) without building the two products as operators."""
+    ab, ba = a._products(b), b._products(a)
+    return TruncatedOperator._result(a.basis, {
+        k: op(ab.get(k, 0.0), ba.get(k, 0.0)) for k in ab.keys() | ba.keys()})
+
+
 def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    """AB - BA."""
-    return a @ b - b @ a
+    """AB - BA; both products are formed in one pass and one result built."""
+    return _fused(a, b, np.subtract)
 
 
 def anticommutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    """AB + BA."""
-    return a @ b + b @ a
+    """AB + BA; both products are formed in one pass and one result built."""
+    return _fused(a, b, np.add)
 
 
 def op_norm(a: TruncatedOperator | np.ndarray) -> float:
@@ -460,11 +493,12 @@ class InteriorProjector:
         if self.margin >= self.basis.nmax:
             raise TruncationError(f"margin {self.margin} >= nmax {self.basis.nmax}")
 
-    def _band_mask(self, k: int) -> np.ndarray:
-        """Source levels i such that levels i and i + k are both kept."""
-        cut = self.basis.max_level - self.margin
-        keep = np.abs(self.basis.level_array) <= cut + 1e-9
-        return keep & _shifted(keep, k)
+    def _window(self, k: int) -> tuple[int, int]:
+        """The kept source levels of band k, the index run [lo, hi): source
+        i and target i + k both lie in [margin, nlevels - margin)."""
+        m, nl = self.margin, self.basis.nlevels
+        lo = max(m, m - k)
+        return lo, max(lo, min(nl - m, nl - m - k))
 
     def band(self, a: TruncatedOperator, k: int) -> np.ndarray:
         """The kept blocks of band k (source and target kept), in level
@@ -472,13 +506,11 @@ class InteriorProjector:
         return self._kept(a, k).transpose(2, 0, 1)
 
     def _kept(self, a: TruncatedOperator, k: int) -> np.ndarray:
-        """The kept blocks of band k, fiber-major (d, d, nkept): a view, as
-        the kept source levels are one contiguous run."""
-        mask = self._band_mask(k)
-        lo, count = int(mask.argmax()), int(mask.sum())
+        """The kept blocks of band k, fiber-major (d, d, nkept): a view."""
+        lo, hi = self._window(k)
         if k not in a.bands:
-            return np.zeros((self.basis.fiber_dim,) * 2 + (count,), dtype=complex)
-        return a.bands[k][..., lo:lo + count]
+            return np.zeros((self.basis.fiber_dim,) * 2 + (hi - lo,), dtype=complex)
+        return a.bands[k][..., lo:hi]
 
     def band_norms(self, a: TruncatedOperator, k: int) -> np.ndarray:
         """Spectral norms of the kept blocks of band k.
@@ -499,15 +531,21 @@ class InteriorProjector:
         return np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(r)))
 
     def project(self, a: TruncatedOperator) -> TruncatedOperator:
-        """P A P, band by band."""
-        return TruncatedOperator._result(a.basis, {
-            k: arr * self._band_mask(k) for k, arr in a.bands.items()})
+        """P A P, band by band: each band zeroed outside its kept run."""
+        out = {}
+        for k, arr in a.bands.items():
+            lo, hi = self._window(k)
+            band = np.zeros(arr.shape, arr.dtype)
+            band[..., lo:hi] = arr[..., lo:hi]
+            out[k] = band
+        return TruncatedOperator._result(a.basis, out)
 
     def compress(self, a: TruncatedOperator | np.ndarray) -> np.ndarray:
         """P A P restricted to the kept rows/columns, as a dense matrix."""
         mat = a.to_dense() if isinstance(a, TruncatedOperator) else np.asarray(a)
-        keep = np.repeat(self._band_mask(0), self.basis.fiber_dim)
-        return mat[np.ix_(keep, keep)]
+        lo, hi = self._window(0)
+        d = self.basis.fiber_dim
+        return mat[lo * d:hi * d, lo * d:hi * d]
 
 
 def interior_residual(a: TruncatedOperator, margin: int) -> float:

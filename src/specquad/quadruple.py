@@ -224,9 +224,9 @@ def check_volume_element(q: SpectralQuadruple) -> AxiomReport:
     """gamma^2 = +-1 (sign recorded) and the braiding with the time vector:
     anticommutator for even spacetime dimension, commutator for odd."""
     rep = AxiomReport()
-    one = TruncatedOperator.identity(q.basis)
-    r_plus = op_norm(q.gamma @ q.gamma - one)
-    r_minus = op_norm(q.gamma @ q.gamma + one)
+    one, square = TruncatedOperator.identity(q.basis), q.gamma @ q.gamma
+    r_plus = op_norm(square - one)
+    r_minus = op_norm(square + one)
     if r_plus <= r_minus:
         rep.add("volume.gamma_square", r_plus, notes="gamma^2 = +1")
     else:

@@ -16,6 +16,7 @@ from specquad.operators import (
     BasisDescriptor,
     InteriorProjector,
     TruncatedOperator,
+    anticommutator,
     antilinear_conjugate,
     commutator,
     interior_residual,
@@ -80,6 +81,12 @@ def random_dense(rng, basis):
     return rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
 
 
+def assert_same_bands(got, want):
+    assert list(got.bands) == list(want.bands)
+    for k in want.bands:
+        assert np.array_equal(got.bands[k], want.bands[k])
+
+
 @pytest.mark.parametrize("fiber_dim", [1, 2, 3])
 def test_random_bands_match_dense(rng, fiber_dim):
     # every band operation at every fiber size, with products whose band
@@ -92,10 +99,22 @@ def test_random_bands_match_dense(rng, fiber_dim):
         xd, yd = x.to_dense(), y.to_dense()
         assert_matches((x @ y).to_dense(), xd @ yd)
         assert_matches(commutator(x, y).to_dense(), xd @ yd - yd @ xd)
+        assert_matches(anticommutator(x, y).to_dense(), xd @ yd + yd @ xd)
+        # the fused commutators give the floats of their definition
+        assert_same_bands(commutator(x, y), x @ y - y @ x)
+        assert_same_bands(anticommutator(x, y), x @ y + y @ x)
         assert_matches((x + y).to_dense(), xd + yd)
         assert_matches((x - y).to_dense(), xd - yd)
+    # exact cancellations store no band: the level parity (-1)^i commutes
+    # with the even bands and anticommutes with the odd ones, exactly
+    signs = np.where(np.arange(basis.nlevels) % 2, -1.0, 1.0)
+    parity = TruncatedOperator(basis, {0: signs[:, None, None] * np.eye(fiber_dim)})
+    for x in ops:
+        even, odd = ({k: x.band(k) for k in x.bands if k % 2 == r} for r in (0, 1))
+        assert not commutator(x, x).bands
+        assert not commutator(parity, TruncatedOperator(basis, even)).bands
+        assert not anticommutator(parity, TruncatedOperator(basis, odd)).bands
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    d, levels = fiber_dim, np.asarray(basis.levels)
     for x in ops:
         xd = x.to_dense()
         assert_matches(x.apply(v), xd @ v)
@@ -104,20 +123,6 @@ def test_random_bands_match_dense(rng, fiber_dim):
         assert_matches((x * 3.0).to_dense(), 3.0 * xd)
         assert_matches(x.adjoint().to_dense(), xd.conj().T)
         assert_matches(x.conj().to_dense(), xd.conj())
-        for margin in range(4):
-            proj = InteriorProjector(basis, margin)
-            keep = np.abs(levels) <= levels[-1] - margin + 1e-9
-            p = np.diag(np.repeat(keep, d).astype(float))
-            assert_matches(proj.project(x).to_dense(), p @ xd @ p)
-            blk4 = xd.reshape(basis.nlevels, d, basis.nlevels, d)
-            for k in range(1 - basis.nlevels, basis.nlevels):
-                src = [i for i in range(basis.nlevels)
-                       if 0 <= i + k < basis.nlevels and keep[i] and keep[i + k]]
-                want = np.array([np.linalg.norm(blk4[i + k, :, i, :], 2) for i in src])
-                got = proj.band_norms(x, k)
-                assert got.shape == (len(src),)
-                if src:
-                    assert_matches(got, want)
     # antilinear maps v -> m conj(v) from dense matrices with every band
     maps = [AntilinearOperator.from_dense(basis, random_dense(rng, basis)) for _ in range(2)]
     for c1, c2 in itertools.product(maps, repeat=2):
@@ -127,6 +132,37 @@ def test_random_bands_match_dense(rng, fiber_dim):
         assert_matches(c.after(x).to_dense(), m @ np.conj(xd))
         assert_matches(c.before(x).to_dense(), xd @ m)
         assert_matches(antilinear_conjugate(c, x).to_dense(), m @ xd.T @ np.conj(m))
+    # interior windows on the half-integer lattice and on the integer one,
+    # whose level count is odd
+    assert_windows_match_levels(ops)
+    lattice = BasisDescriptor(tuple(np.arange(-4.0, 5.0)), fiber_dim=fiber_dim)
+    assert_windows_match_levels([random_bands(rng, lattice, shifts) for shifts in
+                                 ((0,), (-2, 1, 3), (8, 5), (-8, -4, 2))]
+                                + [TruncatedOperator.zero(lattice)])
+
+
+def assert_windows_match_levels(ops):
+    """``project``, ``compress``, ``band`` and ``band_norms`` of every band
+    at every margin, against the kept levels |n| <= max_level - margin."""
+    basis = ops[0].basis
+    nl, d, levels = basis.nlevels, basis.fiber_dim, basis.level_array
+    for x, margin in itertools.product(ops, range(basis.nmax)):
+        proj = InteriorProjector(basis, margin)
+        keep = np.abs(levels) <= levels[-1] - margin
+        keep_d = np.repeat(keep, d)
+        xd = x.to_dense()
+        assert np.array_equal(proj.project(x).to_dense(),
+                              np.where(np.outer(keep_d, keep_d), xd, 0.0))
+        assert np.array_equal(proj.compress(x), xd[np.ix_(keep_d, keep_d)])
+        blk4 = xd.reshape(nl, d, nl, d)
+        for k in range(1 - nl, nl):
+            src = [i for i in range(nl) if 0 <= i + k < nl and keep[i] and keep[i + k]]
+            blocks = np.array([blk4[i + k, :, i, :] for i in src]).reshape(-1, d, d)
+            assert np.array_equal(proj.band(x, k), blocks)
+            got = proj.band_norms(x, k)
+            assert got.shape == (len(src),)
+            if src:
+                assert_matches(got, np.linalg.norm(blocks, 2, axis=(1, 2)))
 
 
 def algebra_results(x, y, c, margin=1):
@@ -158,6 +194,23 @@ def test_band_arrays_are_owned_and_read_only(rng):
         assert x.band(5).shape == (basis.nlevels, d, d) and not x.band(5).any()
         assert x.band_block(0.5, 1).shape == (d, d)
         assert np.array_equal(x.band_block(0.5, 1), orig[basis.level_index(0.5)])
+        assert not (y - y).bands and not (0 * y).bands
+        # the stored bands are those a full any() scan keeps, also where the
+        # probed entries (first fiber row, middle level) are zero, or the
+        # only nonzero entry is NaN, or the band holds only -0.0
+        mid = basis.nlevels // 2
+        cases = [np.zeros((basis.nlevels, d, d), dtype=complex) for _ in range(4)]
+        cases[0][1, 0, 0] = 2.0
+        cases[1][mid, d - 1, 0] = 1j
+        cases[2][mid + 1, 0, d - 1] = np.nan
+        cases[3][...] = complex(-0.0, -0.0)
+        for arr in cases:
+            x = TruncatedOperator(basis, {0: arr})
+            assert set(x.bands) == ({0} if arr.any() else set())
+            b = x.band(0)
+            for got, want in ((-x, -b), (x * 1.0, b * 1.0), (x * -0.0, b * -0.0),
+                              (x.conj(), b.conj()), (x - x, b - b), (0 * x, 0 * b)):
+                assert set(got.bands) == ({0} if want.any() else set())
 
 
 @pytest.mark.parametrize("nmax,rm,theta,rho,y", CASES)
@@ -336,6 +389,26 @@ def test_orientability_builds_only_linked_candidates(monkeypatch):
                         lambda self, a: built.append(a is not q.gamma) or project(self, a))
     check_orientability(q, 2)
     assert sum(built) == 4
+
+
+def test_verify_and_adm_operation_counts(monkeypatch):
+    # the per-call work of the band algebra as counts that repeat exactly:
+    # one fused commutator makes one result from its two products
+    counts = {"products": 0, "results": 0}
+    block_product, result = operators._block_product, TruncatedOperator._result.__func__
+
+    def count(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+        return counted
+
+    q = quadruple(16, 1.0, 0.3, 0.0, 0.0)
+    monkeypatch.setattr(operators, "_block_product", count("products", block_product))
+    monkeypatch.setattr(TruncatedOperator, "_result", classmethod(count("results", result)))
+    verify_quadruple(q)
+    extract_adm(q)
+    assert counts["products"] <= 109 and counts["results"] <= 152
 
 
 def test_orientability_builds_each_power_once(monkeypatch):
