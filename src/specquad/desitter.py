@@ -158,6 +158,16 @@ def appendix_t_minus(n, rm: float, theta: float) -> np.ndarray:
     return _blocks(-1j * rm - a * t, a / c, -a / c, 1j * rm - a * t)
 
 
+def _recursion_stacks(u_plus: np.ndarray, u_minus: np.ndarray,
+                      ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The affine recursion solution on an array of levels, as the two
+    level-major (N, 2, 2) stacks of T+(n) and T-(n)."""
+    a_plus = (0.5 * ns - 0.25)[:, None, None]
+    a_minus = (-0.5 * ns - 0.25)[:, None, None]
+    return (a_plus * (u_plus + u_minus.conj().T) + u_plus,
+            a_minus * (u_minus + u_plus.conj().T) + u_minus)
+
+
 def solve_order_one_recursion(
     u_plus: np.ndarray, u_minus: np.ndarray, nrange: Iterable[float],
 ) -> tuple[dict[float, np.ndarray], dict[float, np.ndarray]]:
@@ -166,16 +176,14 @@ def solve_order_one_recursion(
         T+(n) = (n/2 - 1/4)(U+ + U-*) + U+
         T-(n) = (-n/2 - 1/4)(U- + U+*) + U-
 
-    Being affine in n, the recursion is satisfied bit-exactly.
+    Being affine in n, the recursion is satisfied bit-exactly.  The blocks
+    of all levels come from one array expression; the dicts map each level
+    to its block.
     """
-    sum_plus = u_plus + u_minus.conj().T
-    sum_minus = u_minus + u_plus.conj().T
-    tplus, tminus = {}, {}
-    for n in nrange:
-        n = float(n)
-        tplus[n] = (0.5 * n - 0.25) * sum_plus + u_plus
-        tminus[n] = (-0.5 * n - 0.25) * sum_minus + u_minus
-    return tplus, tminus
+    ns = np.asarray(list(nrange), dtype=float)
+    tplus, tminus = _recursion_stacks(u_plus, u_minus, ns)
+    keys = ns.tolist()
+    return dict(zip(keys, tplus)), dict(zip(keys, tminus))
 
 
 def hamiltonian_theta(rm: float, theta: float,
@@ -277,11 +285,7 @@ def assemble_quadruple(p: DeSitterParams) -> SpectralQuadruple:
 def crosscheck_construction_vs_appendix(p: DeSitterParams) -> float:
     """Max elementwise difference between the recursion-built ladder blocks
     and the direct closed-form evaluation, on the levels up to p.nmax."""
-    u_plus, u_minus = seed_operators(p.rm, p.theta)
-    tplus, tminus = solve_order_one_recursion(u_plus, u_minus,
-                                              BasisDescriptor.spinor(p.nmax).levels)
-    worst = 0.0
-    for n in tplus:
-        worst = max(worst, float(np.abs(tplus[n] - appendix_t_plus(n, p.rm, p.theta)).max()))
-        worst = max(worst, float(np.abs(tminus[n] - appendix_t_minus(n, p.rm, p.theta)).max()))
-    return worst
+    levels = BasisDescriptor.spinor(p.nmax).level_array
+    tplus, tminus = _recursion_stacks(*seed_operators(p.rm, p.theta), levels)
+    return float(max(np.abs(tplus - appendix_t_plus(levels, p.rm, p.theta)).max(),
+                     np.abs(tminus - appendix_t_minus(levels, p.rm, p.theta)).max()))

@@ -7,6 +7,12 @@ against which the operator construction is cross-checked, so derivatives
 are exact: functions on the chart are ``HypFn``, in the algebra spanned by
 sinh^a(theta) cosh^b(theta) e^{ik phi} (a >= 0, b and k integers), closed
 under multiplication and d/dtheta, d/dphi, with exact phi-Fourier modes.
+
+The pointwise functions (``HypFn.__call__``, ``geometry_at``,
+``frame_vectors``, ``slash``, ``embedding_extrinsic_trace``) also take a
+``ChartPoint`` whose theta and phi are arrays and broadcast over them:
+component axes lead and the point axes trail, so a vector field is
+(3, *points) and a Clifford matrix the fiber-major (2, 2, *points) stack.
 """
 
 from __future__ import annotations
@@ -53,8 +59,11 @@ B_INTERTWINER = np.diag([-1j, 1j])
 
 @dataclass(frozen=True)
 class ChartPoint:
-    theta: float
-    phi: float
+    """A chart point, or a batch of them when theta and phi are arrays
+    (the radius is one scalar)."""
+
+    theta: float | np.ndarray
+    phi: float | np.ndarray
     radius: float = 1.0
 
     def __post_init__(self):
@@ -118,7 +127,13 @@ class HypFn:
     def d_phi(self) -> "HypFn":
         return HypFn({(a, b, k): 1j * k * coef for (a, b, k), coef in self.terms.items()})
 
-    def __call__(self, theta: float, phi: float) -> complex:
+    def __call__(self, theta, phi):
+        """Value at (theta, phi); arrays broadcast, and the empty function
+        gives zeros of the broadcast shape."""
+        if not self.terms:
+            return np.zeros(np.broadcast(theta, phi).shape, dtype=complex)[()]
+        # every term depends on both theta and phi, so the sum has their
+        # broadcast shape
         s, c = np.sinh(theta), np.cosh(theta)
         total = 0.0 + 0.0j
         for (a, b, k), coef in self.terms.items():
@@ -155,17 +170,32 @@ class GeometryData:
     embedding: np.ndarray
     metric: np.ndarray
     metric_inv: np.ndarray
-    christoffel_theta_phiphi: float
-    christoffel_phi_thetaphi: float
+    christoffel_theta_phiphi: float | np.ndarray
+    christoffel_phi_thetaphi: float | np.ndarray
+
+
+def _diag2(a: float, b) -> np.ndarray:
+    """diag(a, b) for a scalar a and b of the point shape: (2, 2, *points)."""
+    zero = np.zeros(np.shape(b))
+    return np.array([[np.full(np.shape(b), a), zero], [zero, b]])
+
+
+def _chart_arrays(p: ChartPoint):
+    """theta and phi broadcast to one shape; a single point stays scalar."""
+    th, ph = p.theta, p.phi
+    if np.shape(th) != np.shape(ph):
+        th, ph = np.broadcast_arrays(th, ph)
+    return th, ph
 
 
 def geometry_at(p: ChartPoint) -> GeometryData:
     """All chart data at a point, by direct evaluation."""
-    r, th = p.radius, p.theta
+    r = p.radius
+    th, ph = _chart_arrays(p)
     s, c = np.sinh(th), np.cosh(th)
-    embedding = np.array([r * s, r * c * np.cos(p.phi), r * c * np.sin(p.phi)])
-    metric = np.diag([-r ** 2, r ** 2 * c ** 2])
-    metric_inv = np.diag([-1.0 / r ** 2, 1.0 / (r ** 2 * c ** 2)])
+    embedding = np.array([r * s, r * c * np.cos(ph), r * c * np.sin(ph)])
+    metric = _diag2(-r ** 2, r ** 2 * c ** 2)
+    metric_inv = _diag2(-1.0 / r ** 2, 1.0 / (r ** 2 * c ** 2))
     return GeometryData(
         embedding=embedding,
         metric=metric,
@@ -182,7 +212,12 @@ _EMBEDDING_DERIVATIVES = tuple(
     for d in (HypFn.d_theta, HypFn.d_phi))
 
 
-def embedding_extrinsic_trace(p: ChartPoint) -> float:
+def _minkowski(u, v):
+    """<u, v>_eta over the leading component axis."""
+    return -u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def embedding_extrinsic_trace(p: ChartPoint) -> float | np.ndarray:
     """K_A^A from exact second derivatives of the embedding ``x_embedding``:
     K_AB = -<n, d_A d_B X>_eta with n the unit normal e1 of the frame
     (n = X/R), traced with the induced metric g_AB = <d_A X, d_B X>_eta,
@@ -192,26 +227,30 @@ def embedding_extrinsic_trace(p: ChartPoint) -> float:
     normal = frame_vectors(p)[1]
     trace = 0.0
     for first, second in _EMBEDDING_DERIVATIVES:
-        d1 = np.array([x(th, ph) for x in first])
-        d2 = np.array([x(th, ph) for x in second])
-        trace += -(normal @ ETA @ d2).real / (d1 @ ETA @ d1).real
-    return float(trace) / p.radius
+        d1 = np.array([x(th, ph).real for x in first])
+        d2 = np.array([x(th, ph).real for x in second])
+        trace += -_minkowski(normal, d2) / _minkowski(d1, d1)
+    return trace / p.radius
 
 
 def frame_vectors(p: ChartPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal triad (e0, e1, e2) in Minkowski components; e0 and e2 are
     tangent to the hyperboloid, e1 is the unit normal."""
-    th, ph = p.theta, p.phi
+    th, ph = _chart_arrays(p)
     s, c = np.sinh(th), np.cosh(th)
-    e0 = np.array([c, s * np.cos(ph), s * np.sin(ph)])
-    e1 = np.array([s, c * np.cos(ph), c * np.sin(ph)])
-    e2 = np.array([0.0, -np.sin(ph), np.cos(ph)])
+    cp, sp = np.cos(ph), np.sin(ph)
+    e0 = np.array([c, s * cp, s * sp])
+    e1 = np.array([s, c * cp, c * sp])
+    e2 = np.array([np.zeros(np.shape(cp)), -sp, cp])
     return e0, e1, e2
 
 
 def slash(v: np.ndarray) -> np.ndarray:
-    """Clifford insertion of a Minkowski vector, v^mu gamma_mu."""
-    return v[0] * GAMMA0 + v[1] * GAMMA1 + v[2] * GAMMA2
+    """Clifford insertion of a Minkowski vector, v^mu gamma_mu; a (3, *points)
+    field gives the fiber-major (2, 2, *points) stack."""
+    v = np.asarray(v)
+    axes = (slice(None), slice(None)) + (None,) * (v.ndim - 1)
+    return v[0] * GAMMA0[axes] + v[1] * GAMMA1[axes] + v[2] * GAMMA2[axes]
 
 
 # -- Killing fields and wave operator ---------------------------------------

@@ -71,9 +71,11 @@ class BasisDescriptor:
             raise ValueError("need at least two levels")
         if self.fiber_dim < 1:
             raise ValueError("fiber_dim must be positive")
-        if not np.allclose(np.diff(lv), 1.0, atol=1e-12):
+        # absolute tests: InteriorProjector reads levels by index, which
+        # needs the spacing exactly 1, not 1 within a relative 1e-5
+        if not np.all(np.abs(np.diff(lv) - 1.0) <= 1e-12):
             raise ValueError("levels must be uniformly spaced with spacing 1")
-        if not np.allclose(lv + lv[::-1], 0.0, atol=1e-12):
+        if not np.all(np.abs(lv + lv[::-1]) <= 1e-12):
             raise ValueError("levels must be symmetric about 0")
         lv.setflags(write=False)
         object.__setattr__(self, "level_array", lv)

@@ -10,7 +10,7 @@ import pytest
 from specquad import cli, desitter, geometry, reconstruct, spinfields
 from specquad.cli import run
 from specquad.operators import TruncatedOperator
-from specquad.quadruple import DEFAULT_TOLERANCES
+from specquad.quadruple import DEFAULT_TOLERANCES, registry_key
 
 
 def read(path):
@@ -136,6 +136,99 @@ class TestOraclePlantedDefects:
 
         monkeypatch.setattr(geometry, "frame_vectors", flipped)
         assert self.red_ids(tmp_path) == ["oracle.extrinsic_trace"]
+
+    def test_perturbed_embedding_component(self, tmp_path, monkeypatch):
+        # the batched embedding check reads geometry_at; the extrinsic trace
+        # reads the embedding's HypFn derivatives and stays green
+        real = geometry.geometry_at
+
+        def perturbed(p):
+            g = real(p)
+            emb = g.embedding.copy()
+            emb[0] *= 1 + 1e-6
+            return replace(g, embedding=emb)
+
+        monkeypatch.setattr(geometry, "geometry_at", perturbed)
+        assert self.red_ids(tmp_path) == ["oracle.embedding"]
+
+    @staticmethod
+    def scaled_slash(real):
+        """slash with the x1 component of its vector scaled by 1 + 1e-6."""
+        def scaled(v):
+            v = np.array(v, dtype=float)
+            v[1] *= 1 + 1e-6
+            return real(v)
+        return scaled
+
+    def test_scaled_slash_component(self, tmp_path, monkeypatch):
+        # the Clifford triads are slashed through geometry.slash; spinfields
+        # binds its own name, so the Dirac pair stays green
+        monkeypatch.setattr(geometry, "slash", self.scaled_slash(geometry.slash))
+        assert self.red_ids(tmp_path) == ["oracle.clifford"]
+
+    def test_scaled_slash_in_dirac_pair(self, tmp_path, monkeypatch):
+        # the extrinsic Dirac value slashes the moving frame, the intrinsic
+        # one does not
+        monkeypatch.setattr(spinfields, "slash", self.scaled_slash(spinfields.slash))
+        assert self.red_ids(tmp_path) == ["oracle.dirac_pair"]
+
+    def test_perturbed_b_intertwiner(self, tmp_path, monkeypatch):
+        # every diagonal B intertwines gamma0, and gamma1 needs B_00 = -B_11
+        monkeypatch.setattr(geometry, "B_INTERTWINER", np.diag([-1j, 1j * (1 + 1e-6)]))
+        assert self.red_ids(tmp_path) == ["oracle.b_intertwiner"]
+
+
+def plant_level(name, entry):
+    """desitter.<name> with 1e-6 added to one fiber entry of the level-3/2
+    block, for scalar and array levels alike."""
+    def patch(monkeypatch):
+        real = getattr(desitter, name)
+
+        def planted(n, rm, theta):
+            blk = real(n, rm, theta).copy()
+            blk[(..., *entry)] += 1e-6 * (np.asarray(n) == 1.5)
+            return blk
+
+        monkeypatch.setattr(desitter, name, planted)
+    return patch
+
+
+def scaled_seed(monkeypatch):
+    real = desitter.seed_operators
+    monkeypatch.setattr(desitter, "seed_operators",
+                        lambda rm, theta: (real(rm, theta)[0] * (1 + 1e-6), real(rm, theta)[1]))
+
+
+# the quadruple is assembled from the same closed-form ladder blocks, so in
+# `all` a defect there also reaches the quadruple's ladder checks
+LADDER_REDS = ["symmetric.sl2_pair", "symmetric.tplus_adjoint", "symmetric.tminus_adjoint",
+               "charge_conjugation.tplus", "charge_conjugation.tminus"]
+BOTH = ["crosscheck.recursion_vs_closed_form", "crosscheck.norm_law"]
+RECURSION = ["crosscheck.recursion_vs_closed_form"]
+
+# (name, defect, red ids of `desitter-crosscheck`, red ids of `all`, in
+# report order); the norm law reads T+ only, and only the recursion reads
+# the seeds
+CROSSCHECK_DEFECTS = [
+    ("shifted T+ block", plant_level("appendix_t_plus", (0, 0)), BOTH, LADDER_REDS + BOTH),
+    ("scaled seed U+", scaled_seed, RECURSION, RECURSION),
+    ("shifted T- block", plant_level("appendix_t_minus", (0, 1)), RECURSION,
+     LADDER_REDS + RECURSION),
+]
+
+
+class TestCrosscheckPlantedDefects:
+    @pytest.mark.parametrize("argv", [["desitter-crosscheck"], ["all"]], ids=["crosscheck", "all"])
+    @pytest.mark.parametrize("defect,red_crosscheck,red_all",
+                             [row[1:] for row in CROSSCHECK_DEFECTS],
+                             ids=[row[0] for row in CROSSCHECK_DEFECTS])
+    def test_defect(self, tmp_path, monkeypatch, argv, defect, red_crosscheck, red_all):
+        defect(monkeypatch)
+        out = tmp_path / "r.json"
+        assert run([*argv, "-o", str(out)]) == 1
+        checks = json.loads(read(out))["checks"]
+        red = red_crosscheck if argv[0] == "desitter-crosscheck" else red_all
+        assert [c["id"] for c in checks if not c["pass"]] == red
 
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -306,6 +399,80 @@ class TestConfigFile:
 
     def test_missing_config_rejected(self, tmp_path):
         assert run(["quadruple-verify", "--config", str(tmp_path / "nope")]) == 2
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_overrides_do_not_reach_the_next_run(self, tmp_path):
+        # the parser is shared by every run of a process, so a --tol list or
+        # a config file must leave nothing behind in it
+        base = ["quadruple-verify", "--nmax", "8"]
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rm = 2.0\ntol.first_order.u_u = -1\n")
+        assert run([*base, "-o", str(before)]) == 0
+        assert run([*base, "--tol", "first_order.u_u=-1", "--tol", "first_order.usq_u=1e-3",
+                    "-o", str(tmp_path / "tol.json")]) == 1
+        assert run([*base, "--config", str(cfg), "-o", str(tmp_path / "cfg.json")]) == 1
+        assert run([*base, "-o", str(after)]) == 0
+        assert read(after) == read(before)
+        checks = json.loads(read(after))["checks"]
+        assert all(c["tolerance"] == DEFAULT_TOLERANCES[registry_key(c["id"])] for c in checks)
+
+
+def test_oracle_and_crosscheck_operation_counts(tmp_path, monkeypatch):
+    # the oracle and crosscheck sections evaluate each formula once per batch
+    # of points or levels, not once per point or level
+    counts = {"frame_vectors": 0, "hypfn": 0, "ladder": 0}
+
+    def count(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(geometry, "frame_vectors", count("frame_vectors", geometry.frame_vectors))
+    monkeypatch.setattr(geometry.HypFn, "__call__", count("hypfn", geometry.HypFn.__call__))
+    for name in ("appendix_t_plus", "appendix_t_minus"):
+        monkeypatch.setattr(desitter, name, count("ladder", getattr(desitter, name)))
+    assert run(["oracle-check", "-o", str(tmp_path / "oracle.json")]) == 0
+    assert counts["frame_vectors"] <= 2 and counts["hypfn"] <= 200
+    assert counts["ladder"] == 0
+    assert run(["desitter-crosscheck", "-o", str(tmp_path / "crosscheck.json")]) == 0
+    assert counts["ladder"] <= 4
+
+
+@pytest.mark.parametrize("seed", [cli.DEFAULT_SEED, 1, 2])
+def test_batched_sections_match_per_point_loops(seed):
+    # the loops the oracle and crosscheck sections ran before they were
+    # batched, as the reference: the same floats where the arithmetic is the
+    # same, within 1e-14 where a 2x2 matmul or a scalar power became an
+    # explicit fiber sum or an array square
+    rng = np.random.default_rng(seed)
+    pts = [geometry.ChartPoint(float(th), float(ph))
+           for th, ph in zip(rng.uniform(-1.5, 1.5, 50), rng.uniform(0, 2 * np.pi, 50))]
+    triads = [(geometry.GAMMA0, geometry.GAMMA1, geometry.GAMMA2)] + [
+        tuple(map(geometry.slash, geometry.frame_vectors(p))) for p in pts[:20]]
+    levels = np.arange(-7.5, 8.5)
+    ladder = [desitter.appendix_t_plus(n, 1.0, 0.3) for n in levels]
+    close = {
+        "oracle.embedding": max(abs(-e[0] ** 2 + e[1] ** 2 + e[2] ** 2 - 1.0)
+                                for e in (geometry.geometry_at(p).embedding for p in pts)),
+        "oracle.clifford": max(float(np.abs(s[i] @ s[j] + s[j] @ s[i]
+                                            - 2 * geometry.ETA[i, j] * np.eye(2)).max())
+                               for s in triads for i in range(3) for j in range(3)),
+        "crosscheck.norm_law": max(
+            float(np.abs(b @ b.conj().T - ((n + 0.5) ** 2 + 1.0) * np.eye(2)).max())
+            for n, b in zip(levels, ladder)),
+    }
+    checks = {c.check_id: c.residual
+              for c in [*cli._section_oracle(seed), *cli._section_crosscheck(1.0, 0.3, 16)]}
+    assert checks["oracle.extrinsic_trace"] == max(
+        abs(geometry.embedding_extrinsic_trace(p) - 2.0) for p in pts)
+    for cid, ref in close.items():
+        assert abs(checks[cid] - ref) <= 1e-14, cid
 
 
 class TestSweep:

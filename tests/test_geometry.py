@@ -227,3 +227,87 @@ class TestSpinMatrices:
             sm = spin_matrices(float(rng.uniform(-2, 2)), float(rng.uniform(0, 6)))
             np.testing.assert_allclose(sm.s_frame @ sm.s_frame_inv, np.eye(2),
                                        atol=1e-14)
+
+
+class TestArrayPoints:
+    """A ChartPoint of arrays gives the per-point scalar values stacked on
+    the trailing axis.  Where both paths do the same float operations the
+    values agree to 0 ulp; the one exception is HypFn's integer powers,
+    where numpy computes a float64 scalar's power with C pow and an array's
+    with its own loops (x*x for a square), which differ in the last bit."""
+
+    @pytest.fixture(params=[1.0, 1.7], ids=["unit-radius", "radius-1.7"])
+    def points(self, request):
+        rng = np.random.default_rng(20201121)
+        theta = rng.uniform(-1.5, 1.5, 50)
+        phi = rng.uniform(0, 2 * np.pi, 50)
+        theta[0] = phi[1] = 0.0
+        batch = ChartPoint(theta, phi, request.param)
+        singles = [ChartPoint(float(th), float(ph), request.param)
+                   for th, ph in zip(theta, phi)]
+        return batch, singles
+
+    @staticmethod
+    def stacked(values):
+        return np.stack(values, axis=-1)
+
+    def test_hypfn_linear_powers_exact(self, points):
+        batch, singles = points
+        x0 = x_embedding(batch.radius)[0]
+        fns = [f for x in x_embedding(batch.radius) for f in (x, x.d_theta(), x.d_phi())]
+        assert not x0.d_phi().terms
+        for f in fns:
+            arr = f(batch.theta, batch.phi)
+            assert arr.shape == (50,) and arr.dtype == complex
+            np.testing.assert_array_equal(arr, [f(p.theta, p.phi) for p in singles])
+
+    def test_hypfn_higher_powers_within_an_ulp(self, points):
+        batch, singles = points
+        f = HypFn({(2, -1, 3): 1.0 + 0.5j, (0, 2, -1): -0.7, (3, -2, 0): 2.0j})
+        arr = f(batch.theta, batch.phi)
+        np.testing.assert_allclose(arr, [f(p.theta, p.phi) for p in singles],
+                                   rtol=4e-16, atol=0)
+
+    def test_empty_hypfn_gives_zeros_of_the_point_shape(self):
+        empty = HypFn()
+        assert empty(0.3, 1.0) == 0
+        out = empty(np.zeros((2, 3)), np.zeros(3))
+        assert out.shape == (2, 3) and out.dtype == complex and not out.any()
+
+    def test_geometry_at(self, points):
+        batch, singles = points
+        arr = geometry_at(batch)
+        for name in ("embedding", "metric", "metric_inv",
+                     "christoffel_theta_phiphi", "christoffel_phi_thetaphi"):
+            np.testing.assert_array_equal(
+                getattr(arr, name), self.stacked([getattr(geometry_at(p), name) for p in singles]))
+
+    def test_frame_vectors_and_slash(self, points):
+        batch, singles = points
+        arr = frame_vectors(batch)
+        for k in range(3):
+            np.testing.assert_array_equal(arr[k], self.stacked([frame_vectors(p)[k] for p in singles]))
+            assert slash(arr[k]).shape == (2, 2, 50)
+            np.testing.assert_array_equal(
+                slash(arr[k]), self.stacked([slash(frame_vectors(p)[k]) for p in singles]))
+
+    def test_extrinsic_trace(self, points):
+        batch, singles = points
+        np.testing.assert_array_equal(embedding_extrinsic_trace(batch),
+                                      [embedding_extrinsic_trace(p) for p in singles])
+
+    def test_scalar_calls_stay_scalar(self):
+        p = ChartPoint(0.3, 1.1, 1.7)
+        assert np.shape(x_embedding()[1](0.3, 1.1)) == ()
+        assert geometry_at(p).embedding.shape == (3,) and geometry_at(p).metric.shape == (2, 2)
+        assert [e.shape for e in frame_vectors(p)] == [(3,)] * 3
+        assert slash(frame_vectors(p)[0]).shape == (2, 2)
+        assert isinstance(embedding_extrinsic_trace(p), float)
+
+    def test_theta_and_phi_broadcast(self):
+        theta, phi = np.linspace(-1, 1, 4)[:, None], np.linspace(0, 6, 3)
+        e0, e1, e2 = frame_vectors(ChartPoint(theta, phi))
+        assert e0.shape == e1.shape == e2.shape == (3, 4, 3)
+        np.testing.assert_array_equal(
+            e1[:, 2, 1], frame_vectors(ChartPoint(float(theta[2, 0]), float(phi[1])))[1])
+        assert geometry_at(ChartPoint(theta, phi)).metric.shape == (2, 2, 4, 3)

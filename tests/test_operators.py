@@ -47,6 +47,22 @@ class TestBasisDescriptor:
         with pytest.raises(ValueError):
             BasisDescriptor(levels=(0.5, 1.5))  # not symmetric
 
+    @pytest.mark.parametrize("levels", [
+        tuple((np.arange(4) - 1.5) * 1.000009),
+        (-1.5, -0.499997, 0.499997, 1.5),
+    ], ids=["spacing-1.000009", "spacings-1.000003-0.999994"])
+    def test_spacing_off_by_a_relative_1e5_rejected(self, levels):
+        # symmetric levels within numpy's default rtol of spacing 1; the
+        # interior window is read by index, which needs spacing exactly 1
+        with pytest.raises(ValueError, match="spacing 1"):
+            BasisDescriptor(levels=levels)
+
+    @pytest.mark.parametrize("nmax", [1, 2, 64])
+    def test_standard_bases_build(self, nmax):
+        assert BasisDescriptor.spinor(nmax).nlevels == 2 * nmax
+        assert BasisDescriptor.weight_lattice(nmax, "half_integer").nlevels == 2 * nmax
+        assert BasisDescriptor.weight_lattice(nmax, "integer").nlevels == 2 * nmax + 1
+
 
 class TestCommutatorArithmetic:
     def test_commutator_2x2(self):
