@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import desitter, finite, geometry, reconstruct, sl2, spinfields
-from .operators import BasisDescriptor, TruncationError, _block_product, interior_residual
+from .operators import BasisDescriptor, TruncationError, block_product, interior_residual
 from .quadruple import DEFAULT_TOLERANCES, AxiomReport, validate_overrides, verify_quadruple
 
 REPORT_VERSION = 1
@@ -64,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float, default=0.3)
         p.add_argument("--nmax", type=int, default=32)
         p.add_argument("--margin", type=int, default=4)
-        if name == "reconstruct":
-            p.add_argument("--orders", type=int, default=3)
 
     p = add("desitter-crosscheck", help="recursion vs closed-form ladder blocks")
     p.add_argument("--rm", type=float, default=1.0)
@@ -85,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.3)
     p.add_argument("--nmax", type=int, default=32)
     p.add_argument("--margin", type=int, default=4)
-    p.add_argument("--orders", type=int, default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("sweep", help="grid of quadruple-verify + reconstruct runs")
@@ -186,19 +183,19 @@ def _section_crosscheck(rm: float, theta: float, nmax: int) -> AxiomReport:
     rep.add("crosscheck.recursion_vs_closed_form",
             desitter.crosscheck_construction_vs_appendix(params))
     levels = np.arange(-7.5, 8.5)
-    # T+(n) as a fiber-major (2, 2, nlevels) stack and its adjoint blocks
-    blk = desitter.appendix_t_plus(levels, rm, theta).transpose(1, 2, 0)
+    blk = desitter.appendix_t_plus(levels, rm, theta)
     target = ((levels + 0.5) ** 2 + rm ** 2) * np.eye(2)[..., None]
-    worst = np.abs(_block_product(blk, blk.conj().swapaxes(0, 1)) - target).max()
+    worst = np.abs(block_product(blk, blk.conj().swapaxes(0, 1)) - target).max()
     rep.add("crosscheck.norm_law", worst, notes="T+(n) T+(n)* = ((n+1/2)^2 + rm^2) 1")
     return rep
 
 
-def _section_reconstruct(rm: float, theta: float, nmax: int, margin: int,
-                         orders: int) -> AxiomReport:
+def _section_reconstruct(rm: float, theta: float, nmax: int, margin: int) -> AxiomReport:
     """Needs margin >= 3.  At rm = 0 the order rows, the degeneracy and the
     mass read one expansion of order min(5, margin); otherwise they come
-    from ``extract_adm``, and linearity from the 2 rm quadruple."""
+    from ``extract_adm``, and linearity compares its kappa with the one
+    ``fit_third_order`` reads from the order-3 term of the 2 rm quadruple,
+    so both sides share the vanishing cut."""
     rep = AxiomReport()
     q = desitter.assemble_quadruple(desitter.DeSitterParams(rm=rm, theta=theta, nmax=nmax))
     if rm == 0.0:
@@ -208,7 +205,8 @@ def _section_reconstruct(rm: float, theta: float, nmax: int, margin: int,
     else:
         adm = reconstruct.extract_adm(q, margin=margin)
         residuals, mass_scale = adm.order_residuals, adm.mass_scale
-    for k in range(min(3, orders + 1)):
+    # order 0 is [u, u], zero by construction
+    for k in (1, 2):
         rep.add(f"reconstruct.order_{k}", residuals[k])
     if rm == 0.0:
         rep.add("reconstruct.massless_degeneracy", max(residuals),
@@ -221,7 +219,8 @@ def _section_reconstruct(rm: float, theta: float, nmax: int, margin: int,
             notes=f"recovered rm = {mass_scale:.12g}")
     q2 = desitter.assemble_quadruple(
         desitter.DeSitterParams(rm=2 * rm, theta=theta, nmax=nmax))
-    kappa2, _ = reconstruct.third_order_coefficient(q2, margin)
+    t3 = reconstruct.commutator_expansion(q2.ih, q2.u, q2.u, 3, margin)[3]
+    kappa2 = reconstruct.fit_third_order(q2, t3, margin)[1]
     rep.add("reconstruct.linearity_in_mass", abs(kappa2 - 2 * adm.kappa),
             DEFAULT_TOLERANCES["reconstruct.linearity_in_mass"] * abs(adm.kappa),
             notes="kappa(2 rm) vs 2 kappa(rm)")
@@ -281,8 +280,8 @@ def _section_oracle(seed: int) -> AxiomReport:
     triad = [np.concatenate([g[..., None], geometry.slash(e)], axis=-1)
              for g, e in zip(gammas, frames)]
     eye = np.eye(2)[..., None]
-    cliff = max(float(np.abs(_block_product(triad[i], triad[j])
-                             + _block_product(triad[j], triad[i])
+    cliff = max(float(np.abs(block_product(triad[i], triad[j])
+                             + block_product(triad[j], triad[i])
                              - 2 * geometry.ETA[i, j] * eye).max())
                 for i in range(3) for j in range(3))
     rep.add("oracle.clifford", cliff)
@@ -302,14 +301,14 @@ def _section_oracle(seed: int) -> AxiomReport:
     rm, theta = 1.0, 0.4
     ham = desitter.hamiltonian_theta(rm, theta, BasisDescriptor.spinor(8))
     levels = np.arange(-5.5, 6.5)
-    # the column for sign holds the grid T-action on |T: n, sign>, its rows
-    # the |T: n, +> and |T: n, -> components
-    cols = [[spinfields.apply_T_grid("d_theta", n, sign, rm, theta) for sign in (+1, -1)]
-            for n in levels]
-    grid = np.array([[[c[(n, row)] for c in col] for row in (+1, -1)]
-                     for n, col in zip(levels, cols)])
+    # the fiber column for sign holds the grid T-action on |T: n, sign>, its
+    # rows the |T: n, +> and |T: n, -> components
+    cols = [[spinfields.apply_T_grid("d_theta", n, sign, rm, theta) for n in levels]
+            for sign in (+1, -1)]
+    grid = np.array([[[c[(n, row)] for n, c in zip(levels, col)] for col in cols]
+                     for row in (+1, -1)])
     first = ham.basis.level_index(levels[0])
-    blocks = np.stack([ham.band(0)[first:first + levels.size],
+    blocks = np.stack([ham.band(0)[..., first:first + levels.size],
                        spinfields.level_block(levels, rm, theta)])
     rep.add("oracle.hamiltonian_vs_grid", float(np.abs(blocks - grid).max()),
             notes="hamiltonian_theta and level_block theta-derivative blocks "
@@ -344,13 +343,10 @@ def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[
         # the reconstruct section reads the third-order term
         if args.margin < 3:
             raise ConfigError(f"--margin {args.margin}: reconstruct needs a margin of at least 3")
-        if not 0 <= args.orders <= args.margin:
-            raise ConfigError(f"--orders {args.orders} outside 0..{args.margin} (the margin)")
     if sc == "reconstruct":
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax,
-                  "margin": args.margin, "orders": args.orders}
-        return params, _section_reconstruct(args.rm, args.theta, args.nmax,
-                                            args.margin, args.orders)
+                  "margin": args.margin}
+        return params, _section_reconstruct(args.rm, args.theta, args.nmax, args.margin)
     if sc == "finite-verify":
         m = _parse_complex(args.m)
         return {"m": str(m)}, _section_finite_verify(m)
@@ -361,13 +357,12 @@ def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[
         return {"seed": args.seed}, _section_oracle(args.seed)
     if sc == "all":
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax,
-                  "margin": args.margin, "orders": args.orders, "seed": args.seed}
+                  "margin": args.margin, "seed": args.seed}
         rep = AxiomReport()
         rep.extend(_section_sl2(args.rm ** 2, "half_integer"))
         rep.extend(_section_quadruple(args.rm, args.theta, args.nmax, args.margin))
         rep.extend(_section_crosscheck(args.rm, args.theta, 16))
-        rep.extend(_section_reconstruct(args.rm, args.theta, args.nmax,
-                                        args.margin, args.orders))
+        rep.extend(_section_reconstruct(args.rm, args.theta, args.nmax, args.margin))
         rep.extend(_section_finite_verify(1 + 2j))
         rep.extend(_section_finite_distance(2.0))
         rep.extend(_section_oracle(args.seed))

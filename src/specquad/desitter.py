@@ -31,6 +31,7 @@ from .operators import (
     BasisDescriptor,
     TruncatedOperator,
     TruncationError,
+    block_stack,
 )
 from .quadruple import SpectralQuadruple
 
@@ -135,37 +136,28 @@ def seed_operators(rm: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
     return u_plus, u_minus
 
 
-def _blocks(b00, b01, b10, b11) -> np.ndarray:
-    """2x2 blocks from entries that are scalars or level arrays: shape
-    (2, 2) for scalars, (N, 2, 2) for arrays of length N."""
-    b00, b01, b10, b11 = np.broadcast_arrays(b00, b01, b10, b11)
-    return np.stack([np.stack([b00, b01], -1), np.stack([b10, b11], -1)], -2).astype(complex)
-
-
 def appendix_t_plus(n, rm: float, theta: float) -> np.ndarray:
     """Closed-form raising block at level n (orthonormal frame); an array
-    of levels gives the stack of blocks."""
+    of levels gives the fiber-major stack of blocks."""
     t, c = np.tanh(theta), np.cosh(theta)
     a = np.asarray(n) + 0.5
-    return _blocks(-1j * rm + a * t, a / c, -a / c, 1j * rm + a * t)
+    return block_stack(-1j * rm + a * t, a / c, -a / c, 1j * rm + a * t)
 
 
 def appendix_t_minus(n, rm: float, theta: float) -> np.ndarray:
     """Closed-form lowering block at level n (orthonormal frame); an array
-    of levels gives the stack of blocks."""
+    of levels gives the fiber-major stack of blocks."""
     t, c = np.tanh(theta), np.cosh(theta)
     a = np.asarray(n) - 0.5
-    return _blocks(-1j * rm - a * t, a / c, -a / c, 1j * rm - a * t)
+    return block_stack(-1j * rm - a * t, a / c, -a / c, 1j * rm - a * t)
 
 
 def _recursion_stacks(u_plus: np.ndarray, u_minus: np.ndarray,
                       ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The affine recursion solution on an array of levels, as the two
-    level-major (N, 2, 2) stacks of T+(n) and T-(n)."""
-    a_plus = (0.5 * ns - 0.25)[:, None, None]
-    a_minus = (-0.5 * ns - 0.25)[:, None, None]
-    return (a_plus * (u_plus + u_minus.conj().T) + u_plus,
-            a_minus * (u_minus + u_plus.conj().T) + u_minus)
+    fiber-major (2, 2, N) stacks of T+(n) and T-(n)."""
+    return ((u_plus + u_minus.conj().T)[..., None] * (0.5 * ns - 0.25) + u_plus[..., None],
+            (u_minus + u_plus.conj().T)[..., None] * (-0.5 * ns - 0.25) + u_minus[..., None])
 
 
 def solve_order_one_recursion(
@@ -183,7 +175,8 @@ def solve_order_one_recursion(
     ns = np.asarray(list(nrange), dtype=float)
     tplus, tminus = _recursion_stacks(u_plus, u_minus, ns)
     keys = ns.tolist()
-    return dict(zip(keys, tplus)), dict(zip(keys, tminus))
+    return ({n: tplus[..., i] for i, n in enumerate(keys)},
+            {n: tminus[..., i] for i, n in enumerate(keys)})
 
 
 def hamiltonian_theta(rm: float, theta: float,
@@ -227,11 +220,11 @@ def evolution_block(n, rm: float, theta: float) -> np.ndarray:
 
         iH(n) = [[i rm, -n/cosh th], [n/cosh th, -i rm]].
 
-    An array of levels gives the stack of blocks.
+    An array of levels gives the fiber-major stack of blocks.
     """
     c = np.cosh(theta)
     n = np.asarray(n)
-    return _blocks(1j * rm, -n / c, n / c, -1j * rm)
+    return block_stack(1j * rm, -n / c, n / c, -1j * rm)
 
 
 def charge_conjugation(basis: BasisDescriptor) -> AntilinearOperator:
@@ -252,12 +245,12 @@ def assemble_quadruple(p: DeSitterParams) -> SpectralQuadruple:
     """Assemble the full de Sitter quadruple at the given parameters."""
     basis = BasisDescriptor.spinor(p.nmax)
     levels = basis.level_array
-    ident = np.eye(2)
+    ident = np.eye(2)[..., None]
     # blocks whose image leaves the window are dropped by the constructor
-    u = TruncatedOperator(basis, {1: np.broadcast_to(ident, (basis.nlevels, 2, 2))})
+    u = TruncatedOperator(basis, {1: np.broadcast_to(ident, (2, 2, basis.nlevels))})
     e_perp = TruncatedOperator.from_fiber(basis, E_PERP_FIBER)
     gamma = TruncatedOperator.from_fiber(basis, GAMMA_FIBER)
-    t21 = TruncatedOperator(basis, {0: 1j * levels[:, None, None] * ident})
+    t21 = TruncatedOperator(basis, {0: 1j * levels * ident})
     t_plus = TruncatedOperator(basis, {1: appendix_t_plus(levels, p.rm, p.theta)})
     t_minus = TruncatedOperator(basis, {-1: appendix_t_minus(levels, p.rm, p.theta)})
     ih = TruncatedOperator(basis, {0: evolution_block(levels, p.rm, p.theta)})

@@ -4,21 +4,20 @@ Operators live on a basis indexed by a uniformly spaced ladder of "levels"
 (weights of the compact rotation generator) times a small fiber (the spinor
 index).  Each quadruple operator maps level n to level n + k for one fixed
 k, so operators are stored as shift bands of fiber blocks and multiply band
-by band in O(nlevels).  Each band is stored fiber-major, as a C-contiguous
-(d, d, nlevels) array: entry [:, :, i] is the block leaving level index i.
-So the block product (``_block_product``, an explicit sum over the fiber
-index with no BLAS call per block), the block norms and the shifts all run
-over contiguous level vectors.  That format stays in this module:
-constructors, ``band``, ``band_block``, ``InteriorProjector.band`` and
-``from_dense``/``to_dense`` take and give the level-major (nlevels, d, d)
-layout, through views where they can.  Truncation simply drops states
-beyond the cutoff, so identities that hold on the infinite ladder are
-checked on interior levels away from the contaminated boundary.  The levels
-are symmetric about 0 and unit spaced, so the interior levels
-|n| <= max_level - margin are exactly the level indices
+by band in O(nlevels).  Every stack of fiber blocks in the package, stored
+band or closed-form block formula alike, has the one fiber-major layout
+(d, d, *levels): entry [:, :, i] is the block at level index i.  So the block
+product (``block_product``, an explicit sum over the fiber index with no
+BLAS call per block), the block norms and the shifts all run over
+contiguous level vectors, and ``block_stack`` builds a 2x2 stack from its
+entries.  Only ``to_dense``/``from_dense``, the dense oracle for tests at
+small sizes, read the level-major, fiber-minor flat order.  Truncation
+simply drops states beyond the cutoff, so identities that hold on the
+infinite ladder are checked on interior levels away from the contaminated
+boundary.  The levels are symmetric about 0 and unit spaced, so the
+interior levels |n| <= max_level - margin are exactly the level indices
 [margin, nlevels - margin): ``InteriorProjector`` slices that index run and
 compares no float levels.
-``to_dense``/``from_dense`` are the dense oracle for tests at small sizes.
 """
 
 from __future__ import annotations
@@ -40,6 +39,8 @@ __all__ = [
     "interior_residual",
     "bch_terms",
     "antilinear_conjugate",
+    "block_product",
+    "block_stack",
 ]
 
 
@@ -125,7 +126,7 @@ class BasisDescriptor:
         return i
 
     def index(self, n: float, sigma: int = 0) -> int:
-        """Flat index of |n, sigma>; storage is level-major, fiber-minor."""
+        """Flat index of |n, sigma> in the level-major, fiber-minor dense order."""
         if not (0 <= sigma < self.fiber_dim):
             raise KeyError(f"fiber index {sigma} out of range")
         return self.level_index(n) * self.fiber_dim + sigma
@@ -144,19 +145,28 @@ def _shifted(arr: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The block products a[:, :, i] b[:, :, i] at every level i of two
-    fiber-major stacks, shapes (d, d, nlevels) and (d, m, nlevels).
+    fiber-major stacks, shapes (d, d, *levels) and (d, m, *levels); the
+    level shapes broadcast.
 
     The sum over the fiber index j of a[:, j] b[j] runs on the whole stack
     at once, each term a product of contiguous level vectors; numpy's ``@``
-    on level-major (nlevels, d, d) stacks makes one BLAS call per block,
-    which costs more than the few flops of a 2x2 block.
+    on stacks makes one BLAS call per block, which costs more than the few
+    flops of a 2x2 block.
     """
     out = a[:, :1] * b[:1]
     for j in range(1, a.shape[1]):
         out += a[:, j:j + 1] * b[j:j + 1]
     return out
+
+
+def block_stack(b00, b01, b10, b11) -> np.ndarray:
+    """The complex fiber-major stack of 2x2 blocks with the given entries,
+    each a scalar or an array of levels: shape (2, 2) for scalars, (2, 2)
+    plus the broadcast shape of the entries otherwise."""
+    entries = np.broadcast_arrays(b00, b01, b10, b11)
+    return np.array(entries, dtype=complex).reshape((2, 2) + entries[0].shape)
 
 
 def _dense_norm(mat: np.ndarray) -> float:
@@ -171,11 +181,10 @@ def _dense_norm(mat: np.ndarray) -> float:
 class TruncatedOperator:
     """A complex operator on a :class:`BasisDescriptor`, stored as shift bands.
 
-    The constructor takes ``bands[k]`` level-major, shape (nlevels, d, d):
-    entry i is the fiber block mapping level index i to level index i + k.
-    It copies each band once into the stored fiber-major, read-only
-    (d, d, nlevels) array, whose entry [:, :, i] is that block; ``band(k)``
-    gives it back level-major as a view.  Blocks whose target leaves the
+    ``bands[k]`` is a fiber-major (d, d, nlevels) stack: entry [:, :, i] is
+    the fiber block mapping level index i to level index i + k.  The
+    constructor copies each band once into a read-only array, which
+    ``band(k)`` returns as it is stored.  Blocks whose target leaves the
     window are zero and all-zero bands are not stored, so ``shift_degree``
     (the k of the single stored band) is exact, never advisory.
     """
@@ -188,12 +197,13 @@ class TruncatedOperator:
         bands = {}
         for k, arr in self.bands.items():
             arr = np.asarray(arr)
-            if arr.shape != (nl, d, d):
-                raise ValueError(f"band {k} has shape {arr.shape}, expected {(nl, d, d)}")
+            if arr.shape != (d, d, nl):
+                raise ValueError(f"band {k} has shape {arr.shape}, expected the "
+                                 f"fiber-major {(d, d, nl)}")
             lo = max(0, -k)
             hi = max(lo, nl - max(0, k))
             out = np.zeros((d, d, nl), dtype=complex)
-            out[..., lo:hi] = arr[lo:hi].transpose(1, 2, 0)
+            out[..., lo:hi] = arr[..., lo:hi]
             bands[int(k)] = out
         self._store(bands)
 
@@ -248,8 +258,8 @@ class TruncatedOperator:
     def from_fiber(cls, basis: BasisDescriptor, fiber: np.ndarray) -> "TruncatedOperator":
         """Same fiber matrix at every level (level-scalar operator)."""
         d = basis.fiber_dim
-        return cls(basis, {0: np.broadcast_to(np.asarray(fiber).reshape(d, d),
-                                              (basis.nlevels, d, d))})
+        return cls(basis, {0: np.broadcast_to(np.asarray(fiber).reshape(d, d, 1),
+                                              (d, d, basis.nlevels))})
 
     @classmethod
     def from_level_diagonal(cls, basis: BasisDescriptor,
@@ -267,9 +277,9 @@ class TruncatedOperator:
         levels whose image stays inside.
         """
         d = basis.fiber_dim
-        arr = np.zeros((basis.nlevels, d, d), dtype=complex)
+        arr = np.zeros((d, d, basis.nlevels), dtype=complex)
         for i in range(max(0, -k), basis.nlevels - max(0, k)):
-            arr[i] = np.asarray(block(basis.levels[i]), dtype=complex).reshape(d, d)
+            arr[..., i] = np.asarray(block(basis.levels[i]), dtype=complex).reshape(d, d)
         return cls(basis, {k: arr})
 
     @classmethod
@@ -283,9 +293,10 @@ class TruncatedOperator:
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match basis dim {basis.dim}")
-        m4, i = mat.reshape(nl, d, nl, d), np.arange(nl)
+        # m4[s, t, j, i] is entry (s, t) of the block from level i to level j
+        m4, i = mat.reshape(nl, d, nl, d).transpose(1, 3, 0, 2), np.arange(nl)
         # wrapped-around blocks leave the window and are zeroed on construction
-        op = cls(basis, {k: m4[(i + k) % nl, :, i, :] for k in range(1 - nl, nl)})
+        op = cls(basis, {k: m4[..., (i + k) % nl, i] for k in range(1 - nl, nl)})
         if shift_degree is not None and set(op.bands) - {shift_degree}:
             raise ValueError(f"matrix has entries off the declared shift band k={shift_degree}")
         return op
@@ -293,10 +304,10 @@ class TruncatedOperator:
     def to_dense(self) -> np.ndarray:
         """The dense level-major, fiber-minor matrix (a test oracle)."""
         nl, d = self.basis.nlevels, self.basis.fiber_dim
-        m4, i = np.zeros((nl, d, nl, d), dtype=complex), np.arange(nl)
+        m4, i = np.zeros((d, d, nl, nl), dtype=complex), np.arange(nl)
         for k, arr in self.bands.items():
-            m4[(i + k) % nl, :, i, :] += arr.transpose(2, 0, 1)  # wrapped-around blocks are zero
-        return m4.reshape(self.basis.dim, self.basis.dim)
+            m4[..., (i + k) % nl, i] += arr  # wrapped-around blocks are zero
+        return m4.transpose(2, 0, 3, 1).reshape(self.basis.dim, self.basis.dim)
 
     # -- band access -------------------------------------------------------
 
@@ -307,17 +318,17 @@ class TruncatedOperator:
         return next(iter(self.bands)) if len(self.bands) == 1 else None
 
     def band(self, k: int) -> np.ndarray:
-        """The blocks of band k, level-major (nlevels, d, d); a read-only
-        view of the stored band, zeros if it is not stored."""
+        """The blocks of band k, fiber-major (d, d, nlevels): the stored
+        read-only array, zeros if it is not stored."""
         if k in self.bands:
-            return self.bands[k].transpose(2, 0, 1)
+            return self.bands[k]
         d = self.basis.fiber_dim
-        return np.zeros((self.basis.nlevels, d, d), dtype=complex)
+        return np.zeros((d, d, self.basis.nlevels), dtype=complex)
 
     def band_block(self, n: float, k: int) -> np.ndarray:
         """The fiber block mapping level n to level n+k."""
         self.basis.level_index(n + k)
-        return self.band(k)[self.basis.level_index(n)]
+        return self.band(k)[..., self.basis.level_index(n)]
 
     # -- algebra -----------------------------------------------------------
 
@@ -355,7 +366,7 @@ class TruncatedOperator:
         out: dict[int, np.ndarray] = {}
         for k1, a in self.bands.items():
             for k2, b in other.bands.items():
-                prod = _block_product(_shifted(a, k2), b)
+                prod = block_product(_shifted(a, k2), b)
                 k = k1 + k2
                 out[k] = out[k] + prod if k in out else prod
         return out
@@ -388,7 +399,7 @@ class TruncatedOperator:
         v = np.asarray(v, dtype=complex).reshape(nl, d).T[:, None]
         out = np.zeros((d, 1, nl), dtype=complex)
         for k, a in self.bands.items():
-            out += _shifted(_block_product(a, v), -k)
+            out += _shifted(block_product(a, v), -k)
         return out[:, 0].T.reshape(-1)
 
 
@@ -504,11 +515,7 @@ class InteriorProjector:
 
     def band(self, a: TruncatedOperator, k: int) -> np.ndarray:
         """The kept blocks of band k (source and target kept), in level
-        order, level-major (nkept, d, d)."""
-        return self._kept(a, k).transpose(2, 0, 1)
-
-    def _kept(self, a: TruncatedOperator, k: int) -> np.ndarray:
-        """The kept blocks of band k, fiber-major (d, d, nkept): a view."""
+        order, fiber-major (d, d, nkept): a view of the stored band."""
         lo, hi = self._window(k)
         if k not in a.bands:
             return np.zeros((self.basis.fiber_dim,) * 2 + (hi - lo,), dtype=complex)
@@ -524,7 +531,7 @@ class InteriorProjector:
         where sqrt(f + sqrt(f^2 - |det B|^2)) cancels.  Entries beyond about
         1e+-154 over- or underflow when squared.  Other fibers use the SVD.
         """
-        blocks = self._kept(a, k)
+        blocks = self.band(a, k)
         if blocks.shape[:2] != (2, 2):
             return np.linalg.norm(blocks, 2, axis=(0, 1))
         sq = blocks.real ** 2 + blocks.imag ** 2

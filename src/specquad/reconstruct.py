@@ -78,7 +78,7 @@ def commutator_expansion(ih: TruncatedOperator, f: TruncatedOperator,
 
 def _fiber_traces(blocks: np.ndarray) -> np.ndarray:
     # normalized so that tr(e_perp e_perp) -> 1
-    return -0.5 * np.trace(blocks, axis1=1, axis2=2)
+    return -0.5 * np.trace(blocks)
 
 
 def _band_fit(term: TruncatedOperator, k: int, reference: TruncatedOperator,
@@ -89,16 +89,16 @@ def _band_fit(term: TruncatedOperator, k: int, reference: TruncatedOperator,
     keeps the extraction covariant under basis-phase gauge changes."""
     proj = InteriorProjector(term.basis, margin)
     blk, ref = proj.band(term, k), proj.band(reference, k)
-    ref_sq = (np.abs(ref) ** 2).sum(axis=(1, 2))
+    ref_sq = (np.abs(ref) ** 2).sum(axis=(0, 1))
     used = ref_sq != 0.0
     if not used.any():
         raise ValueError("no interior levels left at this margin")
-    blk, ref, ref_sq = blk[used], ref[used], ref_sq[used]
-    coefs = (ref.conj() * blk).sum(axis=(1, 2)) / ref_sq
+    blk, ref, ref_sq = blk[..., used], ref[..., used], ref_sq[used]
+    coefs = (ref.conj() * blk).sum(axis=(0, 1)) / ref_sq
     den = float((np.abs(blk) ** 2).sum())
     if den == 0.0:
         return 0.0, 0.0
-    num = float((np.abs(blk - coefs[:, None, None] * ref) ** 2).sum())
+    num = float((np.abs(blk - coefs * ref) ** 2).sum())
     return float(np.median(coefs.real)), float(np.sqrt(num / den))
 
 

@@ -33,6 +33,7 @@ from .geometry import (
     frame_vectors,
     slash,
 )
+from .operators import block_product, block_stack
 
 __all__ = [
     "SpinorField",
@@ -176,29 +177,19 @@ def apply_T_grid(gen_id: str, n: float, sign: int, rm: float,
     return kept
 
 
-# n_t and e0_t, the Clifford actions on a level pair, are s Z + c W and
-# c Z + s W times i, with s = sinh(theta), c = cosh(theta)
-_Z = np.diag([1.0, -1.0])
-_W = np.array([[0.0, -1.0], [1.0, 0.0]])
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def _sinh_cosh(theta):
-    theta = np.asarray(theta, dtype=float)[..., None, None]
-    return np.sinh(theta), np.cosh(theta)
-
-
 def level_block(n, rm: float, theta) -> np.ndarray:
     """On-shell theta-derivative block on the span of |T: n, +->, built by
     composing the Clifford actions restricted to the level (independent of
     the displayed derivative formula).  Arrays of levels and of slices
-    broadcast against each other and give the stack of blocks."""
-    s, c = _sinh_cosh(theta)
-    n_t = 1j * (s * _Z + c * _W)
-    e0_t = 1j * (c * _Z + s * _W)
+    broadcast against each other and give the fiber-major stack of blocks."""
+    n, theta = np.broadcast_arrays(n, np.asarray(theta, dtype=float))
+    s, c = np.sinh(theta), np.cosh(theta)
+    # the Clifford actions of nslash and e0slash on the level pair
+    n_t = block_stack(1j * s, -1j * c, 1j * c, -1j * s)
+    e0_t = block_stack(1j * c, -1j * s, 1j * s, -1j * c)
     # d_phi is diagonal: -i(n - 1/2) on the up and -i(n + 1/2) on the down pair
-    dphi_t = -1j * np.eye(2) * (np.asarray(n)[..., None, None] + np.array([-0.5, 0.5]))
-    return n_t @ (dphi_t / c - e0_t) + rm * e0_t
+    dphi_t = block_stack(-1j * (n - 0.5), 0.0, 0.0, -1j * (n + 0.5))
+    return block_product(n_t, dphi_t / c - e0_t) + rm * e0_t
 
 
 def fiber_gram(theta) -> np.ndarray:
@@ -208,9 +199,9 @@ def fiber_gram(theta) -> np.ndarray:
     with c = cosh(theta), s = sinh(theta).  The phi integral pairs each
     level with itself, so the product of two solutions on a slice is
     2 pi cosh(theta) sum_n v1_n^* G v2_n; the cosh is the slice volume
-    element.  An array of slices gives the stack of matrices."""
-    s, c = _sinh_cosh(theta)
-    return (c * np.eye(2) - s * _X).astype(complex)
+    element.  An array of slices gives the fiber-major stack of matrices."""
+    s, c = np.sinh(theta), np.cosh(theta)
+    return block_stack(c, -s, -s, c)
 
 
 # the entries cosh^2 and -cosh sinh of cosh(theta) G, differentiated exactly
@@ -227,12 +218,11 @@ def conservation_defect(n, rm: float, theta) -> np.ndarray:
     same on every slice for every solution exactly when K_n vanishes at
     every level and slice.
     """
-    theta = np.asarray(theta, dtype=float)
+    n, theta = np.broadcast_arrays(n, np.asarray(theta, dtype=float))
     m = level_block(n, rm, theta)
-    cg = np.cosh(theta)[..., None, None] * fiber_gram(theta)
-    dcg = np.moveaxis(np.array([[f(theta, 0.0) for f in row] for row in _D_COSH_GRAM]),
-                      (0, 1), (-2, -1))
-    return dcg + m.conj().swapaxes(-1, -2) @ cg + cg @ m
+    cg = np.cosh(theta) * fiber_gram(theta)
+    dcg = np.array([[f(theta, 0.0) for f in row] for row in _D_COSH_GRAM])
+    return dcg + block_product(m.conj().swapaxes(0, 1), cg) + block_product(cg, m)
 
 
 # -- intrinsic vs extrinsic Dirac --------------------------------------------

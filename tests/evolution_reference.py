@@ -32,19 +32,21 @@ class SolutionCoefficients:
 def propagate(sol: SolutionCoefficients, theta_from: float,
               theta_to: float) -> SolutionCoefficients:
     """Propagate slice data by integrating the evolution ODE of all levels at
-    once: the per-level 2x2 blocks act on the stacked level pairs."""
+    once: the fiber-major (2, 2, N) stack of per-level blocks acts on the
+    (2, N) array of level pairs, column i the pair of level i."""
     if theta_from == theta_to:
         return sol
     levels = sol.levels()
     nn = np.array(levels)
-    y0 = np.array([sol.coeffs[n] for n in levels], dtype=complex).ravel()
+    y0 = np.array([sol.coeffs[n] for n in levels], dtype=complex).T.ravel()
     res = solve_ivp(
-        lambda th, y: (spinfields.level_block(nn, sol.rm, th) @ y.reshape(-1, 2, 1)).ravel(),
+        lambda th, y: np.einsum("ijn,jn->in", spinfields.level_block(nn, sol.rm, th),
+                                y.reshape(2, -1)).ravel(),
         (theta_from, theta_to), y0, method="DOP853", rtol=1e-12, atol=1e-14)
     if not res.success:
         raise RuntimeError(f"propagation failed: {res.message}")
     return SolutionCoefficients(rm=sol.rm,
-                                coeffs=dict(zip(levels, res.y[:, -1].reshape(-1, 2))))
+                                coeffs=dict(zip(levels, res.y[:, -1].reshape(2, -1).T)))
 
 
 def inner_product_slice(sol1: SolutionCoefficients, sol2: SolutionCoefficients,

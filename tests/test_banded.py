@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from specquad import operators, quadruple as quad
-from specquad.desitter import DeSitterParams, assemble_quadruple, evolution_block
+from specquad import operators, quadruple as quad, spinfields
+from specquad.desitter import (
+    DeSitterParams,
+    appendix_t_minus,
+    appendix_t_plus,
+    assemble_quadruple,
+    evolution_block,
+)
 from specquad.operators import (
     AntilinearOperator,
     BasisDescriptor,
@@ -72,7 +78,7 @@ def test_algebra_matches_dense(nmax, rm, theta, rho, y):
 
 
 def random_bands(rng, basis, shifts):
-    shape = (basis.nlevels, basis.fiber_dim, basis.fiber_dim)
+    shape = (basis.fiber_dim, basis.fiber_dim, basis.nlevels)
     return TruncatedOperator(basis, {k: rng.normal(size=shape) + 1j * rng.normal(size=shape)
                                      for k in shifts})
 
@@ -108,7 +114,7 @@ def test_random_bands_match_dense(rng, fiber_dim):
     # exact cancellations store no band: the level parity (-1)^i commutes
     # with the even bands and anticommutes with the odd ones, exactly
     signs = np.where(np.arange(basis.nlevels) % 2, -1.0, 1.0)
-    parity = TruncatedOperator(basis, {0: signs[:, None, None] * np.eye(fiber_dim)})
+    parity = TruncatedOperator(basis, {0: signs * np.eye(fiber_dim)[..., None]})
     for x in ops:
         even, odd = ({k: x.band(k) for k in x.bands if k % 2 == r} for r in (0, 1))
         assert not commutator(x, x).bands
@@ -157,12 +163,14 @@ def assert_windows_match_levels(ops):
         blk4 = xd.reshape(nl, d, nl, d)
         for k in range(1 - nl, nl):
             src = [i for i in range(nl) if 0 <= i + k < nl and keep[i] and keep[i + k]]
-            blocks = np.array([blk4[i + k, :, i, :] for i in src]).reshape(-1, d, d)
+            blocks = np.zeros((d, d, len(src)), dtype=complex)
+            for j, i in enumerate(src):
+                blocks[..., j] = blk4[i + k, :, i, :]
             assert np.array_equal(proj.band(x, k), blocks)
             got = proj.band_norms(x, k)
             assert got.shape == (len(src),)
             if src:
-                assert_matches(got, np.linalg.norm(blocks, 2, axis=(1, 2)))
+                assert_matches(got, np.linalg.norm(blocks, 2, axis=(0, 1)))
 
 
 def algebra_results(x, y, c, margin=1):
@@ -174,35 +182,36 @@ def algebra_results(x, y, c, margin=1):
 
 def test_band_arrays_are_owned_and_read_only(rng):
     # the constructor copies its input, no algebra result can be written
-    # through, and the band accessors give level-major blocks
+    # through, and the band accessors give the fiber-major blocks
     for d in (1, 2, 3):
         basis = BasisDescriptor(tuple(np.arange(-3.5, 4.5)), fiber_dim=d)
-        arr = rng.normal(size=(basis.nlevels, d, d)) + 0j
+        arr = rng.normal(size=(d, d, basis.nlevels)) + 0j
         orig = arr.copy()
         x = TruncatedOperator(basis, {1: arr})
         arr[:] = 7.0
         # the block leaving the window is dropped, every other one is kept
-        assert np.array_equal(x.band(1)[:-1], orig[:-1]) and not x.band(1)[-1].any()
+        assert np.array_equal(x.band(1)[..., :-1], orig[..., :-1])
+        assert not x.band(1)[..., -1].any()
         y = random_bands(rng, basis, (-2, 0, 3))
         c = AntilinearOperator.from_dense(basis, random_dense(rng, basis))
         for op in [x, y, *algebra_results(x, y, c), *algebra_results(y, x, c, margin=2)]:
             for k, stored in op.bands.items():
                 assert not stored.flags.writeable
-                assert op.band(k).shape == (basis.nlevels, d, d)
+                assert op.band(k) is stored
                 with pytest.raises(ValueError):
                     op.band(k)[...] = 0.0
-        assert x.band(5).shape == (basis.nlevels, d, d) and not x.band(5).any()
+        assert x.band(5).shape == (d, d, basis.nlevels) and not x.band(5).any()
         assert x.band_block(0.5, 1).shape == (d, d)
-        assert np.array_equal(x.band_block(0.5, 1), orig[basis.level_index(0.5)])
+        assert np.array_equal(x.band_block(0.5, 1), orig[..., basis.level_index(0.5)])
         assert not (y - y).bands and not (0 * y).bands
         # the stored bands are those a full any() scan keeps, also where the
         # probed entries (first fiber row, middle level) are zero, or the
         # only nonzero entry is NaN, or the band holds only -0.0
         mid = basis.nlevels // 2
-        cases = [np.zeros((basis.nlevels, d, d), dtype=complex) for _ in range(4)]
-        cases[0][1, 0, 0] = 2.0
-        cases[1][mid, d - 1, 0] = 1j
-        cases[2][mid + 1, 0, d - 1] = np.nan
+        cases = [np.zeros((d, d, basis.nlevels), dtype=complex) for _ in range(4)]
+        cases[0][0, 0, 1] = 2.0
+        cases[1][d - 1, 0, mid] = 1j
+        cases[2][0, d - 1, mid + 1] = np.nan
         cases[3][...] = complex(-0.0, -0.0)
         for arr in cases:
             x = TruncatedOperator(basis, {0: arr})
@@ -211,6 +220,36 @@ def test_band_arrays_are_owned_and_read_only(rng):
             for got, want in ((-x, -b), (x * 1.0, b * 1.0), (x * -0.0, b * -0.0),
                               (x.conj(), b.conj()), (x - x, b - b), (0 * x, 0 * b)):
                 assert set(got.bands) == ({0} if want.any() else set())
+
+
+# every closed-form block formula of the package, as a function of the
+# level (fiber_gram of the slice)
+STACK_FORMULAS = {
+    "appendix_t_plus": lambda n: appendix_t_plus(n, 0.7, 0.3),
+    "appendix_t_minus": lambda n: appendix_t_minus(n, 0.7, 0.3),
+    "evolution_block": lambda n: evolution_block(n, 0.7, 0.3),
+    "level_block": lambda n: spinfields.level_block(n, 0.7, 0.3),
+    "fiber_gram": spinfields.fiber_gram,
+    "conservation_defect": lambda n: spinfields.conservation_defect(n, 0.7, 0.3),
+}
+
+
+@pytest.mark.parametrize("name", STACK_FORMULAS)
+def test_block_formulas_give_fiber_major_stacks(name):
+    # N = 5 levels, so a level-major (5, 2, 2) stack cannot pass for the
+    # (2, 2, 5) one; each entry [:, :, i] is the scalar call's block, bit for bit
+    levels = np.array([-2.5, -0.5, 0.5, 1.5, 4.5])
+    stack = STACK_FORMULAS[name](levels)
+    assert stack.shape == (2, 2, levels.size)
+    for i, n in enumerate(levels):
+        assert np.array_equal(stack[..., i], STACK_FORMULAS[name](n))
+
+
+def test_constructor_takes_only_fiber_major_bands():
+    basis = BasisDescriptor.spinor(4)
+    level_major = np.zeros((basis.nlevels, 2, 2))
+    with pytest.raises(ValueError, match=r"fiber-major \(2, 2, 8\)"):
+        TruncatedOperator(basis, {0: level_major})
 
 
 @pytest.mark.parametrize("nmax,rm,theta,rho,y", CASES)
@@ -240,7 +279,7 @@ def test_from_dense_round_trip(rng):
 def planted(q, level):
     """T+ with a 1e-6 defect in the block leaving ``level``."""
     blocks = np.array(q.t_plus.band(1))
-    blocks[q.basis.level_index(level)] += 1e-6 * np.eye(2)
+    blocks[..., q.basis.level_index(level)] += 1e-6 * np.eye(2)
     return dataclasses.replace(q, t_plus=TruncatedOperator(q.basis, {1: blocks}))
 
 
@@ -300,19 +339,27 @@ def test_noncommutativity_with_off_band_generator(rng):
 EPS = np.finfo(float).eps
 
 
+def per_level(stack):
+    """The (N, d, d) sequence of the blocks of a fiber-major stack, for the
+    per-block scipy and numpy references."""
+    return np.moveaxis(stack, -1, 0)
+
+
 def random_blocks(rng, count, scale=1.0):
-    return scale * (rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)))
+    """``count`` random 2x2 blocks as a fiber-major (2, 2, count) stack."""
+    draw = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    return scale * np.moveaxis(draw, 0, -1)
 
 
 def test_closed_form_exponential_matches_expm(rng):
     levels = np.concatenate([np.arange(-10.5, 11.0), [-1e4 + 0.5, -777.5, 4321.5, 1e4 - 0.5]])
-    nilpotent = np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.3 + 2j, 5.0], [0.0, 0.3 + 2j]]])
+    nilpotent = np.moveaxis([[[0.0, 1.0], [0.0, 0.0]], [[0.3 + 2j, 5.0], [0.0, 0.3 + 2j]]], 0, -1)
     stacks = [random_blocks(rng, 200, scale) for scale in (1e-6, 0.1, 1.0, 3.0)]
     stacks += [nilpotent, evolution_block(levels, 1.0, 0.3), evolution_block(levels, 0.0, 1.0),
                evolution_block(levels, 2.0, 0.0)]
     for a in stacks:
-        got, want = quad._expm2(a), expm(a)
-        for g, w, blk in zip(got, want, a):
+        got, want = quad._expm2(a), expm(per_level(a))
+        for g, w, blk in zip(per_level(got), want, per_level(a)):
             # exp is conditioned like ||A||: at level 1e4 scipy's expm itself
             # is off by about eps ||A|| from the exact exponential
             tol = max(1e-12, 8 * EPS * np.linalg.norm(blk, 2)) * np.linalg.norm(w, 2)
@@ -320,19 +367,20 @@ def test_closed_form_exponential_matches_expm(rng):
 
 
 def test_block_norms_match_svd(rng):
-    blocks = random_blocks(rng, 200) * np.exp(rng.uniform(-20, 20, size=(200, 1, 1)))
+    blocks = random_blocks(rng, 200) * np.exp(rng.uniform(-20, 20, size=200))
     # scaled unitaries perturbed by 1e-9: the two singular values nearly coincide
-    unitaries = np.linalg.qr(random_blocks(rng, 200))[0] * rng.uniform(0.1, 10, size=(200, 1, 1))
+    unitaries = (np.moveaxis(np.linalg.qr(per_level(random_blocks(rng, 200)))[0], 0, -1)
+                 * rng.uniform(0.1, 10, size=200))
     near = unitaries + 1e-9 * random_blocks(rng, 200)
     for stack in (blocks, near):
-        basis = BasisDescriptor.spinor(len(stack) // 2)
+        basis = BasisDescriptor.spinor(stack.shape[-1] // 2)
         got = InteriorProjector(basis, 0).band_norms(TruncatedOperator(basis, {0: stack}), 0)
-        want = np.linalg.norm(stack, 2, axis=(1, 2))
+        want = np.linalg.norm(stack, 2, axis=(0, 1))
         assert np.abs(got / want - 1).max() <= 4 * EPS
         # the SVD carries most of that; against the exact norm the closed
         # form stays within one rounding
         with mpmath.workdps(40):
-            for g, blk in zip(got[:20], stack[:20]):
+            for g, blk in zip(got[:20], per_level(stack)[:20]):
                 exact = max(mpmath.svd_c(mpmath.matrix(blk.tolist()), compute_uv=False))
                 assert abs(g / exact - 1) <= EPS
 
@@ -395,7 +443,7 @@ def test_verify_and_adm_operation_counts(monkeypatch):
     # the per-call work of the band algebra as counts that repeat exactly:
     # one fused commutator makes one result from its two products
     counts = {"products": 0, "results": 0}
-    block_product, result = operators._block_product, TruncatedOperator._result.__func__
+    block_product, result = operators.block_product, TruncatedOperator._result.__func__
 
     def count(key, fn):
         def counted(*args):
@@ -404,7 +452,7 @@ def test_verify_and_adm_operation_counts(monkeypatch):
         return counted
 
     q = quadruple(16, 1.0, 0.3, 0.0, 0.0)
-    monkeypatch.setattr(operators, "_block_product", count("products", block_product))
+    monkeypatch.setattr(operators, "block_product", count("products", block_product))
     monkeypatch.setattr(TruncatedOperator, "_result", classmethod(count("results", result)))
     verify_quadruple(q)
     extract_adm(q)

@@ -55,13 +55,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sc", ["reconstruct", "all"])
     @pytest.mark.parametrize("argv,flag", [
-        (["--margin", "2", "--orders", "2"], "--margin"),
-        (["--orders", "-1"], "--orders"),
-        (["--margin", "3", "--orders", "4"], "--orders"),
-    ], ids=["margin-below-3", "negative-orders", "orders-above-margin"])
+        (["--margin", "2"], "--margin"),
+    ], ids=["margin-below-3"])
     def test_reconstruct_usage_is_two(self, capsys, sc, argv, flag):
-        # the section reads the order-3 term, so margin >= 3 and orders in
-        # 0..margin; the message names the flag, not an internal kmax
+        # the section reads the order-3 term, so margin >= 3; the message
+        # names the flag, not an internal kmax
         assert run([sc, "--nmax", "8", *argv]) == 2
         err = capsys.readouterr().err
         assert flag in err and "kmax" not in err
@@ -100,7 +98,7 @@ class TestOraclePlantedDefects:
 
         def shifted(n, rm, theta):
             blk = real(n, rm, theta)
-            blk[..., 0, 0] += 1e-6
+            blk[0, 0] += 1e-6
             return blk
 
         monkeypatch.setattr(spinfields, "level_block", shifted)
@@ -120,8 +118,8 @@ class TestOraclePlantedDefects:
 
         def flipped(theta):
             g = real(theta)
-            g[..., 0, 1] *= -1
-            g[..., 1, 0] *= -1
+            g[0, 1] *= -1
+            g[1, 0] *= -1
             return g
 
         monkeypatch.setattr(spinfields, "fiber_gram", flipped)
@@ -180,13 +178,13 @@ class TestOraclePlantedDefects:
 
 def plant_level(name, entry):
     """desitter.<name> with 1e-6 added to one fiber entry of the level-3/2
-    block, for scalar and array levels alike."""
+    block, for scalar levels and fiber-major stacks alike."""
     def patch(monkeypatch):
         real = getattr(desitter, name)
 
         def planted(n, rm, theta):
             blk = real(n, rm, theta).copy()
-            blk[(..., *entry)] += 1e-6 * (np.asarray(n) == 1.5)
+            blk[entry] += 1e-6 * (np.asarray(n) == 1.5)
             return blk
 
         monkeypatch.setattr(desitter, name, planted)
@@ -255,8 +253,8 @@ def plant(field, defect, when=lambda params: True):
     return patch
 
 
-# [u, u] is exactly 0 by construction, so no defect can turn it red
-CANNOT_FAIL = {"reconstruct.order_0"}
+# ids that no planted defect can turn red
+CANNOT_FAIL: set[str] = set()
 
 # (id, extra argv, defect, the ids it turns red, in report order); every
 # case runs `reconstruct --nmax 16` (rm 1, theta 0.3 unless argv says)
@@ -316,6 +314,28 @@ class TestReconstructPlantedDefects:
         assert run(["reconstruct", "--nmax", "16", *argv, "-o", str(out)]) == 1
         checks = json.loads(read(out))["checks"]
         assert cid in red
+        assert [c["id"] for c in checks if not c["pass"]] == red
+
+
+class TestReconstructResolutionLimit:
+    """Outcomes where the third-order term falls under its vanishing cut.
+
+    kappa(rm) and kappa(2 rm) both come from ``fit_third_order``, so below
+    the cut both read 0 and linearity holds; the mass itself is then not
+    recovered, which only the roundtrip shows once rm is above its bound."""
+
+    @pytest.mark.parametrize("argv,red", [
+        (["--rm", "1e-11"], []),
+        (["--rm", "1e-13"], []),
+        # rm under the cut and 2 rm over it: the two sides disagree
+        (["--rm", "3e-11"], ["reconstruct.linearity_in_mass"]),
+        # cosh^2(30) pushes kappa under the cut at rm = 1
+        (["--theta", "30"], ["reconstruct.mass_roundtrip"]),
+    ], ids=["rm-1e-11", "rm-1e-13", "rm-3e-11", "theta-30"])
+    def test_red_ids(self, tmp_path, argv, red):
+        out = tmp_path / "r.json"
+        assert run(["reconstruct", *argv, "-o", str(out)]) == (1 if red else 0)
+        checks = json.loads(read(out))["checks"]
         assert [c["id"] for c in checks if not c["pass"]] == red
 
 

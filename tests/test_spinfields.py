@@ -272,19 +272,21 @@ class TestInnerProduct:
 
     def test_stacked_level_blocks(self):
         levels = np.array([-2.5, 0.5, 3.5])
+        # fiber-major stacks: entry [:, :, i] is the block of level i
         stack = level_block(levels, 0.8, 0.3)
-        assert stack.shape == (3, 2, 2)
-        for n, blk in zip(levels, stack):
-            np.testing.assert_allclose(blk, level_block(n, 0.8, 0.3), rtol=0, atol=1e-15)
+        assert stack.shape == (2, 2, 3)
+        for i, n in enumerate(levels):
+            np.testing.assert_allclose(stack[..., i], level_block(n, 0.8, 0.3),
+                                       rtol=0, atol=1e-15)
         # levels against slices, as the conservation check evaluates them
         thetas = np.array([-0.9, 0.0, 0.7])
         grid = level_block(levels[:, None], 0.8, thetas)
         grams = fiber_gram(thetas)
-        assert grid.shape == (3, 3, 2, 2) and grams.shape == (3, 2, 2)
+        assert grid.shape == (2, 2, 3, 3) and grams.shape == (2, 2, 3)
         for j, th in enumerate(thetas):
-            np.testing.assert_allclose(grams[j], fiber_gram(th), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(grams[..., j], fiber_gram(th), rtol=0, atol=1e-15)
             for i, n in enumerate(levels):
-                np.testing.assert_allclose(grid[i, j], level_block(n, 0.8, th),
+                np.testing.assert_allclose(grid[..., i, j], level_block(n, 0.8, th),
                                            rtol=0, atol=1e-15)
 
     def test_different_levels_orthogonal(self):
