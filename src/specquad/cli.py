@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import desitter, finite, geometry, reconstruct, sl2, spinfields
-from .operators import BasisDescriptor, TruncationError, block_product, interior_residual
+from .operators import TruncationError, block_product, interior_residual
 from .quadruple import DEFAULT_TOLERANCES, AxiomReport, validate_overrides, verify_quadruple
 
 REPORT_VERSION = 1
@@ -268,7 +268,7 @@ def _section_oracle(seed: int) -> AxiomReport:
     rep.add("oracle.extrinsic_trace", ktrace,
             notes="K_A^A = (n-1)/R with n = 3 the embedding dimension")
 
-    sym = geometry.symmetry_checks(geometry.ChartPoint(0.5, 1.0))
+    sym = geometry.symmetry_checks(pts)
     rep.add("oracle.killing_brackets",
             max(sym["bracket_l01_l21"], sym["bracket_l02_l21"], sym["bracket_l01_l02"]))
     rep.add("oracle.casimir", sym["casimir"])
@@ -290,16 +290,10 @@ def _section_oracle(seed: int) -> AxiomReport:
                            + geometry.B_INTERTWINER @ g).max()) for g in gammas)
     rep.add("oracle.b_intertwiner", btw)
 
-    dirac_worst = 0.0
-    for _ in range(20):
-        psi = spinfields.random_spinor_field(rng)
-        p = geometry.ChartPoint(float(rng.uniform(-1.2, 1.2)),
-                                float(rng.uniform(0.1, 6.1)))
-        dirac_worst = max(dirac_worst, spinfields.dirac_agreement_residual(psi, p))
-    rep.add("oracle.dirac_pair", dirac_worst)
+    intrinsic, transported = spinfields.dirac_pair(pts)
+    rep.add("oracle.dirac_pair", float(np.abs(intrinsic - transported).max()))
 
     rm, theta = 1.0, 0.4
-    ham = desitter.hamiltonian_theta(rm, theta, BasisDescriptor.spinor(8))
     levels = np.arange(-5.5, 6.5)
     # the fiber column for sign holds the grid T-action on |T: n, sign>, its
     # rows the |T: n, +> and |T: n, -> components
@@ -307,8 +301,7 @@ def _section_oracle(seed: int) -> AxiomReport:
             for sign in (+1, -1)]
     grid = np.array([[[c[(n, row)] for n, c in zip(levels, col)] for col in cols]
                      for row in (+1, -1)])
-    first = ham.basis.level_index(levels[0])
-    blocks = np.stack([ham.band(0)[..., first:first + levels.size],
+    blocks = np.stack([desitter.hamiltonian_theta(levels, rm, theta),
                        spinfields.level_block(levels, rm, theta)])
     rep.add("oracle.hamiltonian_vs_grid", float(np.abs(blocks - grid).max()),
             notes="hamiltonian_theta and level_block theta-derivative blocks "

@@ -179,25 +179,21 @@ def solve_order_one_recursion(
             {n: tminus[..., i] for i, n in enumerate(keys)})
 
 
-def hamiltonian_theta(rm: float, theta: float,
-                      basis: BasisDescriptor) -> TruncatedOperator:
-    """Level-diagonal theta-derivative blocks in the (non-orthonormal)
-    T-eigenvector basis:
+def hamiltonian_theta(n, rm: float, theta: float) -> np.ndarray:
+    """Level-diagonal theta-derivative block at level n in the
+    (non-orthonormal) T-eigenvector basis:
 
         d_theta |n,+> = ((n-1/2) tanh th + i rm cosh th)|n,+>
                         + ((n+1/2) + i rm sinh th)|n,->
         d_theta |n,-> = ((-n-1/2) tanh th - i rm cosh th)|n,->
                         + ((-n+1/2) - i rm sinh th)|n,+>
+
+    An array of levels gives the fiber-major stack of blocks.
     """
     t, c, s = np.tanh(theta), np.cosh(theta), np.sinh(theta)
-
-    def block(n: float) -> np.ndarray:
-        return np.array([
-            [(n - 0.5) * t + 1j * rm * c, (0.5 - n) - 1j * rm * s],
-            [(n + 0.5) + 1j * rm * s, -(n + 0.5) * t - 1j * rm * c],
-        ], dtype=complex)
-
-    return TruncatedOperator.from_level_diagonal(basis, block)
+    n = np.asarray(n)
+    return block_stack((n - 0.5) * t + 1j * rm * c, (0.5 - n) - 1j * rm * s,
+                       (n + 0.5) + 1j * rm * s, -(n + 0.5) * t - 1j * rm * c)
 
 
 def eigenframe(theta: float) -> np.ndarray:

@@ -1,16 +1,21 @@
 """Differential and spin geometry of the 1+1 de Sitter hyperboloid.
 
 This module is the appendix-style side of the toolkit: charts, metric,
-Christoffel symbols, Killing fields, extrinsic curvature, Clifford frames
-and spin matrices, all in closed form.  It serves as the independent oracle
-against which the operator construction is cross-checked, so derivatives
-are exact: functions on the chart are ``HypFn``, in the algebra spanned by
-sinh^a(theta) cosh^b(theta) e^{ik phi} (a >= 0, b and k integers), closed
-under multiplication and d/dtheta, d/dphi, with exact phi-Fourier modes.
+Christoffel symbols, Killing fields, the wave operator, extrinsic
+curvature, Clifford frames and the spinor frame transport, all in closed
+form.  It serves as the independent oracle against which the operator
+construction is cross-checked, so derivatives are exact: functions on the
+chart are ``HypFn``, in the algebra spanned by sinh^a(theta) cosh^b(theta)
+e^{ik phi} (a >= 0, b and k integers), closed under multiplication and
+d/dtheta, d/dphi, with exact phi-Fourier modes.  Differential operators are
+their ``HypFn`` coefficients: a vector field is the pair on (d_theta,
+d_phi), so the Killing brackets and the Casimir identity are checked on
+the coefficients and hold for every function, not only for samples.
 
 The pointwise functions (``HypFn.__call__``, ``geometry_at``,
-``frame_vectors``, ``slash``, ``embedding_extrinsic_trace``) also take a
-``ChartPoint`` whose theta and phi are arrays and broadcast over them:
+``frame_vectors``, ``slash``, ``embedding_extrinsic_trace``,
+``symmetry_checks``, ``frame_intertwiner_inverse``) also take arrays of
+theta and phi, directly or in a ``ChartPoint``, and broadcast over them:
 component axes lead and the point axes trail, so a vector field is
 (3, *points) and a Clifford matrix the fiber-major (2, 2, *points) stack.
 """
@@ -21,6 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+
+from .operators import block_stack
 
 __all__ = [
     "GAMMA0",
@@ -35,15 +42,14 @@ __all__ = [
     "embedding_extrinsic_trace",
     "frame_vectors",
     "slash",
-    "killing_l21",
-    "killing_l02",
-    "killing_l01",
-    "laplace_beltrami",
+    "KILLING_L21",
+    "KILLING_L02",
+    "KILLING_L01",
+    "WAVE_OPERATOR",
+    "derivative",
+    "bracket",
+    "square",
     "symmetry_checks",
-    "default_test_functions",
-    "SpinMatrices",
-    "spin_matrices",
-    "frame_intertwiner",
     "frame_intertwiner_inverse",
 ]
 
@@ -254,102 +260,72 @@ def slash(v: np.ndarray) -> np.ndarray:
 
 
 # -- Killing fields and wave operator ---------------------------------------
+#
+# A vector field a d_theta + b d_phi is its coefficient pair (a, b) and a
+# second-order operator its coefficients on (d_theta^2, d_theta d_phi,
+# d_phi^2, d_theta, d_phi), so an identity between such operators holds on
+# every function exactly when their coefficients agree.
 
-def killing_l21(f: HypFn) -> HypFn:
-    """Rotation about the x0 axis: d/dphi."""
-    return f.d_phi()
+# rotation about the x0 axis: d_phi
+KILLING_L21 = (HypFn(), HypFn.constant(1.0))
+# boost mixing x0 and x2: sin(phi) d_theta + cos(phi) tanh(theta) d_phi
+KILLING_L02 = (SIN_PHI, COS_PHI * TANH)
+# boost mixing x0 and x1: cos(phi) d_theta - sin(phi) tanh(theta) d_phi
+KILLING_L01 = (COS_PHI, -1.0 * (SIN_PHI * TANH))
 
-
-def killing_l02(f: HypFn) -> HypFn:
-    """Boost mixing x0 and x2: sin(phi) d_theta + cos(phi) tanh(theta) d_phi."""
-    return SIN_PHI * f.d_theta() + (COS_PHI * TANH) * f.d_phi()
-
-
-def killing_l01(f: HypFn) -> HypFn:
-    """Boost mixing x0 and x1: cos(phi) d_theta - sin(phi) tanh(theta) d_phi."""
-    return COS_PHI * f.d_theta() - (SIN_PHI * TANH) * f.d_phi()
-
-
-def laplace_beltrami(f: HypFn, radius: float = 1.0) -> HypFn:
-    """-(1/R^2) [ (1/cosh) d_theta (cosh d_theta f) - (1/cosh^2) d_phi^2 f ]."""
-    cosh = HypFn.monomial(0, 1, 0)
-    term_theta = SECH * (cosh * f.d_theta()).d_theta()
-    term_phi = (SECH * SECH) * f.d_phi().d_phi()
-    return (-1.0 / radius ** 2) * (term_theta - term_phi)
-
-
-def default_test_functions(radius: float = 1.0) -> list[HypFn]:
-    """Embedding-coordinate restrictions, their products, and a constant."""
-    x0, x1, x2 = x_embedding(radius)
-    return [x0, x1, x2, x0 * x1, x1 * x2, x0 * x2, HypFn.constant(1.0)]
+# -R^2 times the Laplace-Beltrami operator |g|^(-1/2) d_A |g|^(1/2) g^AB d_B,
+# read from the metric g = R^2 diag(-1, cosh^2): with h = -R^2 g^(-1) =
+# diag(1, -sech^2) and |g|^(1/2) = R^2 cosh, the second-order part is h and
+# the first-order part sech d_A(cosh h^AA).  R drops out.
+_H_THETA, _H_PHI = HypFn.constant(1.0), -1.0 * (SECH * SECH)
+_COSH = HypFn.monomial(0, 1, 0)
+WAVE_OPERATOR = (_H_THETA, HypFn(), _H_PHI,
+                 SECH * (_COSH * _H_THETA).d_theta(), SECH * (_COSH * _H_PHI).d_phi())
 
 
-def symmetry_checks(p: ChartPoint, fns: Iterable[HypFn] | None = None) -> dict[str, float]:
+def derivative(v: tuple[HypFn, HypFn], f: HypFn) -> HypFn:
+    """v(f) = a d_theta f + b d_phi f for the vector field v = (a, b)."""
+    return v[0] * f.d_theta() + v[1] * f.d_phi()
+
+
+def bracket(v: tuple[HypFn, HypFn], w: tuple[HypFn, HypFn]) -> tuple[HypFn, HypFn]:
+    """Coefficients v(w_i) - w(v_i) of the commutator [v, w] = v w - w v."""
+    return tuple(derivative(v, wi) - derivative(w, vi) for vi, wi in zip(v, w))
+
+
+def square(v: tuple[HypFn, HypFn]) -> tuple[HypFn, ...]:
+    """Coefficients of v v for v = (a, b): second-order part (a^2, 2ab, b^2)
+    and first-order part (v(a), v(b))."""
+    a, b = v
+    return a * a, 2.0 * (a * b), b * b, derivative(v, a), derivative(v, b)
+
+
+def symmetry_checks(p: ChartPoint) -> dict[str, float]:
     """Residuals of the Killing bracket relations [L01,L21] = L02,
     [L02,L21] = -L01, [L01,L02] = L21 and of the Casimir identity
-    (L01^2 + L02^2 - L21^2) f = -R^2 Laplacian f, evaluated at the point on
-    each test function with exact derivatives."""
-    fns = list(default_test_functions(p.radius) if fns is None else fns)
-    th, ph = p.theta, p.phi
-
-    def bracket(opa, opb, f):
-        return opa(opb(f)) - opb(opa(f))
-
-    out = {"bracket_l01_l21": 0.0, "bracket_l02_l21": 0.0,
-           "bracket_l01_l02": 0.0, "casimir": 0.0}
-    for f in fns:
-        r1 = bracket(killing_l01, killing_l21, f) - killing_l02(f)
-        r2 = bracket(killing_l02, killing_l21, f) + killing_l01(f)
-        r3 = bracket(killing_l01, killing_l02, f) - killing_l21(f)
-        cas = (killing_l01(killing_l01(f)) + killing_l02(killing_l02(f))
-               - killing_l21(killing_l21(f)))
-        cas = cas + (p.radius ** 2) * laplace_beltrami(f, p.radius)
-        out["bracket_l01_l21"] = max(out["bracket_l01_l21"], abs(r1(th, ph)))
-        out["bracket_l02_l21"] = max(out["bracket_l02_l21"], abs(r2(th, ph)))
-        out["bracket_l01_l02"] = max(out["bracket_l01_l02"], abs(r3(th, ph)))
-        out["casimir"] = max(out["casimir"], abs(cas(th, ph)))
-    return out
+    L01^2 + L02^2 - L21^2 = -R^2 Laplacian as operator identities: the
+    largest defect coefficient at the points of p.  The defects are built
+    from the module constants on each call.  Their coefficients are read at
+    points, since the monomials are not independent (sinh^2 = cosh^2 - 1)."""
+    l01, l02, l21 = KILLING_L01, KILLING_L02, KILLING_L21
+    defects = {
+        "bracket_l01_l21": [x - y for x, y in zip(bracket(l01, l21), l02)],
+        "bracket_l02_l21": [x + y for x, y in zip(bracket(l02, l21), l01)],
+        "bracket_l01_l02": [x - y for x, y in zip(bracket(l01, l02), l21)],
+        "casimir": [a + b - c - w for a, b, c, w in
+                    zip(square(l01), square(l02), square(l21), WAVE_OPERATOR)],
+    }
+    return {name: max(float(np.abs(c(p.theta, p.phi)).max()) for c in coefs)
+            for name, coefs in defects.items()}
 
 
-# -- spin matrices -----------------------------------------------------------
+# -- spinor frame transport --------------------------------------------------
 
-@dataclass(frozen=True)
-class SpinMatrices:
-    s01: np.ndarray
-    s02: np.ndarray
-    s12: np.ndarray
-    s_frame: np.ndarray
-    s_frame_inv: np.ndarray
-
-
-def spin_matrices(theta: float, phi: float) -> SpinMatrices:
-    """The boost and rotation spin matrices and their product
-    S_{theta,phi} = S12 S01 (identity at the origin, determinant 1, double
-    cover: a 2 pi rotation gives -1)."""
-    et = np.exp(theta / 2.0)
-    s01 = np.diag([et, 1.0 / et]).astype(complex)
+def frame_intertwiner_inverse(theta, phi) -> np.ndarray:
+    """S^(-1) = exp(-theta g2 / 2) exp(-phi g0 / 2) for the spinor transport
+    S from the global frame to the moving triad, fixed by the covariance
+    gamma(e_mu) = S gamma_mu S^(-1); arrays of theta and phi broadcast to the
+    fiber-major (2, 2, *points) stack."""
     ch, sh = np.cosh(theta / 2.0), np.sinh(theta / 2.0)
-    s02 = np.array([[ch, sh], [sh, ch]], dtype=complex)
-    cp, sp = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    s12 = np.array([[cp, sp], [-sp, cp]], dtype=complex)
-    s_frame = s12 @ s01
-    s_frame_inv = np.array([[cp / et, -sp / et], [et * sp, et * cp]], dtype=complex)
-    return SpinMatrices(s01=s01, s02=s02, s12=s12, s_frame=s_frame,
-                        s_frame_inv=s_frame_inv)
-
-
-def frame_intertwiner(theta: float, phi: float) -> np.ndarray:
-    """Spinor transport S from the global frame to the moving triad, fixed
-    by the covariance gamma(e_mu) = S gamma_mu S^{-1}:
-    S = exp(phi gamma0 / 2) exp(theta gamma2 / 2)."""
-    rot = np.diag([np.exp(0.5j * phi), np.exp(-0.5j * phi)])
-    ch, sh = np.cosh(theta / 2.0), np.sinh(theta / 2.0)
-    boost = np.array([[ch, sh], [sh, ch]], dtype=complex)
-    return rot @ boost
-
-
-def frame_intertwiner_inverse(theta: float, phi: float) -> np.ndarray:
-    ch, sh = np.cosh(theta / 2.0), np.sinh(theta / 2.0)
-    boost_inv = np.array([[ch, -sh], [-sh, ch]], dtype=complex)
-    rot_inv = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
-    return boost_inv @ rot_inv
+    em, ep = np.exp(-0.5j * phi), np.exp(0.5j * phi)
+    return block_stack(ch * em, -sh * ep, -sh * em, ch * ep)

@@ -469,11 +469,9 @@ _NONCOMMUTATIVITY_THRESHOLD = 1e-4
 
 
 def verify_quadruple(q: SpectralQuadruple, margin: int = 4,
-                     include_noncommutativity: bool = True,
-                     tolerances: Mapping[str, float] | None = None) -> AxiomReport:
-    """Run the full axiom suite and return one combined report; the
-    ``tolerances`` overrides replace the table's bounds by report id."""
-    tolerances = validate_overrides(tolerances)
+                     include_noncommutativity: bool = True) -> AxiomReport:
+    """Run the full axiom suite and return one combined report at the
+    table's bounds; ``AxiomReport.override`` replaces them by report id."""
     rep = AxiomReport()
     rep.extend(check_time_vector(q))
     rep.extend(check_volume_element(q))
@@ -502,4 +500,4 @@ def verify_quadruple(q: SpectralQuadruple, margin: int = 4,
         rep.add("evolution.noncommutative",
                 max(0.0, _NONCOMMUTATIVITY_THRESHOLD - value),
                 notes=f"||[u(1), u]|| = {value:.6g}, required > {_NONCOMMUTATIVITY_THRESHOLD:g}")
-    return rep.override(tolerances)
+    return rep

@@ -219,31 +219,25 @@ def test_acceptance_8_oracle_suite(rng):
         worst = max(worst, abs(geometry.embedding_extrinsic_trace(p) - 2.0 / r))
     report("AC8b extrinsic-curvature trace (n-1)/R, n = 3", worst, 1e-9)
 
-    worst = 0.0
-    for _ in range(10):
-        p = geometry.ChartPoint(float(rng.uniform(-1.5, 1.5)),
-                                float(rng.uniform(0, 6)))
-        worst = max(worst, max(geometry.symmetry_checks(p).values()))
-    report("AC8c Killing brackets and Casimir", worst, 1e-9)
+    pts = geometry.ChartPoint(rng.uniform(-1.5, 1.5, 10), rng.uniform(0, 6, 10))
+    worst = max(geometry.symmetry_checks(pts).values())
+    report("AC8c Killing brackets and Casimir (operator coefficients)", worst, 1e-9)
 
-    worst = 0.0
-    for _ in range(20):
-        psi = spinfields.random_spinor_field(rng)
-        p = geometry.ChartPoint(float(rng.uniform(-1.2, 1.2)),
-                                float(rng.uniform(0.1, 6.1)))
-        worst = max(worst, spinfields.dirac_agreement_residual(psi, p))
-    report("AC8d intrinsic vs extrinsic Dirac (20 random spinors)", worst, 1e-9)
+    pts = geometry.ChartPoint(rng.uniform(-1.2, 1.2, 20), rng.uniform(0.1, 6.1, 20),
+                              radius=float(rng.uniform(0.5, 2.0)))
+    intrinsic, transported = spinfields.dirac_pair(pts)
+    worst = float(np.abs(intrinsic - transported).max())
+    report("AC8d intrinsic vs extrinsic Dirac (operator coefficients)", worst, 1e-9)
 
     rm, theta = 1.0, 0.4
-    basis = assemble_quadruple(DeSitterParams(rm=rm, theta=theta, nmax=8)).basis
-    ham = desitter.hamiltonian_theta(rm, theta, basis)
+    levels = np.arange(-5.5, 6.5)
+    ham = desitter.hamiltonian_theta(levels, rm, theta)
     worst = 0.0
-    for n in np.arange(-5.5, 6.5):
-        blk = ham.band_block(n, 0)
+    for i, n in enumerate(levels):
         for col, sign in ((0, +1), (1, -1)):
             coefs = spinfields.apply_T_grid("d_theta", n, sign, rm, theta)
-            worst = max(worst, abs(coefs[(n, +1)] - blk[0, col]),
-                        abs(coefs[(n, -1)] - blk[1, col]))
+            worst = max(worst, abs(coefs[(n, +1)] - ham[0, col, i]),
+                        abs(coefs[(n, -1)] - ham[1, col, i]))
     report("AC8e matrix Hamiltonian vs grid T-action, |n| <= 11/2", worst, 1e-9)
 
     sol1 = SolutionCoefficients(rm, {0.5: np.array([1.0, 0.2j]),

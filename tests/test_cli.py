@@ -170,6 +170,20 @@ class TestOraclePlantedDefects:
         monkeypatch.setattr(spinfields, "slash", self.scaled_slash(spinfields.slash))
         assert self.red_ids(tmp_path) == ["oracle.dirac_pair"]
 
+    def test_scaled_killing_l02_phi_coefficient(self, tmp_path, monkeypatch):
+        # the bracket and Casimir defects are built from the Killing fields
+        # on each call, so a wrong coefficient reaches both identities
+        theta_part, phi_part = geometry.KILLING_L02
+        monkeypatch.setattr(geometry, "KILLING_L02", (theta_part, (1 + 1e-6) * phi_part))
+        assert self.red_ids(tmp_path) == ["oracle.killing_brackets", "oracle.casimir"]
+
+    def test_scaled_laplacian_first_order_coefficient(self, tmp_path, monkeypatch):
+        # the first-order part of the Laplacian enters the Casimir only
+        coefs = list(geometry.WAVE_OPERATOR)
+        coefs[3] = (1 + 1e-6) * coefs[3]
+        monkeypatch.setattr(geometry, "WAVE_OPERATOR", tuple(coefs))
+        assert self.red_ids(tmp_path) == ["oracle.casimir"]
+
     def test_perturbed_b_intertwiner(self, tmp_path, monkeypatch):
         # every diagonal B intertwines gamma0, and gamma1 needs B_00 = -B_11
         monkeypatch.setattr(geometry, "B_INTERTWINER", np.diag([-1j, 1j * (1 + 1e-6)]))
@@ -458,7 +472,9 @@ def test_oracle_and_crosscheck_operation_counts(tmp_path, monkeypatch):
     for name in ("appendix_t_plus", "appendix_t_minus"):
         monkeypatch.setattr(desitter, name, count("ladder", getattr(desitter, name)))
     assert run(["oracle-check", "-o", str(tmp_path / "oracle.json")]) == 0
-    assert counts["frame_vectors"] <= 2 and counts["hypfn"] <= 200
+    # the Killing and Casimir defects are 11 coefficient functions read at
+    # the 50 points at once, and the Dirac pair reads no field
+    assert counts["frame_vectors"] <= 2 and counts["hypfn"] <= 40
     assert counts["ladder"] == 0
     assert run(["desitter-crosscheck", "-o", str(tmp_path / "crosscheck.json")]) == 0
     assert counts["ladder"] <= 4

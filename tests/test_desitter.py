@@ -164,27 +164,26 @@ class TestRecursion:
 
 class TestHamiltonianTheta:
     def test_block_at_origin(self):
-        basis = BasisDescriptor.spinor(4)
-        ham = hamiltonian_theta(1.0, 0.0, basis)
-        blk = ham.band_block(0.5, 0)
+        blk = hamiltonian_theta(0.5, 1.0, 0.0)
         # '+' column: diagonal coefficient i rm, off coefficient n + 1/2 = 1
         assert blk[0, 0] == pytest.approx(1j)
         assert blk[1, 0] == pytest.approx(1.0)
 
     def test_massless_origin_offdiagonals(self):
-        basis = BasisDescriptor.spinor(4)
-        blk = hamiltonian_theta(0.0, 0.0, basis).band_block(0.5, 0)
+        blk = hamiltonian_theta(0.5, 0.0, 0.0)
         assert blk[1, 0] == pytest.approx(1.0)   # (+n + 1/2) on the '+' column
         assert blk[0, 1] == pytest.approx(0.0)   # (-n + 1/2) on the '-' column
 
     def test_block_trace(self, rng):
-        basis = BasisDescriptor.spinor(4)
+        levels = np.array([0.5, 1.5, -2.5])
         for _ in range(5):
             rm, th = rng.uniform(-2, 2), rng.uniform(-1.5, 1.5)
-            ham = hamiltonian_theta(rm, th, basis)
-            for n in (0.5, 1.5, -2.5):
-                assert np.trace(ham.band_block(n, 0)) == pytest.approx(
-                    -np.tanh(th), abs=1e-14)
+            stack = hamiltonian_theta(levels, rm, th)
+            assert stack.shape == (2, 2, 3)
+            np.testing.assert_allclose(stack[0, 0] + stack[1, 1], -np.tanh(th),
+                                       rtol=0, atol=1e-14)
+            for i, n in enumerate(levels):
+                np.testing.assert_array_equal(stack[..., i], hamiltonian_theta(n, rm, th))
 
 
 class TestEvolutionBlock:

@@ -7,22 +7,33 @@ from specquad.geometry import (
     GAMMA0,
     GAMMA1,
     GAMMA2,
+    KILLING_L01,
+    KILLING_L02,
+    KILLING_L21,
+    WAVE_OPERATOR,
     ChartPoint,
     HypFn,
-    default_test_functions,
+    bracket,
+    derivative,
     embedding_extrinsic_trace,
-    frame_intertwiner,
     frame_intertwiner_inverse,
     frame_vectors,
     geometry_at,
+    slash,
+    square,
+    symmetry_checks,
+    x_embedding,
+)
+
+from oracle_reference import (
+    apply_second_order,
+    casimir,
+    default_test_functions,
+    frame_intertwiner,
     killing_l01,
     killing_l02,
     killing_l21,
     laplace_beltrami,
-    slash,
-    spin_matrices,
-    symmetry_checks,
-    x_embedding,
 )
 
 GAMMAS = (GAMMA0, GAMMA1, GAMMA2)
@@ -176,57 +187,93 @@ class TestFrames:
             for vec, gam in zip(frame_vectors(ChartPoint(th, ph)), GAMMAS):
                 np.testing.assert_allclose(slash(vec), s @ gam @ si, atol=1e-12)
 
+    def test_stacked_intertwiner_inverse(self, rng):
+        # arrays of theta and phi broadcast to the fiber-major stack of the
+        # inverses of the reference transport S
+        th = rng.uniform(-1.5, 1.5, 7)[:, None]
+        ph = rng.uniform(0, 2 * np.pi, 3)
+        stack = frame_intertwiner_inverse(th, ph)
+        assert stack.shape == (2, 2, 7, 3)
+        for i in range(7):
+            for j in range(3):
+                s = frame_intertwiner(float(th[i, 0]), float(ph[j]))
+                np.testing.assert_allclose(s @ stack[..., i, j], np.eye(2), rtol=0, atol=1e-14)
+
+
+# the Killing fields as vector fields and the maps of functions they replace
+KILLING = [(KILLING_L01, killing_l01), (KILLING_L02, killing_l02), (KILLING_L21, killing_l21)]
+
+
+def casimir_coefficients():
+    """Coefficients of L01^2 + L02^2 - L21^2."""
+    return [a + b - c for a, b, c in zip(*map(square, (KILLING_L01, KILLING_L02, KILLING_L21)))]
+
+
+def assert_same_function(f, g, atol=1e-12):
+    """f and g agree at 50 points: HypFn monomials are not independent, so
+    two expressions of one function can differ in their terms."""
+    rng = np.random.default_rng(7)
+    th, ph = rng.uniform(-1.5, 1.5, 50), rng.uniform(0, 2 * np.pi, 50)
+    scale = max(1.0, float(np.abs(g(th, ph)).max()))
+    np.testing.assert_allclose(f(th, ph), g(th, ph), rtol=0, atol=atol * scale)
+
 
 class TestKillingFields:
     def test_bracket_and_casimir_residuals(self):
-        for p in (ChartPoint(0.5, 1.0), ChartPoint(-0.7, 3.3), ChartPoint(0.0, 0.0)):
+        for p in (ChartPoint(0.5, 1.0), ChartPoint(-0.7, 3.3), ChartPoint(0.0, 0.0),
+                  ChartPoint(np.linspace(-1.5, 1.5, 9), np.linspace(0, 6, 9))):
             out = symmetry_checks(p)
-            assert all(v <= 1e-9 for v in out.values()), out
+            assert sorted(out) == ["bracket_l01_l02", "bracket_l01_l21",
+                                   "bracket_l02_l21", "casimir"]
+            assert all(v <= 1e-14 for v in out.values()), out
 
     def test_bracket_on_embedding_restriction(self):
-        # ( [L01, L21] - L02 ) x2 = 0 pointwise, exactly
+        # ( [L01, L21] - L02 ) x2 = 0 exactly, through the bracket of the
+        # coefficients and through the composed maps alike
         _, _, x2 = x_embedding()
-        diff = (killing_l01(killing_l21(x2)) - killing_l21(killing_l01(x2))
-                - killing_l02(x2))
-        assert abs(diff(0.5, 1.0)) <= 1e-12
+        diff = derivative(bracket(KILLING_L01, KILLING_L21), x2) - derivative(KILLING_L02, x2)
+        assert not diff.terms
+        composed = (killing_l01(killing_l21(x2)) - killing_l21(killing_l01(x2))
+                    - killing_l02(x2))
+        assert abs(composed(0.5, 1.0)) <= 1e-12
 
     def test_constant_annihilated(self):
         one = HypFn.constant(1.0)
-        for op in (killing_l01, killing_l02, killing_l21):
-            assert not op(one).terms
+        for field, _ in KILLING:
+            assert not derivative(field, one).terms
+        assert not apply_second_order(WAVE_OPERATOR, one).terms
 
     def test_casimir_on_x0(self):
         x0, _, _ = x_embedding()
-        lhs = (killing_l01(killing_l01(x0)) + killing_l02(killing_l02(x0))
-               - killing_l21(killing_l21(x0)))
+        lhs = apply_second_order(casimir_coefficients(), x0)
         rhs = (-1.0) * laplace_beltrami(x0)
         assert abs(lhs(0.8, 2.0) - rhs(0.8, 2.0)) <= 1e-9
+        assert_same_function(apply_second_order(WAVE_OPERATOR, x0), rhs)
 
     def test_custom_test_functions(self):
-        fns = default_test_functions(radius=2.0)
-        out = symmetry_checks(ChartPoint(0.3, 0.7, radius=2.0), fns)
-        assert all(v <= 1e-9 for v in out.values())
+        # on the test functions the old check looped over, the coefficients
+        # reproduce the maps: each Killing field, each square, the Casimir and
+        # -R^2 times the Laplacian
+        radius = 2.0
+        for f in default_test_functions(radius):
+            for field, action in KILLING:
+                assert (derivative(field, f) - action(f)).terms == {}
+                assert_same_function(apply_second_order(square(field), f), action(action(f)))
+            assert_same_function(apply_second_order(casimir_coefficients(), f), casimir(f))
+            assert_same_function(apply_second_order(WAVE_OPERATOR, f),
+                                 -radius ** 2 * laplace_beltrami(f, radius))
 
-
-class TestSpinMatrices:
-    def test_identity_at_origin(self):
-        sm = spin_matrices(0.0, 0.0)
-        np.testing.assert_allclose(sm.s_frame, np.eye(2), atol=1e-15)
-
-    def test_double_cover(self):
-        sm = spin_matrices(0.0, 2.0 * np.pi)
-        np.testing.assert_allclose(sm.s12, -np.eye(2), atol=1e-14)
-
-    def test_unimodular_boost(self):
-        sm = spin_matrices(1.7, 0.0)
-        assert np.linalg.det(sm.s01) == pytest.approx(1.0)
-        assert np.linalg.det(sm.s02) == pytest.approx(1.0)
-
-    def test_inverse(self, rng):
-        for _ in range(10):
-            sm = spin_matrices(float(rng.uniform(-2, 2)), float(rng.uniform(0, 6)))
-            np.testing.assert_allclose(sm.s_frame @ sm.s_frame_inv, np.eye(2),
-                                       atol=1e-14)
+    def test_wave_operator_read_from_the_metric(self):
+        # h^AB = -R^2 g^AB is the second-order part; the first-order part of
+        # the divergence form is tanh d_theta
+        rng = np.random.default_rng(3)
+        th, ph, r = rng.uniform(-1.5, 1.5, 20), rng.uniform(0, 6, 20), 1.7
+        g_inv = geometry_at(ChartPoint(th, ph, r)).metric_inv
+        dtt, dtp, dpp, dt, dp = (c(th, ph) for c in WAVE_OPERATOR)
+        np.testing.assert_allclose(dtt, -r ** 2 * g_inv[0, 0], rtol=1e-15)
+        np.testing.assert_allclose(dpp, -r ** 2 * g_inv[1, 1], rtol=1e-15)
+        assert not dtp.any() and not dp.any()
+        np.testing.assert_allclose(dt, np.tanh(th), rtol=1e-15)
 
 
 class TestArrayPoints:

@@ -246,9 +246,9 @@ class TestVerifyAll:
         assert rep.passed and len(rep) >= 25
 
     def test_tolerance_override(self, q_standard):
-        rep = verify_quadruple(q_standard, margin=4,
-                               tolerances={"first_order.u_u": -1.0})
+        rep = verify_quadruple(q_standard, margin=4).override({"first_order.u_u": -1.0})
         assert not rep["first_order.u_u"].passed
+        assert rep["first_order.u_u"].tolerance == -1.0
 
     def test_massless_report(self, q_massless):
         rep = verify_quadruple(q_massless, margin=4,

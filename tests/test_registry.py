@@ -7,8 +7,7 @@ import pytest
 
 from specquad import cli, finite, quadruple
 from specquad.cli import run
-from specquad.desitter import DeSitterParams, assemble_quadruple
-from specquad.quadruple import DEFAULT_TOLERANCES, registry_key, verify_quadruple
+from specquad.quadruple import DEFAULT_TOLERANCES, registry_key
 
 
 def report(tmp_path, argv):
@@ -48,15 +47,18 @@ class TestUnknownIds:
         assert run(["finite-verify", "--tol", "finite.validation=1"]) == 2
         assert run(["finite-verify", "--tol", "finite.quadruple=1"]) == 2
 
-    def test_api_raises_before_any_check_runs(self, monkeypatch):
-        q = assemble_quadruple(DeSitterParams(rm=1.0, theta=0.3, nmax=8))
-
+    def test_api_raises_before_any_check_runs(self, monkeypatch, capsys):
+        # overrides apply to finished reports only; the ids are validated
+        # before a section runs, and AxiomReport.override is the one place
+        # that applies them
         def reached(*args, **kwargs):
             raise AssertionError("a check ran with an unknown override id")
 
         monkeypatch.setattr(quadruple, "check_time_vector", reached)
+        assert run(["quadruple-verify", "--nmax", "8", "--tol", "bogus=1"]) == 2
+        assert "bogus" in capsys.readouterr().err
         with pytest.raises(ValueError, match="bogus"):
-            verify_quadruple(q, tolerances={"bogus": 1.0})
+            quadruple.validate_overrides({"bogus": 1.0})
 
     def test_report_override_rejects_unknown_ids(self):
         rep = quadruple.AxiomReport()

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from specquad.desitter import DeSitterParams, assemble_quadruple, eigenframe, hamiltonian_theta
-from specquad.geometry import ChartPoint, HypFn, frame_vectors, slash
-from specquad.operators import BasisDescriptor
+from specquad.desitter import eigenframe, hamiltonian_theta
+from specquad.geometry import GAMMA1, ChartPoint, HypFn, frame_intertwiner_inverse, frame_vectors, slash
 from specquad.spinfields import (
     SpinorField,
     apply_T_grid,
     apply_generator,
     conservation_defect,
-    dirac_agreement_residual,
     dirac_pair,
     fiber_gram,
     level_block,
     minkowski_commutation_residual,
-    random_spinor_field,
     t_basis_field,
 )
 
@@ -24,6 +21,12 @@ from evolution_reference import (
     inner_product_slice,
     propagate,
     slice_independence,
+)
+from oracle_reference import (
+    apply_coefficients,
+    dirac_agreement_residual,
+    field_dirac_pair,
+    random_spinor_field,
 )
 
 
@@ -172,10 +175,11 @@ class TestHamiltonianCrossCheck:
         # the central cross-module oracle: the constructed theta-derivative
         # blocks reproduce the grid T-action for |n| <= 11/2
         rm, th = 1.0, 0.4
-        basis = BasisDescriptor.spinor(8)
-        ham = hamiltonian_theta(rm, th, basis)
-        for n in np.arange(-5.5, 6.5):
-            blk = ham.band_block(n, 0)
+        levels = np.arange(-5.5, 6.5)
+        stack = hamiltonian_theta(levels, rm, th)
+        assert stack.shape == (2, 2, levels.size)
+        for i, n in enumerate(levels):
+            blk = stack[..., i]
             for col, sign in ((0, +1), (1, -1)):
                 coefs = apply_T_grid("d_theta", n, sign, rm, th)
                 assert abs(coefs[(n, +1)] - blk[0, col]) <= 1e-9
@@ -183,10 +187,8 @@ class TestHamiltonianCrossCheck:
 
     def test_level_block_composition_matches(self):
         for rm, th, n in ((0.0, 0.0, 0.5), (1.5, 0.8, -2.5), (0.7, -1.1, 3.5)):
-            blk = level_block(n, rm, th)
-            basis = BasisDescriptor.spinor(max(int(abs(n)) + 2, 4))
-            ham = hamiltonian_theta(rm, th, basis)
-            np.testing.assert_allclose(blk, ham.band_block(n, 0), atol=1e-13)
+            np.testing.assert_allclose(level_block(n, rm, th), hamiltonian_theta(n, rm, th),
+                                       atol=1e-13)
 
     def test_orthonormal_transport_reproduces_ladder_blocks(self):
         # conjugating the displayed T-basis ladder action by the eigenframe
@@ -368,39 +370,78 @@ class TestFrameChange:
 
 
 class TestDiracPair:
+    """``dirac_pair`` gives coefficient stacks; the field-based pair of
+    ``oracle_reference`` is the reference they must reproduce."""
+
     def test_t_basis_spinor_agreement(self):
-        psi = t_basis_field(0.5, +1)
-        assert dirac_agreement_residual(psi, ChartPoint(0.3, 1.2)) <= 1e-9
+        psi, p = t_basis_field(0.5, +1), ChartPoint(0.3, 1.2)
+        intrinsic, transported = dirac_pair(p)
+        ref_int, ref_ext = field_dirac_pair(psi, p)
+        sinv = frame_intertwiner_inverse(p.theta, p.phi)
+        np.testing.assert_allclose(apply_coefficients(intrinsic, psi, p.theta, p.phi),
+                                   ref_int, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(apply_coefficients(transported, psi, p.theta, p.phi),
+                                   sinv @ ref_ext, rtol=0, atol=1e-12)
+        assert np.abs(intrinsic - transported).max() <= 1e-9
+        assert dirac_agreement_residual(psi, p) <= 1e-9
 
     def test_random_fields_agree(self, rng):
-        for _ in range(20):
-            psi = random_spinor_field(rng)
-            p = ChartPoint(float(rng.uniform(-1.2, 1.2)),
-                           float(rng.uniform(0.1, 6.1)))
-            assert dirac_agreement_residual(psi, p) <= 1e-9
+        # applied to random fields at random points, the stacks of one
+        # batched call reproduce the reference values of each field
+        for radius in (1.0, 1.7):
+            fields = [random_spinor_field(rng) for _ in range(20)]
+            theta, phi = rng.uniform(-1.2, 1.2, 20), rng.uniform(0.1, 6.1, 20)
+            intrinsic, transported = dirac_pair(ChartPoint(theta, phi, radius))
+            assert intrinsic.shape == transported.shape == (3, 2, 2, 20)
+            assert np.abs(intrinsic - transported).max() <= 1e-14
+            for i, psi in enumerate(fields):
+                p = ChartPoint(theta[i], phi[i], radius)
+                ref_int, ref_ext = field_dirac_pair(psi, p)
+                sinv = frame_intertwiner_inverse(theta[i], phi[i])
+                np.testing.assert_allclose(
+                    apply_coefficients(intrinsic[..., i], psi, theta[i], phi[i]), ref_int,
+                    rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    apply_coefficients(transported[..., i], psi, theta[i], phi[i]),
+                    sinv @ ref_ext, rtol=0, atol=1e-12)
+                assert dirac_agreement_residual(psi, p) <= 1e-9
 
     def test_constant_spinor_at_origin(self):
+        # S is the identity at the origin and only the curvature term acts
+        # on a constant field: the zero-order extrinsic coefficient is -g1
+        intrinsic, transported = dirac_pair(ChartPoint(0.0, 0.0))
+        np.testing.assert_allclose(transported[2], -GAMMA1, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(intrinsic, transported, rtol=0, atol=1e-15)
         psi = SpinorField(HypFn.constant(1.0), HypFn.constant(0.5j))
-        assert dirac_agreement_residual(psi, ChartPoint(0.0, 0.0)) <= 1e-12
-        # only the curvature term survives for a constant field at the origin
-        intrinsic, extrinsic = dirac_pair(psi, ChartPoint(0.0, 0.0))
-        from specquad.geometry import GAMMA1
-        np.testing.assert_allclose(extrinsic, -GAMMA1 @ np.array([1.0, 0.5j]),
-                                   atol=1e-14)
+        _, extrinsic = field_dirac_pair(psi, ChartPoint(0.0, 0.0))
+        np.testing.assert_allclose(extrinsic, -GAMMA1 @ np.array([1.0, 0.5j]), atol=1e-14)
 
     def test_linearity(self):
-        psi = t_basis_field(1.5, -1)
+        # the reference pair is linear in the field, and the stacks act on
+        # a sum as on its parts
+        psi, chi = t_basis_field(1.5, -1), t_basis_field(-0.5, +1)
         p = ChartPoint(0.4, 2.0)
-        i1, e1 = dirac_pair(psi, p)
-        i2, e2 = dirac_pair(psi.scale(2.0), p)
-        np.testing.assert_allclose(i2, 2.0 * i1, atol=1e-13)
-        np.testing.assert_allclose(e2, 2.0 * e1, atol=1e-13)
+        i1, e1 = field_dirac_pair(psi, p)
+        i2, e2 = field_dirac_pair(psi.scale(2.0) + chi, p)
+        i3, e3 = field_dirac_pair(chi, p)
+        np.testing.assert_allclose(i2, 2.0 * i1 + i3, atol=1e-13)
+        np.testing.assert_allclose(e2, 2.0 * e1 + e3, atol=1e-13)
+        intrinsic, _ = dirac_pair(p)
+        np.testing.assert_allclose(apply_coefficients(intrinsic, psi.scale(2.0) + chi,
+                                                      p.theta, p.phi), i2, atol=1e-13)
 
     def test_radius_scaling(self):
-        psi = t_basis_field(0.5, +1)
-        i1, _ = dirac_pair(psi, ChartPoint(0.3, 1.0, radius=1.0))
-        i2, _ = dirac_pair(psi, ChartPoint(0.3, 1.0, radius=2.0))
-        np.testing.assert_allclose(i2, 0.5 * i1, atol=1e-13)
+        i1, e1 = dirac_pair(ChartPoint(0.3, 1.0, radius=1.0))
+        i2, e2 = dirac_pair(ChartPoint(0.3, 1.0, radius=2.0))
+        np.testing.assert_allclose(i2, 0.5 * i1, atol=1e-15)
+        np.testing.assert_allclose(e2, 0.5 * e1, atol=1e-15)
+
+    def test_batch_matches_single_points(self):
+        theta, phi = np.linspace(-1.2, 1.2, 5), np.linspace(0.1, 6.1, 5)
+        batch = dirac_pair(ChartPoint(theta, phi))
+        for i in range(5):
+            for stack, single in zip(batch, dirac_pair(ChartPoint(theta[i], phi[i]))):
+                np.testing.assert_allclose(stack[..., i], single, rtol=0, atol=1e-15)
 
 
 class TestSpinorField:
