@@ -26,7 +26,13 @@ import numpy as np
 
 from . import desitter, finite, geometry, reconstruct, sl2, spinfields
 from .operators import TruncationError, block_product, interior_residual
-from .quadruple import DEFAULT_TOLERANCES, AxiomReport, validate_overrides, verify_quadruple
+from .quadruple import (
+    DEFAULT_TOLERANCES,
+    AxiomReport,
+    validate_overrides,
+    verify_points,
+    verify_quadruple,
+)
 
 REPORT_VERSION = 1
 DEFAULT_SEED = 20201121
@@ -134,6 +140,20 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 
+def _check_parameters(args: argparse.Namespace):
+    """Check the --rm and --theta values before any section runs: a nan or
+    inf is a usage error named by its flag, and a sweep's grids become their
+    lists of floats."""
+    for flag in ("rm", "theta"):
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if args.subcommand == "sweep":
+            setattr(args, flag, _parse_grid(value, flag))
+        elif not math.isfinite(value):
+            raise ConfigError(f"--{flag} {value!r}: must be finite")
+
+
 def _parse_tolerances(pairs: Sequence[str] | None) -> dict[str, float]:
     """ID=VALUE overrides, later ones winning; ids must be registry keys."""
     out = {}
@@ -219,8 +239,7 @@ def _section_reconstruct(rm: float, theta: float, nmax: int, margin: int) -> Axi
             notes=f"recovered rm = {mass_scale:.12g}")
     q2 = desitter.assemble_quadruple(
         desitter.DeSitterParams(rm=2 * rm, theta=theta, nmax=nmax))
-    t3 = reconstruct.commutator_expansion(q2.ih, q2.u, q2.u, 3, margin)[3]
-    kappa2 = reconstruct.fit_third_order(q2, t3, margin)[1]
+    kappa2 = reconstruct.third_order_coefficient(q2, margin)[0]
     rep.add("reconstruct.linearity_in_mass", abs(kappa2 - 2 * adm.kappa),
             DEFAULT_TOLERANCES["reconstruct.linearity_in_mass"] * abs(adm.kappa),
             notes="kappa(2 rm) vs 2 kappa(rm)")
@@ -377,32 +396,35 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, flag: str) -> list[float]:
+    """A comma-separated --rm or --theta grid of finite floats."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"bad grid {text!r}") from exc
+        raise ConfigError(f"--{flag}: bad grid {text!r}") from exc
     if not values:
-        raise ConfigError("empty grid")
+        raise ConfigError(f"--{flag}: empty grid")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"--{flag} {text!r}: grid values must be finite")
     return values
 
 
 def _run_sweep(args: argparse.Namespace) -> tuple[dict, list[list[SweepCell]]]:
-    rms = _parse_grid(args.rm)
-    thetas = _parse_grid(args.theta)
+    """Every rm x theta grid point checked as one batched quadruple; a
+    truncation too small for the margin skips every point with its note."""
+    rms, thetas = args.rm, args.theta
     params = {"rm": rms, "theta": thetas, "nmax": args.nmax, "margin": args.margin}
-    rows = []
-    for rm in rms:
-        row = []
-        for theta in thetas:
-            point = {"rm": rm, "theta": theta, "nmax": args.nmax,
-                     "margin": args.margin}
-            try:
-                row.append((point, _section_quadruple(rm, theta, args.nmax, args.margin), ""))
-            except TruncationError as exc:
-                row.append((point, None, f"truncation too small: {exc}"))
-        rows.append(row)
-    return params, rows
+    points = [{"rm": rm, "theta": theta, "nmax": args.nmax, "margin": args.margin}
+              for rm in rms for theta in thetas]
+    rm = np.repeat(rms, len(thetas))
+    try:
+        q = desitter.assemble_quadruple(desitter.DeSitterParams(
+            rm=rm, theta=np.tile(thetas, len(rms)), nmax=args.nmax))
+        reports, note = verify_points(q, args.margin, include_noncommutativity=rm != 0.0), ""
+    except TruncationError as exc:
+        reports, note = [None] * len(points), f"truncation too small: {exc}"
+    cells = [(point, rep, note) for point, rep in zip(points, reports)]
+    return params, [cells[i:i + len(thetas)] for i in range(0, len(cells), len(thetas))]
 
 
 def _sweep_payload(params: dict, rows: list[list[SweepCell]], tol: dict) -> dict:
@@ -479,6 +501,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(parser, argv)
+        _check_parameters(args)
         tol = _parse_tolerances(args.tol)
 
         params, result = _run_subcommand(args)

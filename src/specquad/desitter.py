@@ -16,7 +16,8 @@ Units: the slice radius R is set to 1, so only the product rm enters any
 matrix (the field mass is the meter stick).  The evolution generator stored
 on the quadruple is the transport of the theta-derivative blocks into the
 orthonormal frame normalized against the conserved inner product; per level
-it is [[i rm, -n/cosh(th)], [n/cosh(th), -i rm]].
+it is [[i rm, -n/cosh(th)], [n/cosh(th), -i rm]].  Arrays of parameters
+give one batched quadruple over their points (``assemble_quadruple``).
 """
 
 from __future__ import annotations
@@ -60,23 +61,34 @@ GAMMA_FIBER = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
 FIBER_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
+_POINT_PARAMS = ("rm", "theta", "rho", "y")
+
+
 @dataclass(frozen=True)
 class DeSitterParams:
     """Two physical parameters (rm, theta) plus the truncation size and the
-    two gauge phases the basis choice leaves free (both default to zero)."""
+    two gauge phases the basis choice leaves free (both default to zero).
 
-    rm: float
-    theta: float = 0.0
+    rm, theta, rho and y may be arrays: ``batch``, their broadcast shape, is
+    the batch of parameter points of one quadruple, () for a single point."""
+
+    rm: float | np.ndarray
+    theta: float | np.ndarray = 0.0
     nmax: int = 32
-    rho: float = 0.0
-    y: float = 0.0
+    rho: float | np.ndarray = 0.0
+    y: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.nmax < 4:
             raise TruncationError("nmax must be >= 4")
-        for name in ("rm", "theta", "rho", "y"):
-            if not np.isfinite(getattr(self, name)):
+        for name in _POINT_PARAMS:
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
+        self.batch  # raises ValueError unless the parameter shapes broadcast
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        return np.broadcast(*(getattr(self, name) for name in _POINT_PARAMS)).shape
 
 
 @dataclass(frozen=True)
@@ -229,34 +241,43 @@ def charge_conjugation(basis: BasisDescriptor) -> AntilinearOperator:
     return AntilinearOperator(TruncatedOperator.from_fiber(basis, FIBER_FLIP))
 
 
-def gauge_unitary(basis: BasisDescriptor, rho: float, y: float) -> TruncatedOperator:
+def gauge_unitary(basis: BasisDescriptor, rho, y) -> TruncatedOperator:
     """Diagonal-phase unitary exp(i rho n) (x) diag(1, e^{iy}) realizing the
-    two residual basis-phase freedoms (overall u-phase and fiber phase)."""
-    fiber = np.diag([1.0, np.exp(1j * y)])
-    return TruncatedOperator.from_level_diagonal(
-        basis, lambda n: np.exp(1j * rho * n) * fiber)
+    two residual basis-phase freedoms (overall u-phase and fiber phase);
+    rho and y broadcast over the basis's batch of points."""
+    rho, y = (np.broadcast_to(x, basis.batch)[..., None] for x in (rho, y))
+    phase = np.exp(1j * rho * basis.level_array)
+    return TruncatedOperator(basis, {0: block_stack(phase, 0.0, 0.0, phase * np.exp(1j * y))})
 
 
 def assemble_quadruple(p: DeSitterParams) -> SpectralQuadruple:
-    """Assemble the full de Sitter quadruple at the given parameters."""
-    basis = BasisDescriptor.spinor(p.nmax)
+    """Assemble the full de Sitter quadruple at the given parameters.
+
+    Over a batch of parameter points (``p.batch``) it is one quadruple on a
+    batched basis: t+-, iH and the gauge phases hold a block stack per
+    point, and u, e_perp, gamma, T21 and C are shared by every point."""
+    basis = BasisDescriptor.spinor(p.nmax, p.batch)
     levels = basis.level_array
-    ident = np.eye(2)[..., None]
+    # the parameters of every point against a trailing level axis; a
+    # single point keeps its scalars, whose arithmetic costs less
+    rm, theta = ((np.broadcast_to(x, basis.batch)[..., None] for x in (p.rm, p.theta))
+                 if basis.batch else (p.rm, p.theta))
+    ident = np.eye(2).reshape(2, 2, *basis.shared, 1)
     # blocks whose image leaves the window are dropped by the constructor
-    u = TruncatedOperator(basis, {1: np.broadcast_to(ident, (2, 2, basis.nlevels))})
+    u = TruncatedOperator(basis, {1: np.broadcast_to(ident, ident.shape[:-1] + levels.shape)})
     e_perp = TruncatedOperator.from_fiber(basis, E_PERP_FIBER)
     gamma = TruncatedOperator.from_fiber(basis, GAMMA_FIBER)
     t21 = TruncatedOperator(basis, {0: 1j * levels * ident})
-    t_plus = TruncatedOperator(basis, {1: appendix_t_plus(levels, p.rm, p.theta)})
-    t_minus = TruncatedOperator(basis, {-1: appendix_t_minus(levels, p.rm, p.theta)})
-    ih = TruncatedOperator(basis, {0: evolution_block(levels, p.rm, p.theta)})
+    t_plus = TruncatedOperator(basis, {1: appendix_t_plus(levels, rm, theta)})
+    t_minus = TruncatedOperator(basis, {-1: appendix_t_minus(levels, rm, theta)})
+    ih = TruncatedOperator(basis, {0: evolution_block(levels, rm, theta)})
     cc = charge_conjugation(basis)
 
     quad = SpectralQuadruple(
         basis=basis, u=u, e_perp=e_perp, gamma=gamma, cc=cc,
         t21=t21, t_plus=t_plus, t_minus=t_minus, ih=ih, spacetime_dim=2)
 
-    if p.rho != 0.0 or p.y != 0.0:
+    if np.any(p.rho != 0.0) or np.any(p.y != 0.0):
         w = gauge_unitary(basis, p.rho, p.y)
         w_h = w.adjoint()
 

@@ -1,13 +1,13 @@
 """Differential and spin geometry of the 1+1 de Sitter hyperboloid.
 
-This module is the appendix-style side of the toolkit: charts, metric,
-Christoffel symbols, Killing fields, the wave operator, extrinsic
-curvature, Clifford frames and the spinor frame transport, all in closed
-form.  It serves as the independent oracle against which the operator
-construction is cross-checked, so derivatives are exact: functions on the
-chart are ``HypFn``, in the algebra spanned by sinh^a(theta) cosh^b(theta)
-e^{ik phi} (a >= 0, b and k integers), closed under multiplication and
-d/dtheta, d/dphi, with exact phi-Fourier modes.  Differential operators are
+This module is the appendix-style side of the toolkit: charts, the
+embedding, Killing fields, the wave operator, extrinsic curvature, Clifford
+frames and the spinor frame transport, all in closed form.  It serves as
+the independent oracle against which the operator construction is
+cross-checked, so derivatives are exact: functions on the chart are
+``HypFn``, in the algebra spanned by sinh^a(theta) cosh^b(theta) e^{ik phi}
+(a >= 0, b and k integers), closed under multiplication and d/dtheta,
+d/dphi, with exact phi-Fourier modes.  Differential operators are
 their ``HypFn`` coefficients: a vector field is the pair on (d_theta,
 d_phi), so the Killing brackets and the Casimir identity are checked on
 the coefficients and hold for every function, not only for samples.
@@ -174,16 +174,6 @@ def x_embedding(radius: float = 1.0) -> tuple[HypFn, HypFn, HypFn]:
 @dataclass(frozen=True)
 class GeometryData:
     embedding: np.ndarray
-    metric: np.ndarray
-    metric_inv: np.ndarray
-    christoffel_theta_phiphi: float | np.ndarray
-    christoffel_phi_thetaphi: float | np.ndarray
-
-
-def _diag2(a: float, b) -> np.ndarray:
-    """diag(a, b) for a scalar a and b of the point shape: (2, 2, *points)."""
-    zero = np.zeros(np.shape(b))
-    return np.array([[np.full(np.shape(b), a), zero], [zero, b]])
 
 
 def _chart_arrays(p: ChartPoint):
@@ -195,20 +185,12 @@ def _chart_arrays(p: ChartPoint):
 
 
 def geometry_at(p: ChartPoint) -> GeometryData:
-    """All chart data at a point, by direct evaluation."""
+    """The chart data at a point, by direct evaluation."""
     r = p.radius
     th, ph = _chart_arrays(p)
-    s, c = np.sinh(th), np.cosh(th)
-    embedding = np.array([r * s, r * c * np.cos(ph), r * c * np.sin(ph)])
-    metric = _diag2(-r ** 2, r ** 2 * c ** 2)
-    metric_inv = _diag2(-1.0 / r ** 2, 1.0 / (r ** 2 * c ** 2))
-    return GeometryData(
-        embedding=embedding,
-        metric=metric,
-        metric_inv=metric_inv,
-        christoffel_theta_phiphi=c * s,
-        christoffel_phi_thetaphi=s / c,
-    )
+    c = np.cosh(th)
+    return GeometryData(embedding=np.array([r * np.sinh(th), r * c * np.cos(ph),
+                                            r * c * np.sin(ph)]))
 
 
 # first and second chart derivatives of the unit-radius embedding, along

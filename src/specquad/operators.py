@@ -6,18 +6,28 @@ index).  Each quadruple operator maps level n to level n + k for one fixed
 k, so operators are stored as shift bands of fiber blocks and multiply band
 by band in O(nlevels).  Every stack of fiber blocks in the package, stored
 band or closed-form block formula alike, has the one fiber-major layout
-(d, d, *levels): entry [:, :, i] is the block at level index i.  So the block
-product (``block_product``, an explicit sum over the fiber index with no
-BLAS call per block), the block norms and the shifts all run over
-contiguous level vectors, and ``block_stack`` builds a 2x2 stack from its
-entries.  Only ``to_dense``/``from_dense``, the dense oracle for tests at
-small sizes, read the level-major, fiber-minor flat order.  Truncation
-simply drops states beyond the cutoff, so identities that hold on the
-infinite ladder are checked on interior levels away from the contaminated
-boundary.  The levels are symmetric about 0 and unit spaced, so the
-interior levels |n| <= max_level - margin are exactly the level indices
-[margin, nlevels - margin): ``InteriorProjector`` slices that index run and
-compares no float levels.
+(d, d, *batch, nlevels) with the level axis last: entry [:, :, i] is the
+block at level index i.  So the block product (``block_product``, an
+explicit sum over the fiber index with no BLAS call per block), the block
+norms and the shifts all run over contiguous level vectors, and
+``block_stack`` builds a 2x2 stack from its entries.  Only
+``to_dense``/``from_dense``, the dense oracle for tests at small sizes and
+the fallback of several bands at a point, read the level-major,
+fiber-minor flat order.  Truncation simply drops states beyond the cutoff,
+so identities that hold on the infinite ladder are checked on interior
+levels away from the contaminated boundary.  The levels are symmetric about
+0 and unit spaced, so the interior levels |n| <= max_level - margin are
+exactly the level indices [margin, nlevels - margin): ``InteriorProjector``
+slices that index run and compares no float levels.
+
+A basis may carry a batch of parameter points (``BasisDescriptor.batch``):
+one operator then holds its value at every point, and one band-algebra call
+serves them all.  A band that differs between points has the batch axes in
+full, (d, d, *batch, nlevels); a band shared by every point has size-1
+batch axes, (d, d, 1, ..., 1, nlevels), and broadcasts against the others.
+The constructors give shared operators the size-1 axes, so an unbatched
+(d, d, nlevels) stack never meets a batched one.  ``interior_residual``
+gives one norm per point.
 """
 
 from __future__ import annotations
@@ -60,10 +70,13 @@ class BasisDescriptor:
     zero (all half-odd integers for the spinor basis, all integers for the
     scalar weight lattices of the representation module).
     ``level_array`` holds the same levels as one read-only float array.
+    ``batch`` is the shape of the parameter points an operator on this
+    basis holds one value for; () is a single point.
     """
 
     levels: tuple[float, ...]
     fiber_dim: int = 2
+    batch: tuple[int, ...] = ()
     level_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -72,6 +85,8 @@ class BasisDescriptor:
             raise ValueError("need at least two levels")
         if self.fiber_dim < 1:
             raise ValueError("fiber_dim must be positive")
+        if any(n < 1 for n in self.batch):
+            raise ValueError("batch axes must be positive")
         # absolute tests: InteriorProjector reads levels by index, which
         # needs the spacing exactly 1, not 1 within a relative 1e-5
         if not np.all(np.abs(np.diff(lv) - 1.0) <= 1e-12):
@@ -82,11 +97,12 @@ class BasisDescriptor:
         object.__setattr__(self, "level_array", lv)
 
     @classmethod
-    def spinor(cls, nmax: int) -> "BasisDescriptor":
+    def spinor(cls, nmax: int, batch: tuple[int, ...] = ()) -> "BasisDescriptor":
         """Half-integer levels n with |n| <= nmax - 1/2 and a 2-dim fiber."""
         if nmax < 1:
             raise ValueError("nmax must be a positive integer")
-        return cls(levels=tuple(np.arange(-nmax + 0.5, nmax + 0.5).tolist()), fiber_dim=2)
+        return cls(levels=tuple(np.arange(-nmax + 0.5, nmax + 0.5).tolist()), fiber_dim=2,
+                   batch=tuple(batch))
 
     @classmethod
     def weight_lattice(cls, nmax: int, lattice: str = "half_integer") -> "BasisDescriptor":
@@ -119,6 +135,11 @@ class BasisDescriptor:
     def max_level(self) -> float:
         return self.levels[-1]
 
+    @property
+    def shared(self) -> tuple[int, ...]:
+        """The size-1 batch axes of a band shared by every point."""
+        return (1,) * len(self.batch)
+
     def level_index(self, n: float) -> int:
         i = int(round(n - self.levels[0]))
         if not (0 <= i < len(self.levels)) or abs(self.levels[i] - n) > 1e-9:
@@ -147,8 +168,8 @@ def _shifted(arr: np.ndarray, s: int) -> np.ndarray:
 
 def block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The block products a[:, :, i] b[:, :, i] at every level i of two
-    fiber-major stacks, shapes (d, d, *levels) and (d, m, *levels); the
-    level shapes broadcast.
+    fiber-major stacks, shapes (d, d, ...) and (d, m, ...); the trailing
+    (batch and level) shapes broadcast.
 
     The sum over the fiber index j of a[:, j] b[j] runs on the whole stack
     at once, each term a product of contiguous level vectors; numpy's ``@``
@@ -169,11 +190,14 @@ def block_stack(b00, b01, b10, b11) -> np.ndarray:
     return np.array(entries, dtype=complex).reshape((2, 2) + entries[0].shape)
 
 
-def _dense_norm(mat: np.ndarray) -> float:
-    """Spectral norm of a dense matrix by SVD."""
+def _dense_norm(mat: np.ndarray) -> float | np.ndarray:
+    """Spectral norm of a dense matrix by SVD; a stack (*batch, n, n) gives
+    the norm of each matrix."""
     mat = np.asarray(mat)
     if mat.size == 0:
         return 0.0
+    if mat.ndim > 2:
+        return np.linalg.norm(mat, 2, axis=(-2, -1))
     return float(np.linalg.norm(mat, 2))
 
 
@@ -181,48 +205,58 @@ def _dense_norm(mat: np.ndarray) -> float:
 class TruncatedOperator:
     """A complex operator on a :class:`BasisDescriptor`, stored as shift bands.
 
-    ``bands[k]`` is a fiber-major (d, d, nlevels) stack: entry [:, :, i] is
-    the fiber block mapping level index i to level index i + k.  The
-    constructor copies each band once into a read-only array, which
-    ``band(k)`` returns as it is stored.  Blocks whose target leaves the
-    window are zero and all-zero bands are not stored, so ``shift_degree``
-    (the k of the single stored band) is exact, never advisory.
+    ``bands[k]`` is a fiber-major (d, d, *batch, nlevels) stack: entry
+    [:, :, ..., i] is the fiber block mapping level index i to level index
+    i + k, at each point of the basis's batch; a band shared by every point
+    has size-1 batch axes.  The constructor takes these two shapes and
+    copies each band once into a read-only array, which ``band(k)`` returns
+    as it is stored.  Blocks whose target leaves the window are zero and
+    bands that are zero at every point are not stored, so on a single-point
+    basis ``shift_degree`` (the k of the single stored band) is exact, never
+    advisory.
     """
 
     basis: BasisDescriptor
     bands: Mapping[int, np.ndarray]
 
     def __post_init__(self):
-        nl, d = self.basis.nlevels, self.basis.fiber_dim
+        basis = self.basis
+        nl, d = basis.nlevels, basis.fiber_dim
+        full, shared = (d, d, *basis.batch, nl), (d, d, *basis.shared, nl)
         bands = {}
         for k, arr in self.bands.items():
             arr = np.asarray(arr)
-            if arr.shape != (d, d, nl):
+            if arr.shape != full and arr.shape != shared:
                 raise ValueError(f"band {k} has shape {arr.shape}, expected the "
-                                 f"fiber-major {(d, d, nl)}")
+                                 f"fiber-major {full}")
             lo = max(0, -k)
             hi = max(lo, nl - max(0, k))
-            out = np.zeros((d, d, nl), dtype=complex)
+            out = np.zeros(arr.shape, dtype=complex)
             out[..., lo:hi] = arr[..., lo:hi]
             bands[int(k)] = out
         self._store(bands)
 
     def _store(self, bands: Mapping[int, np.ndarray]):
-        """Keep the nonzero fiber-major bands, in key order, read-only.
+        """Keep the bands that are nonzero at some point, in key order,
+        read-only.
 
-        A band is kept when it has an entry that is not zero.  The first
-        and the last entry of the first fiber row at the middle level are
-        probed first, and the whole band is scanned only when both are
-        zero: fiber-diagonal blocks have the first, fiber-off-diagonal 2x2
-        blocks the second, so most nonzero bands are decided by one or two
-        reads.  The test stays exact: a nonzero probe proves the band
-        nonzero, and the scan decides every other band.  NaN counts as
-        nonzero and -0.0 as zero in the probe as in ``any()``."""
+        A band is kept when it has an entry that is not zero.  Two entries
+        of the first fiber row at the middle level are probed first, the
+        first one at the first point and the last one at the last point,
+        and the whole band is scanned only when both are zero:
+        fiber-diagonal blocks have the first, fiber-off-diagonal 2x2 blocks
+        the second, so most nonzero bands are decided by one or two reads.
+        The test stays exact: a nonzero probe proves the band nonzero, and
+        the scan decides every other band.  NaN counts as nonzero and -0.0
+        as zero in the probe as in ``any()``."""
         kept = {}
         for k in sorted(bands):
             arr = bands[k]
-            mid = arr.shape[2] // 2
-            if arr.item(0, 0, mid) != 0 or arr.item(0, -1, mid) != 0 or arr.any():
+            n = arr.shape[-1]
+            # flat indices of [0, 0, first point, n // 2] and
+            # [0, -1, last point, n // 2]
+            if (arr.item(n // 2) != 0 or arr.item(arr.size // arr.shape[0] - n + n // 2) != 0
+                    or arr.any()):
                 arr.setflags(write=False)
                 kept[k] = arr
         object.__setattr__(self, "bands", kept)
@@ -256,10 +290,10 @@ class TruncatedOperator:
 
     @classmethod
     def from_fiber(cls, basis: BasisDescriptor, fiber: np.ndarray) -> "TruncatedOperator":
-        """Same fiber matrix at every level (level-scalar operator)."""
+        """Same fiber matrix at every level and point (level-scalar operator)."""
         d = basis.fiber_dim
-        return cls(basis, {0: np.broadcast_to(np.asarray(fiber).reshape(d, d, 1),
-                                              (d, d, basis.nlevels))})
+        return cls(basis, {0: np.broadcast_to(np.asarray(fiber).reshape(d, d, *basis.shared, 1),
+                                              (d, d, *basis.shared, basis.nlevels))})
 
     @classmethod
     def from_level_diagonal(cls, basis: BasisDescriptor,
@@ -285,16 +319,21 @@ class TruncatedOperator:
     @classmethod
     def from_dense(cls, basis: BasisDescriptor, mat: np.ndarray,
                    shift_degree: int | None = None) -> "TruncatedOperator":
-        """Split a dense level-major matrix into its bands.
+        """Split a dense level-major matrix into its bands; on a batched
+        basis ``mat`` is the stack (*batch, dim, dim) of one matrix per point.
 
         With ``shift_degree = k`` the matrix must lie in band k.
         """
-        nl, d = basis.nlevels, basis.fiber_dim
+        nl, d, nb = basis.nlevels, basis.fiber_dim, len(basis.batch)
         mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (basis.dim, basis.dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match basis dim {basis.dim}")
-        # m4[s, t, j, i] is entry (s, t) of the block from level i to level j
-        m4, i = mat.reshape(nl, d, nl, d).transpose(1, 3, 0, 2), np.arange(nl)
+        if mat.shape != (*basis.batch, basis.dim, basis.dim):
+            raise ValueError(f"matrix shape {mat.shape} does not match basis dim {basis.dim}"
+                             f" and batch {basis.batch}")
+        # m4[s, t, *p, j, i] is entry (s, t) of the block from level i to
+        # level j at point p
+        m4 = mat.reshape(*basis.batch, nl, d, nl, d).transpose(
+            nb + 1, nb + 3, *range(nb), nb, nb + 2)
+        i = np.arange(nl)
         # wrapped-around blocks leave the window and are zeroed on construction
         op = cls(basis, {k: m4[..., (i + k) % nl, i] for k in range(1 - nl, nl)})
         if shift_degree is not None and set(op.bands) - {shift_degree}:
@@ -302,12 +341,15 @@ class TruncatedOperator:
         return op
 
     def to_dense(self) -> np.ndarray:
-        """The dense level-major, fiber-minor matrix (a test oracle)."""
-        nl, d = self.basis.nlevels, self.basis.fiber_dim
-        m4, i = np.zeros((d, d, nl, nl), dtype=complex), np.arange(nl)
+        """The dense level-major, fiber-minor matrix (a test oracle); on a
+        batched basis the stack (*batch, dim, dim) of one matrix per point."""
+        basis = self.basis
+        nl, d, nb = basis.nlevels, basis.fiber_dim, len(basis.batch)
+        m4, i = np.zeros((d, d, *basis.batch, nl, nl), dtype=complex), np.arange(nl)
         for k, arr in self.bands.items():
             m4[..., (i + k) % nl, i] += arr  # wrapped-around blocks are zero
-        return m4.transpose(2, 0, 3, 1).reshape(self.basis.dim, self.basis.dim)
+        return m4.transpose(*range(2, nb + 2), nb + 2, 0, nb + 3, 1).reshape(
+            *basis.batch, basis.dim, basis.dim)
 
     # -- band access -------------------------------------------------------
 
@@ -318,15 +360,15 @@ class TruncatedOperator:
         return next(iter(self.bands)) if len(self.bands) == 1 else None
 
     def band(self, k: int) -> np.ndarray:
-        """The blocks of band k, fiber-major (d, d, nlevels): the stored
-        read-only array, zeros if it is not stored."""
+        """The blocks of band k, fiber-major (d, d, *batch, nlevels): the
+        stored read-only array, shared zeros if it is not stored."""
         if k in self.bands:
             return self.bands[k]
         d = self.basis.fiber_dim
-        return np.zeros((d, d, self.basis.nlevels), dtype=complex)
+        return np.zeros((d, d, *self.basis.shared, self.basis.nlevels), dtype=complex)
 
     def band_block(self, n: float, k: int) -> np.ndarray:
-        """The fiber block mapping level n to level n+k."""
+        """The fiber block mapping level n to level n+k (at every point)."""
         self.basis.level_index(n + k)
         return self.band(k)[..., self.basis.level_index(n)]
 
@@ -515,14 +557,15 @@ class InteriorProjector:
 
     def band(self, a: TruncatedOperator, k: int) -> np.ndarray:
         """The kept blocks of band k (source and target kept), in level
-        order, fiber-major (d, d, nkept): a view of the stored band."""
+        order, fiber-major (d, d, *batch, nkept): a view of the stored band."""
         lo, hi = self._window(k)
         if k not in a.bands:
-            return np.zeros((self.basis.fiber_dim,) * 2 + (hi - lo,), dtype=complex)
+            return np.zeros((self.basis.fiber_dim,) * 2 + self.basis.shared + (hi - lo,),
+                            dtype=complex)
         return a.bands[k][..., lo:hi]
 
     def band_norms(self, a: TruncatedOperator, k: int) -> np.ndarray:
-        """Spectral norms of the kept blocks of band k.
+        """Spectral norms of the kept blocks of band k, shape (*batch, nkept).
 
         For a 2-dim fiber the squared norm of a block B is the largest
         eigenvalue of B*B = [[p, r], [conj(r), q]], (p + q)/2 +
@@ -550,23 +593,34 @@ class InteriorProjector:
         return TruncatedOperator._result(a.basis, out)
 
     def compress(self, a: TruncatedOperator | np.ndarray) -> np.ndarray:
-        """P A P restricted to the kept rows/columns, as a dense matrix."""
+        """P A P restricted to the kept rows/columns, as a dense matrix (a
+        stack of them over a batch)."""
         mat = a.to_dense() if isinstance(a, TruncatedOperator) else np.asarray(a)
         lo, hi = self._window(0)
         d = self.basis.fiber_dim
-        return mat[lo * d:hi * d, lo * d:hi * d]
+        return mat[..., lo * d:hi * d, lo * d:hi * d]
 
 
-def interior_residual(a: TruncatedOperator, margin: int) -> float:
+def interior_residual(a: TruncatedOperator, margin: int) -> float | np.ndarray:
     """Spectral norm of P A P; asserts "A = 0 away from the cutoff".
 
-    A single-band operator is a direct sum of its blocks, so its norm is
-    the largest block norm; several bands fall back to the dense SVD.
+    At a point where one band is nonzero the operator is a direct sum of
+    its blocks, so its norm is the largest block norm; a point where several
+    bands are nonzero falls back to the dense SVD.  Each point is decided
+    by its own bands, so the norms of a batch are those of its points taken
+    one by one.  A float on a single-point basis, else an array of the
+    batch shape.
     """
     proj = InteriorProjector(a.basis, margin)
+    batch = a.basis.batch
+    out = np.zeros(batch)
+    for k in a.bands:
+        out = np.maximum(out, proj.band_norms(a, k).max(axis=-1, initial=0.0))
     if len(a.bands) > 1:
-        return _dense_norm(proj.compress(a))
-    return max((float(proj.band_norms(a, k).max(initial=0.0)) for k in a.bands), default=0.0)
+        several = sum(arr.any(axis=(0, 1, -1)) for arr in a.bands.values()) > 1
+        if np.any(several):
+            out = np.where(several, _dense_norm(proj.compress(a)), out)
+    return out if batch else float(out)
 
 
 def bch_terms(generator: TruncatedOperator, f: TruncatedOperator,

@@ -12,10 +12,21 @@ checked on the interior levels only, by level masks on the operator bands.
 ``DEFAULT_TOLERANCES`` bounds every check id that a specquad module reports;
 a report id ``name@k`` shares the entry of ``name``.  Overrides are keyed by
 report ids, replace bounds on a finished report and reject unknown ids.
+
+A quadruple on a batched basis holds a batch of parameter points, and one
+run of a check serves all of them.  Its results are per point: a residual
+is an array of the batch shape (a float at a single point), and a report
+is one ``AxiomReport`` per point (a list of them over a batch, the report
+itself at a single point).  ``verify_points`` gives the per-point reports of
+the whole suite; ``verify_quadruple`` is its single-point case.  Whatever is
+decided from the values of a point (a sign, a median, which bands a fit
+links, whether a row is reported) is decided at each point on its own, so
+every point's report equals the report of that point checked alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
@@ -51,6 +62,7 @@ __all__ = [
     "check_spatial_triple",
     "check_symmetric_conditions",
     "check_noncommutativity",
+    "verify_points",
     "verify_quadruple",
 ]
 
@@ -192,6 +204,61 @@ DEFAULT_TOLERANCES = {
 }
 
 
+class _PointReports:
+    """The reports of one check, one per point of the quadruple's batch in
+    the C order of its shape.  ``add`` takes a residual per point (a float
+    at a single point, an array of the batch shape over a batch) and notes
+    shared by every point or one per point."""
+
+    def __init__(self, q: SpectralQuadruple):
+        self.shape = q.basis.batch
+        self.reports = [AxiomReport() for _ in range(math.prod(self.shape))]
+
+    def add(self, check_id: str, residual, tolerance: float | None = None,
+            margin: int = 0, notes: str | list[str] = ""):
+        values = np.ravel(residual).tolist()
+        if isinstance(notes, str):
+            notes = [notes] * len(values)
+        if tolerance is None:
+            tolerance = DEFAULT_TOLERANCES[registry_key(check_id)]
+        for rep, value, note in zip(self.reports, values, notes, strict=True):
+            rep.add(check_id, value, tolerance, margin, note)
+
+    def extend(self, part: AxiomReport | list[AxiomReport]):
+        for rep, other in zip(self.reports, part if self.shape else [part]):
+            rep.extend(other)
+
+    def result(self) -> AxiomReport | list[AxiomReport]:
+        """The report at a single point, the list of them over a batch."""
+        return self.reports if self.shape else self.reports[0]
+
+
+def _point_values(values: list, shape: tuple[int, ...]) -> float | np.ndarray:
+    """Per-point values computed one by one, as a float at a single point
+    and an array of the batch shape otherwise."""
+    return np.array(values).reshape(shape) if shape else values[0]
+
+
+def _at_point(arr: np.ndarray, index: tuple[int, ...]) -> np.ndarray:
+    """The (d, d, ..., nlevels) blocks of a band stack at the point with
+    batch index ``index``; a shared (size-1) batch axis gives its one entry."""
+    return arr[(slice(None), slice(None))
+               + tuple(0 if n == 1 else i for n, i in zip(arr.shape[2:-1], index))]
+
+
+def _bands_at_points(x: TruncatedOperator) -> list[frozenset[int]]:
+    """The keys of the bands of x that are nonzero at each point: a band
+    stored for the batch may vanish at some of its points, while at a
+    single point every stored band is nonzero."""
+    shape = x.basis.batch
+    if not shape:
+        return [frozenset(x.bands)]
+    nonzero = {k: np.broadcast_to(arr.any(axis=(0, 1, -1)), shape).ravel()
+               for k, arr in x.bands.items()}
+    return [frozenset(k for k, nz in nonzero.items() if nz[p])
+            for p in range(math.prod(shape))]
+
+
 def registry_key(check_id: str) -> str:
     """Table key of a report id: ``name@k`` shares the entry of ``name``."""
     return check_id.split("@", 1)[0]
@@ -212,37 +279,38 @@ def s_exponent(n: int) -> int:
     return (n - 1) * (n - 2) * (n - 3) * (n - 4) // 8
 
 
-def check_time_vector(q: SpectralQuadruple) -> AxiomReport:
+def check_time_vector(q: SpectralQuadruple) -> AxiomReport | list[AxiomReport]:
     """e_perp^2 = -1 and e_perp* = -e_perp (fiberwise, no edge effects)."""
-    rep = AxiomReport()
+    rep = _PointReports(q)
     one = TruncatedOperator.identity(q.basis)
     rep.add("time_vector.square", op_norm(q.e_perp @ q.e_perp + one))
     rep.add("time_vector.antihermitian", op_norm(q.e_perp.adjoint() + q.e_perp))
-    return rep
+    return rep.result()
 
 
-def check_volume_element(q: SpectralQuadruple) -> AxiomReport:
-    """gamma^2 = +-1 (sign recorded) and the braiding with the time vector:
-    anticommutator for even spacetime dimension, commutator for odd."""
-    rep = AxiomReport()
+def check_volume_element(q: SpectralQuadruple) -> AxiomReport | list[AxiomReport]:
+    """gamma^2 = +-1 (sign recorded per point) and the braiding with the
+    time vector: anticommutator for even spacetime dimension, commutator
+    for odd."""
+    rep = _PointReports(q)
     one, square = TruncatedOperator.identity(q.basis), q.gamma @ q.gamma
     r_plus = op_norm(square - one)
     r_minus = op_norm(square + one)
-    if r_plus <= r_minus:
-        rep.add("volume.gamma_square", r_plus, notes="gamma^2 = +1")
-    else:
-        rep.add("volume.gamma_square", r_minus, notes="gamma^2 = -1")
+    plus = r_plus <= r_minus
+    rep.add("volume.gamma_square", np.where(plus, r_plus, r_minus),
+            notes=["gamma^2 = +1" if p else "gamma^2 = -1" for p in np.ravel(plus)])
     if q.even_dim:
         rep.add("volume.braiding", op_norm(anticommutator(q.e_perp, q.gamma)),
                 notes="{e_perp, gamma}, even dim")
     else:
         rep.add("volume.braiding", op_norm(commutator(q.e_perp, q.gamma)),
                 notes="[e_perp, gamma], odd dim")
-    return rep
+    return rep.result()
 
 
 def check_first_order(q: SpectralQuadruple, f: TruncatedOperator | None = None,
-                      g: TruncatedOperator | None = None, margin: int = 2) -> float:
+                      g: TruncatedOperator | None = None,
+                      margin: int = 2) -> float | np.ndarray:
     """Interior residual of the dynamical first-order condition
     [[f, iH], g^op] with g^op = C g* C."""
     f = q.u if f is None else f
@@ -252,17 +320,18 @@ def check_first_order(q: SpectralQuadruple, f: TruncatedOperator | None = None,
 
 
 def _antilinear_intertwine_residual(c: AntilinearOperator, x: TruncatedOperator,
-                                    y: TruncatedOperator, margin: int) -> float:
+                                    y: TruncatedOperator, margin: int) -> float | np.ndarray:
     """Interior residual of C x - y C as antilinear maps: ||M conj(X) - Y M||;
     both are R times a banded map, and the reflection R commutes with P."""
     return interior_residual(c.after(x).linear - c.before(y).linear, margin)
 
 
-def check_charge_conjugation(q: SpectralQuadruple, margin: int = 2) -> AxiomReport:
+def check_charge_conjugation(q: SpectralQuadruple,
+                             margin: int = 2) -> AxiomReport | list[AxiomReport]:
     """C^2 = (-1)^{s(n)} and the intertwining of C with the symmetry
     generators: C T21 = T21 C, C T+ = T- C, C T- = T+ C, C iH = iH C, and
     the algebra conjugation C u = u* C."""
-    rep = AxiomReport()
+    rep = _PointReports(q)
     sign = (-1.0) ** s_exponent(q.spacetime_dim)
     target = sign * TruncatedOperator.identity(q.basis)
     rep.add("charge_conjugation.square",
@@ -284,7 +353,7 @@ def check_charge_conjugation(q: SpectralQuadruple, margin: int = 2) -> AxiomRepo
     rep.add("charge_conjugation.generator",
             _antilinear_intertwine_residual(q.cc, q.ih, q.ih, margin),
             margin=margin, notes="C iH = iH C")
-    return rep
+    return rep.result()
 
 
 def spatial_dirac(q: SpectralQuadruple) -> TruncatedOperator:
@@ -305,7 +374,7 @@ def _hochschild_dirac(q: SpectralQuadruple) -> TruncatedOperator:
 
 
 def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
-                        margin: int | None = None) -> float:
+                        margin: int | None = None) -> float | np.ndarray:
     """Least-squares membership of the volume element in the span of
     Hochschild-cycle candidates e_perp u^p [D, u^q] (even spacetime
     dimension; the e_perp prefix is dropped for odd).
@@ -322,6 +391,11 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
     The links are read from the bands a candidate can have, the sums of
     its factors' bands: a superset of its stored bands, so the linked group
     is a union of the exact groups and the fit stays exact.
+
+    Over a batch the links are read at each point from the bands nonzero
+    there, so a point links the group it would link alone; the candidates
+    linked at some point are built once for the batch, and each point
+    fits its own group.
     """
     d = monomial_degree_bound
     if d < 1:
@@ -331,36 +405,60 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
     dirac = _hochschild_dirac(q)
     proj = InteriorProjector(q.basis, margin)
     gamma = proj.project(q.gamma)
-    if not gamma.bands:
+    gamma_bands = _bands_at_points(gamma)
+    if not all(gamma_bands):
         raise ValueError("volume element vanishes on the interior")
     powers = {p: q.u.power(p) for p in range(-d, d + 1)}
     comms = [commutator(dirac, powers[deg]) for deg in powers if deg != 0]
-    prefix = q.e_perp.bands.keys() if q.even_dim else {0}
-    factors = [(up, comm, {e + a + b for e in prefix for a in up.bands for b in comm.bands})
-               for up in powers.values() for comm in comms]
-    bands = set(gamma.bands)
+    factors = [(up, comm) for up in powers.values() for comm in comms]
+    # each point's (gamma, prefix, factor) bands, and the group it links
+    prefix = _bands_at_points(q.e_perp) if q.even_dim else [frozenset({0})] * len(gamma_bands)
+    up_bands = [_bands_at_points(up) for up in powers.values()]
+    comm_bands = [_bands_at_points(comm) for comm in comms]
+    keys = [(gam, prefix[p], tuple(ub[p] for ub in up_bands), tuple(cb[p] for cb in comm_bands))
+            for p, gam in enumerate(gamma_bands)]
+    groups = {key: _linked_group(*key) for key in dict.fromkeys(keys)}
+    point_groups = [groups[key] for key in keys]
+    built = sorted(set().union(*(linked for linked, _ in point_groups)))
+    cands = {}
+    for i in built:
+        up, comm = factors[i]
+        cands[i] = proj.project(q.e_perp @ (up @ comm) if q.even_dim else up @ comm)
+    out = []
+    for (linked, bands), index in zip(point_groups, np.ndindex(q.basis.batch)):
+        if not linked:
+            out.append(1.0)
+            continue
+        # every other entry of the linked bands vanishes in all operands, so
+        # fitting the stored entries is the Frobenius fit
+        a = np.array([np.concatenate([_at_point(cands[i].band(k), index).ravel()
+                                      for k in bands]) for i in linked]).T
+        b = np.concatenate([_at_point(gamma.band(k), index).ravel() for k in bands])
+        coef, *_ = np.linalg.lstsq(a, b, rcond=None)
+        # a threaded BLAS matrix-vector product on this tall, narrow a can
+        # stall for milliseconds; the few columns are summed by hand instead
+        out.append(float(np.linalg.norm((a * coef).sum(axis=1) - b) / np.linalg.norm(b)))
+    return _point_values(out, q.basis.batch)
+
+
+def _linked_group(gamma: frozenset[int], prefix: frozenset[int], up_bands: tuple,
+                  comm_bands: tuple) -> tuple[list[int], list[int]]:
+    """The indices of the candidates e_perp u^p [D, u^q] (in the order of
+    the (p, q) pairs) linked to the bands of gamma, and the sorted bands
+    they reach, from the bands of each factor at one point."""
+    reach = [{e + a + b for e in prefix for a in ub for b in cb}
+             for ub in up_bands for cb in comm_bands]
+    bands = set(gamma)
     while True:
-        linked = [f for f in factors if bands & f[2]]
-        grown = bands.union(*(reach for *_, reach in linked))
+        linked = [i for i, r in enumerate(reach) if bands & r]
+        grown = bands.union(*(reach[i] for i in linked))
         if grown == bands:
-            break
+            return linked, sorted(bands)
         bands = grown
-    if not linked:
-        return 1.0
-    cands = [proj.project(q.e_perp @ (up @ comm) if q.even_dim else up @ comm)
-             for up, comm, _ in linked]
-    # every other entry of the linked bands vanishes in all operands, so
-    # fitting the stored entries is the Frobenius fit
-    bands = sorted(bands)
-    a = np.array([np.concatenate([c.band(k).ravel() for k in bands]) for c in cands]).T
-    b = np.concatenate([gamma.band(k).ravel() for k in bands])
-    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-    # a threaded BLAS matrix-vector product on this tall, narrow a can
-    # stall for milliseconds; the few columns are summed by hand instead
-    return float(np.linalg.norm((a * coef).sum(axis=1) - b) / np.linalg.norm(b))
 
 
-def check_spatial_triple(q: SpectralQuadruple, margin: int = 4) -> AxiomReport:
+def check_spatial_triple(q: SpectralQuadruple,
+                         margin: int = 4) -> AxiomReport | list[AxiomReport]:
     """Spectral-triple conditions for the spatial slice operator
     D_s = e_perp [H, e_perp] (built from the stored iH as e_perp [-i iH, e_perp]).
 
@@ -372,21 +470,26 @@ def check_spatial_triple(q: SpectralQuadruple, margin: int = 4) -> AxiomReport:
     if not q.even_dim:
         raise ValueError("spatial-triple restriction applies to even spacetime "
                          "dimension; the odd case checks the unrestricted triple")
-    rep = AxiomReport()
+    rep = _PointReports(q)
     d_s = q.e_perp @ commutator(-1j * q.ih, q.e_perp)
     rep.add("spatial.selfadjoint",
             interior_residual(d_s - d_s.adjoint(), margin), margin=margin)
 
     comm_ds_u = commutator(d_s, q.u)
-    norms = InteriorProjector(q.basis, margin).band_norms(comm_ds_u, 1)
-    med = float(np.median(norms)) if norms.size else 0.0
-    if med <= 1e-14:
-        rep.add("spatial.bounded_uniform", 0.0, margin=margin,
-                notes="degenerate: [D_s, u] vanishes (no spatial dynamics)")
-    else:
-        rel = float(np.max(np.abs(norms - med)) / med)
-        rep.add("spatial.bounded_uniform", rel, margin=margin,
-                notes=f"median fiber-block norm {med:.6g}")
+    all_norms = InteriorProjector(q.basis, margin).band_norms(comm_ds_u, 1)
+    uniform, notes = [], []
+    # one median per point
+    for norms in np.broadcast_to(all_norms, q.basis.batch + all_norms.shape[-1:]).reshape(
+            math.prod(q.basis.batch), -1):
+        med = float(np.median(norms)) if norms.size else 0.0
+        if med <= 1e-14:
+            uniform.append(0.0)
+            notes.append("degenerate: [D_s, u] vanishes (no spatial dynamics)")
+        else:
+            uniform.append(float(np.max(np.abs(norms - med)) / med))
+            notes.append(f"median fiber-block norm {med:.6g}")
+    rep.add("spatial.bounded_uniform", _point_values(uniform, q.basis.batch), margin=margin,
+            notes=notes)
 
     u_op = antilinear_conjugate(q.cc, q.u)
     rep.add("spatial.first_order",
@@ -398,14 +501,15 @@ def check_spatial_triple(q: SpectralQuadruple, margin: int = 4) -> AxiomReport:
     p_plus = 0.5 * (one + (-1j) * q.e_perp)
     rep.add("spatial.eigenspace_algebra",
             interior_residual(commutator(p_plus, q.u), margin), margin=margin)
-    return rep
+    return rep.result()
 
 
-def check_symmetric_conditions(q: SpectralQuadruple, margin: int = 2) -> AxiomReport:
+def check_symmetric_conditions(q: SpectralQuadruple,
+                               margin: int = 2) -> AxiomReport | list[AxiomReport]:
     """The de Sitter quadruple postulates and the sl2 structure relations:
     [T21, u] = iu, [T21, e_perp] = 0, [T21, gamma] = 0, [T21, T+-] = +-iT+-,
     [T+, T-] = -2iT21, T+-* = -T-+."""
-    rep = AxiomReport()
+    rep = _PointReports(q)
 
     def add(cid, resid):
         rep.add(cid, resid, margin=margin)
@@ -423,11 +527,11 @@ def check_symmetric_conditions(q: SpectralQuadruple, margin: int = 2) -> AxiomRe
         interior_residual(q.t_plus.adjoint() + q.t_minus, margin))
     add("symmetric.tminus_adjoint",
         interior_residual(q.t_minus.adjoint() + q.t_plus, margin))
-    return rep
+    return rep.result()
 
 
 def _expm2(a: np.ndarray) -> np.ndarray:
-    """exp of a fiber-major stack of 2x2 blocks, shape (2, 2, N), by the
+    """exp of a fiber-major stack of 2x2 blocks, shape (2, 2, ...), by the
     closed form in ``check_noncommutativity``.  Both coefficients are even
     in s, so either square root serves; sinh s / s is its series
     1 + s^2/6 for |s| < 1e-4, where the next term is below the roundoff."""
@@ -442,7 +546,7 @@ def _expm2(a: np.ndarray) -> np.ndarray:
                                      sinhc * a[1, 0], cosh - sinhc * half)
 
 
-def check_noncommutativity(q: SpectralQuadruple) -> float:
+def check_noncommutativity(q: SpectralQuadruple) -> float | np.ndarray:
     """Norm of [e^{iH} u e^{-iH}, u]: the evolved algebra must not
     commute with the original one (vanishes identically in the massless
     degenerate case).
@@ -468,11 +572,14 @@ _DEGREE_BOUND = 2
 _NONCOMMUTATIVITY_THRESHOLD = 1e-4
 
 
-def verify_quadruple(q: SpectralQuadruple, margin: int = 4,
-                     include_noncommutativity: bool = True) -> AxiomReport:
-    """Run the full axiom suite and return one combined report at the
-    table's bounds; ``AxiomReport.override`` replaces them by report id."""
-    rep = AxiomReport()
+def verify_points(q: SpectralQuadruple, margin: int = 4,
+                  include_noncommutativity: bool | np.ndarray = True) -> list[AxiomReport]:
+    """Run the full axiom suite on every point of q and return one combined
+    report per point, in the C order of the batch (one report at a single
+    point), at the table's bounds; ``AxiomReport.override`` replaces them by
+    report id.  ``include_noncommutativity`` is one flag or one per point:
+    the evolution row is reported at the points it marks."""
+    rep = _PointReports(q)
     rep.extend(check_time_vector(q))
     rep.extend(check_volume_element(q))
     rep.extend(check_symmetric_conditions(q, min(margin, 2)))
@@ -495,9 +602,23 @@ def verify_quadruple(q: SpectralQuadruple, margin: int = 4,
     if q.even_dim:
         rep.extend(check_spatial_triple(q, margin))
 
-    if include_noncommutativity:
-        value = check_noncommutativity(q)
-        rep.add("evolution.noncommutative",
-                max(0.0, _NONCOMMUTATIVITY_THRESHOLD - value),
-                notes=f"||[u(1), u]|| = {value:.6g}, required > {_NONCOMMUTATIVITY_THRESHOLD:g}")
-    return rep
+    include = np.broadcast_to(include_noncommutativity, q.basis.batch).ravel()
+    if include.any():
+        values = np.ravel(check_noncommutativity(q)).tolist()
+        for point, value, wanted in zip(rep.reports, values, include):
+            if wanted:
+                point.add("evolution.noncommutative",
+                          max(0.0, _NONCOMMUTATIVITY_THRESHOLD - value),
+                          notes=f"||[u(1), u]|| = {value:.6g}, "
+                                f"required > {_NONCOMMUTATIVITY_THRESHOLD:g}")
+    return rep.reports
+
+
+def verify_quadruple(q: SpectralQuadruple, margin: int = 4,
+                     include_noncommutativity: bool = True) -> AxiomReport:
+    """Run the full axiom suite on a single-point quadruple and return one
+    combined report: ``verify_points`` at its one point."""
+    if q.basis.batch:
+        raise ValueError("verify_quadruple checks a single point; "
+                         "verify_points checks a batch")
+    return verify_points(q, margin, include_noncommutativity)[0]

@@ -11,7 +11,9 @@ the slice metric factor without using any construction metadata.
 Each extraction builds one expansion and at most one ADM commutator; a
 caller that already holds the expansion (the CLI's massless branch reads
 its order rows, the degeneracy and the mass from one expansion) passes its
-third-order term to ``fit_third_order``.
+third-order term to ``fit_third_order``.  A caller that needs kappa alone
+(the CLI's 2 rm quadruple) reads it from ``third_order_coefficient``,
+through the same vanishing cut and without the ADM commutator.
 """
 
 from __future__ import annotations
@@ -107,10 +109,20 @@ def _adm_commutator(q: SpectralQuadruple) -> TruncatedOperator:
     return commutator(commutator(q.ih, q.e_perp), q.u)
 
 
+def _vanishes(q: SpectralQuadruple, t3: TruncatedOperator, margin: int) -> bool:
+    """Whether the third-order term t3 is massless roundoff: the roundoff
+    grows about linearly with ||iH||, so the cut does too."""
+    scale = max(interior_residual(q.ih, margin), 1.0)
+    return interior_residual(t3, margin) <= 1e-12 * scale
+
+
 def third_order_coefficient(q: SpectralQuadruple, margin: int = 4) -> tuple[float, float]:
-    """(kappa, fit residual) of the third-order term against e_perp u^2."""
-    return _band_fit(commutator_expansion(q.ih, q.u, q.u, 3, margin)[3], 2,
-                     q.e_perp @ q.u @ q.u, margin)
+    """(kappa, fit residual) of the third-order term against e_perp u^2;
+    both 0 when the term vanishes (the cut of ``fit_third_order``)."""
+    t3 = commutator_expansion(q.ih, q.u, q.u, 3, margin)[3]
+    if _vanishes(q, t3, margin):
+        return 0.0, 0.0
+    return _band_fit(t3, 2, q.e_perp @ q.u @ q.u, margin)
 
 
 def fit_third_order(q: SpectralQuadruple, t3: TruncatedOperator, margin: int,
@@ -123,9 +135,7 @@ def fit_third_order(q: SpectralQuadruple, t3: TruncatedOperator, margin: int,
     the caller has none).  The mass scale only means something when the fit
     residual is small.
     """
-    # the massless roundoff in t3 grows about linearly with ||iH||, so the cut does too
-    scale = max(interior_residual(q.ih, margin), 1.0)
-    if interior_residual(t3, margin) <= 1e-12 * scale:
+    if _vanishes(q, t3, margin):
         return 0.0, 0.0, 0.0
     kappa, resid = _band_fit(t3, 2, q.e_perp @ q.u @ q.u, margin)
     adm = _adm_commutator(q) if adm is None else adm

@@ -7,8 +7,11 @@ on explicit functions and spinor fields, as the reference the coefficients
 must reproduce: the Killing fields and the Laplace-Beltrami operator as
 maps of ``HypFn``, the Dirac pair evaluated on a ``SpinorField`` at one
 point, random closed-form spinor fields, and the spinor frame transport S
-itself.
+itself.  It also holds the chart metric, its inverse and the Christoffel
+symbols, which the library's checks do not read.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +30,34 @@ from specquad.geometry import (
     x_embedding,
 )
 from specquad.spinfields import SpinorField
+
+
+# -- chart metric ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChartMetric:
+    metric: np.ndarray
+    metric_inv: np.ndarray
+    christoffel_theta_phiphi: float | np.ndarray
+    christoffel_phi_thetaphi: float | np.ndarray
+
+
+def _diag2(a: float, b) -> np.ndarray:
+    """diag(a, b) for a scalar a and b of the point shape: (2, 2, *points)."""
+    zero = np.zeros(np.shape(b))
+    return np.array([[np.full(np.shape(b), a), zero], [zero, b]])
+
+
+def chart_metric(p: ChartPoint) -> ChartMetric:
+    """g = R^2 diag(-1, cosh^2 theta), its inverse and the nonzero
+    Christoffel symbols at a point; a ChartPoint of arrays broadcasts, with
+    the fiber-major (2, 2, *points) matrices."""
+    r = p.radius
+    th = np.broadcast_arrays(p.theta, p.phi)[0]
+    s, c = np.sinh(th), np.cosh(th)
+    return ChartMetric(metric=_diag2(-r ** 2, r ** 2 * c ** 2),
+                       metric_inv=_diag2(-1.0 / r ** 2, 1.0 / (r ** 2 * c ** 2)),
+                       christoffel_theta_phiphi=c * s, christoffel_phi_thetaphi=s / c)
 
 
 # -- Killing fields and Laplacian as maps of functions ----------------------

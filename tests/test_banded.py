@@ -7,6 +7,8 @@ import itertools
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from specquad import operators, quadruple as quad, spinfields
@@ -32,6 +34,7 @@ from specquad.quadruple import (
     check_noncommutativity,
     check_orientability,
     check_symmetric_conditions,
+    verify_points,
     verify_quadruple,
 )
 from specquad.reconstruct import extract_adm, massless_degeneracy_check
@@ -334,6 +337,16 @@ def test_noncommutativity_with_off_band_generator(rng):
     want = np.linalg.norm(evolved @ u - u @ evolved, 2)
     got = check_noncommutativity(dataclasses.replace(q, ih=TruncatedOperator.from_dense(q.basis, ih)))
     assert got == pytest.approx(want, rel=1e-12)
+    # over a batch of two generators the dense exponential is taken per point
+    g = rng.normal(size=(q.basis.dim,) * 2) + 1j * rng.normal(size=(q.basis.dim,) * 2)
+    ihs = np.stack([ih, 0.1 * (g - g.conj().T)])
+    batched = assemble_quadruple(DeSitterParams(rm=np.ones(2), theta=0.3, nmax=4))
+    got = check_noncommutativity(dataclasses.replace(
+        batched, ih=TruncatedOperator.from_dense(batched.basis, ihs)))
+    assert got.shape == (2,)
+    for p in (0, 1):
+        single = dataclasses.replace(q, ih=TruncatedOperator.from_dense(q.basis, ihs[p]))
+        assert got[p] == pytest.approx(check_noncommutativity(single), rel=1e-13)
 
 
 EPS = np.finfo(float).eps
@@ -466,3 +479,102 @@ def test_orientability_builds_each_power_once(monkeypatch):
                         lambda self, p: calls.append(p) or power(self, p))
     check_orientability(quadruple(16, 1.0, 0.3, 0.0, 0.0), 2)
     assert sorted(calls) == [-2, -1, 0, 1, 2]
+
+
+def at_point(x, p):
+    """The single-point operator of x at point p of its 1-d batch, built
+    alone: its band p slices, with the bands zero there dropped."""
+    basis = dataclasses.replace(x.basis, batch=())
+    full = (x.basis.fiber_dim,) * 2 + x.basis.batch + (x.basis.nlevels,)
+    return TruncatedOperator(basis, {k: np.broadcast_to(a, full)[:, :, p]
+                                     for k, a in x.bands.items()})
+
+
+def assert_bitwise(got, want):
+    """The same stored bands with the same bits (up to the sign of zero:
+    a band zero at one point adds exact zeros to the batched sums)."""
+    assert list(got.bands) == list(want.bands)
+    for k in want.bands:
+        assert np.array_equal(got.bands[k], want.bands[k]), k
+
+
+@st.composite
+def batched_operands(draw):
+    """A basis with a batch of P <= 4 points and three operators on it.
+    Each band is shared (size-1 batch axis) or per point, and a per-point
+    band may vanish at some points, so the points differ in their bands."""
+    nmax, points = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    basis = BasisDescriptor.spinor(nmax, (points,))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops = []
+    for _ in range(3):
+        bands = {}
+        for k in draw(st.sets(st.integers(-3, 3), max_size=3)):
+            shape = (2, 2, points if draw(st.booleans()) else 1, basis.nlevels)
+            arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            if shape[2] > 1:
+                arr[:, :, rng.random(points) < 0.3] = 0.0
+            bands[k] = arr
+        ops.append(TruncatedOperator(basis, bands))
+    return basis, ops, draw(st.integers(0, nmax - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batched_operands())
+def test_batched_algebra_equals_each_point(case):
+    basis, (x, y, z), margin = case
+    proj = InteriorProjector(basis, margin)
+    # (the batched result, the same op on the operands of one point)
+    results = [
+        (x @ y, lambda a, b, c: a @ b),
+        (x + y, lambda a, b, c: a + b),
+        (x - y, lambda a, b, c: a - b),
+        (x.adjoint(), lambda a, b, c: a.adjoint()),
+        (commutator(x, y), lambda a, b, c: commutator(a, b)),
+        (antilinear_conjugate(AntilinearOperator(z), x),
+         lambda a, b, c: antilinear_conjugate(AntilinearOperator(c), a)),
+        (proj.project(x), lambda a, b, c: InteriorProjector(a.basis, margin).project(a)),
+    ]
+    residuals = interior_residual(x + y, margin)
+    assert residuals.shape == basis.batch
+    # the dense oracle holds one matrix per point
+    dense = x.to_dense()
+    split = TruncatedOperator.from_dense(basis, dense)
+    for p in range(basis.batch[0]):
+        xp, yp, zp = at_point(x, p), at_point(y, p), at_point(z, p)
+        single = InteriorProjector(xp.basis, margin)
+        for got, op in results:
+            assert_bitwise(at_point(got, p), op(xp, yp, zp))
+        assert np.array_equal(dense[p], xp.to_dense())
+        assert_bitwise(at_point(split, p), xp)
+        for k in range(-3, 4):
+            norms = proj.band_norms(x, k)
+            norms = np.broadcast_to(norms, basis.batch + norms.shape[-1:])
+            assert np.array_equal(norms[p], single.band_norms(xp, k))
+        # a point where several bands are nonzero takes the dense SVD, one
+        # band or none the block norms, as at that point alone
+        assert residuals[p] == interior_residual(xp + yp, margin)
+
+
+def test_batched_verify_decides_each_point_alone(rng):
+    # the points differ in what a check decides from their values: gamma
+    # gains a band 2 at point 1, so its orientability fit links more
+    # candidates, and becomes i gamma at point 2, so gamma^2 = -1 there
+    rms, thetas = [0.0, 1.0, 2.0], [0.3, 0.0, 1.0]
+    batched = assemble_quadruple(DeSitterParams(rm=np.array(rms), theta=np.array(thetas), nmax=16))
+    nl = batched.basis.nlevels
+    g0 = np.array(np.broadcast_to(batched.gamma.band(0), (2, 2, 3, nl)))
+    g0[:, :, 2] *= 1j
+    g2 = np.zeros((2, 2, 3, nl), dtype=complex)
+    g2[:, :, 1] = 0.3 * random_blocks(rng, nl)
+    reps = verify_points(dataclasses.replace(
+        batched, gamma=TruncatedOperator(batched.basis, {0: g0, 2: g2})))
+    with pytest.raises(ValueError, match="verify_points"):
+        verify_quadruple(batched)
+    assert [r["volume.gamma_square"].notes for r in reps] == [
+        "gamma^2 = +1", "gamma^2 = +1", "gamma^2 = -1"]
+    for p, (rm, theta) in enumerate(zip(rms, thetas)):
+        single = assemble_quadruple(DeSitterParams(rm=rm, theta=theta, nmax=16))
+        gamma = TruncatedOperator(single.basis, {0: g0[:, :, p], 2: g2[:, :, p]})
+        want = verify_quadruple(dataclasses.replace(single, gamma=gamma))
+        assert reps[p].as_dicts() == want.as_dicts(), p

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from specquad import cli, desitter, geometry, reconstruct, spinfields
+from specquad import quadruple as quad
 from specquad.cli import run
 from specquad.operators import TruncatedOperator
 from specquad.quadruple import DEFAULT_TOLERANCES, registry_key
@@ -334,9 +335,10 @@ class TestReconstructPlantedDefects:
 class TestReconstructResolutionLimit:
     """Outcomes where the third-order term falls under its vanishing cut.
 
-    kappa(rm) and kappa(2 rm) both come from ``fit_third_order``, so below
-    the cut both read 0 and linearity holds; the mass itself is then not
-    recovered, which only the roundtrip shows once rm is above its bound."""
+    kappa(rm) comes from ``fit_third_order`` and kappa(2 rm) from
+    ``third_order_coefficient``, through the same cut, so below it both
+    read 0 and linearity holds; the mass itself is then not recovered,
+    which only the roundtrip shows once rm is above its bound."""
 
     @pytest.mark.parametrize("argv,red", [
         (["--rm", "1e-11"], []),
@@ -351,6 +353,15 @@ class TestReconstructResolutionLimit:
         assert run(["reconstruct", *argv, "-o", str(out)]) == (1 if red else 0)
         checks = json.loads(read(out))["checks"]
         assert [c["id"] for c in checks if not c["pass"]] == red
+
+    def test_kappa_of_2rm_builds_no_adm_commutator(self, tmp_path, monkeypatch):
+        # only the rm side reads a mass scale, so only it needs [[iH, e_perp], u]
+        calls = []
+        real = reconstruct._adm_commutator
+        monkeypatch.setattr(reconstruct, "_adm_commutator",
+                            lambda q: calls.append(q) or real(q))
+        assert run(["reconstruct", "--nmax", "16", "-o", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 1
 
 
 class TestReportFormat:
@@ -536,7 +547,7 @@ class TestSweep:
         def boom(*args, **kwargs):
             raise ValueError("boom")
 
-        monkeypatch.setattr(cli, "verify_quadruple", boom)
+        monkeypatch.setattr(cli, "verify_points", boom)
         out = tmp_path / "sweep.json"
         assert run(["sweep", "--rm", "1", "--theta", "0", "--nmax", "8",
                     "-o", str(out)]) == 2
@@ -545,16 +556,87 @@ class TestSweep:
     def test_empty_grid_is_usage_error(self):
         assert run(["sweep", "--rm", "", "--theta", "1"]) == 2
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "--rm", "1,nan"], "--rm"), (["sweep", "--theta", "0.3,inf"], "--theta"),
+        (["sweep", "--rm=-inf"], "--rm"), (["quadruple-verify", "--rm", "nan"], "--rm"),
+        (["all", "--theta", "inf"], "--theta"), (["reconstruct", "--rm", "inf"], "--rm"),
+        (["desitter-crosscheck", "--theta", "nan"], "--theta"),
+    ])
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, flag):
+        # rejected by its flag before any quadruple is built
+        def refuse(params):
+            raise AssertionError("a quadruple was built")
+
+        monkeypatch.setattr(desitter, "assemble_quadruple", refuse)
+        out = tmp_path / "r.json"
+        assert run([*argv, "--nmax", "8", "-o", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def sweep_cells(tmp_path, nmax=16):
+        out = tmp_path / "sweep.json"
+        run(["sweep", "--nmax", str(nmax), "-o", str(out)])
+        return json.loads(read(out))["grid"]
+
     def test_single_point_grid_equals_run(self, tmp_path):
-        sweep_out = tmp_path / "sweep.json"
-        run_out = tmp_path / "run.json"
-        run(["sweep", "--rm", "1.0", "--theta", "0.3", "--nmax", "16",
-             "--margin", "4", "-o", str(sweep_out)])
-        run(["quadruple-verify", "--rm", "1.0", "--theta", "0.3",
-             "--nmax", "16", "--margin", "4", "-o", str(run_out)])
-        sweep_checks = json.loads(read(sweep_out))["grid"][0]["checks"]
-        run_checks = json.loads(read(run_out))["checks"]
-        assert sweep_checks == run_checks
+        # every cell of the batched sweep is the report of its point checked
+        # alone, rm = 0 cells (no evolution row) included
+        cells = self.sweep_cells(tmp_path)
+        assert len(cells) == 12
+        for cell in cells:
+            p = cell["params"]
+            out = tmp_path / "run.json"
+            run(["quadruple-verify", "--rm", repr(p["rm"]), "--theta", repr(p["theta"]),
+                 "--nmax", "16", "--margin", str(p["margin"]), "-o", str(out)])
+            assert cell["checks"] == json.loads(read(out))["checks"], p
+            assert cell["passed"] and not cell["skipped"]
+
+    # the grid point a defect is planted at: rm 1, theta 0.3 of the
+    # default 4 x 3 grid
+    POINT = 7
+
+    def assert_only_point_red(self, tmp_path, monkeypatch, plant, red):
+        """Planting the defect turns exactly the ``red`` ids of the cell at
+        POINT red and leaves every other cell as it was."""
+        clean = self.sweep_cells(tmp_path)
+        plant(monkeypatch)
+        cells = self.sweep_cells(tmp_path)
+        assert (cells[self.POINT]["params"]["rm"], cells[self.POINT]["params"]["theta"]) == (1, 0.3)
+        for k, (cell, ref) in enumerate(zip(cells, clean)):
+            if k == self.POINT:
+                assert [c["id"] for c in cell["checks"] if not c["pass"]] == red
+            else:
+                assert cell == ref, cell["params"]
+
+    def test_defect_at_one_point_reddens_its_cell_only(self, tmp_path, monkeypatch):
+        def plant(mp):
+            # 1e-6 on the T+ block leaving level 1/2 at one grid point
+            real = desitter.assemble_quadruple
+
+            def planted(params):
+                q = real(params)
+                blocks = np.array(q.t_plus.band(1))
+                blocks[:, :, self.POINT, q.basis.level_index(0.5)] += 1e-6 * np.eye(2)
+                return replace(q, t_plus=TruncatedOperator(q.basis, {1: blocks}))
+
+            mp.setattr(desitter, "assemble_quadruple", planted)
+
+        self.assert_only_point_red(tmp_path, monkeypatch, plant, LADDER_REDS)
+
+    def test_frozen_evolution_at_one_point_reddens_noncommutative(self, tmp_path, monkeypatch):
+        def plant(mp):
+            # e^{iH} = 1 at one grid point: u(1) = u commutes with u there
+            real = quad._expm2
+
+            def frozen(a):
+                out = np.array(real(a))
+                out[:, :, self.POINT] = np.eye(2)[..., None]
+                return out
+
+            mp.setattr(quad, "_expm2", frozen)
+
+        self.assert_only_point_red(tmp_path, monkeypatch, plant, ["evolution.noncommutative"])
 
 
 class TestDeterminism:

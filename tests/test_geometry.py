@@ -28,6 +28,7 @@ from specquad.geometry import (
 from oracle_reference import (
     apply_second_order,
     casimir,
+    chart_metric,
     default_test_functions,
     frame_intertwiner,
     killing_l01,
@@ -92,14 +93,15 @@ class TestHypFn:
 
 class TestGeometryData:
     def test_origin(self):
-        g = geometry_at(ChartPoint(0.0, 0.0))
-        np.testing.assert_allclose(g.embedding, [0.0, 1.0, 0.0], atol=1e-15)
+        p = ChartPoint(0.0, 0.0)
+        np.testing.assert_allclose(geometry_at(p).embedding, [0.0, 1.0, 0.0], atol=1e-15)
+        g = chart_metric(p)
         np.testing.assert_allclose(g.metric, np.diag([-1.0, 1.0]), atol=1e-15)
         assert g.christoffel_theta_phiphi == 0.0
         assert g.christoffel_phi_thetaphi == 0.0
 
     def test_christoffel_value(self):
-        g = geometry_at(ChartPoint(1.0, 0.0))
+        g = chart_metric(ChartPoint(1.0, 0.0))
         assert g.christoffel_theta_phiphi == pytest.approx(
             np.cosh(1.0) * np.sinh(1.0))
         assert g.christoffel_phi_thetaphi == pytest.approx(np.tanh(1.0))
@@ -268,7 +270,7 @@ class TestKillingFields:
         # the divergence form is tanh d_theta
         rng = np.random.default_rng(3)
         th, ph, r = rng.uniform(-1.5, 1.5, 20), rng.uniform(0, 6, 20), 1.7
-        g_inv = geometry_at(ChartPoint(th, ph, r)).metric_inv
+        g_inv = chart_metric(ChartPoint(th, ph, r)).metric_inv
         dtt, dtp, dpp, dt, dp = (c(th, ph) for c in WAVE_OPERATOR)
         np.testing.assert_allclose(dtt, -r ** 2 * g_inv[0, 0], rtol=1e-15)
         np.testing.assert_allclose(dpp, -r ** 2 * g_inv[1, 1], rtol=1e-15)
@@ -323,11 +325,13 @@ class TestArrayPoints:
 
     def test_geometry_at(self, points):
         batch, singles = points
-        arr = geometry_at(batch)
-        for name in ("embedding", "metric", "metric_inv",
+        np.testing.assert_array_equal(
+            geometry_at(batch).embedding, self.stacked([geometry_at(p).embedding for p in singles]))
+        arr = chart_metric(batch)
+        for name in ("metric", "metric_inv",
                      "christoffel_theta_phiphi", "christoffel_phi_thetaphi"):
             np.testing.assert_array_equal(
-                getattr(arr, name), self.stacked([getattr(geometry_at(p), name) for p in singles]))
+                getattr(arr, name), self.stacked([getattr(chart_metric(p), name) for p in singles]))
 
     def test_frame_vectors_and_slash(self, points):
         batch, singles = points
@@ -346,7 +350,7 @@ class TestArrayPoints:
     def test_scalar_calls_stay_scalar(self):
         p = ChartPoint(0.3, 1.1, 1.7)
         assert np.shape(x_embedding()[1](0.3, 1.1)) == ()
-        assert geometry_at(p).embedding.shape == (3,) and geometry_at(p).metric.shape == (2, 2)
+        assert geometry_at(p).embedding.shape == (3,) and chart_metric(p).metric.shape == (2, 2)
         assert [e.shape for e in frame_vectors(p)] == [(3,)] * 3
         assert slash(frame_vectors(p)[0]).shape == (2, 2)
         assert isinstance(embedding_extrinsic_trace(p), float)
@@ -357,4 +361,5 @@ class TestArrayPoints:
         assert e0.shape == e1.shape == e2.shape == (3, 4, 3)
         np.testing.assert_array_equal(
             e1[:, 2, 1], frame_vectors(ChartPoint(float(theta[2, 0]), float(phi[1])))[1])
-        assert geometry_at(ChartPoint(theta, phi)).metric.shape == (2, 2, 4, 3)
+        assert geometry_at(ChartPoint(theta, phi)).embedding.shape == (3, 4, 3)
+        assert chart_metric(ChartPoint(theta, phi)).metric.shape == (2, 2, 4, 3)
