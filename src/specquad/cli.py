@@ -409,18 +409,27 @@ def _parse_grid(text: str, flag: str) -> list[float]:
     return values
 
 
+# grid points per batched quadruple: the default 4 x 3 grid is one batch,
+# and a large grid's memory stays that of a few points
+SWEEP_BATCH = 16
+
+
 def _run_sweep(args: argparse.Namespace) -> tuple[dict, list[list[SweepCell]]]:
-    """Every rm x theta grid point checked as one batched quadruple; a
-    truncation too small for the margin skips every point with its note."""
+    """The rm x theta grid points checked as batched quadruples of up to
+    ``SWEEP_BATCH`` points; a truncation too small for the margin skips
+    every point with its note."""
     rms, thetas = args.rm, args.theta
     params = {"rm": rms, "theta": thetas, "nmax": args.nmax, "margin": args.margin}
     points = [{"rm": rm, "theta": theta, "nmax": args.nmax, "margin": args.margin}
               for rm in rms for theta in thetas]
-    rm = np.repeat(rms, len(thetas))
+    rm, theta = np.repeat(rms, len(thetas)), np.tile(thetas, len(rms))
     try:
-        q = desitter.assemble_quadruple(desitter.DeSitterParams(
-            rm=rm, theta=np.tile(thetas, len(rms)), nmax=args.nmax))
-        reports, note = verify_points(q, args.margin, include_noncommutativity=rm != 0.0), ""
+        reports, note = [], ""
+        for i in range(0, len(points), SWEEP_BATCH):
+            part = slice(i, i + SWEEP_BATCH)
+            q = desitter.assemble_quadruple(desitter.DeSitterParams(
+                rm=rm[part], theta=theta[part], nmax=args.nmax))
+            reports += verify_points(q, args.margin, include_noncommutativity=rm[part] != 0.0)
     except TruncationError as exc:
         reports, note = [None] * len(points), f"truncation too small: {exc}"
     cells = [(point, rep, note) for point, rep in zip(points, reports)]

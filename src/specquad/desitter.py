@@ -258,10 +258,8 @@ def assemble_quadruple(p: DeSitterParams) -> SpectralQuadruple:
     point, and u, e_perp, gamma, T21 and C are shared by every point."""
     basis = BasisDescriptor.spinor(p.nmax, p.batch)
     levels = basis.level_array
-    # the parameters of every point against a trailing level axis; a
-    # single point keeps its scalars, whose arithmetic costs less
-    rm, theta = ((np.broadcast_to(x, basis.batch)[..., None] for x in (p.rm, p.theta))
-                 if basis.batch else (p.rm, p.theta))
+    # the parameters of every point against a trailing level axis
+    rm, theta = (np.broadcast_to(x, basis.batch)[..., None] for x in (p.rm, p.theta))
     ident = np.eye(2).reshape(2, 2, *basis.shared, 1)
     # blocks whose image leaves the window are dropped by the constructor
     u = TruncatedOperator(basis, {1: np.broadcast_to(ident, ident.shape[:-1] + levels.shape)})

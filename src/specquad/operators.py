@@ -190,15 +190,13 @@ def block_stack(b00, b01, b10, b11) -> np.ndarray:
     return np.array(entries, dtype=complex).reshape((2, 2) + entries[0].shape)
 
 
-def _dense_norm(mat: np.ndarray) -> float | np.ndarray:
-    """Spectral norm of a dense matrix by SVD; a stack (*batch, n, n) gives
-    the norm of each matrix."""
+def _dense_norm(mat: np.ndarray) -> np.ndarray:
+    """Spectral norms by SVD of a dense matrix (a 0-d array) or of a stack
+    (*batch, n, n) of them (one norm per matrix)."""
     mat = np.asarray(mat)
     if mat.size == 0:
-        return 0.0
-    if mat.ndim > 2:
-        return np.linalg.norm(mat, 2, axis=(-2, -1))
-    return float(np.linalg.norm(mat, 2))
+        return np.zeros(mat.shape[:-2])
+    return np.linalg.norm(mat, 2, axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -482,7 +480,7 @@ def anticommutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOpera
 def op_norm(a: TruncatedOperator | np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
     if not isinstance(a, TruncatedOperator):
-        return _dense_norm(a)
+        return float(_dense_norm(a))
     return interior_residual(a, 0)
 
 
@@ -613,12 +611,15 @@ def interior_residual(a: TruncatedOperator, margin: int) -> float | np.ndarray:
     """
     proj = InteriorProjector(a.basis, margin)
     batch = a.basis.batch
+    if len(a.bands) > 1 and not batch:
+        # a stored band is nonzero, so a single point has several
+        return float(_dense_norm(proj.compress(a)))
     out = np.zeros(batch)
     for k in a.bands:
         out = np.maximum(out, proj.band_norms(a, k).max(axis=-1, initial=0.0))
     if len(a.bands) > 1:
         several = sum(arr.any(axis=(0, 1, -1)) for arr in a.bands.values()) > 1
-        if np.any(several):
+        if several.any():
             out = np.where(several, _dense_norm(proj.compress(a)), out)
     return out if batch else float(out)
 

@@ -216,7 +216,7 @@ class _PointReports:
 
     def add(self, check_id: str, residual, tolerance: float | None = None,
             margin: int = 0, notes: str | list[str] = ""):
-        values = np.ravel(residual).tolist()
+        values = np.asarray(residual).ravel().tolist()
         if isinstance(notes, str):
             notes = [notes] * len(values)
         if tolerance is None:

@@ -580,6 +580,18 @@ class TestSweep:
         return json.loads(read(out))["grid"]
 
     def test_single_point_grid_equals_run(self, tmp_path):
+        # a 1 x 1 grid: a batch of one point
+        sweep_out = tmp_path / "sweep.json"
+        run_out = tmp_path / "run.json"
+        run(["sweep", "--rm", "1.0", "--theta", "0.3", "--nmax", "16",
+             "--margin", "4", "-o", str(sweep_out)])
+        run(["quadruple-verify", "--rm", "1.0", "--theta", "0.3",
+             "--nmax", "16", "--margin", "4", "-o", str(run_out)])
+        cell = json.loads(read(sweep_out))["grid"][0]
+        assert cell["checks"] == json.loads(read(run_out))["checks"]
+        assert cell["passed"] and not cell["skipped"]
+
+    def test_grid_cells_equal_run(self, tmp_path):
         # every cell of the batched sweep is the report of its point checked
         # alone, rm = 0 cells (no evolution row) included
         cells = self.sweep_cells(tmp_path)
@@ -591,6 +603,12 @@ class TestSweep:
                  "--nmax", "16", "--margin", str(p["margin"]), "-o", str(out)])
             assert cell["checks"] == json.loads(read(out))["checks"], p
             assert cell["passed"] and not cell["skipped"]
+
+    def test_grid_split_into_batches_equals_one_batch(self, tmp_path, monkeypatch):
+        # batches of 5, 5 and 2 points give the cells of one 12-point batch
+        whole = self.sweep_cells(tmp_path)
+        monkeypatch.setattr(cli, "SWEEP_BATCH", 5)
+        assert self.sweep_cells(tmp_path) == whole
 
     # the grid point a defect is planted at: rm 1, theta 0.3 of the
     # default 4 x 3 grid
