@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=str, default="1",
                        help="Dirac parameter, a Python complex literal")
 
-    p = add("oracle-check", help="independent geometry and spinor-field suite")
+    p = add("oracle-check", help="independent geometry and symmetry-action suite")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("all", help="every section at the default parameters")
@@ -141,10 +141,10 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 
 
 def _check_parameters(args: argparse.Namespace):
-    """Check the --rm and --theta values before any section runs: a nan or
-    inf is a usage error named by its flag, and a sweep's grids become their
-    lists of floats."""
-    for flag in ("rm", "theta"):
+    """Check the --rm, --theta and --r2m2 values before any section runs: a
+    nan or inf is a usage error named by its flag, and a sweep's grids
+    become their lists of floats."""
+    for flag in ("rm", "theta", "r2m2"):
         value = getattr(args, flag, None)
         if value is None:
             continue
@@ -314,15 +314,14 @@ def _section_oracle(seed: int) -> AxiomReport:
 
     rm, theta = 1.0, 0.4
     levels = np.arange(-5.5, 6.5)
-    # the fiber column for sign holds the grid T-action on |T: n, sign>, its
-    # rows the |T: n, +> and |T: n, -> components
-    cols = [[spinfields.apply_T_grid("d_theta", n, sign, rm, theta) for n in levels]
-            for sign in (+1, -1)]
-    grid = np.array([[[c[(n, row)] for n, c in zip(levels, col)] for col in cols]
-                     for row in (+1, -1)])
+    # the field-side T-action of d_theta: band 0 holds the level blocks, and
+    # any other band is action leaking out of its level
+    bands = spinfields.t_bands(spinfields.d_theta_pair(rm), levels, theta)
+    grid = bands.pop(0, 0.0)
     blocks = np.stack([desitter.hamiltonian_theta(levels, rm, theta),
                        spinfields.level_block(levels, rm, theta)])
-    rep.add("oracle.hamiltonian_vs_grid", float(np.abs(blocks - grid).max()),
+    leak = max((float(np.abs(b).max()) for b in bands.values()), default=0.0)
+    rep.add("oracle.hamiltonian_vs_grid", max(float(np.abs(blocks - grid).max()), leak),
             notes="hamiltonian_theta and level_block theta-derivative blocks "
                   "vs grid T-action, |n| <= 11/2")
 

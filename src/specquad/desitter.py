@@ -23,7 +23,6 @@ give one batched quadruple over their points (``assemble_quadruple``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -38,16 +37,10 @@ from .quadruple import SpectralQuadruple
 
 __all__ = [
     "DeSitterParams",
-    "U2Params",
-    "u2_from_params",
-    "apply_cc_constraints",
-    "cc_constrained_pair",
     "seed_operators",
     "appendix_t_plus",
     "appendix_t_minus",
-    "solve_order_one_recursion",
     "hamiltonian_theta",
-    "eigenframe",
     "evolution_block",
     "charge_conjugation",
     "gauge_unitary",
@@ -91,48 +84,6 @@ class DeSitterParams:
         return np.broadcast(*(getattr(self, name) for name in _POINT_PARAMS)).shape
 
 
-@dataclass(frozen=True)
-class U2Params:
-    """Parameters (rho, x, y, theta) of the general unitary 2x2 family."""
-
-    rho: float
-    x: float
-    y: float
-    theta: float
-
-
-def u2_from_params(p: U2Params) -> np.ndarray:
-    """e^{i rho} (1+x^2+y^2)^{-1/2} [[-ix + tanh th, 1/cosh th + iy],
-    [-1/cosh th + iy, ix + tanh th]]; unitary for any parameter values."""
-    t, c = np.tanh(p.theta), np.cosh(p.theta)
-    mat = np.array([
-        [-1j * p.x + t, 1.0 / c + 1j * p.y],
-        [-1.0 / c + 1j * p.y, 1j * p.x + t],
-    ], dtype=complex)
-    return np.exp(1j * p.rho) / np.sqrt(1.0 + p.x ** 2 + p.y ** 2) * mat
-
-
-def apply_cc_constraints(p_plus: U2Params, p_minus: U2Params,
-                         tol: float = 1e-12) -> bool:
-    """Whether the charge-conjugation constraints hold:
-    e^{i rho+} = -e^{i rho-}, x+ = -x-, theta+ = theta-, y+ = y-.
-
-    Phases are compared on the unit circle.
-    """
-    phase_ok = abs(np.exp(1j * p_plus.rho) + np.exp(1j * p_minus.rho)) <= tol
-    return (phase_ok
-            and abs(p_plus.x + p_minus.x) <= tol
-            and abs(p_plus.theta - p_minus.theta) <= tol
-            and abs(p_plus.y - p_minus.y) <= tol)
-
-
-def cc_constrained_pair(rho: float, x: float, theta: float, y: float) -> tuple[U2Params, U2Params]:
-    """The 4-parameter constrained family; gauge fixing rho = y = 0 leaves
-    (x, theta) = (rm, theta)."""
-    return (U2Params(rho=rho, x=x, y=y, theta=theta),
-            U2Params(rho=rho + np.pi, x=-x, y=y, theta=theta))
-
-
 def seed_operators(rm: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Seed blocks U+ = T+(1/2), U- = T-(-1/2) in the unnormalized
     convention U U* = (1 + rm^2) 1 (the unitary family is U/sqrt(1+rm^2))."""
@@ -172,25 +123,6 @@ def _recursion_stacks(u_plus: np.ndarray, u_minus: np.ndarray,
             (u_minus + u_plus.conj().T)[..., None] * (-0.5 * ns - 0.25) + u_minus[..., None])
 
 
-def solve_order_one_recursion(
-    u_plus: np.ndarray, u_minus: np.ndarray, nrange: Iterable[float],
-) -> tuple[dict[float, np.ndarray], dict[float, np.ndarray]]:
-    """Affine solution of T(n+1) - 2 T(n) + T(n-1) = 0 from the two seeds:
-
-        T+(n) = (n/2 - 1/4)(U+ + U-*) + U+
-        T-(n) = (-n/2 - 1/4)(U- + U+*) + U-
-
-    Being affine in n, the recursion is satisfied bit-exactly.  The blocks
-    of all levels come from one array expression; the dicts map each level
-    to its block.
-    """
-    ns = np.asarray(list(nrange), dtype=float)
-    tplus, tminus = _recursion_stacks(u_plus, u_minus, ns)
-    keys = ns.tolist()
-    return ({n: tplus[..., i] for i, n in enumerate(keys)},
-            {n: tminus[..., i] for i, n in enumerate(keys)})
-
-
 def hamiltonian_theta(n, rm: float, theta: float) -> np.ndarray:
     """Level-diagonal theta-derivative block at level n in the
     (non-orthonormal) T-eigenvector basis:
@@ -206,18 +138,6 @@ def hamiltonian_theta(n, rm: float, theta: float) -> np.ndarray:
     n = np.asarray(n)
     return block_stack((n - 0.5) * t + 1j * rm * c, (0.5 - n) - 1j * rm * s,
                        (n + 0.5) + 1j * rm * s, -(n + 0.5) * t - 1j * rm * c)
-
-
-def eigenframe(theta: float) -> np.ndarray:
-    """Basis change from the T-eigenvector basis to the orthonormal
-    time-vector eigenbasis; columns are the +i and -i eigenvectors.
-
-    The half-angle form [[cosh(th/2), sinh(th/2)], [sinh(th/2), cosh(th/2)]]
-    is the smooth-in-theta representative of the normalized eigenvectors
-    (cosh th +- 1, sinh th)/sqrt(2 cosh th +- 2).
-    """
-    ch, sh = np.cosh(theta / 2.0), np.sinh(theta / 2.0)
-    return np.array([[ch, sh], [sh, ch]], dtype=complex)
 
 
 def evolution_block(n, rm: float, theta: float) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "sign_table",
     "connes_distance",
     "quadruple_from_triple",
-    "distance_trajectory",
 ]
 
 
@@ -367,26 +366,14 @@ class FiniteQuadruple:
 def quadruple_from_triple(
     base: FiniteTriple,
     m_schedule: Iterable[tuple[float, complex]],
-    dirac_of_m: Callable[[complex], np.ndarray] | None = None,
 ) -> FiniteQuadruple:
-    """Extend a finite triple by a Dirac-parameter schedule.
-
-    ``dirac_of_m`` maps the scheduled parameter to the Dirac matrix in the
-    comoving form; it defaults to the displayed two-point form when the base
-    triple has the two-point classification data.
-    """
-    if dirac_of_m is None:
-        if base.spec != two_point_spec():
-            raise ValueError("dirac_of_m is required for non-two-point triples")
-        dirac_of_m = two_point_dirac
+    """Extend the two-point triple by a schedule of its Dirac parameter, in
+    the displayed comoving form ``two_point_dirac``; any other base triple
+    is refused."""
+    if base.spec != two_point_spec():
+        raise ValueError("a Dirac-parameter schedule extends only the two-point triple")
     times, triples = [], []
     for tval, m in m_schedule:
         times.append(float(tval))
-        triples.append(build_finite_triple(base.spec, dirac_of_m(m)))
+        triples.append(build_finite_triple(base.spec, two_point_dirac(m)))
     return FiniteQuadruple(times=tuple(times), triples=tuple(triples))
-
-
-def distance_trajectory(quad: FiniteQuadruple, i: int = 0, j: int = 1) -> list[float]:
-    """Equal-time Connes distance at every scheduled time; math.inf entries
-    flag unbounded (zero-coupling) instants."""
-    return [connes_distance(t, i, j) for t in quad.triples]

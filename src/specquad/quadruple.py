@@ -57,7 +57,6 @@ __all__ = [
     "check_volume_element",
     "check_first_order",
     "check_charge_conjugation",
-    "spatial_dirac",
     "check_orientability",
     "check_spatial_triple",
     "check_symmetric_conditions",
@@ -354,14 +353,6 @@ def check_charge_conjugation(q: SpectralQuadruple,
             _antilinear_intertwine_residual(q.cc, q.ih, q.ih, margin),
             margin=margin, notes="C iH = iH C")
     return rep.result()
-
-
-def spatial_dirac(q: SpectralQuadruple) -> TruncatedOperator:
-    """The Dirac-type operator of the volume-element condition:
-    gamma [iH, gamma] for even spacetime dimension, iH for odd."""
-    if q.even_dim:
-        return q.gamma @ commutator(q.ih, q.gamma)
-    return q.ih
 
 
 def _hochschild_dirac(q: SpectralQuadruple) -> TruncatedOperator:

@@ -1,34 +1,30 @@
 """Spinor fields on the de Sitter chart and the symmetry action on them.
 
-``SpinorField`` is the one two-component field type: ``HypFn`` components
-in the global-frame spinor basis on the chart, so chart derivatives are
-exact.  The time derivative of a solution is eliminated through the Dirac
-equation, which lets the boost generators act on slice data; the exact
-phi-Fourier modes of the results give their matrix elements in the compact
-generator's eigenbasis, which the operator construction must reproduce.
-The module also carries the per-level evolution generator and fiber Gram
-matrix, with the identity that makes the solution product slice
-independent.  Two first-order identities are read off the operators'
-coefficient matrices, so they hold for every field and no field is
-sampled: the intrinsic and the extrinsic Dirac operator of the slice agree
-after the frame transport, and on Minkowski space the flat Dirac operator
-commutes with the symmetry generators.
+A first-order operator on two-component fields is its pair (A, B) of 2x2
+``HypFn`` matrices on (d_phi, 1), in the global-frame spinor basis on the
+chart, so chart derivatives are exact.  The time derivative of a solution
+is eliminated through the Dirac equation (``d_theta_pair``), which lets
+the boost generators act on slice data; ``t_bands`` reads such a pair's
+matrix elements in the compact generator's eigenbasis from the exact
+phi-Fourier modes of its entries, for all levels at once, and the operator
+construction must reproduce them.  The module also carries the per-level
+evolution generator and fiber Gram matrix, with the identity that makes
+the solution product slice independent.  Two first-order identities are
+read off the operators' coefficient matrices, so they hold for every field
+and no field is sampled: the intrinsic and the extrinsic Dirac operator of
+the slice agree after the frame transport, and on Minkowski space the flat
+Dirac operator commutes with the symmetry generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import (
-    COS_PHI,
     GAMMA0,
     GAMMA1,
     GAMMA2,
     SECH,
-    SIN_PHI,
-    TANH,
     ChartPoint,
     HypFn,
     frame_intertwiner_inverse,
@@ -38,10 +34,8 @@ from .geometry import (
 from .operators import block_product, block_stack
 
 __all__ = [
-    "SpinorField",
-    "t_basis_field",
-    "apply_generator",
-    "apply_T_grid",
+    "d_theta_pair",
+    "t_bands",
     "level_block",
     "fiber_gram",
     "conservation_defect",
@@ -53,128 +47,49 @@ _SINH = HypFn.monomial(1, 0, 0)
 _COSH = HypFn.monomial(0, 1, 0)
 
 
-@dataclass(frozen=True)
-class SpinorField:
-    """Two-component field in the global-frame spinor basis, with ``HypFn``
-    components on the de Sitter chart; derivatives act componentwise."""
-
-    up: HypFn
-    down: HypFn
-
-    def d_theta(self) -> "SpinorField":
-        return SpinorField(self.up.d_theta(), self.down.d_theta())
-
-    def d_phi(self) -> "SpinorField":
-        return SpinorField(self.up.d_phi(), self.down.d_phi())
-
-    def __add__(self, other: "SpinorField") -> "SpinorField":
-        return SpinorField(self.up + other.up, self.down + other.down)
-
-    def __sub__(self, other: "SpinorField") -> "SpinorField":
-        return SpinorField(self.up - other.up, self.down - other.down)
-
-    def scale(self, c) -> "SpinorField":
-        """Multiply both components by a scalar or a HypFn."""
-        return SpinorField(c * self.up, c * self.down)
-
-    def mat(self, m) -> "SpinorField":
-        """Apply a 2x2 matrix whose entries are scalars or HypFn."""
-        return SpinorField(self.up * m[0][0] + self.down * m[0][1],
-                           self.up * m[1][0] + self.down * m[1][1])
-
-    def __call__(self, theta: float, phi: float) -> np.ndarray:
-        return np.array([self.up(theta, phi), self.down(theta, phi)])
-
-
 # pointwise Clifford matrices with closed-form entries (global frame):
 # e0slash = cosh g0 + sinh cos(phi) g1 + sinh sin(phi) g2, etc.
 _E0_MAT = ((1j * _COSH, HypFn({(1, 0, 1): -1j})),
            (HypFn({(1, 0, -1): 1j}), -1j * _COSH))
 _N_MAT = ((1j * _SINH, HypFn({(0, 1, 1): -1j})),
           (HypFn({(0, 1, -1): 1j}), -1j * _SINH))
-_RHAT_MAT = ((0.0, HypFn({(0, 0, 1): -1j})),
-             (HypFn({(0, 0, -1): 1j}), 0.0))
 
 
-def t_basis_field(n: float, sign: int) -> SpinorField:
-    """Eigenfield of the compact generator: (e^{-i(n-1/2)phi}, 0) for
-    sign = +1 and (0, e^{-i(n+1/2)phi}) for sign = -1, n half-integer."""
-    if abs(n - np.floor(n) - 0.5) > 1e-12:
-        raise ValueError("n must be a half-odd integer")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if sign > 0:
-        return SpinorField(HypFn.monomial(0, 0, int(round(-(n - 0.5)))), HypFn())
-    return SpinorField(HypFn(), HypFn.monomial(0, 0, int(round(-(n + 0.5)))))
+def d_theta_pair(rm: float):
+    """The on-shell theta derivative d_theta psi = nslash (sech d_phi -
+    e0slash) psi + rm e0slash psi (the Dirac equation solved for it) as its
+    pair (A, B) of 2x2 ``HypFn`` matrices on (d_phi, 1): A = sech nslash and
+    B = -nslash e0slash + rm e0slash."""
+    a = tuple(tuple(SECH * x for x in row) for row in _N_MAT)
+    b = tuple(tuple(_E0_MAT[r][s] * rm - (_N_MAT[r][0] * _E0_MAT[0][s]
+                                          + _N_MAT[r][1] * _E0_MAT[1][s])
+                    for s in range(2)) for r in range(2))
+    return a, b
 
 
-def _on_shell_d_theta(f: SpinorField, rm: float) -> SpinorField:
-    """theta derivative of the solution through the Dirac equation:
-    d_theta psi = nslash (sech d_phi - e0slash) psi + rm e0slash psi."""
-    e0f = f.mat(_E0_MAT)
-    return (f.d_phi().scale(SECH) - e0f).mat(_N_MAT) + e0f.scale(rm)
+def t_bands(pair, levels, theta: float) -> dict[int, np.ndarray]:
+    """The T-basis bands of the first-order operator A d_phi + B with the
+    ``HypFn`` matrix pair (A, B), on the slice theta, for an array of levels.
 
-
-def apply_generator(gen_id: str, f: SpinorField, rm: float = 0.0) -> SpinorField:
-    """Act with a symmetry generator or Clifford element on slice data.
-
-    The boosts (and their ladder combinations) involve the evolution
-    derivative, realized on-shell; they therefore depend on the field mass
-    through rm.
+    The basis field |T: n, s> is e^{i k_s(n) phi} e_s with k_s(n) = -n + s/2
+    (s = +1 the up, s = -1 the down component).  Mode j of entry (r, s) of
+    the pair maps it to e^{i (k_s(n) + j) phi} e_r = |T: n + (r - s)/2 - j, r>
+    with the value i k_s(n) a_j + b_j.  Band d is the fiber-major
+    (2, 2, nlevels) stack whose entry [:, :, i] maps level n_i to n_i + d;
+    only bands that some mode reaches are returned.
     """
-    if gen_id == "T21":
-        return f.mat(0.5 * GAMMA0) - f.d_phi()
-    if gen_id == "e0":
-        return f.mat(_E0_MAT)
-    if gen_id == "n_slash":
-        return f.mat(_N_MAT)
-    if gen_id == "r_slash":
-        return f.mat(_RHAT_MAT)
-    if gen_id == "d_theta":
-        return _on_shell_d_theta(f, rm)
-    if gen_id in ("Tplus", "Tminus", "T01", "T02"):
-        fth = _on_shell_d_theta(f, rm)
-        fph = f.d_phi()
-        t01 = f.mat(0.5 * GAMMA2) - fth.scale(COS_PHI) + fph.scale(SIN_PHI * TANH)
-        t02 = f.mat(-0.5 * GAMMA1) - fth.scale(SIN_PHI) - fph.scale(COS_PHI * TANH)
-        if gen_id == "T01":
-            return t01
-        if gen_id == "T02":
-            return t02
-        if gen_id == "Tplus":
-            return t01 - t02.scale(1j)
-        return t01 + t02.scale(1j)
-    raise ValueError(f"unknown generator {gen_id!r}")
-
-
-def apply_T_grid(gen_id: str, n: float, sign: int, rm: float,
-                 theta: float) -> dict[tuple[float, int], complex]:
-    """Apply a generator to |T: n, sign> and decompose the result in the
-    T-basis through the exact phi-Fourier modes at the given slice.
-
-    Raises if more than 1e-9 of the result's norm leaks outside the two
-    target basis vectors (the displayed matrix elements would then be wrong).
-    """
-    result = apply_generator(gen_id, t_basis_field(n, sign), rm)
-    target_n = n + 1.0 if gen_id == "Tplus" else n - 1.0 if gen_id == "Tminus" else n
-
-    coefs: dict[tuple[float, int], complex] = {}
-    total = 0.0
-    for comp_sign, comp in ((+1, result.up), (-1, result.down)):
-        for k, c in comp.phi_modes(theta).items():
-            # component exponents: e^{-i(n'-1/2)phi} (up), e^{-i(n'+1/2)phi} (down)
-            n_prime = 0.5 - k if comp_sign > 0 else -0.5 - k
-            coefs[(float(n_prime), comp_sign)] = c
-            total += abs(c) ** 2
-    targets = {(float(target_n), +1), (float(target_n), -1)}
-    kept = {key: coefs.get(key, 0.0 + 0.0j) for key in targets}
-    leak_sq = total - sum(abs(c) ** 2 for c in kept.values())
-    scale = max(np.sqrt(total), 1e-30)
-    if np.sqrt(max(leak_sq, 0.0)) > 1e-9 * scale:
-        raise ValueError(
-            f"decomposition of {gen_id} |T:{n},{sign:+d}> leaks outside the "
-            f"target level {target_n}")
-    return kept
+    levels = np.asarray(levels, dtype=float)
+    bands: dict[int, np.ndarray] = {}
+    # r and s index the fiber, 0 for the sign +1 and 1 for -1: k_s(n) reads
+    # -n + 1/2 - s and the shift (r - s)/2 - j reads s - r - j
+    for r in range(2):
+        for s in range(2):
+            ik = 1j * (0.5 - s - levels)
+            a, b = (m[r][s].phi_modes(theta) for m in pair)
+            for j in a.keys() | b.keys():
+                band = bands.setdefault(s - r - j, np.zeros((2, 2, levels.size), dtype=complex))
+                band[r, s] = ik * a.get(j, 0.0) + b.get(j, 0.0)
+    return bands
 
 
 def level_block(n, rm: float, theta) -> np.ndarray:

@@ -1,14 +1,18 @@
 """Field-based reference for the geometry oracle.
 
 The library checks the Killing brackets, the Casimir identity and the
-intrinsic-vs-extrinsic Dirac pair on operator coefficients.  This module
+intrinsic-vs-extrinsic Dirac pair on operator coefficients, and reads the
+T-action of the theta derivative from its coefficient pair.  This module
 holds the field-based form of those checks, which acts with the operators
 on explicit functions and spinor fields, as the reference the coefficients
 must reproduce: the Killing fields and the Laplace-Beltrami operator as
-maps of ``HypFn``, the Dirac pair evaluated on a ``SpinorField`` at one
-point, random closed-form spinor fields, and the spinor frame transport S
-itself.  It also holds the chart metric, its inverse and the Christoffel
-symbols, which the library's checks do not read.
+maps of ``HypFn``, the two-component ``SpinorField`` with the T-basis
+fields, the Dirac pair evaluated on a field at one point, random
+closed-form spinor fields, and the spinor frame transport S itself.  It
+also holds the coefficient pairs of the symmetry generators and Clifford
+elements, T_ij = omega_ij - L_ij with the theta derivative taken on shell,
+and the chart metric, its inverse and the Christoffel symbols, which the
+library's checks do not read.
 """
 
 from dataclasses import dataclass
@@ -19,6 +23,9 @@ from specquad.geometry import (
     COS_PHI,
     GAMMA0,
     GAMMA2,
+    KILLING_L01,
+    KILLING_L02,
+    KILLING_L21,
     SECH,
     SIN_PHI,
     TANH,
@@ -29,7 +36,7 @@ from specquad.geometry import (
     slash,
     x_embedding,
 )
-from specquad.spinfields import SpinorField
+from specquad.spinfields import _E0_MAT, _N_MAT, _OMEGA, d_theta_pair
 
 
 # -- chart metric ------------------------------------------------------------
@@ -107,6 +114,48 @@ def apply_second_order(coefs, f: HypFn) -> HypFn:
 
 # -- spinor fields and the Dirac pair on one field ---------------------------
 
+@dataclass(frozen=True)
+class SpinorField:
+    """Two-component field in the global-frame spinor basis, with ``HypFn``
+    components on the de Sitter chart; derivatives act componentwise."""
+
+    up: HypFn
+    down: HypFn
+
+    def d_theta(self) -> "SpinorField":
+        return SpinorField(self.up.d_theta(), self.down.d_theta())
+
+    def d_phi(self) -> "SpinorField":
+        return SpinorField(self.up.d_phi(), self.down.d_phi())
+
+    def __add__(self, other: "SpinorField") -> "SpinorField":
+        return SpinorField(self.up + other.up, self.down + other.down)
+
+    def scale(self, c) -> "SpinorField":
+        """Multiply both components by a scalar or a HypFn."""
+        return SpinorField(c * self.up, c * self.down)
+
+    def mat(self, m) -> "SpinorField":
+        """Apply a 2x2 matrix whose entries are scalars or HypFn."""
+        return SpinorField(self.up * m[0][0] + self.down * m[0][1],
+                           self.up * m[1][0] + self.down * m[1][1])
+
+    def __call__(self, theta: float, phi: float) -> np.ndarray:
+        return np.array([self.up(theta, phi), self.down(theta, phi)])
+
+
+def t_basis_field(n: float, sign: int) -> SpinorField:
+    """Eigenfield of the compact generator: (e^{-i(n-1/2)phi}, 0) for
+    sign = +1 and (0, e^{-i(n+1/2)phi}) for sign = -1, n half-integer."""
+    if abs(n - np.floor(n) - 0.5) > 1e-12:
+        raise ValueError("n must be a half-odd integer")
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if sign > 0:
+        return SpinorField(HypFn.monomial(0, 0, int(round(-(n - 0.5)))), HypFn())
+    return SpinorField(HypFn(), HypFn.monomial(0, 0, int(round(-(n + 0.5)))))
+
+
 def random_spinor_field(rng: np.random.Generator) -> SpinorField:
     """Random closed-form field: small combinations of sinh^a cosh^b e^{ik phi},
     |k| <= 3."""
@@ -172,3 +221,51 @@ def apply_coefficients(stack: np.ndarray, psi: SpinorField, theta: float,
     to the field's (d_theta psi, d_phi psi, psi) there."""
     values = (psi.d_theta()(theta, phi), psi.d_phi()(theta, phi), psi(theta, phi))
     return sum(m @ v for m, v in zip(stack, values))
+
+
+# -- generators and Clifford elements as coefficient pairs -------------------
+#
+# A first-order operator is its pair (A, B) of 2x2 HypFn matrices on
+# (d_phi, 1), the form ``spinfields.t_bands`` reads.
+
+def _combine(*terms):
+    """sum_i c_i M_i of 2x2 HypFn matrices M_i with scalar or HypFn c_i."""
+    return tuple(tuple(sum((c * m[r][s] for c, m in terms), HypFn()) for s in range(2))
+                 for r in range(2))
+
+
+def _constant(m) -> tuple:
+    """A numeric 2x2 matrix as a matrix of constant HypFn."""
+    return tuple(tuple(HypFn.constant(x) for x in row) for row in m)
+
+
+_ZERO, _ONE = _constant(np.zeros((2, 2))), _constant(np.eye(2))
+# rslash = cos(phi) g1 + sin(phi) g2, the radial unit vector of the slice
+_RHAT_MAT = ((HypFn(), HypFn({(0, 0, 1): -1j})), (HypFn({(0, 0, -1): 1j}), HypFn()))
+
+
+def killing_generator_pair(omega: np.ndarray, killing, rm: float):
+    """T_ij = omega_ij - L_ij for the Killing field L_ij = a d_theta +
+    b d_phi, with the theta derivative on shell, d_theta = A d_phi + B:
+    the pair (-a A - b, omega_ij - a B)."""
+    a, b = killing
+    d_a, d_b = d_theta_pair(rm)
+    return (_combine((-1.0 * a, d_a), (-1.0 * b, _ONE)),
+            _combine((1.0, _constant(omega)), (-1.0 * a, d_b)))
+
+
+def symmetry_pairs(rm: float) -> dict[str, tuple]:
+    """The coefficient pairs of d_theta, the rotation T21, the ladders
+    T+- = T01 -+ i T02 of the boosts, and the Clifford elements e0slash,
+    nslash and rslash, by name."""
+    t01 = killing_generator_pair(_OMEGA[(0, 1)], KILLING_L01, rm)
+    t02 = killing_generator_pair(_OMEGA[(0, 2)], KILLING_L02, rm)
+    return {
+        "d_theta": d_theta_pair(rm),
+        "T21": killing_generator_pair(_OMEGA[(2, 1)], KILLING_L21, rm),
+        "Tplus": tuple(_combine((1.0, x), (-1j, y)) for x, y in zip(t01, t02)),
+        "Tminus": tuple(_combine((1.0, x), (1j, y)) for x, y in zip(t01, t02)),
+        "e0": (_ZERO, _E0_MAT),
+        "n_slash": (_ZERO, _N_MAT),
+        "r_slash": (_ZERO, _RHAT_MAT),
+    }

@@ -54,6 +54,21 @@ class TestExitCodes:
             assert run([sc, "--m", m]) == 2
         assert "--m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_r2m2_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        # rejected by its flag before the ladder is computed, so no numpy
+        # call warns on the value
+        def refuse(*args):
+            raise AssertionError("the ladder was computed")
+
+        monkeypatch.setattr(cli, "_section_sl2", refuse)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sl2-classify", f"--r2m2={value}", "-o", str(out)]) == 2
+        assert "--r2m2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sc", ["reconstruct", "all"])
     @pytest.mark.parametrize("argv,flag", [
         (["--margin", "2"], "--margin"),
@@ -112,6 +127,33 @@ class TestOraclePlantedDefects:
         real = spinfields.level_block
         monkeypatch.setattr(spinfields, "level_block",
                             lambda n, rm, theta: 2 * real(n, 0.0, theta) - real(n, rm, theta))
+        assert self.red_ids(tmp_path) == ["oracle.hamiltonian_vs_grid"]
+
+    def test_d_theta_entry_moved_to_another_phi_mode(self, tmp_path, monkeypatch):
+        # the field-side action then leaks out of its level, which is a red
+        # check (exit 1), not a usage error; level_block is untouched, so
+        # the conservation check stays green
+        real = spinfields.d_theta_pair
+
+        def moved(rm):
+            a, b = real(rm)
+            entry = geometry.HypFn({(p, q, k + 1): c for (p, q, k), c in a[0][1].terms.items()})
+            return ((a[0][0], entry), a[1]), b
+
+        monkeypatch.setattr(spinfields, "d_theta_pair", moved)
+        assert self.red_ids(tmp_path) == ["oracle.hamiltonian_vs_grid"]
+
+    def test_d_theta_leak_beside_the_level_blocks(self, tmp_path, monkeypatch):
+        # a 1e-6 e^{2 i phi} term leaves band 0 as it is: only the off-level
+        # band it adds turns the check red
+        real = spinfields.d_theta_pair
+
+        def leaking(rm):
+            a, b = real(rm)
+            entry = b[1][0] + geometry.HypFn({(0, 0, 2): 1e-6})
+            return a, (b[0], (entry, b[1][1]))
+
+        monkeypatch.setattr(spinfields, "d_theta_pair", leaking)
         assert self.red_ids(tmp_path) == ["oracle.hamiltonian_vs_grid"]
 
     def test_flipped_gram_off_diagonal(self, tmp_path, monkeypatch):

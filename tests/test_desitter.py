@@ -3,20 +3,14 @@ import pytest
 
 from specquad.desitter import (
     DeSitterParams,
-    U2Params,
     appendix_t_minus,
     appendix_t_plus,
-    apply_cc_constraints,
     assemble_quadruple,
-    cc_constrained_pair,
     charge_conjugation,
     crosscheck_construction_vs_appendix,
-    eigenframe,
     evolution_block,
     hamiltonian_theta,
     seed_operators,
-    solve_order_one_recursion,
-    u2_from_params,
 )
 from specquad.operators import (
     BasisDescriptor,
@@ -27,6 +21,14 @@ from specquad.operators import (
 )
 from specquad.quadruple import verify_quadruple
 
+from construction_reference import (
+    U2Params,
+    apply_cc_constraints,
+    cc_constrained_pair,
+    eigenframe,
+    solve_order_one_recursion,
+    u2_from_params,
+)
 
 
 def _eigenframe_derivative(theta: float) -> np.ndarray:

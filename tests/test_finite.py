@@ -7,7 +7,6 @@ from specquad.finite import (
     FiniteTripleSpec,
     build_finite_triple,
     connes_distance,
-    distance_trajectory,
     quadruple_from_triple,
     sign_table,
     two_point_dirac,
@@ -15,6 +14,12 @@ from specquad.finite import (
     two_point_triple,
     validate_finite_triple,
 )
+
+
+def distance_trajectory(quad, i=0, j=1):
+    """Equal-time Connes distance at every scheduled time; math.inf entries
+    flag unbounded (zero-coupling) instants."""
+    return [connes_distance(t, i, j) for t in quad.triples]
 
 
 def grid_search_distance(triple, i, j, cap=64.0):
@@ -259,5 +264,5 @@ class TestFiniteQuadruple:
     def test_requires_dirac_map_for_custom_triples(self):
         spec = FiniteTripleSpec(dims=(1,), q=((1,),))
         t = build_finite_triple(spec, np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="dirac_of_m"):
+        with pytest.raises(ValueError, match="only the two-point triple"):
             quadruple_from_triple(t, [(0.0, 1.0)])

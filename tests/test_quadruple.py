@@ -20,9 +20,10 @@ from specquad.quadruple import (
     check_time_vector,
     check_volume_element,
     s_exponent,
-    spatial_dirac,
     verify_quadruple,
 )
+
+from construction_reference import spatial_dirac
 
 
 def with_operator(q, **kwargs):

@@ -1,21 +1,22 @@
 import numpy as np
 import pytest
 
-from specquad.desitter import eigenframe, hamiltonian_theta
+from specquad.desitter import hamiltonian_theta
 from specquad.geometry import GAMMA1, ChartPoint, HypFn, frame_intertwiner_inverse, frame_vectors, slash
+from specquad.operators import block_stack
 from specquad.spinfields import (
-    SpinorField,
-    apply_T_grid,
-    apply_generator,
+    _E0_MAT,
+    _N_MAT,
     conservation_defect,
     dirac_pair,
     fiber_gram,
     level_block,
     minkowski_commutation_residual,
-    t_basis_field,
+    t_bands,
 )
 
 import evolution_reference
+from construction_reference import eigenframe
 from evolution_reference import (
     SolutionCoefficients,
     inner_product_slice,
@@ -23,19 +24,27 @@ from evolution_reference import (
     slice_independence,
 )
 from oracle_reference import (
+    SpinorField,
     apply_coefficients,
     dirac_agreement_residual,
     field_dirac_pair,
     random_spinor_field,
+    symmetry_pairs,
+    t_basis_field,
 )
 
+LEVELS = np.arange(-5.5, 6.5)
 
-def fft_modes(comp, theta, npts=1024):
-    """phi-Fourier coefficients of a component from the uniform grid; the
-    trapezoid rule is exact for trigonometric polynomials of degree below
-    npts / 2."""
-    phi = np.arange(npts) * 2.0 * np.pi / npts
-    return np.fft.fft(comp(theta, phi) + np.zeros(npts)) / npts
+
+def action(gen_id, rm, theta, levels=LEVELS):
+    """The T-basis bands of a generator or Clifford element at the slice
+    theta: band d maps |T: n, s> to the pair at level n + d."""
+    return t_bands(symmetry_pairs(rm)[gen_id], np.atleast_1d(levels), theta)
+
+
+def ladder_block(gen_id, n, rm, theta):
+    """The 2x2 block of T+ (T-) from level n to n + 1 (n - 1)."""
+    return action(gen_id, rm, theta, n)[1 if gen_id == "Tplus" else -1][..., 0]
 
 
 def grid_product(sol1, sol2, theta, npts=1024):
@@ -81,89 +90,87 @@ def tminus_display(n, sign, rm, theta):
 
 
 class TestTBasisActions:
+    def test_each_generator_lands_in_one_band(self):
+        for gen_id, shift in (("d_theta", 0), ("T21", 0), ("Tplus", 1), ("Tminus", -1),
+                              ("e0", 0), ("n_slash", 0), ("r_slash", 0)):
+            for th in (0.0, 0.4, 1.1):
+                assert action(gen_id, 1.0, th).keys() == {shift}
+
     def test_compact_generator_eigenvalue(self):
-        for n in (0.5, -1.5, 2.5):
-            for sign in (+1, -1):
-                coefs = apply_T_grid("T21", n, sign, rm=0.0, theta=0.4)
-                assert coefs[(n, sign)] == pytest.approx(1j * n, abs=1e-12)
-                assert coefs[(n, -sign)] == pytest.approx(0.0, abs=1e-12)
+        levels = np.array([0.5, -1.5, 2.5])
+        band = action("T21", 0.0, 0.4, levels)[0]
+        np.testing.assert_allclose(band, block_stack(1j * levels, 0.0, 0.0, 1j * levels),
+                                   rtol=0, atol=1e-12)
 
     def test_radial_clifford(self):
-        for sign in (+1, -1):
-            coefs = apply_T_grid("r_slash", 1.5, sign, rm=0.0, theta=0.8)
-            assert coefs[(1.5, -sign)] == pytest.approx(sign * 1j, abs=1e-12)
+        # rslash flips the sign: |T: n, s> -> s i |T: n, -s>
+        band = action("r_slash", 0.0, 0.8, 1.5)[0][..., 0]
+        np.testing.assert_allclose(band, [[0.0, -1j], [1j, 0.0]], rtol=0, atol=1e-12)
 
     def test_time_vector_action(self):
         th = 0.6
-        for sign in (+1, -1):
-            coefs = apply_T_grid("e0", -0.5, sign, rm=0.0, theta=th)
-            assert coefs[(-0.5, sign)] == pytest.approx(sign * 1j * np.cosh(th),
-                                                        abs=1e-12)
-            assert coefs[(-0.5, -sign)] == pytest.approx(sign * 1j * np.sinh(th),
-                                                         abs=1e-12)
+        band = action("e0", 0.0, th, -0.5)[0][..., 0]
+        c, s = np.cosh(th), np.sinh(th)
+        np.testing.assert_allclose(band, [[1j * c, -1j * s], [1j * s, -1j * c]],
+                                   rtol=0, atol=1e-12)
 
     def test_normal_clifford_action(self):
         th = -0.9
-        for sign in (+1, -1):
-            coefs = apply_T_grid("n_slash", 2.5, sign, rm=0.0, theta=th)
-            assert coefs[(2.5, sign)] == pytest.approx(sign * 1j * np.sinh(th),
-                                                       abs=1e-12)
-            assert coefs[(2.5, -sign)] == pytest.approx(sign * 1j * np.cosh(th),
-                                                        abs=1e-12)
+        band = action("n_slash", 0.0, th, 2.5)[0][..., 0]
+        c, s = np.cosh(th), np.sinh(th)
+        np.testing.assert_allclose(band, [[1j * s, -1j * c], [1j * c, -1j * s]],
+                                   rtol=0, atol=1e-12)
 
     def test_raising_at_reference_point(self):
         # T+ on |T:1/2,+> at (rm, theta) = (1, 0): coefficients (-i, -1)
-        coefs = apply_T_grid("Tplus", 0.5, +1, rm=1.0, theta=0.0)
-        assert coefs[(1.5, +1)] == pytest.approx(-1j, abs=1e-12)
-        assert coefs[(1.5, -1)] == pytest.approx(-1.0, abs=1e-12)
+        blk = ladder_block("Tplus", 0.5, 1.0, 0.0)
+        assert blk[0, 0] == pytest.approx(-1j, abs=1e-12)
+        assert blk[1, 0] == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [-2.5, -0.5, 0.5, 1.5])
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_ladder_matches_displays(self, n, sign):
         rm, th = 1.3, 0.45
-        plus = apply_T_grid("Tplus", n, sign, rm, th)
-        same, flip = tplus_display(n, sign, rm, th)
-        assert plus[(n + 1, sign)] == pytest.approx(same, abs=1e-11)
-        assert plus[(n + 1, -sign)] == pytest.approx(flip, abs=1e-11)
-        minus = apply_T_grid("Tminus", n, sign, rm, th)
-        same, flip = tminus_display(n, sign, rm, th)
-        assert minus[(n - 1, sign)] == pytest.approx(same, abs=1e-11)
-        assert minus[(n - 1, -sign)] == pytest.approx(flip, abs=1e-11)
+        col = 0 if sign > 0 else 1
+        for gen_id, display in (("Tplus", tplus_display), ("Tminus", tminus_display)):
+            blk = ladder_block(gen_id, n, rm, th)
+            same, flip = display(n, sign, rm, th)
+            assert blk[col, col] == pytest.approx(same, abs=1e-11)
+            assert blk[1 - col, col] == pytest.approx(flip, abs=1e-11)
 
     def test_ladder_respects_norm_law(self):
         # the raising operator scales Gram norms by |c_n|^2 = (n+1/2)^2 + r2m2;
         # the T basis is not orthonormal, so measure through the fiber Gram
         rm, th, n = 0.8, 0.7, 1.5
         g = fiber_gram(th)
+        blk = ladder_block("Tplus", n, rm, th)
         for basis_vec in (np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                           np.array([0.6, -0.8j])):
-            image = np.zeros(2, dtype=complex)
-            for ci, sign in ((0, +1), (1, -1)):
-                coefs = apply_T_grid("Tplus", n, sign, rm, th)
-                image[0] += basis_vec[ci] * coefs[(n + 1, +1)]
-                image[1] += basis_vec[ci] * coefs[(n + 1, -1)]
+            image = blk @ basis_vec
             got = complex(image.conj() @ g @ image).real
             ref = complex(basis_vec.conj() @ g @ basis_vec).real
             assert got == pytest.approx(((n + 0.5) ** 2 + rm ** 2) * ref, abs=1e-9)
 
     @pytest.mark.parametrize("gen_id", ["d_theta", "Tplus", "Tminus", "T21", "e0"])
     def test_exact_modes_match_fft(self, gen_id):
-        # apply_T_grid reads the exact phi modes; the FFT of the component on
-        # the 1024-point grid is the independent oracle
+        # the bands read the exact phi modes of the pair; the FFT of the pair
+        # applied to the basis field e^{ik phi} e_s, evaluated on the
+        # 1024-point grid, is the independent oracle
         rm, th, npts = 1.0, 0.4, 1024
-        for n in np.arange(-5.5, 6.5):
-            for sign in (+1, -1):
-                field = apply_generator(gen_id, t_basis_field(n, sign), rm)
-                for comp in (field.up, field.down):
+        phi = np.arange(npts) * 2.0 * np.pi / npts
+        a, b = symmetry_pairs(rm)[gen_id]
+        bands = action(gen_id, rm, th)
+        for i, n in enumerate(LEVELS):
+            for s, sign in ((0, +1), (1, -1)):
+                k = -n + sign / 2
+                for r, rsign in ((0, +1), (1, -1)):
+                    comp = (1j * k * a[r][s](th, phi) + b[r][s](th, phi)) * np.exp(1j * k * phi)
+                    # band d puts |T: n + d, r> = e^{i(-(n + d) + r/2) phi} e_r
                     exact = np.zeros(npts, dtype=complex)
-                    for k, c in comp.phi_modes(th).items():
-                        exact[k % npts] += c
-                    np.testing.assert_allclose(exact, fft_modes(comp, th, npts),
+                    for d, band in bands.items():
+                        exact[int(round(-(n + d) + rsign / 2)) % npts] += band[r, s, i]
+                    np.testing.assert_allclose(exact, np.fft.fft(comp) / npts,
                                                rtol=0, atol=1e-13)
-
-    def test_unknown_generator(self):
-        with pytest.raises(ValueError):
-            apply_generator("nope", t_basis_field(0.5, +1))
 
     def test_invalid_level(self):
         with pytest.raises(ValueError):
@@ -175,15 +182,11 @@ class TestHamiltonianCrossCheck:
         # the central cross-module oracle: the constructed theta-derivative
         # blocks reproduce the grid T-action for |n| <= 11/2
         rm, th = 1.0, 0.4
-        levels = np.arange(-5.5, 6.5)
-        stack = hamiltonian_theta(levels, rm, th)
-        assert stack.shape == (2, 2, levels.size)
-        for i, n in enumerate(levels):
-            blk = stack[..., i]
-            for col, sign in ((0, +1), (1, -1)):
-                coefs = apply_T_grid("d_theta", n, sign, rm, th)
-                assert abs(coefs[(n, +1)] - blk[0, col]) <= 1e-9
-                assert abs(coefs[(n, -1)] - blk[1, col]) <= 1e-9
+        stack = hamiltonian_theta(LEVELS, rm, th)
+        assert stack.shape == (2, 2, LEVELS.size)
+        bands = action("d_theta", rm, th)
+        assert bands.keys() == {0}
+        assert np.abs(bands[0] - stack).max() <= 1e-9
 
     def test_level_block_composition_matches(self):
         for rm, th, n in ((0.0, 0.0, 0.5), (1.5, 0.8, -2.5), (0.7, -1.1, 3.5)):
@@ -198,12 +201,7 @@ class TestHamiltonianCrossCheck:
         v = eigenframe(th)
         vinv = np.linalg.inv(v)
         for n in (-1.5, 0.5, 2.5):
-            t_mat = np.zeros((2, 2), dtype=complex)
-            for ci, sign in ((0, +1), (1, -1)):
-                coefs = apply_T_grid("Tplus", n, sign, rm, th)
-                t_mat[0, ci] = coefs[(n + 1, +1)]
-                t_mat[1, ci] = coefs[(n + 1, -1)]
-            np.testing.assert_allclose(vinv @ t_mat @ v,
+            np.testing.assert_allclose(vinv @ ladder_block("Tplus", n, rm, th) @ v,
                                        appendix_t_plus(n, rm, th), atol=1e-11)
 
 
@@ -345,11 +343,7 @@ class TestFrameChange:
         for th in (0.3, 1.0, -0.8):
             v = eigenframe(th)
             # T-basis matrix of the time vector from the grid action
-            m = np.zeros((2, 2), dtype=complex)
-            for ci, sign in ((0, +1), (1, -1)):
-                coefs = apply_T_grid("e0", 0.5, sign, 0.0, th)
-                m[0, ci] = coefs[(0.5, +1)]
-                m[1, ci] = coefs[(0.5, -1)]
+            m = action("e0", 0.0, th, 0.5)[0][..., 0]
             got = np.linalg.inv(v) @ m @ v
             np.testing.assert_allclose(got, np.diag([1j, -1j]), atol=1e-12)
 
@@ -451,8 +445,8 @@ class TestSpinorField:
         psi = random_spinor_field(rng)
         p = ChartPoint(0.7, 2.1)
         e0, e1, _ = frame_vectors(p)
-        for gen_id, vec in (("e0", e0), ("n_slash", e1)):
-            np.testing.assert_allclose(apply_generator(gen_id, psi)(p.theta, p.phi),
+        for mat, vec in ((_E0_MAT, e0), (_N_MAT, e1)):
+            np.testing.assert_allclose(psi.mat(mat)(p.theta, p.phi),
                                        slash(vec) @ psi(p.theta, p.phi), atol=1e-12)
 
 
