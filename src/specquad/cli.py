@@ -20,6 +20,7 @@ import os
 import stat
 import sys
 import tempfile
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from .operators import TruncationError, block_product, interior_residual
 from .quadruple import (
     DEFAULT_TOLERANCES,
     AxiomReport,
+    SpectralQuadruple,
     validate_overrides,
     verify_points,
     verify_quadruple,
@@ -91,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=int, default=4)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = add("sweep", help="grid of quadruple-verify + reconstruct runs")
+    p = add("sweep", help="quadruple-verify at every point of an rm x theta grid")
     p.add_argument("--rm", type=str, default="0,0.5,1,2",
                    help="comma-separated rm grid")
     p.add_argument("--theta", type=str, default="0,0.3,1.0",
@@ -141,17 +143,30 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 
 
 def _check_parameters(args: argparse.Namespace):
-    """Check the --rm, --theta and --r2m2 values before any section runs: a
-    nan or inf is a usage error named by its flag, and a sweep's grids
-    become their lists of floats."""
+    """Check the --rm, --theta, --r2m2 and --seed values before any section
+    runs: a nan or inf, a theta whose cosh overflows a double, or a negative
+    seed is a usage error named by its flag, and a sweep's grids become
+    their lists of floats."""
     for flag in ("rm", "theta", "r2m2"):
         value = getattr(args, flag, None)
         if value is None:
             continue
         if args.subcommand == "sweep":
-            setattr(args, flag, _parse_grid(value, flag))
-        elif not math.isfinite(value):
+            values = _parse_grid(value, flag)
+            setattr(args, flag, values)
+        elif math.isfinite(value):
+            values = [value]
+        else:
             raise ConfigError(f"--{flag} {value!r}: must be finite")
+        if flag == "theta":
+            for theta in values:
+                try:
+                    math.cosh(theta)
+                except OverflowError:
+                    raise ConfigError(f"--theta {theta!r}: cosh(theta) overflows a double "
+                                      f"(|theta| above about 710.48)") from None
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError(f"--seed {args.seed}: must be non-negative")
 
 
 def _parse_tolerances(pairs: Sequence[str] | None) -> dict[str, float]:
@@ -192,9 +207,10 @@ def _section_sl2(r2m2: float, lattice: str) -> AxiomReport:
     return rep
 
 
-def _section_quadruple(rm: float, theta: float, nmax: int, margin: int) -> AxiomReport:
-    q = desitter.assemble_quadruple(desitter.DeSitterParams(rm=rm, theta=theta, nmax=nmax))
-    return verify_quadruple(q, margin=margin, include_noncommutativity=(rm != 0.0))
+def _section_quadruple(p: desitter.DeSitterParams, q: SpectralQuadruple,
+                       margin: int) -> AxiomReport:
+    """The axioms of q, the quadruple assembled at p."""
+    return verify_quadruple(q, margin=margin, include_noncommutativity=(p.rm != 0.0))
 
 
 def _section_crosscheck(rm: float, theta: float, nmax: int) -> AxiomReport:
@@ -210,14 +226,16 @@ def _section_crosscheck(rm: float, theta: float, nmax: int) -> AxiomReport:
     return rep
 
 
-def _section_reconstruct(rm: float, theta: float, nmax: int, margin: int) -> AxiomReport:
-    """Needs margin >= 3.  At rm = 0 the order rows, the degeneracy and the
-    mass read one expansion of order min(5, margin); otherwise they come
-    from ``extract_adm``, and linearity compares its kappa with the one
+def _section_reconstruct(p: desitter.DeSitterParams, q: SpectralQuadruple,
+                         margin: int) -> AxiomReport:
+    """The reconstruction from q, the quadruple assembled at p; needs
+    margin >= 3.  At rm = 0 the order rows, the degeneracy and the mass
+    read one expansion of order min(5, margin); otherwise they come from
+    ``extract_adm``, and linearity compares its kappa with the one
     ``fit_third_order`` reads from the order-3 term of the 2 rm quadruple,
     so both sides share the vanishing cut."""
     rep = AxiomReport()
-    q = desitter.assemble_quadruple(desitter.DeSitterParams(rm=rm, theta=theta, nmax=nmax))
+    rm = p.rm
     if rm == 0.0:
         terms = reconstruct.commutator_expansion(q.ih, q.u, q.u, min(5, margin), margin)
         residuals = [interior_residual(t, margin) for t in terms]
@@ -237,8 +255,7 @@ def _section_reconstruct(rm: float, theta: float, nmax: int, margin: int) -> Axi
             notes=f"measured coefficient kappa = {adm.kappa:.12g}")
     rep.add("reconstruct.mass_roundtrip", abs(mass_scale - rm),
             notes=f"recovered rm = {mass_scale:.12g}")
-    q2 = desitter.assemble_quadruple(
-        desitter.DeSitterParams(rm=2 * rm, theta=theta, nmax=nmax))
+    q2 = desitter.assemble_quadruple(replace(p, rm=2 * rm))
     kappa2 = reconstruct.third_order_coefficient(q2, margin)[0]
     rep.add("reconstruct.linearity_in_mass", abs(kappa2 - 2 * adm.kappa),
             DEFAULT_TOLERANCES["reconstruct.linearity_in_mass"] * abs(adm.kappa),
@@ -251,13 +268,13 @@ def _section_reconstruct(rm: float, theta: float, nmax: int, margin: int) -> Axi
 
 
 def _section_finite_verify(m: complex) -> AxiomReport:
-    rep = finite.validate_finite_triple(finite.two_point_triple(m))
+    t = finite.two_point_triple(m)
+    rep = finite.validate_finite_triple(t)
     mism = sum(tuple(finite.sign_table(n)) != KO_SIGNS[n % 8] for n in range(16))
     rep.add("finite.sign_table", float(mism),
             notes="mismatches against the KO-dimension sign table of Connes "
                   "(J. Math. Phys. 36, 1995), n in [0, 15]")
-    quad = finite.quadruple_from_triple(
-        finite.two_point_triple(m), [(0.0, m), (1.0, m)])
+    quad = finite.quadruple_from_triple(t, [(0.0, m), (1.0, m)])
     return rep.extend(quad.validate())
 
 
@@ -333,6 +350,12 @@ def _section_oracle(seed: int) -> AxiomReport:
     return rep
 
 
+def _assemble(args: argparse.Namespace) -> tuple[desitter.DeSitterParams, SpectralQuadruple]:
+    """The --rm, --theta, --nmax point and the quadruple assembled there."""
+    p = desitter.DeSitterParams(rm=args.rm, theta=args.theta, nmax=args.nmax)
+    return p, desitter.assemble_quadruple(p)
+
+
 # one sweep point: (params echo, report or None when skipped, skip note)
 SweepCell = tuple[dict, AxiomReport | None, str]
 
@@ -346,7 +369,7 @@ def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[
     if sc == "quadruple-verify":
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax,
                   "margin": args.margin}
-        return params, _section_quadruple(args.rm, args.theta, args.nmax, args.margin)
+        return params, _section_quadruple(*_assemble(args), args.margin)
     if sc == "desitter-crosscheck":
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax}
         return params, _section_crosscheck(args.rm, args.theta, args.nmax)
@@ -357,7 +380,7 @@ def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[
     if sc == "reconstruct":
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax,
                   "margin": args.margin}
-        return params, _section_reconstruct(args.rm, args.theta, args.nmax, args.margin)
+        return params, _section_reconstruct(*_assemble(args), args.margin)
     if sc == "finite-verify":
         m = _parse_complex(args.m)
         return {"m": str(m)}, _section_finite_verify(m)
@@ -371,9 +394,10 @@ def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[
                   "margin": args.margin, "seed": args.seed}
         rep = AxiomReport()
         rep.extend(_section_sl2(args.rm ** 2, "half_integer"))
-        rep.extend(_section_quadruple(args.rm, args.theta, args.nmax, args.margin))
+        p, q = _assemble(args)
+        rep.extend(_section_quadruple(p, q, args.margin))
         rep.extend(_section_crosscheck(args.rm, args.theta, 16))
-        rep.extend(_section_reconstruct(args.rm, args.theta, args.nmax, args.margin))
+        rep.extend(_section_reconstruct(p, q, args.margin))
         rep.extend(_section_finite_verify(1 + 2j))
         rep.extend(_section_finite_distance(2.0))
         rep.extend(_section_oracle(args.seed))
@@ -452,7 +476,102 @@ def _sweep_payload(params: dict, rows: list[list[SweepCell]], tol: dict) -> dict
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, without
+    json's pure-Python encoder, which ``indent`` forces on CPython.  A list
+    under a ``checks`` key is written one row per template."""
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+# the keys of AxiomReport.as_dicts, in its order
+CHECK_KEYS = ("id", "residual", "tolerance", "pass", "margin", "notes")
+
+
+def _encode_float(x: float) -> str:
+    """json's spelling of a float."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(value, newline: str, out: list[str]):
+    """Append the indent-2 JSON of value to out; newline is a line break
+    plus the indent of the line value starts on."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_encode_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            if key == "checks" and isinstance(item, list):
+                _write_checks(item, inner, out)
+            else:
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} to a report")
+
+
+def _write_checks(rows: list, newline: str, out: list[str]):
+    """A ``checks`` list, as ``_write_json`` writes it: every row with the
+    keys of ``CHECK_KEYS`` in that order comes from one template, any other
+    row from ``_write_json``."""
+    if not rows:
+        out.append("[]")
+        return
+    row_line = newline + "  "
+    key_line = row_line + "  "
+    template = ("{" + key_line + '"id": %s,' + key_line + '"residual": %s,'
+                + key_line + '"tolerance": %s,' + key_line + '"pass": %s,'
+                + key_line + '"margin": %s,' + key_line + '"notes": %s' + row_line + "}")
+    sep = "[" + row_line
+    for row in rows:
+        out.append(sep)
+        if isinstance(row, dict) and tuple(row) == CHECK_KEYS:
+            out.append(template % (
+                _encode_str(row["id"]), _encode_float(row["residual"]),
+                _encode_float(row["tolerance"]), "true" if row["pass"] else "false",
+                int.__repr__(row["margin"]), _encode_str(row["notes"])))
+        else:
+            _write_json(row, row_line, out)
+        sep = "," + row_line
+    out.append(newline + "]")
 
 
 def _render_csv(payload: dict) -> str:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import warnings
@@ -6,8 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specquad import cli, desitter, geometry, reconstruct, spinfields
+from specquad import cli, desitter, finite, geometry, reconstruct, spinfields
 from specquad import quadruple as quad
 from specquad.cli import run
 from specquad.operators import TruncatedOperator
@@ -438,6 +441,55 @@ class TestReportFormat:
         assert payload["passed"] is True
 
 
+# report values at the edges of json's spelling: floats it writes as NaN,
+# Infinity, -0.0, the smallest subnormal and a large exponent, and strings
+# it escapes (quotes, backslashes, control and non-ASCII characters)
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+FLOATS = EDGE_FLOATS | st.floats()
+TEXT = st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é ∂ 😀", 'a "b" \\ c\n']) | st.text()
+CHECK_ROW = st.tuples(TEXT, FLOATS, FLOATS, st.booleans(), st.integers(), TEXT).map(
+    lambda row: dict(zip(("id", "residual", "tolerance", "pass", "margin", "notes"), row)))
+CHECKS = st.lists(CHECK_ROW, max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=12)
+PARAMS = st.dictionaries(TEXT, JSON_VALUES, max_size=4)
+GRID_CELL = st.fixed_dictionaries({"params": PARAMS, "checks": CHECKS, "passed": st.booleans(),
+                                   "skipped": st.booleans(), "notes": TEXT})
+AGGREGATE = st.fixed_dictionaries({
+    "passed": st.booleans(),
+    "pass_matrix": st.lists(st.lists(st.none() | st.booleans(), max_size=3), max_size=3),
+    "rm_values": st.lists(FLOATS, max_size=3), "theta_values": st.lists(FLOATS, max_size=3)})
+HEAD = {"version": st.just(1), "subcommand": TEXT, "params": PARAMS}
+PAYLOADS = (st.fixed_dictionaries({**HEAD, "checks": CHECKS, "passed": st.booleans()})
+            | st.fixed_dictionaries({**HEAD, "grid": st.lists(GRID_CELL, max_size=3),
+                                     "aggregate": AGGREGATE, "passed": st.booleans()})
+            # a checks key holding rows of another shape, or no list at all
+            | st.dictionaries(TEXT | st.just("checks"), JSON_VALUES, max_size=4))
+
+
+class TestRenderJson:
+    """The report writer gives the bytes of json.dumps(payload, indent=2)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        assert cli._render_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+    def test_report_rows_take_the_template(self):
+        rep = quad.AxiomReport()
+        rep.add("sl2.classification", 0.0, notes="n")
+        assert tuple(rep.as_dicts()[0]) == cli.CHECK_KEYS
+
+    @pytest.mark.parametrize("argv", [["all", "--nmax", "8"], ["sweep", "--nmax", "8"]])
+    def test_reports_match_json_dumps(self, tmp_path, argv):
+        out = tmp_path / "r.json"
+        assert run([*argv, "-o", str(out)]) == 0
+        text = read(out)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 class TestConfigFile:
     def test_values_and_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -533,6 +585,31 @@ def test_oracle_and_crosscheck_operation_counts(tmp_path, monkeypatch):
     assert counts["ladder"] <= 4
 
 
+def test_all_and_finite_verify_build_each_object_once(tmp_path, monkeypatch):
+    # `all` assembles the (rm, theta) quadruple once for its quadruple and
+    # reconstruct sections, and the 2 rm one for linearity; the finite
+    # sections build the two-point triple once each, plus the two triples
+    # of its schedule, and write the algebra into blocks without np.kron
+    counts = {"assemble": 0, "kron": 0, "triples": 0}
+
+    def count(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(desitter, "assemble_quadruple",
+                        count("assemble", desitter.assemble_quadruple))
+    monkeypatch.setattr(np, "kron", count("kron", np.kron))
+    monkeypatch.setattr(finite.FiniteTriple, "__init__",
+                        count("triples", finite.FiniteTriple.__init__))
+    assert run(["all", "-o", str(tmp_path / "all.json")]) == 0
+    assert counts == {"assemble": 2, "kron": 0, "triples": 4}
+    counts.update(assemble=0, triples=0)
+    assert run(["finite-verify", "-o", str(tmp_path / "finite.json")]) == 0
+    assert counts == {"assemble": 0, "kron": 0, "triples": 3}
+
+
 @pytest.mark.parametrize("seed", [cli.DEFAULT_SEED, 1, 2])
 def test_batched_sections_match_per_point_loops(seed):
     # the loops the oracle and crosscheck sections ran before they were
@@ -603,16 +680,46 @@ class TestSweep:
         (["sweep", "--rm=-inf"], "--rm"), (["quadruple-verify", "--rm", "nan"], "--rm"),
         (["all", "--theta", "inf"], "--theta"), (["reconstruct", "--rm", "inf"], "--rm"),
         (["desitter-crosscheck", "--theta", "nan"], "--theta"),
+        # finite, but cosh(theta) overflows a double
+        (["quadruple-verify", "--theta", "711"], "--theta"),
+        (["desitter-crosscheck", "--theta", "711"], "--theta"),
+        (["all", "--theta", "711"], "--theta"), (["reconstruct", "--theta=-711"], "--theta"),
+        (["sweep", "--theta", "0,711"], "--theta"),
     ])
     def test_non_finite_parameter_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, flag):
-        # rejected by its flag before any quadruple is built
+        # rejected by its flag before any quadruple is built, so no numpy
+        # call warns on the value
         def refuse(params):
             raise AssertionError("a quadruple was built")
 
         monkeypatch.setattr(desitter, "assemble_quadruple", refuse)
         out = tmp_path / "r.json"
-        assert run([*argv, "--nmax", "8", "-o", str(out)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, "--nmax", "8", "-o", str(out)]) == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sc", ["quadruple-verify", "desitter-crosscheck", "all"])
+    def test_theta_at_the_edge_of_cosh_range_runs(self, tmp_path, sc):
+        # cosh(710) is still a double: the run checks it, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([sc, "--theta", "710", "--nmax", "8", "-o", str(tmp_path / "r.json")]) != 2
+
+    @pytest.mark.parametrize("argv", [["oracle-check", "--seed", "-1"], ["all", "--seed=-1"],
+                                      ["oracle-check", "--config", "{cfg}"]],
+                             ids=["oracle-check", "all", "config"])
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        def refuse(seed):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cli, "_section_oracle", refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        out = tmp_path / "r.json"
+        assert run([a.format(cfg=cfg) for a in argv] + ["-o", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
     @staticmethod

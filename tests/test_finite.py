@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specquad.finite import (
+    FiniteTriple,
     FiniteTripleSpec,
     build_finite_triple,
     connes_distance,
@@ -60,6 +61,57 @@ class TestSpecValidation:
     def test_singular_q_rejected(self):
         with pytest.raises(ValueError):
             FiniteTripleSpec(dims=(1, 1), q=((1, 1), (1, 1)))
+
+
+def kron_actions(t, a):
+    """pi(a) and pi_op(a) written block by block with np.kron, as the
+    reference for the block writes of FiniteTriple."""
+    left = np.zeros((t.hilbert_dim, t.hilbert_dim), dtype=complex)
+    right = np.zeros_like(left)
+    for (i, j), d in zip(t.blocks, t.block_dims):
+        o = t.offsets[(i, j)]
+        nq = abs(t.spec.q[i][j])
+        left[o:o + d, o:o + d] = np.kron(a[i], np.eye(nq * t.spec.dims[j]))
+        right[o:o + d, o:o + d] = np.kron(np.eye(t.spec.dims[i] * nq), a[j].T)
+    return left, right
+
+
+class TestAlgebraActions:
+    SPECS = [two_point_spec(), FiniteTripleSpec(dims=(2, 1), q=((1, 2), (2, 1))),
+             FiniteTripleSpec(dims=(1, 3), q=((0, -1), (-1, 2)))]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["two-point", "dims-2-1", "dims-1-3"])
+    def test_block_writes_equal_kron(self, rng, spec):
+        n = sum(spec.dims[i] * abs(spec.q[i][j]) * spec.dims[j] for i, j in spec.blocks)
+        t = FiniteTriple(spec, np.zeros((n, n)))
+        for _ in range(3):
+            a = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in spec.dims]
+            left, right = kron_actions(t, a)
+            assert np.array_equal(t.pi(a), left)
+            assert np.array_equal(t.pi_op(a), right)
+
+    @pytest.mark.parametrize("m", [1 + 2j, 0.0, 3 - 0.5j, 1e-300])
+    def test_validation_equals_one_norm_per_matrix(self, m):
+        # one SVD call on the stack gives the floats of np.linalg.norm(x, 2)
+        t = two_point_triple(m)
+        d, g = t.dirac, np.diag(t.gamma)
+        basis = t.algebra_basis()
+        first_order = 0.0
+        for a in basis:
+            da = d @ t.pi(a) - t.pi(a) @ d
+            for b in basis:
+                bo = t.pi_op(b)
+                first_order = max(first_order, float(np.linalg.norm(da @ bo - bo @ da, 2)))
+        rep = validate_finite_triple(t)
+        assert [c.residual for c in rep] == [
+            float(np.linalg.norm(d - d.conj().T, 2)),
+            float(np.linalg.norm(t.real_structure.after(d) - t.real_structure.before(d), 2)),
+            float(np.linalg.norm(g @ d + d @ g, 2)), first_order]
+        quad = quadruple_from_triple(t, [(0.0, m), (1.0, 2 * m)])
+        e = 1j * g
+        assert [c.residual for c in quad.validate()] == 2 * [
+            float(np.linalg.norm(e @ e + np.eye(3), 2)), float(np.linalg.norm(e.conj().T + e, 2)),
+            float(np.linalg.norm(e @ g - g @ e, 2))]
 
 
 class TestTwoPointExample:
