@@ -142,11 +142,19 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 
+# the largest |rm| a run accepts: the checks multiply two mass or ladder
+# entries, up to (2 rm)^2 at the doubled mass of the linearity check, and
+# the block norms and band fits square entries, so (2 rm)^4 must stay a
+# double
+RM_MAX = float(np.finfo(float).max) ** 0.25 / 2
+
+
 def _check_parameters(args: argparse.Namespace):
-    """Check the --rm, --theta, --r2m2 and --seed values before any section
-    runs: a nan or inf, a theta whose cosh overflows a double, or a negative
-    seed is a usage error named by its flag, and a sweep's grids become
-    their lists of floats."""
+    """Check the --rm, --theta, --r2m2, --seed, --nmax and --margin values
+    before any section runs: a nan or inf, an |rm| above ``RM_MAX``, a theta
+    whose cosh overflows a double, a negative seed or margin, or a
+    quadruple truncated below ``desitter.MIN_NMAX`` is a usage error named
+    by its flag, and a sweep's grids become their lists of floats."""
     for flag in ("rm", "theta", "r2m2"):
         value = getattr(args, flag, None)
         if value is None:
@@ -165,8 +173,19 @@ def _check_parameters(args: argparse.Namespace):
                 except OverflowError:
                     raise ConfigError(f"--theta {theta!r}: cosh(theta) overflows a double "
                                       f"(|theta| above about 710.48)") from None
+        if flag == "rm":
+            for rm in values:
+                if abs(rm) > RM_MAX:
+                    raise ConfigError(f"--rm {rm!r}: |rm| above {RM_MAX!r} overflows "
+                                      f"the squares the checks form")
     if getattr(args, "seed", 0) < 0:
         raise ConfigError(f"--seed {args.seed}: must be non-negative")
+    # desitter-crosscheck raises its --nmax to 8
+    nmax = math.inf if args.subcommand == "desitter-crosscheck" else getattr(args, "nmax", math.inf)
+    if nmax < desitter.MIN_NMAX:
+        raise ConfigError(f"--nmax {args.nmax}: must be at least {desitter.MIN_NMAX}")
+    if getattr(args, "margin", 0) < 0:
+        raise ConfigError(f"--margin {args.margin}: must be non-negative")
 
 
 def _parse_tolerances(pairs: Sequence[str] | None) -> dict[str, float]:

@@ -43,7 +43,6 @@ __all__ = [
     "hamiltonian_theta",
     "evolution_block",
     "charge_conjugation",
-    "gauge_unitary",
     "assemble_quadruple",
     "crosscheck_construction_vs_appendix",
 ]
@@ -54,26 +53,26 @@ GAMMA_FIBER = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
 FIBER_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-_POINT_PARAMS = ("rm", "theta", "rho", "y")
+_POINT_PARAMS = ("rm", "theta")
+
+# the least truncation a quadruple is assembled at
+MIN_NMAX = 4
 
 
 @dataclass(frozen=True)
 class DeSitterParams:
-    """Two physical parameters (rm, theta) plus the truncation size and the
-    two gauge phases the basis choice leaves free (both default to zero).
+    """The two physical parameters (rm, theta) plus the truncation size.
 
-    rm, theta, rho and y may be arrays: ``batch``, their broadcast shape, is
-    the batch of parameter points of one quadruple, () for a single point."""
+    rm and theta may be arrays: ``batch``, their broadcast shape, is the
+    batch of parameter points of one quadruple, () for a single point."""
 
     rm: float | np.ndarray
     theta: float | np.ndarray = 0.0
     nmax: int = 32
-    rho: float | np.ndarray = 0.0
-    y: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if self.nmax < 4:
-            raise TruncationError("nmax must be >= 4")
+        if self.nmax < MIN_NMAX:
+            raise TruncationError(f"nmax must be >= {MIN_NMAX}")
         for name in _POINT_PARAMS:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -161,21 +160,12 @@ def charge_conjugation(basis: BasisDescriptor) -> AntilinearOperator:
     return AntilinearOperator(TruncatedOperator.from_fiber(basis, FIBER_FLIP))
 
 
-def gauge_unitary(basis: BasisDescriptor, rho, y) -> TruncatedOperator:
-    """Diagonal-phase unitary exp(i rho n) (x) diag(1, e^{iy}) realizing the
-    two residual basis-phase freedoms (overall u-phase and fiber phase);
-    rho and y broadcast over the basis's batch of points."""
-    rho, y = (np.broadcast_to(x, basis.batch)[..., None] for x in (rho, y))
-    phase = np.exp(1j * rho * basis.level_array)
-    return TruncatedOperator(basis, {0: block_stack(phase, 0.0, 0.0, phase * np.exp(1j * y))})
-
-
 def assemble_quadruple(p: DeSitterParams) -> SpectralQuadruple:
     """Assemble the full de Sitter quadruple at the given parameters.
 
     Over a batch of parameter points (``p.batch``) it is one quadruple on a
-    batched basis: t+-, iH and the gauge phases hold a block stack per
-    point, and u, e_perp, gamma, T21 and C are shared by every point."""
+    batched basis: t+- and iH hold a block stack per point, and u, e_perp,
+    gamma, T21 and C are shared by every point."""
     basis = BasisDescriptor.spinor(p.nmax, p.batch)
     levels = basis.level_array
     # the parameters of every point against a trailing level axis
@@ -189,25 +179,9 @@ def assemble_quadruple(p: DeSitterParams) -> SpectralQuadruple:
     t_plus = TruncatedOperator(basis, {1: appendix_t_plus(levels, rm, theta)})
     t_minus = TruncatedOperator(basis, {-1: appendix_t_minus(levels, rm, theta)})
     ih = TruncatedOperator(basis, {0: evolution_block(levels, rm, theta)})
-    cc = charge_conjugation(basis)
-
-    quad = SpectralQuadruple(
-        basis=basis, u=u, e_perp=e_perp, gamma=gamma, cc=cc,
+    return SpectralQuadruple(
+        basis=basis, u=u, e_perp=e_perp, gamma=gamma, cc=charge_conjugation(basis),
         t21=t21, t_plus=t_plus, t_minus=t_minus, ih=ih, spacetime_dim=2)
-
-    if np.any(p.rho != 0.0) or np.any(p.y != 0.0):
-        w = gauge_unitary(basis, p.rho, p.y)
-        w_h = w.adjoint()
-
-        def conj(x: TruncatedOperator) -> TruncatedOperator:
-            return w_h @ x @ w
-
-        quad = SpectralQuadruple(
-            basis=basis, u=conj(u), e_perp=conj(e_perp), gamma=conj(gamma),
-            cc=cc.before(w_h).after(w),
-            t21=conj(t21), t_plus=conj(t_plus), t_minus=conj(t_minus),
-            ih=conj(ih), spacetime_dim=2)
-    return quad
 
 
 def crosscheck_construction_vs_appendix(p: DeSitterParams) -> float:

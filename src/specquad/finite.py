@@ -81,10 +81,6 @@ class RealStructure:
         """Matrix of a o J (antilinear)."""
         return a @ self.mat
 
-    def opposite(self, a: np.ndarray) -> np.ndarray:
-        """J a* J as a linear map: mat a^T conj(mat)."""
-        return self.mat @ a.T @ np.conj(self.mat)
-
 
 class FiniteTriple:
     """Assembled finite spectral triple (H, pi, pi_op, J, gamma, D)."""
@@ -202,19 +198,23 @@ def _offending_block(t: FiniteTriple, bad: np.ndarray) -> str:
     return f"block H_{row} x H_{col}"
 
 
-def build_finite_triple(spec: FiniteTripleSpec, dirac: np.ndarray,
-                        tol: float = 1e-12) -> FiniteTriple:
+# largest entry of D - D* and of JD - DJ that build_finite_triple admits
+_ADMISSION_TOL = 1e-12
+
+
+def build_finite_triple(spec: FiniteTripleSpec, dirac: np.ndarray) -> FiniteTriple:
     """Assemble and admission-check a finite triple.
 
     Rejects D that are not selfadjoint or do not commute with the real
-    structure, naming the offending block.
+    structure (an entry of D - D* or JD - DJ above 1e-12), naming the
+    offending block.
     """
     t = FiniteTriple(spec, dirac)
     herm = t.dirac - t.dirac.conj().T
-    if np.abs(herm).max() > tol:
+    if np.abs(herm).max() > _ADMISSION_TOL:
         raise ValueError(f"Dirac operator not selfadjoint at {_offending_block(t, herm)}")
     jd = t.real_structure.after(t.dirac) - t.real_structure.before(t.dirac)
-    if np.abs(jd).max() > tol:
+    if np.abs(jd).max() > _ADMISSION_TOL:
         raise ValueError(f"Dirac operator violates JD = DJ at {_offending_block(t, jd)}")
     return t
 
@@ -290,15 +290,19 @@ def _distance_norm(t: FiniteTriple, values: np.ndarray) -> float:
     return float(np.linalg.norm(t.dirac @ pa - pa @ t.dirac, 2))
 
 
-def connes_distance(t: FiniteTriple, i: int, j: int,
-                    zero_tol: float = 1e-11) -> float:
+# the least min ||[D, a]||, relative to max(||D||, 1), that connes_distance
+# reads as nonzero
+_ZERO_TOL = 1e-11
+
+
+def connes_distance(t: FiniteTriple, i: int, j: int) -> float:
     """sup { |x_i(a) - x_j(a)| : ||[D, a]|| <= 1 } for the characters of the
     commutative summands.
 
     Solved through the equivalent convex form 1 / min { ||[D, a]|| :
     a_i - a_j = 1 } with the gauge a_j = 0 (adding a constant to a leaves
-    [D, a] invariant).  Returns math.inf when the minimum vanishes (the
-    points are infinitely far apart, e.g. m = 0).
+    [D, a] invariant).  Returns math.inf when the minimum vanishes, below
+    1e-11 max(||D||, 1) (the points are infinitely far apart, e.g. m = 0).
     """
     chars = t.characters()
     if i not in chars or j not in chars:
@@ -343,7 +347,7 @@ def connes_distance(t: FiniteTriple, i: int, j: int,
                     if val < best_f:
                         best_x, best_f = p, val
         mu = best_f
-    if mu <= zero_tol * scale:
+    if mu <= _ZERO_TOL * scale:
         return math.inf
     return 1.0 / mu
 
@@ -358,9 +362,6 @@ class FiniteQuadruple:
 
     def e_perp(self, idx: int) -> np.ndarray:
         return 1j * np.diag(self.triples[idx].gamma)
-
-    def hamiltonian(self, idx: int) -> np.ndarray:
-        return self.e_perp(idx) @ self.triples[idx].dirac
 
     def validate(self) -> AxiomReport:
         """Time-vector and odd-spacetime volume-element conditions at every

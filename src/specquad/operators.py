@@ -16,8 +16,8 @@ the fallback of several bands at a point, read the level-major,
 fiber-minor flat order.  Truncation simply drops states beyond the cutoff,
 so identities that hold on the infinite ladder are checked on interior
 levels away from the contaminated boundary.  The levels are symmetric about
-0 and unit spaced, so the interior levels |n| <= max_level - margin are
-exactly the level indices [margin, nlevels - margin): ``InteriorProjector``
+0 and unit spaced, so the interior levels |n| <= n_top - margin (n_top
+the top level) are exactly the level indices [margin, nlevels - margin): ``InteriorProjector``
 slices that index run and compares no float levels.
 
 A basis may carry a batch of parameter points (``BasisDescriptor.batch``):
@@ -32,8 +32,9 @@ gives one norm per point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -51,6 +52,7 @@ __all__ = [
     "antilinear_conjugate",
     "block_product",
     "block_stack",
+    "median",
 ]
 
 
@@ -104,19 +106,6 @@ class BasisDescriptor:
         return cls(levels=tuple(np.arange(-nmax + 0.5, nmax + 0.5).tolist()), fiber_dim=2,
                    batch=tuple(batch))
 
-    @classmethod
-    def weight_lattice(cls, nmax: int, lattice: str = "half_integer") -> "BasisDescriptor":
-        """Scalar (1-dim fiber) ladder on the integer or half-integer lattice."""
-        if nmax < 1:
-            raise ValueError("nmax must be a positive integer")
-        if lattice == "half_integer":
-            lv = tuple(float(x) for x in np.arange(-nmax + 0.5, nmax + 0.5))
-        elif lattice == "integer":
-            lv = tuple(float(x) for x in np.arange(-float(nmax), nmax + 1.0))
-        else:
-            raise ValueError(f"unknown lattice {lattice!r}")
-        return cls(levels=lv, fiber_dim=1)
-
     @property
     def nlevels(self) -> int:
         return len(self.levels)
@@ -130,10 +119,6 @@ class BasisDescriptor:
         """Number of positive levels (equals the spinor-basis cutoff); the
         levels are symmetric and unit spaced, so that is half of them."""
         return self.nlevels // 2
-
-    @property
-    def max_level(self) -> float:
-        return self.levels[-1]
 
     @property
     def shared(self) -> tuple[int, ...]:
@@ -279,10 +264,6 @@ class TruncatedOperator:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, basis: BasisDescriptor) -> "TruncatedOperator":
-        return cls(basis, {})
-
-    @classmethod
     def identity(cls, basis: BasisDescriptor) -> "TruncatedOperator":
         return cls.from_fiber(basis, np.eye(basis.fiber_dim))
 
@@ -292,27 +273,6 @@ class TruncatedOperator:
         d = basis.fiber_dim
         return cls(basis, {0: np.broadcast_to(np.asarray(fiber).reshape(d, d, *basis.shared, 1),
                                               (d, d, *basis.shared, basis.nlevels))})
-
-    @classmethod
-    def from_level_diagonal(cls, basis: BasisDescriptor,
-                            block: Callable[[float], np.ndarray]) -> "TruncatedOperator":
-        """Level-diagonal operator with fiber block ``block(n)`` at level n."""
-        return cls.from_shift(basis, 0, block)
-
-    @classmethod
-    def from_shift(cls, basis: BasisDescriptor, k: int,
-                   block: Callable[[float], np.ndarray]) -> "TruncatedOperator":
-        """Banded operator |n> -> |n+k> with fiber block ``block(n)``.
-
-        Bands leaving the truncation window are dropped (the shift
-        annihilates the outermost levels); ``block`` is only called on
-        levels whose image stays inside.
-        """
-        d = basis.fiber_dim
-        arr = np.zeros((d, d, basis.nlevels), dtype=complex)
-        for i in range(max(0, -k), basis.nlevels - max(0, k)):
-            arr[..., i] = np.asarray(block(basis.levels[i]), dtype=complex).reshape(d, d)
-        return cls(basis, {k: arr})
 
     @classmethod
     def from_dense(cls, basis: BasisDescriptor, mat: np.ndarray,
@@ -364,11 +324,6 @@ class TruncatedOperator:
             return self.bands[k]
         d = self.basis.fiber_dim
         return np.zeros((d, d, *self.basis.shared, self.basis.nlevels), dtype=complex)
-
-    def band_block(self, n: float, k: int) -> np.ndarray:
-        """The fiber block mapping level n to level n+k (at every point)."""
-        self.basis.level_index(n + k)
-        return self.band(k)[..., self.basis.level_index(n)]
 
     # -- algebra -----------------------------------------------------------
 
@@ -477,6 +432,20 @@ def anticommutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOpera
     return _fused(a, b, np.add)
 
 
+def median(values: np.ndarray) -> float:
+    """The median of an array, as ``np.median`` gives it: the middle element
+    of a sorted copy, or the sum of the two middle ones over 2; a NaN or
+    an empty array gives NaN.  ``np.median`` imports ``numpy.ma`` on its
+    first call."""
+    ordered = np.sort(values, axis=None)
+    if not ordered.size or ordered[-1] != ordered[-1]:
+        return math.nan
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def op_norm(a: TruncatedOperator | np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
     if not isinstance(a, TruncatedOperator):
@@ -535,7 +504,8 @@ def antilinear_conjugate(c: AntilinearOperator, a: TruncatedOperator) -> Truncat
 
 @dataclass(frozen=True)
 class InteriorProjector:
-    """Orthogonal projector P onto levels with |n| <= max_level - margin."""
+    """Orthogonal projector P onto levels with |n| <= n_top - margin, n_top
+    the top level."""
 
     basis: BasisDescriptor
     margin: int = 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -42,6 +43,7 @@ from .operators import (
     block_stack,
     commutator,
     interior_residual,
+    median,
     op_norm,
 )
 
@@ -70,7 +72,11 @@ __all__ = [
 class SpectralQuadruple:
     """Operator data of a truncated spectral quadruple.
 
-    ``ih`` stores the antihermitian evolution generator iH itself.
+    ``ih`` stores the antihermitian evolution generator iH itself.  The
+    operators derived from the data (``one``, ``u_adj``, ``u_sq``,
+    ``u_op``, ``ih_u``, ``ih_e_perp`` and ``adm_commutator``) are built on first use
+    and shared by every check and by the reconstruction; a quadruple made
+    by ``dataclasses.replace`` starts with none of them built.
     """
 
     basis: BasisDescriptor
@@ -95,6 +101,44 @@ class SpectralQuadruple:
     @property
     def even_dim(self) -> bool:
         return self.spacetime_dim % 2 == 0
+
+    @cached_property
+    def one(self) -> TruncatedOperator:
+        """The identity."""
+        return TruncatedOperator.identity(self.basis)
+
+    @cached_property
+    def u_adj(self) -> TruncatedOperator:
+        """u*."""
+        return self.u.adjoint()
+
+    @cached_property
+    def u_sq(self) -> TruncatedOperator:
+        """u^2."""
+        return self.u.power(2)
+
+    @cached_property
+    def u_op(self) -> TruncatedOperator:
+        """The opposite-algebra element C u* C."""
+        return antilinear_conjugate(self.cc, self.u)
+
+    @cached_property
+    def ih_u(self) -> TruncatedOperator:
+        """[iH, u]."""
+        return commutator(self.ih, self.u)
+
+    @cached_property
+    def ih_e_perp(self) -> TruncatedOperator:
+        """[iH, e_perp], the Dirac operator of the Hochschild cycle and of
+        the spatial triple: it carries the spatial Clifford content
+        (N g^{ij} e_j d_j)."""
+        return commutator(self.ih, self.e_perp)
+
+    @cached_property
+    def adm_commutator(self) -> TruncatedOperator:
+        """The ADM commutator [[iH, e_perp], u]; for de Sitter its shift-1
+        band has fiber (2/cosh theta) i e2."""
+        return commutator(self.ih_e_perp, self.u)
 
 
 @dataclass(frozen=True)
@@ -281,8 +325,7 @@ def s_exponent(n: int) -> int:
 def check_time_vector(q: SpectralQuadruple) -> AxiomReport | list[AxiomReport]:
     """e_perp^2 = -1 and e_perp* = -e_perp (fiberwise, no edge effects)."""
     rep = _PointReports(q)
-    one = TruncatedOperator.identity(q.basis)
-    rep.add("time_vector.square", op_norm(q.e_perp @ q.e_perp + one))
+    rep.add("time_vector.square", op_norm(q.e_perp @ q.e_perp + q.one))
     rep.add("time_vector.antihermitian", op_norm(q.e_perp.adjoint() + q.e_perp))
     return rep.result()
 
@@ -292,9 +335,9 @@ def check_volume_element(q: SpectralQuadruple) -> AxiomReport | list[AxiomReport
     time vector: anticommutator for even spacetime dimension, commutator
     for odd."""
     rep = _PointReports(q)
-    one, square = TruncatedOperator.identity(q.basis), q.gamma @ q.gamma
-    r_plus = op_norm(square - one)
-    r_minus = op_norm(square + one)
+    square = q.gamma @ q.gamma
+    r_plus = op_norm(square - q.one)
+    r_minus = op_norm(square + q.one)
     plus = r_plus <= r_minus
     rep.add("volume.gamma_square", np.where(plus, r_plus, r_minus),
             notes=["gamma^2 = +1" if p else "gamma^2 = -1" for p in np.ravel(plus)])
@@ -311,11 +354,13 @@ def check_first_order(q: SpectralQuadruple, f: TruncatedOperator | None = None,
                       g: TruncatedOperator | None = None,
                       margin: int = 2) -> float | np.ndarray:
     """Interior residual of the dynamical first-order condition
-    [[f, iH], g^op] with g^op = C g* C."""
+    [[f, iH], g^op] with g^op = C g* C; f = u reads [u, iH] = -[iH, u] and
+    g = u reads C u* C from the quadruple."""
     f = q.u if f is None else f
     g = q.u if g is None else g
-    g_op = antilinear_conjugate(q.cc, g)
-    return interior_residual(commutator(commutator(f, q.ih), g_op), margin)
+    f_ih = -q.ih_u if f is q.u else commutator(f, q.ih)
+    g_op = q.u_op if g is q.u else antilinear_conjugate(q.cc, g)
+    return interior_residual(commutator(f_ih, g_op), margin)
 
 
 def _antilinear_intertwine_residual(c: AntilinearOperator, x: TruncatedOperator,
@@ -332,7 +377,7 @@ def check_charge_conjugation(q: SpectralQuadruple,
     the algebra conjugation C u = u* C."""
     rep = _PointReports(q)
     sign = (-1.0) ** s_exponent(q.spacetime_dim)
-    target = sign * TruncatedOperator.identity(q.basis)
+    target = sign * q.one
     rep.add("charge_conjugation.square",
             interior_residual(q.cc.squared() - target, margin), margin=margin,
             notes=f"C^2 = {'+1' if sign > 0 else '-1'} for n = {q.spacetime_dim}")
@@ -347,21 +392,12 @@ def check_charge_conjugation(q: SpectralQuadruple,
     # conjugation acts on the commutative algebra as pointwise complex
     # conjugation, so the unitary generator intertwines with its adjoint
     rep.add("charge_conjugation.u",
-            _antilinear_intertwine_residual(q.cc, q.u, q.u.adjoint(), margin),
+            _antilinear_intertwine_residual(q.cc, q.u, q.u_adj, margin),
             margin=margin, notes="C u = u* C")
     rep.add("charge_conjugation.generator",
             _antilinear_intertwine_residual(q.cc, q.ih, q.ih, margin),
             margin=margin, notes="C iH = iH C")
     return rep.result()
-
-
-def _hochschild_dirac(q: SpectralQuadruple) -> TruncatedOperator:
-    # [iH, e_perp] carries the spatial Clifford content (N g^{ij} e_j d_j);
-    # the even-dim formula gamma[iH,gamma] reduces to the mass term here and
-    # commutes with the algebra, so it cannot represent the cycle.
-    if q.even_dim:
-        return commutator(q.ih, q.e_perp)
-    return q.ih
 
 
 def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
@@ -393,14 +429,18 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
         raise ValueError("empty candidate span: degree bound must be >= 1")
     if margin is None:
         margin = 2 * d
-    dirac = _hochschild_dirac(q)
+    # D = [iH, e_perp] for even dimension, iH for odd; the even-dim formula
+    # gamma [iH, gamma] reduces to the mass term here and commutes with the
+    # algebra, so it cannot represent the cycle
+    dirac = q.ih_e_perp if q.even_dim else q.ih
     proj = InteriorProjector(q.basis, margin)
     gamma = proj.project(q.gamma)
     gamma_bands = _bands_at_points(gamma)
     if not all(gamma_bands):
         raise ValueError("volume element vanishes on the interior")
-    powers = {p: q.u.power(p) for p in range(-d, d + 1)}
-    comms = [commutator(dirac, powers[deg]) for deg in powers if deg != 0]
+    powers = {p: q.u_sq if p == 2 else q.u.power(p) for p in range(-d, d + 1)}
+    comms = [q.adm_commutator if deg == 1 and q.even_dim else commutator(dirac, up)
+             for deg, up in powers.items() if deg != 0]
     factors = [(up, comm) for up in powers.values() for comm in comms]
     # each point's (gamma, prefix, factor) bands, and the group it links
     prefix = _bands_at_points(q.e_perp) if q.even_dim else [frozenset({0})] * len(gamma_bands)
@@ -462,7 +502,7 @@ def check_spatial_triple(q: SpectralQuadruple,
         raise ValueError("spatial-triple restriction applies to even spacetime "
                          "dimension; the odd case checks the unrestricted triple")
     rep = _PointReports(q)
-    d_s = q.e_perp @ commutator(-1j * q.ih, q.e_perp)
+    d_s = q.e_perp @ (-1j * q.ih_e_perp)
     rep.add("spatial.selfadjoint",
             interior_residual(d_s - d_s.adjoint(), margin), margin=margin)
 
@@ -472,7 +512,7 @@ def check_spatial_triple(q: SpectralQuadruple,
     # one median per point
     for norms in np.broadcast_to(all_norms, q.basis.batch + all_norms.shape[-1:]).reshape(
             math.prod(q.basis.batch), -1):
-        med = float(np.median(norms)) if norms.size else 0.0
+        med = median(norms) if norms.size else 0.0
         if med <= 1e-14:
             uniform.append(0.0)
             notes.append("degenerate: [D_s, u] vanishes (no spatial dynamics)")
@@ -482,14 +522,12 @@ def check_spatial_triple(q: SpectralQuadruple,
     rep.add("spatial.bounded_uniform", _point_values(uniform, q.basis.batch), margin=margin,
             notes=notes)
 
-    u_op = antilinear_conjugate(q.cc, q.u)
     rep.add("spatial.first_order",
-            interior_residual(commutator(commutator(q.u, d_s), u_op), margin),
+            interior_residual(commutator(commutator(q.u, d_s), q.u_op), margin),
             margin=margin)
 
     # eigenspace restriction: P+- = (1 -+ i e_perp)/2 must commute with the algebra
-    one = TruncatedOperator.identity(q.basis)
-    p_plus = 0.5 * (one + (-1j) * q.e_perp)
+    p_plus = 0.5 * (q.one + (-1j) * q.e_perp)
     rep.add("spatial.eigenspace_algebra",
             interior_residual(commutator(p_plus, q.u), margin), margin=margin)
     return rep.result()
@@ -576,14 +614,13 @@ def verify_points(q: SpectralQuadruple, margin: int = 4,
     rep.extend(check_symmetric_conditions(q, min(margin, 2)))
     rep.extend(check_charge_conjugation(q, min(margin, 2)))
 
-    one = TruncatedOperator.identity(q.basis)
-    rep.add("algebra.u_unitary", interior_residual(q.u.adjoint() @ q.u - one, 1), margin=1)
+    rep.add("algebra.u_unitary", interior_residual(q.u_adj @ q.u - q.one, 1), margin=1)
 
     fo_margin = min(margin, 2)
     rep.add("first_order.u_u", check_first_order(q, q.u, q.u, fo_margin), margin=fo_margin)
-    rep.add("first_order.usq_u", check_first_order(q, q.u @ q.u, q.u, margin=min(margin + 1, 3)),
+    rep.add("first_order.usq_u", check_first_order(q, q.u_sq, q.u, margin=min(margin + 1, 3)),
             margin=min(margin + 1, 3))
-    rep.add("first_order.u_uadj", check_first_order(q, q.u, q.u.adjoint(), fo_margin),
+    rep.add("first_order.u_uadj", check_first_order(q, q.u, q.u_adj, fo_margin),
             margin=fo_margin)
 
     orient_margin = min(2 * _DEGREE_BOUND, margin + 2)

@@ -8,9 +8,10 @@ is kappa * e_perp u^2 with kappa linear in the mass.  Fitting that term and
 the first-order ADM commutator [[iH, e_perp], u] recovers the mass scale and
 the slice metric factor without using any construction metadata.
 
-Each extraction builds one expansion and at most one ADM commutator; a
-caller that already holds the expansion (the CLI's massless branch reads
-its order rows, the degeneracy and the mass from one expansion) passes its
+Each extraction builds one expansion and reads the quadruple's ADM
+commutator, [iH, u] and u^2, which the axiom checks share; a caller that
+already holds the expansion (the CLI's massless branch reads its order
+rows, the degeneracy and the mass from one expansion) passes its
 third-order term to ``fit_third_order``.  A caller that needs kappa alone
 (the CLI's 2 rm quadruple) reads it from ``third_order_coefficient``,
 through the same vanishing cut and without the ADM commutator.
@@ -28,6 +29,7 @@ from .operators import (
     bch_terms,
     commutator,
     interior_residual,
+    median,
 )
 from .quadruple import SpectralQuadruple
 
@@ -101,12 +103,7 @@ def _band_fit(term: TruncatedOperator, k: int, reference: TruncatedOperator,
     if den == 0.0:
         return 0.0, 0.0
     num = float((np.abs(blk - coefs * ref) ** 2).sum())
-    return float(np.median(coefs.real)), float(np.sqrt(num / den))
-
-
-def _adm_commutator(q: SpectralQuadruple) -> TruncatedOperator:
-    """[[iH, e_perp], u]: its shift-1 band has fiber (2/cosh theta) i e2."""
-    return commutator(commutator(q.ih, q.e_perp), q.u)
+    return median(coefs.real), float(np.sqrt(num / den))
 
 
 def _vanishes(q: SpectralQuadruple, t3: TruncatedOperator, margin: int) -> bool:
@@ -122,24 +119,22 @@ def third_order_coefficient(q: SpectralQuadruple, margin: int = 4) -> tuple[floa
     t3 = commutator_expansion(q.ih, q.u, q.u, 3, margin)[3]
     if _vanishes(q, t3, margin):
         return 0.0, 0.0
-    return _band_fit(t3, 2, q.e_perp @ q.u @ q.u, margin)
+    return _band_fit(t3, 2, q.e_perp @ q.u_sq, margin)
 
 
-def fit_third_order(q: SpectralQuadruple, t3: TruncatedOperator, margin: int,
-                    adm: TruncatedOperator | None = None) -> tuple[float, float, float]:
+def fit_third_order(q: SpectralQuadruple, t3: TruncatedOperator,
+                    margin: int) -> tuple[float, float, float]:
     """(mass scale, kappa, fit residual) from the third-order term t3.
 
     All three are 0 when t3 vanishes (massless degeneracy), and no fit is
     run.  Otherwise kappa is inverted through kappa = (2/3) rm / cosh^2,
-    with cosh(theta) read from the ADM commutator ``adm`` (built here when
-    the caller has none).  The mass scale only means something when the fit
-    residual is small.
+    with cosh(theta) read from the ADM commutator ``q.adm_commutator``.  The mass
+    scale only means something when the fit residual is small.
     """
     if _vanishes(q, t3, margin):
         return 0.0, 0.0, 0.0
-    kappa, resid = _band_fit(t3, 2, q.e_perp @ q.u @ q.u, margin)
-    adm = _adm_commutator(q) if adm is None else adm
-    med = float(np.median(InteriorProjector(q.basis, margin).band_norms(adm, 1)))
+    kappa, resid = _band_fit(t3, 2, q.e_perp @ q.u_sq, margin)
+    med = median(InteriorProjector(q.basis, margin).band_norms(q.adm_commutator, 1))
     if med <= 0.0:
         raise ValueError("spatial Clifford datum vanishes: no metric scale")
     return kappa * (2.0 / med) ** 2 / _THIRD_ORDER_C0, kappa, resid
@@ -172,11 +167,10 @@ def extract_adm(q: SpectralQuadruple, margin: int = 4) -> ADMExtract:
     """
     proj = InteriorProjector(q.basis, margin)
     lapse_mass = float(np.mean(_fiber_traces(proj.band(q.ih @ q.e_perp, 0)).real))
-    shift = float(np.median(np.abs(_fiber_traces(proj.band(commutator(q.ih, q.u), 1)))))
-    adm = _adm_commutator(q)
-    _, shape_residual = _band_fit(adm, 1, q.gamma @ q.e_perp @ q.u, margin)
+    shift = median(np.abs(_fiber_traces(proj.band(q.ih_u, 1))))
+    _, shape_residual = _band_fit(q.adm_commutator, 1, q.gamma @ q.e_perp @ q.u, margin)
     terms = commutator_expansion(q.ih, q.u, q.u, 3, margin)
-    mass_scale, kappa, fit = fit_third_order(q, terms[3], margin, adm)
+    mass_scale, kappa, fit = fit_third_order(q, terms[3], margin)
     return ADMExtract(
         lapse_mass=lapse_mass,
         shift=shift,

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
-
-from .operators import BasisDescriptor, TruncatedOperator
 
 __all__ = [
     "Lattice",
@@ -25,7 +23,6 @@ __all__ = [
     "ladder_coefficient_sq",
     "verify_ladder_recursion",
     "classify",
-    "build_generators",
 ]
 
 _HALF_INT_TOL = 1e-9
@@ -119,45 +116,3 @@ def classify(rep: RepParams) -> tuple[SeriesClass, ...]:
     if r > -0.25 and rep.lattice is Lattice.INTEGER:
         return (SeriesClass(SeriesKind.COMPLEMENTARY),)
     return (SeriesClass(SeriesKind.INVALID),)
-
-
-def build_generators(
-    rep: RepParams,
-    basis: BasisDescriptor,
-    phases: Callable[[float], complex] | None = None,
-) -> tuple[TruncatedOperator, TruncatedOperator, TruncatedOperator]:
-    """Truncated generator matrices (T21, T+, T-) on a 1-dim fiber.
-
-    T21 |n> = i n |n>, T+ |n> = c_n |n+1>, T- |n+1> = -conj(c_n) |n>, with
-    the default phase convention c_n = +sqrt(|c_n|^2).  Refuses the discrete
-    series (a symmetric truncation window would cross the ladder break) and
-    any window containing a negative |c_n|^2.
-    """
-    if basis.fiber_dim != 1:
-        raise ValueError("generator construction expects a 1-dim fiber")
-    kinds = {c.kind for c in classify(rep)}
-    discrete = {SeriesKind.DISCRETE_BOUNDED_BELOW, SeriesKind.DISCRETE_BOUNDED_ABOVE}
-    if (kinds & discrete) and rep.r2m2 < 0.0:
-        # a symmetric window would cross the ladder break; r2m2 = 0 is the
-        # benign boundary case where one coefficient vanishes exactly
-        raise ValueError("discrete series cannot be truncated symmetrically")
-    if SeriesKind.INVALID in kinds:
-        raise ValueError("parameters do not label a unitary representation")
-
-    def c_coeff(n: float) -> complex:
-        csq = ladder_coefficient_sq(n, rep.r2m2)
-        if csq < -1e-12:
-            raise ValueError(f"|c_n|^2 < 0 at n={n}: weight excluded")
-        c = np.sqrt(max(csq, 0.0))
-        if phases is not None:
-            ph = phases(n)
-            if abs(abs(ph) - 1.0) > 1e-12:
-                raise ValueError("phases must be unimodular")
-            c = c * ph
-        return c
-
-    t21 = TruncatedOperator.from_level_diagonal(basis, lambda n: np.array([[1j * n]]))
-    tplus = TruncatedOperator.from_shift(basis, +1, lambda n: np.array([[c_coeff(n)]]))
-    tminus = TruncatedOperator.from_shift(
-        basis, -1, lambda n: np.array([[-np.conj(c_coeff(n - 1.0))]]))
-    return t21, tplus, tminus

