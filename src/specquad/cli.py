@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -59,7 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        # a token that starts like a negative number (-1e-3, -.5e0, -1,2,
+        # -1+2j) is a flag's value; argparse's own pattern takes only -1 and
+        # -.5 and reads the others as unknown options
+        p._negative_number_matcher = re.compile(r"-\.?\d")
+        return p
 
     p = add("sl2-classify", help="series classification and ladder law")
     p.add_argument("--r2m2", type=float, required=True)
@@ -152,9 +158,9 @@ RM_MAX = float(np.finfo(float).max) ** 0.25 / 2
 def _check_parameters(args: argparse.Namespace):
     """Check the --rm, --theta, --r2m2, --seed, --nmax and --margin values
     before any section runs: a nan or inf, an |rm| above ``RM_MAX``, a theta
-    whose cosh overflows a double, a negative seed or margin, or a
-    quadruple truncated below ``desitter.MIN_NMAX`` is a usage error named
-    by its flag, and a sweep's grids become their lists of floats."""
+    whose cosh overflows a double, a negative seed or margin, or an --nmax
+    below ``desitter.MIN_NMAX`` is a usage error named by its flag, and a
+    sweep's grids become their lists of floats."""
     for flag in ("rm", "theta", "r2m2"):
         value = getattr(args, flag, None)
         if value is None:
@@ -180,16 +186,15 @@ def _check_parameters(args: argparse.Namespace):
                                       f"the squares the checks form")
     if getattr(args, "seed", 0) < 0:
         raise ConfigError(f"--seed {args.seed}: must be non-negative")
-    # desitter-crosscheck raises its --nmax to 8
-    nmax = math.inf if args.subcommand == "desitter-crosscheck" else getattr(args, "nmax", math.inf)
-    if nmax < desitter.MIN_NMAX:
+    if getattr(args, "nmax", math.inf) < desitter.MIN_NMAX:
         raise ConfigError(f"--nmax {args.nmax}: must be at least {desitter.MIN_NMAX}")
     if getattr(args, "margin", 0) < 0:
         raise ConfigError(f"--margin {args.margin}: must be non-negative")
 
 
 def _parse_tolerances(pairs: Sequence[str] | None) -> dict[str, float]:
-    """ID=VALUE overrides, later ones winning; ids must be registry keys."""
+    """ID=VALUE overrides, later ones winning; an id that is not a
+    registry key is a usage error."""
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
@@ -199,7 +204,10 @@ def _parse_tolerances(pairs: Sequence[str] | None) -> dict[str, float]:
             out[key.strip()] = float(value)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in {pair!r}") from exc
-    return validate_overrides(out)
+    try:
+        return validate_overrides(out)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # -- sections ----------------------------------------------------------------
@@ -234,7 +242,7 @@ def _section_quadruple(p: desitter.DeSitterParams, q: SpectralQuadruple,
 
 def _section_crosscheck(rm: float, theta: float, nmax: int) -> AxiomReport:
     rep = AxiomReport()
-    params = desitter.DeSitterParams(rm=rm, theta=theta, nmax=max(nmax, 8))
+    params = desitter.DeSitterParams(rm=rm, theta=theta, nmax=nmax)
     rep.add("crosscheck.recursion_vs_closed_form",
             desitter.crosscheck_construction_vs_appendix(params))
     levels = np.arange(-7.5, 8.5)
@@ -660,7 +668,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         else:
             payload.update(_sweep_payload(params, result, tol))
             payload["passed"] = payload["aggregate"]["passed"]
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, TruncationError) as exc:
         print(f"specquad: error: {exc}", file=sys.stderr)
         return 2
 

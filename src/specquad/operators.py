@@ -20,14 +20,15 @@ levels away from the contaminated boundary.  The levels are symmetric about
 the top level) are exactly the level indices [margin, nlevels - margin): ``InteriorProjector``
 slices that index run and compares no float levels.
 
-A basis may carry a batch of parameter points (``BasisDescriptor.batch``):
-one operator then holds its value at every point, and one band-algebra call
-serves them all.  A band that differs between points has the batch axes in
-full, (d, d, *batch, nlevels); a band shared by every point has size-1
-batch axes, (d, d, 1, ..., 1, nlevels), and broadcasts against the others.
-The constructors give shared operators the size-1 axes, so an unbatched
+A basis carries a batch of parameter points (``BasisDescriptor.batch``):
+one operator holds its value at every point, and one band-algebra call
+serves them all.  A single point is the batch shape (), run by the same
+code.  A band that differs between points has the batch axes in full,
+(d, d, *batch, nlevels); a band shared by every point has size-1 batch
+axes, (d, d, 1, ..., 1, nlevels), and broadcasts against the others.  The
+constructors give shared operators the size-1 axes, so an unbatched
 (d, d, nlevels) stack never meets a batched one.  ``interior_residual``
-gives one norm per point.
+gives one norm per point, an array of the batch shape.
 """
 
 from __future__ import annotations
@@ -176,11 +177,8 @@ def block_stack(b00, b01, b10, b11) -> np.ndarray:
 
 
 def _dense_norm(mat: np.ndarray) -> np.ndarray:
-    """Spectral norms by SVD of a dense matrix (a 0-d array) or of a stack
-    (*batch, n, n) of them (one norm per matrix)."""
-    mat = np.asarray(mat)
-    if mat.size == 0:
-        return np.zeros(mat.shape[:-2])
+    """Spectral norms by SVD of a stack (*batch, n, n) of dense matrices,
+    one norm per matrix."""
     return np.linalg.norm(mat, 2, axis=(-2, -1))
 
 
@@ -446,10 +444,8 @@ def median(values: np.ndarray) -> float:
     return float((ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def op_norm(a: TruncatedOperator | np.ndarray) -> float:
-    """Spectral norm (largest singular value)."""
-    if not isinstance(a, TruncatedOperator):
-        return float(_dense_norm(a))
+def op_norm(a: TruncatedOperator) -> np.ndarray:
+    """Spectral norm (largest singular value) at each point of the batch."""
     return interior_residual(a, 0)
 
 
@@ -560,38 +556,34 @@ class InteriorProjector:
             out[k] = band
         return TruncatedOperator._result(a.basis, out)
 
-    def compress(self, a: TruncatedOperator | np.ndarray) -> np.ndarray:
-        """P A P restricted to the kept rows/columns, as a dense matrix (a
-        stack of them over a batch)."""
-        mat = a.to_dense() if isinstance(a, TruncatedOperator) else np.asarray(a)
+    def compress(self, a: TruncatedOperator) -> np.ndarray:
+        """P A P restricted to the kept rows/columns, as the stack
+        (*batch, n, n) of one dense matrix per point."""
         lo, hi = self._window(0)
         d = self.basis.fiber_dim
-        return mat[..., lo * d:hi * d, lo * d:hi * d]
+        return a.to_dense()[..., lo * d:hi * d, lo * d:hi * d]
 
 
-def interior_residual(a: TruncatedOperator, margin: int) -> float | np.ndarray:
-    """Spectral norm of P A P; asserts "A = 0 away from the cutoff".
+def interior_residual(a: TruncatedOperator, margin: int) -> np.ndarray:
+    """Spectral norm of P A P at each point, an array of the batch shape;
+    asserts "A = 0 away from the cutoff".
 
     At a point where one band is nonzero the operator is a direct sum of
     its blocks, so its norm is the largest block norm; a point where several
     bands are nonzero falls back to the dense SVD.  Each point is decided
     by its own bands, so the norms of a batch are those of its points taken
-    one by one.  A float on a single-point basis, else an array of the
-    batch shape.
+    one by one.
     """
     proj = InteriorProjector(a.basis, margin)
-    batch = a.basis.batch
-    if len(a.bands) > 1 and not batch:
-        # a stored band is nonzero, so a single point has several
-        return float(_dense_norm(proj.compress(a)))
-    out = np.zeros(batch)
+    out = np.zeros(a.basis.batch)
     for k in a.bands:
         out = np.maximum(out, proj.band_norms(a, k).max(axis=-1, initial=0.0))
     if len(a.bands) > 1:
         several = sum(arr.any(axis=(0, 1, -1)) for arr in a.bands.values()) > 1
         if several.any():
             out = np.where(several, _dense_norm(proj.compress(a)), out)
-    return out if batch else float(out)
+    # a ufunc gives a numpy scalar, not a 0-d array, at a single point
+    return np.asarray(out)
 
 
 def bch_terms(generator: TruncatedOperator, f: TruncatedOperator,

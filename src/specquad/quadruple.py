@@ -13,15 +13,16 @@ checked on the interior levels only, by level masks on the operator bands.
 a report id ``name@k`` shares the entry of ``name``.  Overrides are keyed by
 report ids, replace bounds on a finished report and reject unknown ids.
 
-A quadruple on a batched basis holds a batch of parameter points, and one
-run of a check serves all of them.  Its results are per point: a residual
-is an array of the batch shape (a float at a single point), and a report
-is one ``AxiomReport`` per point (a list of them over a batch, the report
-itself at a single point).  ``verify_points`` gives the per-point reports of
-the whole suite; ``verify_quadruple`` is its single-point case.  Whatever is
-decided from the values of a point (a sign, a median, which bands a fit
-links, whether a row is reported) is decided at each point on its own, so
-every point's report equals the report of that point checked alone.
+A quadruple holds the batch of parameter points of its basis, and one run
+of a check serves all of them.  A single point is the batch shape (), run
+by the same code.  The results are per point: a residual is an array of
+the batch shape, and a report family gives a list of one ``AxiomReport``
+per point in the C order of the batch (a list of one at a single point).
+``verify_points`` gives the per-point reports of the whole suite;
+``verify_quadruple`` is its single-point case.  Whatever is decided from
+the values of a point (a sign, a median, which bands a fit links, whether
+a row is reported) is decided at each point on its own, so every point's
+report equals the report of that point checked alone.
 """
 
 from __future__ import annotations
@@ -249,13 +250,12 @@ DEFAULT_TOLERANCES = {
 
 class _PointReports:
     """The reports of one check, one per point of the quadruple's batch in
-    the C order of its shape.  ``add`` takes a residual per point (a float
-    at a single point, an array of the batch shape over a batch) and notes
-    shared by every point or one per point."""
+    the C order of its shape.  ``add`` takes a residual per point (an array
+    of the batch shape or a list in its C order) and notes shared by every
+    point or one per point."""
 
     def __init__(self, q: SpectralQuadruple):
-        self.shape = q.basis.batch
-        self.reports = [AxiomReport() for _ in range(math.prod(self.shape))]
+        self.reports = [AxiomReport() for _ in range(math.prod(q.basis.batch))]
 
     def add(self, check_id: str, residual, tolerance: float | None = None,
             margin: int = 0, notes: str | list[str] = ""):
@@ -267,19 +267,9 @@ class _PointReports:
         for rep, value, note in zip(self.reports, values, notes, strict=True):
             rep.add(check_id, value, tolerance, margin, note)
 
-    def extend(self, part: AxiomReport | list[AxiomReport]):
-        for rep, other in zip(self.reports, part if self.shape else [part]):
+    def extend(self, part: list[AxiomReport]):
+        for rep, other in zip(self.reports, part, strict=True):
             rep.extend(other)
-
-    def result(self) -> AxiomReport | list[AxiomReport]:
-        """The report at a single point, the list of them over a batch."""
-        return self.reports if self.shape else self.reports[0]
-
-
-def _point_values(values: list, shape: tuple[int, ...]) -> float | np.ndarray:
-    """Per-point values computed one by one, as a float at a single point
-    and an array of the batch shape otherwise."""
-    return np.array(values).reshape(shape) if shape else values[0]
 
 
 def _at_point(arr: np.ndarray, index: tuple[int, ...]) -> np.ndarray:
@@ -291,11 +281,8 @@ def _at_point(arr: np.ndarray, index: tuple[int, ...]) -> np.ndarray:
 
 def _bands_at_points(x: TruncatedOperator) -> list[frozenset[int]]:
     """The keys of the bands of x that are nonzero at each point: a band
-    stored for the batch may vanish at some of its points, while at a
-    single point every stored band is nonzero."""
+    stored for the batch may vanish at some of its points."""
     shape = x.basis.batch
-    if not shape:
-        return [frozenset(x.bands)]
     nonzero = {k: np.broadcast_to(arr.any(axis=(0, 1, -1)), shape).ravel()
                for k, arr in x.bands.items()}
     return [frozenset(k for k, nz in nonzero.items() if nz[p])
@@ -322,15 +309,15 @@ def s_exponent(n: int) -> int:
     return (n - 1) * (n - 2) * (n - 3) * (n - 4) // 8
 
 
-def check_time_vector(q: SpectralQuadruple) -> AxiomReport | list[AxiomReport]:
+def check_time_vector(q: SpectralQuadruple) -> list[AxiomReport]:
     """e_perp^2 = -1 and e_perp* = -e_perp (fiberwise, no edge effects)."""
     rep = _PointReports(q)
     rep.add("time_vector.square", op_norm(q.e_perp @ q.e_perp + q.one))
     rep.add("time_vector.antihermitian", op_norm(q.e_perp.adjoint() + q.e_perp))
-    return rep.result()
+    return rep.reports
 
 
-def check_volume_element(q: SpectralQuadruple) -> AxiomReport | list[AxiomReport]:
+def check_volume_element(q: SpectralQuadruple) -> list[AxiomReport]:
     """gamma^2 = +-1 (sign recorded per point) and the braiding with the
     time vector: anticommutator for even spacetime dimension, commutator
     for odd."""
@@ -347,31 +334,27 @@ def check_volume_element(q: SpectralQuadruple) -> AxiomReport | list[AxiomReport
     else:
         rep.add("volume.braiding", op_norm(commutator(q.e_perp, q.gamma)),
                 notes="[e_perp, gamma], odd dim")
-    return rep.result()
+    return rep.reports
 
 
-def check_first_order(q: SpectralQuadruple, f: TruncatedOperator | None = None,
-                      g: TruncatedOperator | None = None,
-                      margin: int = 2) -> float | np.ndarray:
+def check_first_order(q: SpectralQuadruple, f: TruncatedOperator, g: TruncatedOperator,
+                      margin: int) -> np.ndarray:
     """Interior residual of the dynamical first-order condition
     [[f, iH], g^op] with g^op = C g* C; f = u reads [u, iH] = -[iH, u] and
     g = u reads C u* C from the quadruple."""
-    f = q.u if f is None else f
-    g = q.u if g is None else g
     f_ih = -q.ih_u if f is q.u else commutator(f, q.ih)
     g_op = q.u_op if g is q.u else antilinear_conjugate(q.cc, g)
     return interior_residual(commutator(f_ih, g_op), margin)
 
 
 def _antilinear_intertwine_residual(c: AntilinearOperator, x: TruncatedOperator,
-                                    y: TruncatedOperator, margin: int) -> float | np.ndarray:
+                                    y: TruncatedOperator, margin: int) -> np.ndarray:
     """Interior residual of C x - y C as antilinear maps: ||M conj(X) - Y M||;
     both are R times a banded map, and the reflection R commutes with P."""
     return interior_residual(c.after(x).linear - c.before(y).linear, margin)
 
 
-def check_charge_conjugation(q: SpectralQuadruple,
-                             margin: int = 2) -> AxiomReport | list[AxiomReport]:
+def check_charge_conjugation(q: SpectralQuadruple, margin: int) -> list[AxiomReport]:
     """C^2 = (-1)^{s(n)} and the intertwining of C with the symmetry
     generators: C T21 = T21 C, C T+ = T- C, C T- = T+ C, C iH = iH C, and
     the algebra conjugation C u = u* C."""
@@ -397,11 +380,11 @@ def check_charge_conjugation(q: SpectralQuadruple,
     rep.add("charge_conjugation.generator",
             _antilinear_intertwine_residual(q.cc, q.ih, q.ih, margin),
             margin=margin, notes="C iH = iH C")
-    return rep.result()
+    return rep.reports
 
 
-def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
-                        margin: int | None = None) -> float | np.ndarray:
+def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int,
+                        margin: int) -> np.ndarray:
     """Least-squares membership of the volume element in the span of
     Hochschild-cycle candidates e_perp u^p [D, u^q] (even spacetime
     dimension; the e_perp prefix is dropped for odd).
@@ -427,8 +410,6 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
     d = monomial_degree_bound
     if d < 1:
         raise ValueError("empty candidate span: degree bound must be >= 1")
-    if margin is None:
-        margin = 2 * d
     # D = [iH, e_perp] for even dimension, iH for odd; the even-dim formula
     # gamma [iH, gamma] reduces to the mass term here and commutes with the
     # algebra, so it cannot represent the cycle
@@ -469,7 +450,7 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int = 2,
         # a threaded BLAS matrix-vector product on this tall, narrow a can
         # stall for milliseconds; the few columns are summed by hand instead
         out.append(float(np.linalg.norm((a * coef).sum(axis=1) - b) / np.linalg.norm(b)))
-    return _point_values(out, q.basis.batch)
+    return np.array(out).reshape(q.basis.batch)
 
 
 def _linked_group(gamma: frozenset[int], prefix: frozenset[int], up_bands: tuple,
@@ -488,8 +469,7 @@ def _linked_group(gamma: frozenset[int], prefix: frozenset[int], up_bands: tuple
         bands = grown
 
 
-def check_spatial_triple(q: SpectralQuadruple,
-                         margin: int = 4) -> AxiomReport | list[AxiomReport]:
+def check_spatial_triple(q: SpectralQuadruple, margin: int) -> list[AxiomReport]:
     """Spectral-triple conditions for the spatial slice operator
     D_s = e_perp [H, e_perp] (built from the stored iH as e_perp [-i iH, e_perp]).
 
@@ -519,8 +499,7 @@ def check_spatial_triple(q: SpectralQuadruple,
         else:
             uniform.append(float(np.max(np.abs(norms - med)) / med))
             notes.append(f"median fiber-block norm {med:.6g}")
-    rep.add("spatial.bounded_uniform", _point_values(uniform, q.basis.batch), margin=margin,
-            notes=notes)
+    rep.add("spatial.bounded_uniform", uniform, margin=margin, notes=notes)
 
     rep.add("spatial.first_order",
             interior_residual(commutator(commutator(q.u, d_s), q.u_op), margin),
@@ -530,11 +509,10 @@ def check_spatial_triple(q: SpectralQuadruple,
     p_plus = 0.5 * (q.one + (-1j) * q.e_perp)
     rep.add("spatial.eigenspace_algebra",
             interior_residual(commutator(p_plus, q.u), margin), margin=margin)
-    return rep.result()
+    return rep.reports
 
 
-def check_symmetric_conditions(q: SpectralQuadruple,
-                               margin: int = 2) -> AxiomReport | list[AxiomReport]:
+def check_symmetric_conditions(q: SpectralQuadruple, margin: int) -> list[AxiomReport]:
     """The de Sitter quadruple postulates and the sl2 structure relations:
     [T21, u] = iu, [T21, e_perp] = 0, [T21, gamma] = 0, [T21, T+-] = +-iT+-,
     [T+, T-] = -2iT21, T+-* = -T-+."""
@@ -556,7 +534,7 @@ def check_symmetric_conditions(q: SpectralQuadruple,
         interior_residual(q.t_plus.adjoint() + q.t_minus, margin))
     add("symmetric.tminus_adjoint",
         interior_residual(q.t_minus.adjoint() + q.t_plus, margin))
-    return rep.result()
+    return rep.reports
 
 
 def _expm2(a: np.ndarray) -> np.ndarray:
@@ -575,7 +553,7 @@ def _expm2(a: np.ndarray) -> np.ndarray:
                                      sinhc * a[1, 0], cosh - sinhc * half)
 
 
-def check_noncommutativity(q: SpectralQuadruple) -> float | np.ndarray:
+def check_noncommutativity(q: SpectralQuadruple) -> np.ndarray:
     """Norm of [e^{iH} u e^{-iH}, u]: the evolved algebra must not
     commute with the original one (vanishes identically in the massless
     degenerate case).
@@ -604,7 +582,7 @@ _NONCOMMUTATIVITY_THRESHOLD = 1e-4
 def verify_points(q: SpectralQuadruple, margin: int = 4,
                   include_noncommutativity: bool | np.ndarray = True) -> list[AxiomReport]:
     """Run the full axiom suite on every point of q and return one combined
-    report per point, in the C order of the batch (one report at a single
+    report per point, in the C order of the batch (a list of one at a single
     point), at the table's bounds; ``AxiomReport.override`` replaces them by
     report id.  ``include_noncommutativity`` is one flag or one per point:
     the evolution row is reported at the points it marks."""

@@ -110,7 +110,7 @@ def _vanishes(q: SpectralQuadruple, t3: TruncatedOperator, margin: int) -> bool:
     """Whether the third-order term t3 is massless roundoff: the roundoff
     grows about linearly with ||iH||, so the cut does too."""
     scale = max(interior_residual(q.ih, margin), 1.0)
-    return interior_residual(t3, margin) <= 1e-12 * scale
+    return bool(interior_residual(t3, margin) <= 1e-12 * scale)
 
 
 def third_order_coefficient(q: SpectralQuadruple, margin: int = 4) -> tuple[float, float]:
@@ -177,7 +177,7 @@ def extract_adm(q: SpectralQuadruple, margin: int = 4) -> ADMExtract:
         mass_scale=mass_scale,
         kappa=kappa,
         third_order_fit=fit,
-        order_residuals=tuple(interior_residual(t, margin) for t in terms),
+        order_residuals=tuple(float(interior_residual(t, margin)) for t in terms),
         shape_residual=shape_residual,
     )
 
@@ -187,5 +187,5 @@ def massless_degeneracy_check(q: SpectralQuadruple, kmax: int = 5,
     """Max interior residual of all expansion orders k <= kmax for f = g = u;
     for a massless quadruple the commutator vanishes at all times, so every
     order must vanish."""
-    return max(interior_residual(t, margin)
-               for t in commutator_expansion(q.ih, q.u, q.u, kmax, margin))
+    return float(max(interior_residual(t, margin)
+                     for t in commutator_expansion(q.ih, q.u, q.u, kmax, margin)))

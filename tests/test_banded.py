@@ -271,7 +271,7 @@ def test_interior_residual_matches_dense(nmax, rm, theta, rho, y):
              q.u @ q.u @ q.e_perp]
     for x, margin in itertools.product(exprs, range(nmax)):
         proj = InteriorProjector(q.basis, margin)
-        want = np.linalg.norm(proj.compress(x.to_dense()), 2)
+        want = np.linalg.norm(proj.compress(x), 2)
         assert abs(interior_residual(x, margin) - want) <= 1e-13 * max(want, 1e-300)
 
 
@@ -296,7 +296,9 @@ DEFECT_CHECKS = ("symmetric.sl2_pair", "symmetric.tplus_adjoint",
 
 
 def defect_report(q):
-    return check_symmetric_conditions(q, 2).extend(check_charge_conjugation(q, 2))
+    [rep] = check_symmetric_conditions(q, 2)
+    [cc] = check_charge_conjugation(q, 2)
+    return rep.extend(cc)
 
 
 def test_interior_defect_turns_checks_red(q_standard):
@@ -453,7 +455,7 @@ def test_orientability_builds_only_linked_candidates(monkeypatch):
     project = InteriorProjector.project
     monkeypatch.setattr(InteriorProjector, "project",
                         lambda self, a: built.append(a is not q.gamma) or project(self, a))
-    check_orientability(q, 2)
+    check_orientability(q, 2, 4)
     assert sum(built) == 4
 
 
@@ -491,7 +493,7 @@ def test_orientability_builds_each_power_once(monkeypatch):
     power = TruncatedOperator.power
     monkeypatch.setattr(TruncatedOperator, "power",
                         lambda self, p: calls.append(p) or power(self, p))
-    check_orientability(quadruple(16, 1.0, 0.3, 0.0, 0.0), 2)
+    check_orientability(quadruple(16, 1.0, 0.3, 0.0, 0.0), 2, 4)
     assert sorted(calls) == [-2, -1, 0, 1, 2]
 
 
@@ -592,3 +594,45 @@ def test_batched_verify_decides_each_point_alone(rng):
         gamma = TruncatedOperator(single.basis, {0: g0[:, :, p], 2: g2[:, :, p]})
         want = verify_quadruple(dataclasses.replace(single, gamma=gamma))
         assert reps[p].as_dicts() == want.as_dicts(), p
+
+
+# every check family and interior_residual, as (name, run on a quadruple)
+ONE_PATH = [
+    ("time_vector", quad.check_time_vector),
+    ("volume_element", quad.check_volume_element),
+    ("charge_conjugation", lambda q: check_charge_conjugation(q, 2)),
+    ("spatial_triple", lambda q: quad.check_spatial_triple(q, 4)),
+    ("symmetric_conditions", lambda q: check_symmetric_conditions(q, 2)),
+    ("first_order", lambda q: quad.check_first_order(q, q.u_sq, q.u_adj, 3)),
+    ("orientability", lambda q: check_orientability(q, 2, 4)),
+    ("noncommutativity", check_noncommutativity),
+    # one band, the block norms; several bands at each point, the dense SVD
+    ("interior_residual.one_band", lambda q: interior_residual(q.ih_u, 2)),
+    ("interior_residual.several_bands",
+     lambda q: interior_residual(q.t_plus + q.t_minus + q.ih, 2)),
+]
+
+
+@pytest.mark.parametrize("run", [run for _, run in ONE_PATH], ids=[n for n, _ in ONE_PATH])
+def test_single_point_runs_the_batch_path(run):
+    # a single point is the batch shape (): the same return type as a
+    # batch, one report or value per point, and each point's rows or value
+    # bit for bit those of the point assembled alone
+    rms, thetas = [0.0, 1.0, 2.0], [0.3, 0.0, 1.0]
+    got = run(assemble_quadruple(DeSitterParams(rm=np.array(rms), theta=np.array(thetas),
+                                                nmax=16)))
+    alone = [run(assemble_quadruple(DeSitterParams(rm=rm, theta=theta, nmax=16)))
+             for rm, theta in zip(rms, thetas)]
+
+    def rows(rep):
+        return [(e.check_id, e.residual.hex(), e.tolerance, e.margin, e.notes) for e in rep]
+
+    for want in alone:
+        assert type(want) is type(got)
+    if isinstance(got, list):
+        assert all(isinstance(rep, quad.AxiomReport) for rep in got)
+        assert [len(want) for want in alone] == [1, 1, 1] and len(got) == 3
+        assert [rows(rep) for rep in got] == [rows(want[0]) for want in alone]
+    else:
+        assert got.shape == (3,) and [want.shape for want in alone] == [(), (), ()]
+        assert [got[p].tobytes() for p in range(3)] == [want.tobytes() for want in alone]

@@ -90,10 +90,43 @@ class TestExitCodes:
         (["quadruple-verify", "--nmax", "3"], "--nmax"), (["reconstruct", "--nmax", "2"], "--nmax"),
         (["all", "--nmax", "3"], "--nmax"), (["sweep", "--nmax", "3"], "--nmax"),
         (["quadruple-verify", "--margin=-1"], "--margin"), (["sweep", "--margin=-1"], "--margin"),
+        (["desitter-crosscheck", "--nmax", "3"], "--nmax"),
     ])
     def test_small_nmax_and_negative_margin_name_their_flag(self, capsys, argv, flag):
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith(f"specquad: error: {flag} ")
+
+    def test_crosscheck_checks_its_own_small_nmax(self, tmp_path, monkeypatch):
+        # --nmax 4 is checked at 4, not raised to a larger truncation
+        seen = []
+        real = desitter.crosscheck_construction_vs_appendix
+        monkeypatch.setattr(desitter, "crosscheck_construction_vs_appendix",
+                            lambda p: seen.append(p.nmax) or real(p))
+        out = tmp_path / "r.json"
+        assert run(["desitter-crosscheck", "--nmax", "4", "-o", str(out)]) == 0
+        assert seen == [4] and json.loads(read(out))["params"]["nmax"] == 4
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["quadruple-verify", "--nmax", "8"], "--rm", "-1e-3"),
+        (["quadruple-verify", "--nmax", "8"], "--theta", "-.5e0"),
+        (["sl2-classify"], "--r2m2", "-1e-3"),
+        (["sweep", "--nmax", "8"], "--rm", "-1,2"),
+        (["finite-verify"], "--m", "-1+2j"),
+    ])
+    def test_negative_value_runs_as_its_equals_spelling(self, tmp_path, argv, flag, value):
+        # a value that starts like a negative number, after a space, is the
+        # flag's value and not an unknown option
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        code = run([*argv, flag, value, "-o", str(spaced)])
+        assert code == run([*argv, f"{flag}={value}", "-o", str(joined)])
+        assert read(spaced) == read(joined)
+
+    def test_usage_errors_exit_two(self, capsys):
+        assert run(["quadruple-verify", "--nmax", "8", "--tol", "nope=1"]) == 2
+        assert "unknown tolerance id 'nope'" in capsys.readouterr().err
+        # a truncation too small for the margin
+        assert run(["quadruple-verify", "--nmax", "5", "--margin", "5"]) == 2
+        assert "margin 5 >= nmax 5" in capsys.readouterr().err
 
     def test_wrong_shape_third_order_is_a_failed_check(self, tmp_path, monkeypatch):
         # iH^3 in place of iH: the third order is not kappa e_perp u^2, which
@@ -681,8 +714,8 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "verify_points", boom)
         out = tmp_path / "sweep.json"
-        assert run(["sweep", "--rm", "1", "--theta", "0", "--nmax", "8",
-                    "-o", str(out)]) == 2
+        with pytest.raises(ValueError, match="boom"):
+            run(["sweep", "--rm", "1", "--theta", "0", "--nmax", "8", "-o", str(out)])
         assert not out.exists()
 
     def test_empty_grid_is_usage_error(self):

@@ -38,27 +38,28 @@ def fiber_op(basis, fib):
 
 class TestTimeVector:
     def test_desitter_passes(self, q_standard):
-        rep = check_time_vector(q_standard)
+        [rep] = check_time_vector(q_standard)
         assert rep.passed and all(e.residual == 0.0 for e in rep)
 
     def test_scalar_i_passes_square_but_not_braiding(self, q_standard):
         q = with_operator(q_standard,
                           e_perp=1j * TruncatedOperator.identity(q_standard.basis))
-        assert check_time_vector(q).passed
+        [rep] = check_time_vector(q)
+        assert rep.passed
         # the volume-element braiding then fails: i1 commutes with gamma
-        rep = check_volume_element(q)
+        [rep] = check_volume_element(q)
         assert not rep["volume.braiding"].passed
 
     def test_hermitian_candidate_fails(self, q_standard):
         q = with_operator(q_standard,
                           e_perp=fiber_op(q_standard.basis, np.diag([1.0, -1.0])))
-        rep = check_time_vector(q)
+        [rep] = check_time_vector(q)
         assert rep["time_vector.antihermitian"].residual == pytest.approx(2.0)
 
 
 class TestVolumeElement:
     def test_desitter_exact(self, q_standard):
-        rep = check_volume_element(q_standard)
+        [rep] = check_volume_element(q_standard)
         assert all(e.residual == 0.0 for e in rep)
         assert "gamma^2 = +1" in rep["volume.gamma_square"].notes
 
@@ -66,20 +67,20 @@ class TestVolumeElement:
         # 1+0-style data: e_perp = i gamma commutes with gamma
         gamma = q_standard.gamma
         q = with_operator(q_standard, e_perp=1j * gamma, spacetime_dim=1)
-        rep = check_volume_element(q)
+        [rep] = check_volume_element(q)
         assert rep["volume.braiding"].residual == 0.0
 
     def test_identity_gamma_negative_control(self, q_standard):
         q = with_operator(q_standard,
                           gamma=TruncatedOperator.identity(q_standard.basis))
-        rep = check_volume_element(q)
+        [rep] = check_volume_element(q)
         assert rep["volume.braiding"].residual == pytest.approx(
             2.0 * op_norm(q_standard.e_perp))
 
 
 class TestFirstOrder:
     def test_desitter(self, q_standard):
-        assert check_first_order(q_standard, margin=2) <= 1e-10
+        assert check_first_order(q_standard, q_standard.u, q_standard.u, margin=2) <= 1e-10
 
     def test_identity_elements(self, q_standard):
         one = TruncatedOperator.identity(q_standard.basis)
@@ -90,7 +91,7 @@ class TestFirstOrder:
         # double commutator; a quadratic survives and is detected
         bad_ih = q_standard.ih + q_standard.t21 @ q_standard.t21
         q = with_operator(q_standard, ih=bad_ih)
-        assert check_first_order(q, margin=2) > 0.1
+        assert check_first_order(q, q.u, q.u, margin=2) > 0.1
 
     def test_symmetric_in_arguments(self, q_standard):
         # commutative algebra with u^op = u
@@ -108,14 +109,14 @@ class TestChargeConjugation:
         assert (-1) ** s_exponent(5) == -1
 
     def test_desitter_intertwining(self, q_standard):
-        rep = check_charge_conjugation(q_standard, margin=2)
+        [rep] = check_charge_conjugation(q_standard, margin=2)
         assert rep.passed
         assert rep["charge_conjugation.tplus"].residual <= 1e-10
 
     def test_square_wrong_dimension_detected(self, q_standard):
         # with spacetime_dim = 5 the axiom wants C^2 = -1; ours squares to +1
         q = with_operator(q_standard, spacetime_dim=5)
-        rep = check_charge_conjugation(q, margin=2)
+        [rep] = check_charge_conjugation(q, margin=2)
         assert not rep["charge_conjugation.square"].passed
 
 
@@ -138,22 +139,22 @@ class TestSpatialDirac:
 
 class TestOrientability:
     def test_desitter_membership(self, q_standard):
-        assert check_orientability(q_standard, 2) <= 1e-8
+        assert check_orientability(q_standard, 2, 4) <= 1e-8
 
     def test_random_hermitian_gamma_not_member(self, q_standard, rng):
         h = rng.normal(size=(q_standard.basis.dim,) * 2)
         q = with_operator(q_standard,
                           gamma=TruncatedOperator.from_dense(q_standard.basis, h + h.T))
         # report-only: typically far from the span
-        assert check_orientability(q, 2) > 0.1
+        assert check_orientability(q, 2, 4) > 0.1
 
     def test_zero_dynamics_gives_unit_residual(self, q_standard):
         q = with_operator(q_standard, ih=zero(q_standard.basis))
-        assert check_orientability(q, 2) == 1.0
+        assert check_orientability(q, 2, 4) == 1.0
 
     def test_empty_span_rejected(self, q_standard):
         with pytest.raises(ValueError):
-            check_orientability(q_standard, 0)
+            check_orientability(q_standard, 0, 0)
 
     def test_odd_branch_synthetic(self):
         # synthetic odd quadruple: gamma = 1 is a cycle Sum a u^p [iH, u^q]
@@ -167,12 +168,12 @@ class TestOrientability:
             basis=basis, u=u, e_perp=e_perp,
             gamma=TruncatedOperator.identity(basis), cc=charge_conjugation(basis),
             t21=ih, t_plus=u, t_minus=u.adjoint(), ih=ih, spacetime_dim=3)
-        assert check_orientability(q, 1) <= 1e-12
+        assert check_orientability(q, 1, 2) <= 1e-12
 
 
 class TestSpatialTriple:
     def test_desitter_all_pass(self, q_standard):
-        rep = check_spatial_triple(q_standard, margin=4)
+        [rep] = check_spatial_triple(q_standard, margin=4)
         assert rep.passed
         for cid in ("spatial.selfadjoint", "spatial.bounded_uniform",
                     "spatial.first_order"):
@@ -180,7 +181,7 @@ class TestSpatialTriple:
 
     def test_zero_generator_degenerate(self, q_standard):
         q = with_operator(q_standard, ih=zero(q_standard.basis))
-        rep = check_spatial_triple(q, margin=4)
+        [rep] = check_spatial_triple(q, margin=4)
         assert rep.passed
         assert "degenerate" in rep["spatial.bounded_uniform"].notes
 
@@ -197,7 +198,7 @@ class TestSpatialTriple:
                   np.array([[0, 1], [-1, 0]]) for n in basis.levels}
         e_perp = from_level_diagonal(basis, blocks.__getitem__)
         q = with_operator(q_standard, e_perp=e_perp)
-        rep = check_spatial_triple(q, margin=4)
+        [rep] = check_spatial_triple(q, margin=4)
         assert len(rep) == 4 and all(np.isfinite(e.residual) for e in rep)
 
     def test_spectrum_matches_circle_dirac(self, q_standard):
@@ -211,18 +212,18 @@ class TestSpatialTriple:
 
 class TestSymmetricConditions:
     def test_desitter(self, q_standard):
-        rep = check_symmetric_conditions(q_standard, margin=2)
+        [rep] = check_symmetric_conditions(q_standard, margin=2)
         assert rep.passed
 
     def test_identity_u_negative_control(self, q_standard):
         q = with_operator(q_standard, u=TruncatedOperator.identity(q_standard.basis))
-        rep = check_symmetric_conditions(q, margin=2)
+        [rep] = check_symmetric_conditions(q, margin=2)
         assert rep["symmetric.t21_u"].residual == pytest.approx(1.0)
 
     def test_rescaled_ladder_negative_control(self, q_standard):
         q = with_operator(q_standard, t_plus=2.0 * q_standard.t_plus,
                           t_minus=2.0 * q_standard.t_minus)
-        rep = check_symmetric_conditions(q, margin=2)
+        [rep] = check_symmetric_conditions(q, margin=2)
         assert rep["symmetric.sl2_pair"].residual > 1.0
 
 
