@@ -2,10 +2,16 @@
 
 Subcommands rebuild the operator data at the requested parameters, run the
 named checks and write one machine-readable report (schema version 1).
-Exit code 0 means every check passed, 1 flags at least one failure, 2 a
-usage or configuration error.  Reports carry no timestamps and all random
-draws are seeded from the config, so identical configurations produce
-bit-identical files.
+Reports carry no timestamps and all random draws are seeded from the
+config, so identical configurations produce bit-identical files.
+
+Exit codes of ``main``:
+
+- 0: every check passed;
+- 1: at least one check failed (the report names it);
+- 2: a usage or configuration error (no report);
+- 3: a crash, an exception raised while running the checks (traceback on
+  stderr, no report).
 """
 
 from __future__ import annotations
@@ -21,13 +27,14 @@ import re
 import stat
 import sys
 import tempfile
+import traceback
 from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from . import desitter, finite, geometry, reconstruct, sl2, spinfields
-from .operators import TruncationError, block_product, interior_residual
+from .operators import BasisDescriptor, TruncationError, block_product, interior_residual
 from .quadruple import (
     DEFAULT_TOLERANCES,
     AxiomReport,
@@ -245,11 +252,15 @@ def _section_crosscheck(rm: float, theta: float, nmax: int) -> AxiomReport:
     params = desitter.DeSitterParams(rm=rm, theta=theta, nmax=nmax)
     rep.add("crosscheck.recursion_vs_closed_form",
             desitter.crosscheck_construction_vs_appendix(params))
-    levels = np.arange(-7.5, 8.5)
+    # the law on the levels of the truncation, each level's defect relative
+    # to its scale; the one zero scale (n = -1/2 at rm = 0) compares absolutely
+    levels = BasisDescriptor.spinor(nmax).level_array
     blk = desitter.appendix_t_plus(levels, rm, theta)
-    target = ((levels + 0.5) ** 2 + rm ** 2) * np.eye(2)[..., None]
-    worst = np.abs(block_product(blk, blk.conj().swapaxes(0, 1)) - target).max()
-    rep.add("crosscheck.norm_law", worst, notes="T+(n) T+(n)* = ((n+1/2)^2 + rm^2) 1")
+    scale = (levels + 0.5) ** 2 + rm ** 2
+    defect = np.abs(block_product(blk, blk.conj().swapaxes(0, 1))
+                    - scale * np.eye(2)[..., None]).max(axis=(0, 1))
+    rep.add("crosscheck.norm_law", (defect / np.where(scale > 0, scale, 1.0)).max(),
+            notes="T+(n) T+(n)* = ((n+1/2)^2 + rm^2) 1, relative to (n+1/2)^2 + rm^2")
     return rep
 
 
@@ -651,6 +662,8 @@ def _write_atomic(path: str, text: str):
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand and return its exit code, 0, 1 or 2; an exception
+    raised by a section propagates."""
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -682,7 +695,13 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The command-line entry: ``run``, with a crash reported as exit 3."""
+    try:
+        code = run()
+    except Exception:
+        traceback.print_exc()
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -126,18 +126,6 @@ class BasisDescriptor:
         """The size-1 batch axes of a band shared by every point."""
         return (1,) * len(self.batch)
 
-    def level_index(self, n: float) -> int:
-        i = int(round(n - self.levels[0]))
-        if not (0 <= i < len(self.levels)) or abs(self.levels[i] - n) > 1e-9:
-            raise KeyError(f"level {n} not in basis")
-        return i
-
-    def index(self, n: float, sigma: int = 0) -> int:
-        """Flat index of |n, sigma> in the level-major, fiber-minor dense order."""
-        if not (0 <= sigma < self.fiber_dim):
-            raise KeyError(f"fiber index {sigma} out of range")
-        return self.level_index(n) * self.fiber_dim + sigma
-
 
 def _shifted(arr: np.ndarray, s: int) -> np.ndarray:
     """out[..., i] = arr[..., i + s] along the last (level) axis, zero where

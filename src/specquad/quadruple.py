@@ -272,23 +272,6 @@ class _PointReports:
             rep.extend(other)
 
 
-def _at_point(arr: np.ndarray, index: tuple[int, ...]) -> np.ndarray:
-    """The (d, d, ..., nlevels) blocks of a band stack at the point with
-    batch index ``index``; a shared (size-1) batch axis gives its one entry."""
-    return arr[(slice(None), slice(None))
-               + tuple(0 if n == 1 else i for n, i in zip(arr.shape[2:-1], index))]
-
-
-def _bands_at_points(x: TruncatedOperator) -> list[frozenset[int]]:
-    """The keys of the bands of x that are nonzero at each point: a band
-    stored for the batch may vanish at some of its points."""
-    shape = x.basis.batch
-    nonzero = {k: np.broadcast_to(arr.any(axis=(0, 1, -1)), shape).ravel()
-               for k, arr in x.bands.items()}
-    return [frozenset(k for k, nz in nonzero.items() if nz[p])
-            for p in range(math.prod(shape))]
-
-
 def registry_key(check_id: str) -> str:
     """Table key of a report id: ``name@k`` shares the entry of ``name``."""
     return check_id.split("@", 1)[0]
@@ -385,11 +368,11 @@ def check_charge_conjugation(q: SpectralQuadruple, margin: int) -> list[AxiomRep
 
 def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int,
                         margin: int) -> np.ndarray:
-    """Least-squares membership of the volume element in the span of
-    Hochschild-cycle candidates e_perp u^p [D, u^q] (even spacetime
-    dimension; the e_perp prefix is dropped for odd).
-
-    Returns the interior-Frobenius residual normalized by ||gamma||; small
+    """Membership of the volume element in the span of the Hochschild-cycle
+    candidates e_perp u^p [D, u^q] (even spacetime dimension; the e_perp
+    prefix is dropped for odd), as the projection residual
+    ||b - P b|| / ||b|| of the interior entries b of gamma, P the orthogonal
+    projector onto the span of the candidates' interior entries.  A small
     residual certifies membership up to scale.
 
     The fit is split by band, which is exact: entries of different bands
@@ -402,10 +385,13 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int,
     its factors' bands: a superset of its stored bands, so the linked group
     is a union of the exact groups and the fit stays exact.
 
-    Over a batch the links are read at each point from the bands nonzero
-    there, so a point links the group it would link alone; the candidates
-    linked at some point are built once for the batch, and each point
-    fits its own group.
+    Over a batch the points are grouped by the pattern of bands nonzero at
+    them, so a point links the group it would link alone, and the links are
+    read once per pattern.  The candidates linked at some point are built
+    once for the batch, and each group of points is fitted at once by
+    ``_projection_residual``, whose floats at a point do not depend on the
+    other points.  For de Sitter the four linked candidates are multiples of
+    gamma, (2iq / cosh theta) gamma, so their span has rank 1.
     """
     d = monomial_degree_bound
     if d < 1:
@@ -416,48 +402,54 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int,
     dirac = q.ih_e_perp if q.even_dim else q.ih
     proj = InteriorProjector(q.basis, margin)
     gamma = proj.project(q.gamma)
-    gamma_bands = _bands_at_points(gamma)
-    if not all(gamma_bands):
-        raise ValueError("volume element vanishes on the interior")
     powers = {p: q.u_sq if p == 2 else q.u.power(p) for p in range(-d, d + 1)}
     comms = [q.adm_commutator if deg == 1 and q.even_dim else commutator(dirac, up)
              for deg, up in powers.items() if deg != 0]
     factors = [(up, comm) for up in powers.values() for comm in comms]
-    # each point's (gamma, prefix, factor) bands, and the group it links
-    prefix = _bands_at_points(q.e_perp) if q.even_dim else [frozenset({0})] * len(gamma_bands)
-    up_bands = [_bands_at_points(up) for up in powers.values()]
-    comm_bands = [_bands_at_points(comm) for comm in comms]
-    keys = [(gam, prefix[p], tuple(ub[p] for ub in up_bands), tuple(cb[p] for cb in comm_bands))
-            for p, gam in enumerate(gamma_bands)]
-    groups = {key: _linked_group(*key) for key in dict.fromkeys(keys)}
-    point_groups = [groups[key] for key in keys]
-    built = sorted(set().union(*(linked for linked, _ in point_groups)))
+    # one row per point, one column per band of gamma, the prefix and each
+    # factor: whether that band is nonzero at that point
+    npoints = math.prod(q.basis.batch)
+    ops = [gamma, q.e_perp if q.even_dim else q.one, *powers.values(), *comms]
+    nonzero = np.ones((npoints, sum(len(x.bands) for x in ops)), dtype=bool)
+    for col, arr in enumerate(arr for x in ops for arr in x.bands.values()):
+        # a band is stored only when it is nonzero at some point, so a band
+        # with one entry on the point axes is nonzero at each point
+        if math.prod(arr.shape[2:-1]) > 1:
+            nonzero[:, col] = arr.any(axis=(0, 1, -1)).ravel()
+    if not nonzero[:, :len(gamma.bands)].any(axis=1).all():
+        raise ValueError("volume element vanishes on the interior")
+    # the points grouped by their row, each row read as one byte string;
+    # the links are read once per group from its first point's row
+    packed = np.packbits(nonzero, axis=1)
+    _, first, which = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                return_index=True, return_inverse=True)
+    groups = []
+    for row in nonzero[first].tolist():
+        flags = iter(row)
+        gam, prefix, *rest = [frozenset(k for k in x.bands if next(flags)) for x in ops]
+        groups.append(_linked_group(gam, prefix, tuple(rest[:len(powers)]),
+                                    tuple(rest[len(powers):])))
+    built = sorted(set().union(*(linked for linked, _ in groups)))
     cands = {}
     for i in built:
         up, comm = factors[i]
         cands[i] = proj.project(q.e_perp @ (up @ comm) if q.even_dim else up @ comm)
-    out = []
-    for (linked, bands), index in zip(point_groups, np.ndindex(q.basis.batch)):
-        if not linked:
-            out.append(1.0)
-            continue
-        # every other entry of the linked bands vanishes in all operands, so
-        # fitting the stored entries is the Frobenius fit
-        a = np.array([np.concatenate([_at_point(cands[i].band(k), index).ravel()
-                                      for k in bands]) for i in linked]).T
-        b = np.concatenate([_at_point(gamma.band(k), index).ravel() for k in bands])
-        coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-        # a threaded BLAS matrix-vector product on this tall, narrow a can
-        # stall for milliseconds; the few columns are summed by hand instead
-        out.append(float(np.linalg.norm((a * coef).sum(axis=1) - b) / np.linalg.norm(b)))
-    return np.array(out).reshape(q.basis.batch)
+    out = np.ones(npoints)
+    for g, (linked, bands) in enumerate(groups):
+        if linked:
+            # every other entry of the linked bands vanishes in all operands,
+            # so fitting the stored entries is the Frobenius fit
+            at = np.flatnonzero(which == g)
+            out[at] = _projection_residual(*_entries([cands[i] for i in linked] + [gamma],
+                                                     bands, at))
+    return out.reshape(q.basis.batch)
 
 
 def _linked_group(gamma: frozenset[int], prefix: frozenset[int], up_bands: tuple,
                   comm_bands: tuple) -> tuple[list[int], list[int]]:
     """The indices of the candidates e_perp u^p [D, u^q] (in the order of
     the (p, q) pairs) linked to the bands of gamma, and the sorted bands
-    they reach, from the bands of each factor at one point."""
+    they reach, from the bands of each factor nonzero at a point."""
     reach = [{e + a + b for e in prefix for a in ub for b in cb}
              for ub in up_bands for cb in comm_bands]
     bands = set(gamma)
@@ -467,6 +459,68 @@ def _linked_group(gamma: frozenset[int], prefix: frozenset[int], up_bands: tuple
         if grown == bands:
             return linked, sorted(bands)
         bands = grown
+
+
+def _entries(ops: list[TruncatedOperator], bands: list[int],
+             at: np.ndarray) -> tuple[np.ndarray, int]:
+    """The stored entries of the given bands of each operator at the points
+    ``at`` of the flattened batch, as one fresh (len(ops), rows, len(at),
+    nlevels) stack, a row being one fiber entry of one band; and the number
+    of entries of an operator, d d nlevels per band.  A row zero in every
+    operator at every point adds exact zeros to every sum, so it is left
+    out."""
+    d, nl = ops[0].basis.fiber_dim, ops[0].basis.nlevels
+    stacks = [[x.band(k).reshape(d * d, -1, nl) for k in bands] for x in ops]
+    live = [np.flatnonzero(np.logical_or.reduce([row[j].any(axis=(1, 2)) for row in stacks]))
+            for j in range(len(bands))]
+    out = np.empty((len(ops), sum(map(len, live)), len(at), nl), dtype=complex)
+    for row, dest in zip(stacks, out):
+        start = 0
+        for arr, rows in zip(row, live):
+            # a band shared by every point has one entry on the point axis,
+            # to which every index wraps
+            np.take(arr[rows], at, axis=1, out=dest[start:start + len(rows)], mode="wrap")
+            start += len(rows)
+    return out, len(bands) * d * d * nl
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """||x|| at each point of a complex (..., rows, points, nlevels) stack:
+    the squares summed over the rows first, then over the contiguous level
+    axis (real and imaginary parts side by side)."""
+    re_im = x.view(float)
+    return np.sqrt(np.add.reduce(re_im * re_im, axis=-3).sum(axis=-1))
+
+
+def _projection_residual(cols: np.ndarray, size: int) -> np.ndarray:
+    """||b - P b|| / ||b|| at each point, b = cols[-1] and P the orthogonal
+    projector onto the span of cols[:-1]; ``cols`` is a fresh (ncols + 1,
+    rows, points, nlevels) stack, which is overwritten, and ``size`` the
+    number of entries of a column, zero rows included.
+
+    Modified Gram-Schmidt with one reorthogonalization, right-looking: each
+    basis vector, once formed, is removed twice from every later column and
+    from b.  A column whose remainder falls to eps * size times its norm,
+    the rank cutoff of ``numpy.linalg.lstsq``, is dropped at that point: its
+    basis vector is zero there.  Every inner product is an explicit sum,
+    over the rows first and then over the contiguous level axis, so each
+    point's floats are those of that point alone, and no BLAS or LAPACK
+    call is made on these tall, narrow operands.
+    """
+    norms = _norm(cols)
+    # the norm of each column's remainder, updated after each projection
+    left = norms.copy()
+    cutoff = np.finfo(float).eps * size
+    for j in range(len(cols) - 1):
+        keep = left[j] > cutoff * norms[j]
+        if not keep.any():
+            continue
+        vec = cols[j] * (np.where(keep, 1.0, 0.0) / np.where(keep, left[j], 1.0))[:, None]
+        vec_conj, rest = vec.conj(), cols[j + 1:]
+        for _ in range(2):
+            rest -= np.add.reduce(vec_conj * rest, axis=1).sum(axis=-1)[:, None, :, None] * vec
+        left[j + 1:] = _norm(rest)
+    return left[-1] / norms[-1]
 
 
 def check_spatial_triple(q: SpectralQuadruple, margin: int) -> list[AxiomReport]:

@@ -4,8 +4,9 @@ call, and the SL(2, R) generator matrices on a scalar weight ladder.
 The library builds its operators from whole fiber-major band stacks
 (``TruncatedOperator``, ``from_fiber``, ``identity``).  These helpers build
 one from a block per level, give the zero operator and the scalar weight
-lattices, and read one block; ``build_generators`` is the truncated
-representation whose ladder law and series ``sl2`` checks.
+lattices, index a level or a basis state and read one block;
+``build_generators`` is the truncated representation whose ladder law and
+series ``sl2`` checks.
 """
 
 from typing import Callable
@@ -54,10 +55,25 @@ def from_level_diagonal(basis: BasisDescriptor,
     return from_shift(basis, 0, block)
 
 
+def level_index(basis: BasisDescriptor, n: float) -> int:
+    """Index of level n on the ladder of the basis."""
+    i = int(round(n - basis.levels[0]))
+    if not (0 <= i < len(basis.levels)) or abs(basis.levels[i] - n) > 1e-9:
+        raise KeyError(f"level {n} not in basis")
+    return i
+
+
+def flat_index(basis: BasisDescriptor, n: float, sigma: int = 0) -> int:
+    """Flat index of |n, sigma> in the level-major, fiber-minor dense order."""
+    if not (0 <= sigma < basis.fiber_dim):
+        raise KeyError(f"fiber index {sigma} out of range")
+    return level_index(basis, n) * basis.fiber_dim + sigma
+
+
 def band_block(x: TruncatedOperator, n: float, k: int) -> np.ndarray:
     """The fiber block of x mapping level n to level n+k (at every point)."""
-    x.basis.level_index(n + k)
-    return x.band(k)[..., x.basis.level_index(n)]
+    level_index(x.basis, n + k)
+    return x.band(k)[..., level_index(x.basis, n)]
 
 
 def build_generators(

@@ -40,7 +40,7 @@ from specquad.quadruple import (
 from specquad.reconstruct import extract_adm, massless_degeneracy_check
 
 from construction_reference import gauge_transform
-from operator_reference import band_block, zero
+from operator_reference import band_block, level_index, zero
 
 LINEAR = ("u", "e_perp", "gamma", "t21", "t_plus", "t_minus", "ih")
 POINTS = [(0.0, 0.0, 0.0, 0.0), (1.0, 0.3, 0.0, 0.0), (2.0, 1.0, 0.0, 0.0),
@@ -210,7 +210,7 @@ def test_band_arrays_are_owned_and_read_only(rng):
                     op.band(k)[...] = 0.0
         assert x.band(5).shape == (d, d, basis.nlevels) and not x.band(5).any()
         assert band_block(x, 0.5, 1).shape == (d, d)
-        assert np.array_equal(band_block(x, 0.5, 1), orig[..., basis.level_index(0.5)])
+        assert np.array_equal(band_block(x, 0.5, 1), orig[..., level_index(basis, 0.5)])
         assert not (y - y).bands and not (0 * y).bands
         # the stored bands are those a full any() scan keeps, also where the
         # probed entries (first fiber row, middle level) are zero, or the
@@ -287,7 +287,7 @@ def test_from_dense_round_trip(rng):
 def planted(q, level):
     """T+ with a 1e-6 defect in the block leaving ``level``."""
     blocks = np.array(q.t_plus.band(1))
-    blocks[..., q.basis.level_index(level)] += 1e-6 * np.eye(2)
+    blocks[..., level_index(q.basis, level)] += 1e-6 * np.eye(2)
     return dataclasses.replace(q, t_plus=TruncatedOperator(q.basis, {1: blocks}))
 
 
@@ -315,19 +315,32 @@ def test_defect_inside_margin_stays_green(q_standard):
         assert rep[cid].passed, cid
 
 
+# the numpy.linalg calls the verify and extract path must not make
+LINALG = ("lstsq", "svd", "solve", "qr", "norm", "eig", "eigh", "pinv", "det")
+
+
 def test_desitter_checks_stay_banded(monkeypatch):
+    # no dense operator, and no LAPACK or linear-algebra call at all: the
+    # block norms and the orientability fit are explicit sums
     def refuse(*args, **kwargs):
         raise AssertionError("dense path reached")
 
     monkeypatch.setattr(TruncatedOperator, "to_dense", refuse)
     monkeypatch.setattr(AntilinearOperator, "to_dense", refuse)
     monkeypatch.setattr(operators, "_dense_norm", refuse)
+    for name in LINALG:
+        monkeypatch.setattr(np.linalg, name, refuse)
     q = assemble_quadruple(DeSitterParams(rm=1.0, theta=0.3, nmax=64))
     assert verify_quadruple(q).passed
     adm = extract_adm(q)
     assert adm.mass_scale == pytest.approx(1.0, abs=1e-8)
     massless = assemble_quadruple(DeSitterParams(rm=0.0, theta=0.3, nmax=64))
     assert massless_degeneracy_check(massless) <= 1e-10
+    # the 12-point sweep grid as one batch
+    grid = assemble_quadruple(DeSitterParams(rm=np.repeat([0.0, 0.5, 1.0, 2.0], 3),
+                                             theta=np.tile([0.0, 0.3, 1.0], 4), nmax=32))
+    reps = verify_points(grid, include_noncommutativity=np.repeat([False, True, True, True], 3))
+    assert len(reps) == 12 and all(rep.passed for rep in reps)
 
 
 def test_verify_at_nmax_256():
@@ -495,6 +508,33 @@ def test_orientability_builds_each_power_once(monkeypatch):
                         lambda self, p: calls.append(p) or power(self, p))
     check_orientability(quadruple(16, 1.0, 0.3, 0.0, 0.0), 2, 4)
     assert sorted(calls) == [-2, -1, 0, 1, 2]
+
+
+def test_orientability_groups_points_by_band_pattern(monkeypatch, rng):
+    # four points, three patterns of nonzero bands: points 0 and 3 are
+    # plain de Sitter, iH vanishes at point 1 (nothing links, residual 1)
+    # and gamma gains a band 2 at point 2; the links are read once per
+    # pattern, and each point's residual is that of the point alone
+    rms, thetas = [1.0, 1.0, 2.0, 0.5], [0.3, 0.0, 1.0, 0.3]
+    q = assemble_quadruple(DeSitterParams(rm=np.array(rms), theta=np.array(thetas), nmax=16))
+    nl = q.basis.nlevels
+    ih = np.array(np.broadcast_to(q.ih.band(0), (2, 2, 4, nl)))
+    ih[:, :, 1] = 0.0
+    g2 = np.zeros((2, 2, 4, nl), dtype=complex)
+    g2[:, :, 2] = 0.3 * random_blocks(rng, nl)
+    q = dataclasses.replace(q, ih=TruncatedOperator(q.basis, {0: ih}),
+                            gamma=q.gamma + TruncatedOperator(q.basis, {2: g2}))
+    calls = []
+    linked_group = quad._linked_group
+    monkeypatch.setattr(quad, "_linked_group", lambda *a: calls.append(a) or linked_group(*a))
+    got = check_orientability(q, 2, 4)
+    assert len(calls) == 3 and got[1] == 1.0
+    monkeypatch.undo()
+    for p in range(4):
+        single = dataclasses.replace(
+            assemble_quadruple(DeSitterParams(rm=rms[p], theta=thetas[p], nmax=16)),
+            ih=at_point(q.ih, p), gamma=at_point(q.gamma, p))
+        assert got[p].tobytes() == check_orientability(single, 2, 4).tobytes(), p
 
 
 def at_point(x, p):

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from specquad import cli, desitter, finite, geometry, reconstruct, spinfields
 from specquad import quadruple as quad
 from specquad.cli import run
-from specquad.operators import TruncatedOperator
+from specquad.operators import BasisDescriptor, TruncatedOperator
 from specquad.quadruple import DEFAULT_TOLERANCES, registry_key
 
-from operator_reference import from_level_diagonal, from_shift
+from operator_reference import from_level_diagonal, from_shift, level_index
 
 
 def read(path):
@@ -105,6 +105,40 @@ class TestExitCodes:
         out = tmp_path / "r.json"
         assert run(["desitter-crosscheck", "--nmax", "4", "-o", str(out)]) == 0
         assert seen == [4] and json.loads(read(out))["params"]["nmax"] == 4
+
+    @pytest.mark.parametrize("nmax", [4, 64])
+    def test_norm_law_reads_the_levels_of_nmax(self, tmp_path, monkeypatch, nmax):
+        # a T+ defect at the top level of --nmax 4 (3.5) and one beyond it
+        # (5.5), and the same at --nmax 64 (63.5, 65.5): the law sees the
+        # defect exactly when the truncation holds its level
+        def norm_law(level):
+            with monkeypatch.context() as mp:
+                plant_level("appendix_t_plus", (0, 0), level)(mp)
+                out = tmp_path / "r.json"
+                run(["desitter-crosscheck", "--nmax", str(nmax), "-o", str(out)])
+            [check] = [c for c in json.loads(read(out))["checks"]
+                       if c["id"] == "crosscheck.norm_law"]
+            return check["pass"]
+
+        assert norm_law(nmax - 0.5) is False
+        assert norm_law(nmax + 1.5) is True
+
+    def test_crash_is_three(self, tmp_path, monkeypatch, capsys):
+        # an exception from a section propagates out of run; main prints
+        # its traceback, writes no report and exits 3, not the 1 of a red
+        # report
+        def boom(seed):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "_section_oracle", boom)
+        out = tmp_path / "r.json"
+        monkeypatch.setattr("sys.argv", ["specquad", "oracle-check", "-o", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "ValueError: boom" in err
 
     @pytest.mark.parametrize("argv,flag,value", [
         (["quadruple-verify", "--nmax", "8"], "--rm", "-1e-3"),
@@ -281,15 +315,15 @@ class TestOraclePlantedDefects:
         assert self.red_ids(tmp_path) == ["oracle.b_intertwiner"]
 
 
-def plant_level(name, entry):
-    """desitter.<name> with 1e-6 added to one fiber entry of the level-3/2
-    block, for scalar levels and fiber-major stacks alike."""
+def plant_level(name, entry, level=1.5):
+    """desitter.<name> with 1e-6 added to one fiber entry of the block at
+    ``level``, for scalar levels and fiber-major stacks alike."""
     def patch(monkeypatch):
         real = getattr(desitter, name)
 
         def planted(n, rm, theta):
             blk = real(n, rm, theta).copy()
-            blk[entry] += 1e-6 * (np.asarray(n) == 1.5)
+            blk[entry] += 1e-6 * (np.asarray(n) == level)
             return blk
 
         monkeypatch.setattr(desitter, name, planted)
@@ -667,7 +701,7 @@ def test_batched_sections_match_per_point_loops(seed):
            for th, ph in zip(rng.uniform(-1.5, 1.5, 50), rng.uniform(0, 2 * np.pi, 50))]
     triads = [(geometry.GAMMA0, geometry.GAMMA1, geometry.GAMMA2)] + [
         tuple(map(geometry.slash, geometry.frame_vectors(p))) for p in pts[:20]]
-    levels = np.arange(-7.5, 8.5)
+    levels = BasisDescriptor.spinor(16).level_array
     ladder = [desitter.appendix_t_plus(n, 1.0, 0.3) for n in levels]
     close = {
         "oracle.embedding": max(abs(-e[0] ** 2 + e[1] ** 2 + e[2] ** 2 - 1.0)
@@ -677,7 +711,7 @@ def test_batched_sections_match_per_point_loops(seed):
                                for s in triads for i in range(3) for j in range(3)),
         "crosscheck.norm_law": max(
             float(np.abs(b @ b.conj().T - ((n + 0.5) ** 2 + 1.0) * np.eye(2)).max())
-            for n, b in zip(levels, ladder)),
+            / ((n + 0.5) ** 2 + 1.0) for n, b in zip(levels, ladder)),
     }
     checks = {c.check_id: c.residual
               for c in [*cli._section_oracle(seed), *cli._section_crosscheck(1.0, 0.3, 16)]}
@@ -847,7 +881,7 @@ class TestSweep:
             def planted(params):
                 q = real(params)
                 blocks = np.array(q.t_plus.band(1))
-                blocks[:, :, self.POINT, q.basis.level_index(0.5)] += 1e-6 * np.eye(2)
+                blocks[:, :, self.POINT, level_index(q.basis, 0.5)] += 1e-6 * np.eye(2)
                 return replace(q, t_plus=TruncatedOperator(q.basis, {1: blocks}))
 
             mp.setattr(desitter, "assemble_quadruple", planted)

@@ -1,10 +1,15 @@
-"""Source guard: one fiber-major block layout across the package.
+"""Source guards: one fiber-major block layout across the package, and no
+linear-algebra library on the banded check path.
 
 Every stack of fiber blocks is (d, d, *levels), so no module converts a
 stack between layouts: a transpose or moveaxis that moves a level axis
 belongs only to the dense oracle ``to_dense``/``from_dense``, and the
 level-major broadcast ``[:, None, None]`` appears nowhere.  Modules reach
 the block algebra through the public names of ``operators`` only.
+
+The band core, the checks, the de Sitter assembly and the reconstruction
+use no ``numpy.linalg`` or ``scipy.linalg``: their norms and fits are
+explicit sums.  The dense fallbacks are the exceptions, named below.
 """
 
 import ast
@@ -70,3 +75,78 @@ def test_guard_sees_what_it_forbids():
     oracle = "def to_dense(self):\n    return m.transpose(2, 0, 3, 1)\n"
     assert violations_in("operators", oracle) == []
     assert len(violations_in("desitter", oracle)) == 1
+
+
+# the modules of the verify and extract path
+BANDED = ("operators", "quadruple", "reconstruct", "desitter")
+# (module, function) -> the test of the `if` whose body a use must sit in,
+# or None for anywhere in the function: the dense SVD norm, the SVD block
+# norms of a fiber that is not 2-dimensional, and the dense exponential
+LINALG_ALLOWED = {
+    ("operators", "_dense_norm"): None,
+    ("operators", "band_norms"): "blocks.shape[:2] != (2, 2)",
+    ("quadruple", "check_noncommutativity"): None,
+}
+
+
+def linalg_uses(module, source):
+    """Every reference to numpy.linalg or scipy.linalg in a module, outside
+    the allowed places, as 'module.py:line'."""
+    found = []
+
+    def is_linalg(node):
+        if isinstance(node, ast.Attribute):
+            return (node.attr == "linalg" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy", "scipy"))
+        if isinstance(node, ast.ImportFrom):
+            return (node.module in ("numpy.linalg", "scipy.linalg")
+                    or (node.module in ("numpy", "scipy")
+                        and any(a.name == "linalg" for a in node.names)))
+        if isinstance(node, ast.Import):
+            return any(a.name in ("numpy.linalg", "scipy.linalg") for a in node.names)
+        return False
+
+    def visit(node, func, tests):
+        # tests: the tests of the enclosing `if`s whose body holds the node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func, tests = node.name, ()
+        elif is_linalg(node):
+            allowed = LINALG_ALLOWED.get((module, func), False)
+            if allowed is False or (allowed is not None and allowed not in tests):
+                found.append(f"{module}.py:{node.lineno}")
+        if isinstance(node, ast.If):
+            visit(node.test, func, tests)
+            for stmt in node.body:
+                visit(stmt, func, tests + (ast.unparse(node.test),))
+            for stmt in node.orelse:
+                visit(stmt, func, tests)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, func, tests)
+
+    visit(ast.parse(source), None, ())
+    return found
+
+
+def test_no_linear_algebra_library_on_the_banded_path():
+    found = []
+    for module in BANDED:
+        found += linalg_uses(module, (SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert found == []
+
+
+def test_linalg_guard_sees_what_it_forbids():
+    bad = ("import numpy as np\nfrom scipy.linalg import expm\nimport scipy.linalg\n"
+           "from numpy import linalg\n"
+           "def fit(a, b):\n    return np.linalg.lstsq(a, b)[0], numpy.linalg.norm(b)\n")
+    assert [v.split(":")[1] for v in linalg_uses("quadruple", bad)] == [
+        "2", "3", "4", "6", "6"]
+    # band_norms may call the SVD in its branch for other fibers only
+    norms = ("def band_norms(self, a, k):\n"
+             "    if blocks.shape[:2] != (2, 2):\n"
+             "        return np.linalg.norm(blocks, 2, axis=(0, 1))\n"
+             "    return np.linalg.norm(blocks[0])\n")
+    assert linalg_uses("operators", norms) == ["operators.py:4"]
+    assert linalg_uses("reconstruct", norms) == ["reconstruct.py:3", "reconstruct.py:4"]
+    dense = "def check_noncommutativity(q):\n    from scipy.linalg import expm\n"
+    assert linalg_uses("quadruple", dense) == []

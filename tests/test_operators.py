@@ -19,7 +19,13 @@ from specquad.operators import (
 )
 from specquad.operators import BasisMismatchError
 
-from operator_reference import from_level_diagonal, from_shift, weight_lattice, zero
+from operator_reference import (
+    flat_index,
+    from_level_diagonal,
+    from_shift,
+    weight_lattice,
+    zero,
+)
 
 
 def two_dim_basis():
@@ -36,8 +42,8 @@ class TestBasisDescriptor:
         b = BasisDescriptor.spinor(4)
         assert b.dim == 16 and b.nlevels == 8 and b.nmax == 4
         assert b.levels[0] == -3.5 and b.levels[-1] == 3.5
-        assert b.index(-3.5, 0) == 0
-        assert b.index(3.5, 1) == 15
+        assert flat_index(b, -3.5, 0) == 0
+        assert flat_index(b, 3.5, 1) == 15
 
     def test_integer_lattice(self):
         b = weight_lattice(3, "integer")
@@ -125,7 +131,7 @@ class TestInteriorResidual:
     def test_single_boundary_entry(self):
         b = BasisDescriptor.spinor(4)
         mat = np.zeros((b.dim, b.dim), dtype=complex)
-        mat[b.index(3.5, 0), b.index(3.5, 0)] = 0.7
+        mat[flat_index(b, 3.5, 0), flat_index(b, 3.5, 0)] = 0.7
         a = TruncatedOperator.from_dense(b, mat)
         assert interior_residual(a, 1) == 0.0
         assert interior_residual(a, 0) == pytest.approx(0.7)

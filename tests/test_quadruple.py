@@ -1,7 +1,10 @@
-import numpy as np
-import pytest
+import json
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from specquad import cli, desitter
 from specquad.desitter import DeSitterParams, assemble_quadruple
 from specquad.operators import (
     BasisDescriptor,
@@ -25,7 +28,7 @@ from specquad.quadruple import (
 )
 
 from construction_reference import spatial_dirac
-from operator_reference import band_block, from_level_diagonal, from_shift, zero
+from operator_reference import band_block, from_level_diagonal, from_shift, level_index, zero
 
 
 def with_operator(q, **kwargs):
@@ -280,3 +283,60 @@ class TestDerivedOperators:
             # the parent's operator stays as it was built
             assert getattr(q, name) is built[name]
 
+
+SIGMA_Z = np.diag([1.0, -1.0])
+
+
+def planted_block(name, k, block):
+    """The quadruple with 1e-6 * block added to the band-k block of its
+    operator ``name`` that leaves level 1/2, a mid level of the interior."""
+    def plant(q):
+        x = getattr(q, name)
+        arr = np.array(x.band(k))
+        arr[..., level_index(q.basis, 0.5)] += 1e-6 * np.asarray(block)
+        return replace(q, **{name: TruncatedOperator(q.basis, {**x.bands, k: arr})})
+    return plant
+
+
+def gamma_plus_sigma_z(q):
+    """gamma + 1e-6 sigma_z on band 0 at every level: sigma_z anticommutes
+    with the fiber of gamma, so it lies outside the span of the candidates,
+    which are multiples of gamma."""
+    return replace(q, gamma=q.gamma + 1e-6 * TruncatedOperator.from_fiber(q.basis, SIGMA_Z))
+
+
+# verify_quadruple id -> a planted defect that turns it red.  A T21 of
+# i n 1 commutes with every fiber block, so [T21, X] = i k X for X in band
+# k: a band-1 block in e_perp or gamma breaks their commutation with T21,
+# and a band-0 block in T+- breaks the raise and lower relations, which a
+# band +-1 defect keeps
+VERIFY_DEFECTS = {
+    "algebra.u_unitary": planted_block("u", 1, np.eye(2)),
+    "charge_conjugation.u": planted_block("u", 1, SIGMA_Z),
+    "charge_conjugation.t21": planted_block("t21", 0, np.eye(2)),
+    "charge_conjugation.generator": planted_block("ih", 0, np.eye(2)),
+    "first_order.u_uadj": planted_block("ih", 0, SIGMA_Z),
+    "orientability.membership": gamma_plus_sigma_z,
+    "spatial.eigenspace_algebra": planted_block("e_perp", 0, np.eye(2)),
+    "symmetric.sl2_raise": planted_block("t_plus", 0, np.eye(2)),
+    "symmetric.sl2_lower": planted_block("t_minus", 0, np.eye(2)),
+    "symmetric.t21_e_perp": planted_block("e_perp", 1, np.eye(2)),
+    "symmetric.t21_gamma": planted_block("gamma", 1, np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("check_id", VERIFY_DEFECTS)
+def test_planted_defect_turns_its_check_red(q_standard, check_id):
+    assert verify_quadruple(q_standard)[check_id].passed
+    rep = verify_quadruple(VERIFY_DEFECTS[check_id](q_standard))
+    assert not rep[check_id].passed
+
+
+def test_membership_defect_fails_quadruple_verify(tmp_path, monkeypatch):
+    real = desitter.assemble_quadruple
+    monkeypatch.setattr(desitter, "assemble_quadruple", lambda p: gamma_plus_sigma_z(real(p)))
+    out = tmp_path / "r.json"
+    assert cli.run(["quadruple-verify", "-o", str(out)]) == 1
+    [check] = [c for c in json.loads(out.read_text())["checks"]
+               if c["id"] == "orientability.membership"]
+    assert check["pass"] is False
