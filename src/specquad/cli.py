@@ -360,8 +360,11 @@ def _section_oracle(seed: int) -> AxiomReport:
                 for i in range(3) for j in range(3))
     rep.add("oracle.clifford", cliff)
 
-    btw = max(float(np.abs(g.conj().T @ geometry.B_INTERTWINER
-                           + geometry.B_INTERTWINER @ g).max()) for g in gammas)
+    # the three gammas as one fiber-major (2, 2, 3) stack
+    gamma = np.stack(gammas, axis=-1)
+    b = geometry.B_INTERTWINER[..., None]
+    btw = float(np.abs(block_product(gamma.conj().swapaxes(0, 1), b)
+                       + block_product(b, gamma)).max())
     rep.add("oracle.b_intertwiner", btw)
 
     intrinsic, transported = spinfields.dirac_pair(pts)
@@ -434,7 +437,7 @@ def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[
         rep.extend(_section_sl2(args.rm ** 2, "half_integer"))
         p, q = _assemble(args)
         rep.extend(_section_quadruple(p, q, args.margin))
-        rep.extend(_section_crosscheck(args.rm, args.theta, 16))
+        rep.extend(_section_crosscheck(args.rm, args.theta, args.nmax))
         rep.extend(_section_reconstruct(p, q, args.margin))
         rep.extend(_section_finite_verify(1 + 2j))
         rep.extend(_section_finite_distance(2.0))
@@ -446,8 +449,8 @@ def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[
 
 
 def _parse_complex(text: str) -> complex:
-    """The --m value; a nan or inf part would reach the SVD of the finite
-    triple, so it is rejected here as a usage error."""
+    """The --m value; a nan or inf part is rejected here as a usage error
+    (``build_finite_triple`` would refuse it with a crash exit)."""
     try:
         value = complex(text.replace(" ", ""))
     except ValueError as exc:

@@ -7,17 +7,25 @@ acts on the left factor, the opposite algebra (through the real structure J)
 on the right, and the grading is sign(q_ij) per block.  The 1+0-dimensional
 quadruple extension sets e_perp = i gamma and H(t) = e_perp D(t) for a
 schedule of Dirac parameters.
+
+The checks and the two-point distance call neither LAPACK nor BLAS:
+products are ``operators.block_product`` sums, spectral norms come from a
+batched one-sided Jacobi iteration (``_norms``) and the invertibility of q
+from an exact integer determinant.  Only the multi-point distance search,
+which loads ``scipy.optimize`` anyway, calls ``numpy.linalg`` and ``@``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .operators import block_product
 from .quadruple import AxiomReport
 
 __all__ = [
@@ -36,6 +44,24 @@ __all__ = [
 ]
 
 
+def _integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """The exact determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination on Python ints: every division is exact."""
+    m = [[int(x) for x in row] for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, len(m)) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
 @dataclass(frozen=True)
 class FiniteTripleSpec:
     """Classification data: summand dimensions and the intersection form."""
@@ -52,7 +78,7 @@ class FiniteTripleSpec:
             raise ValueError("intersection form must be k x k")
         if not np.array_equal(qm, qm.T):
             raise ValueError("intersection form must be symmetric")
-        if round(abs(np.linalg.det(qm.astype(float)))) == 0:
+        if _integer_det(self.q) == 0:
             raise ValueError("intersection form must be invertible")
 
     @property
@@ -75,11 +101,11 @@ class RealStructure:
 
     def after(self, a: np.ndarray) -> np.ndarray:
         """Matrix of J o a (antilinear)."""
-        return self.mat @ np.conj(a)
+        return block_product(self.mat, np.conj(a))
 
     def before(self, a: np.ndarray) -> np.ndarray:
         """Matrix of a o J (antilinear)."""
-        return a @ self.mat
+        return block_product(a, self.mat)
 
 
 class FiniteTriple:
@@ -205,11 +231,14 @@ _ADMISSION_TOL = 1e-12
 def build_finite_triple(spec: FiniteTripleSpec, dirac: np.ndarray) -> FiniteTriple:
     """Assemble and admission-check a finite triple.
 
-    Rejects D that are not selfadjoint or do not commute with the real
-    structure (an entry of D - D* or JD - DJ above 1e-12), naming the
-    offending block.
+    Rejects D with a nan or inf entry, and D that are not selfadjoint or do
+    not commute with the real structure (an entry of D - D* or JD - DJ above
+    1e-12), naming the offending block.
     """
     t = FiniteTriple(spec, dirac)
+    finite = np.isfinite(t.dirac)
+    if not finite.all():
+        raise ValueError(f"Dirac operator has a non-finite entry at {_offending_block(t, ~finite)}")
     herm = t.dirac - t.dirac.conj().T
     if np.abs(herm).max() > _ADMISSION_TOL:
         raise ValueError(f"Dirac operator not selfadjoint at {_offending_block(t, herm)}")
@@ -242,30 +271,114 @@ def two_point_triple(m: complex) -> FiniteTriple:
 
 def validate_finite_triple(t: FiniteTriple) -> AxiomReport:
     """Residuals of D = D*, JD = DJ, gamma D = -D gamma, and the first-order
-    condition over an algebra basis."""
+    condition over an algebra basis; a nan in D reads red."""
     d = t.dirac
-    g = np.diag(t.gamma)
     basis = t.algebra_basis()
-    right = [t.pi_op(b) for b in basis]
-    first_order = []
-    for a in basis:
-        pa = t.pi(a)
-        da = d @ pa - pa @ d
-        first_order += [da @ bo - bo @ da for bo in right]
-    norms = _norms([d - d.conj().T,
-                    t.real_structure.after(d) - t.real_structure.before(d),
-                    g @ d + d @ g, *first_order])
+    # [[D, a], b°] for every pair of basis elements, as one (n, n, a, b) stack
+    left = np.stack([t.pi(a) for a in basis], axis=-1)
+    right = np.stack([t.pi_op(b) for b in basis], axis=-1)
+    da = _commutator(d[..., None], left)
+    first_order = _commutator(da[..., None], right[..., None, :])
+    norms = _norms(np.concatenate([
+        np.stack([d - d.conj().T, t.real_structure.after(d) - t.real_structure.before(d),
+                  # gamma is diagonal: (gamma D + D gamma)_ij = (g_i + g_j) D_ij
+                  (t.gamma[:, None] + t.gamma) * d], axis=-1),
+        first_order.reshape(first_order.shape[:2] + (-1,))], axis=-1))
     rep = AxiomReport()
     rep.add("finite.selfadjoint", norms[0])
     rep.add("finite.j_commutes", norms[1])
     rep.add("finite.gamma_anticommutes", norms[2])
-    rep.add("finite.first_order", max(norms[3:]))
+    rep.add("finite.first_order", norms[3:].max())
     return rep
 
 
-def _norms(mats: list[np.ndarray]) -> list[float]:
-    """The spectral norm of each matrix, from one SVD call on their stack."""
-    return np.linalg.svd(np.stack(mats), compute_uv=False).max(axis=-1).tolist()
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ab - ba of two fiber-major stacks (n, n, ...)."""
+    return block_product(a, b) - block_product(b, a)
+
+
+_EPS = np.finfo(float).eps
+# the one-sided Jacobi sweeps _norms runs before it returns the Frobenius
+# bound instead (random complex 3x3 matrices take 4 or 5, the last rotating
+# nothing, and 9x9 take 7 or 8)
+_JACOBI_SWEEPS = 30
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix of a fiber-major stack (n, n, k).
+
+    One-sided (Hestenes) Jacobi on the whole stack at once: a sweep visits,
+    in cyclic order, the column pairs (p, q) with a Gram entry |a_p* a_q| >
+    n eps ||a_p|| ||a_q|| (the rounding of a length-n sum) in some matrix,
+    and rotates a pair in every matrix where its recomputed entry still
+    exceeds that bound.  A matrix is done after a sweep that rotates none
+    of its pairs.  Its columns are then orthogonal, and their norms are the
+    singular values to high relative accuracy (Hestenes, J. SIAM 6, 1958;
+    Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).  Every sum
+    is explicit, so no LAPACK or BLAS routine runs.  Each matrix is first
+    divided by the power of two at or below its largest |entry|, an exact
+    scaling, so entries near 1e+-308 neither overflow nor underflow.  Zero
+    matrices skip the iteration, and so do matrices with a nan entry (nan)
+    or an inf one (inf).  A partial iteration would under-report, so a
+    matrix that still rotates in the last of ``_JACOBI_SWEEPS`` sweeps
+    reports its Frobenius norm, an upper bound.
+    """
+    top = np.abs(stack).max(axis=(0, 1))
+    # a matrix with a nan entry reads nan, one with an inf entry inf
+    out = np.where(np.isfinite(top), 0.0, top)
+    live = np.flatnonzero(np.isfinite(top) & (top != 0))
+    if live.size == 0:
+        return out
+    # the power of two at or below the largest |entry|: dividing by it is
+    # exact, and the entries keep |entry| < 2
+    scale = _power_of_two_below(top[live])
+    a = stack[..., live] / scale
+    n = a.shape[1]
+    # the sums of the rotations, not the Gram sums (taken in another
+    # order), end the iteration: a Gram test of the end can flag a pair
+    # that the rotation then leaves as it is, every sweep
+    rotated = np.ones(live.size, dtype=bool)
+    for _ in range(_JACOBI_SWEEPS):
+        rotated[:] = False
+        gram = (a.conj()[:, :, None] * a[:, None]).sum(axis=0)
+        cols = gram.diagonal().real.T
+        flagged = np.abs(gram) > n * _EPS * np.sqrt(cols[:, None] * cols[None])
+        for p, q in itertools.combinations(range(n), 2):
+            if not flagged[p, q].any():
+                continue
+            ap, aq = a[:, p], a[:, q]
+            alpha = (ap * ap.conj()).real.sum(axis=0)
+            beta = (aq * aq.conj()).real.sum(axis=0)
+            gamma = (ap.conj() * aq).sum(axis=0)
+            g = np.abs(gamma)
+            rotate = g > n * _EPS * np.sqrt(alpha * beta)
+            if not rotate.any():
+                continue
+            rotated |= rotate
+            # the real rotation (c, s) that diagonalizes [[alpha, g], [g,
+            # beta]], taken with the phase of gamma; hypot keeps zeta^2 from
+            # overflowing.  Column q is rescaled by a unit phase afterwards,
+            # which leaves every singular value as it is.  A matrix left as
+            # it is gets t = 0, its g shifted by 1 only to stay a divisor.
+            g = g + ~rotate
+            zeta = (beta - alpha) / (2 * g)
+            t = np.copysign(1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta) * rotate
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            sp = c * t * gamma.conj() / g
+            a[:, p], a[:, q] = c * ap - sp * aq, sp.conj() * ap + c * aq
+        if not rotated.any():
+            break
+    cols = (a * a.conj()).real.sum(axis=0)
+    out[live] = np.sqrt(np.where(rotated, cols.sum(axis=0), cols.max(axis=0))) * scale
+    return out
+
+
+def _power_of_two_below(x: np.ndarray | float) -> np.ndarray:
+    """The power of two at or below each positive finite x, but at least
+    the least normal float (2**-1022), whose reciprocal is finite: numpy's
+    complex division by a real y takes 1 / y.  A zero, inf or nan x
+    gives 1/2."""
+    return np.ldexp(1.0, np.maximum(np.frexp(x)[1] - 1, -1022))
 
 
 class SignTable(NamedTuple):
@@ -285,11 +398,6 @@ def sign_table(n: int) -> SignTable:
     return SignTable(j2, jd, jg)
 
 
-def _distance_norm(t: FiniteTriple, values: np.ndarray) -> float:
-    pa = t.pi([complex(v) for v in values])
-    return float(np.linalg.norm(t.dirac @ pa - pa @ t.dirac, 2))
-
-
 # the least min ||[D, a]||, relative to max(||D||, 1), that connes_distance
 # reads as nonzero
 _ZERO_TOL = 1e-11
@@ -303,6 +411,8 @@ def connes_distance(t: FiniteTriple, i: int, j: int) -> float:
     a_i - a_j = 1 } with the gauge a_j = 0 (adding a constant to a leaves
     [D, a] invariant).  Returns math.inf when the minimum vanishes, below
     1e-11 max(||D||, 1) (the points are infinitely far apart, e.g. m = 0).
+    With no free coordinate (two points) both norms come from ``_norms``;
+    otherwise a multi-start search over the free coordinates minimizes.
     """
     chars = t.characters()
     if i not in chars or j not in chars:
@@ -319,20 +429,23 @@ def connes_distance(t: FiniteTriple, i: int, j: int) -> float:
             vals[idx] = x[slot]
         return vals
 
-    scale = max(float(np.linalg.norm(t.dirac, 2)), 1.0)
-    if not free:
-        mu = _distance_norm(t, assemble(np.zeros(0)))
-    else:
+    if free:
         # imported here, not at module load: no default path needs scipy
         from scipy.optimize import minimize
 
+        # the objective runs thousands of times, so it keeps the SVD norm
+        # and BLAS products, which beat the Jacobi sums here
+        def objective(x: np.ndarray) -> float:
+            pa = t.pi(assemble(x))
+            return float(np.linalg.norm(t.dirac @ pa - pa @ t.dirac, 2))
+
+        dnorm = float(np.linalg.norm(t.dirac, 2))
         # deterministic multi-start simplex descent; the objective is convex
         # (a seminorm on an affine slice), so local descent finds the optimum
         best_x, best_f = None, np.inf
         for start in (np.zeros(len(free)), 0.5 * np.ones(len(free)),
                       -0.5 * np.ones(len(free))):
-            res = minimize(lambda x: _distance_norm(t, assemble(x)), start,
-                           method="Nelder-Mead",
+            res = minimize(objective, start, method="Nelder-Mead",
                            options={"xatol": 1e-12, "fatol": 1e-14,
                                     "maxiter": 4000, "maxfev": 8000})
             if res.fun < best_f:
@@ -343,13 +456,21 @@ def connes_distance(t: FiniteTriple, i: int, j: int) -> float:
             for width in (1.0, 0.1, 0.01, 0.001):
                 for idx in np.ndindex(*(len(grid),) * len(free)):
                     p = best_x + width * grid[list(idx)]
-                    val = _distance_norm(t, assemble(p))
+                    val = objective(p)
                     if val < best_f:
                         best_x, best_f = p, val
-        mu = best_f
-    if mu <= _ZERO_TOL * scale:
+        mu, unit = best_f, 1.0
+    else:
+        pa = t.pi(assemble(np.zeros(0)))
+        # both norms in units of the power of two at or below max |D_ij|,
+        # so that ||D|| cannot overflow for entries near 1e308
+        unit = float(_power_of_two_below(np.abs(t.dirac).max()))
+        dnorm, mu = _norms(np.stack([t.dirac, _commutator(t.dirac, pa)], axis=-1) / unit).tolist()
+    # mu <= _ZERO_TOL max(||D||, 1), with both sides in units of unit
+    if mu <= _ZERO_TOL * dnorm or mu * unit <= _ZERO_TOL:
         return math.inf
-    return 1.0 / mu
+    # 1 / unit is exact, so d = 1 / (mu unit) is rounded once
+    return 1.0 / unit / mu
 
 
 @dataclass(frozen=True)
@@ -366,12 +487,17 @@ class FiniteQuadruple:
     def validate(self) -> AxiomReport:
         """Time-vector and odd-spacetime volume-element conditions at every
         scheduled time: e_perp^2 = -1, e_perp* = -e_perp, [e_perp, gamma] = 0."""
-        defects = []
-        for idx, t in enumerate(self.triples):
-            e = self.e_perp(idx)
-            g = np.diag(t.gamma)
-            defects += [e @ e + np.eye(t.hilbert_dim), e.conj().T + e, e @ g - g @ e]
-        norms = _norms(defects) if defects else []
+        norms = []
+        if self.triples:
+            # e_perp at every time as an (n, n, times) stack, the diagonal
+            # of gamma as (n, times), so [e, gamma]_ij = e_ij (g_j - g_i); the
+            # defects interleave as (n, n, times, 3)
+            e = np.stack([self.e_perp(idx) for idx in range(len(self.triples))], axis=-1)
+            g = np.stack([t.gamma for t in self.triples], axis=-1)
+            defects = np.stack([block_product(e, e) + np.eye(e.shape[0])[..., None],
+                                e.conj().swapaxes(0, 1) + e, e * (g[None] - g[:, None])],
+                               axis=-1)
+            norms = _norms(defects.reshape(e.shape[:2] + (-1,)))
         rep = AxiomReport()
         for idx, tval in enumerate(self.times):
             note = f"t = {tval:g}"

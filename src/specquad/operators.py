@@ -181,8 +181,7 @@ class TruncatedOperator:
     copies each band once into a read-only array, which ``band(k)`` returns
     as it is stored.  Blocks whose target leaves the window are zero and
     bands that are zero at every point are not stored, so on a single-point
-    basis ``shift_degree`` (the k of the single stored band) is exact, never
-    advisory.
+    basis the keys of ``bands`` are exactly its nonzero bands.
     """
 
     basis: BasisDescriptor
@@ -296,12 +295,6 @@ class TruncatedOperator:
             *basis.batch, basis.dim, basis.dim)
 
     # -- band access -------------------------------------------------------
-
-    @property
-    def shift_degree(self) -> int | None:
-        """k when the operator has the single band k; None when it is zero
-        or spreads over several bands."""
-        return next(iter(self.bands)) if len(self.bands) == 1 else None
 
     def band(self, k: int) -> np.ndarray:
         """The blocks of band k, fiber-major (d, d, *batch, nlevels): the

@@ -189,12 +189,15 @@ def minkowski_commutation_residual() -> float:
     cancel and C_k = [A_k, omega_ij] + sum_l M_kl A_l is constant: the
     commutator vanishes on every field iff every C_k does.
     """
-    a = [eta * g for eta, g in zip(_MINK_ETA, (GAMMA0, GAMMA1, GAMMA2))]
+    # A_k as one fiber-major (2, 2, 3) stack, k on the last axis
+    a = np.stack([eta * g for eta, g in zip(_MINK_ETA, (GAMMA0, GAMMA1, GAMMA2))], axis=-1)
     worst = 0.0
     for (i, j), omega in _OMEGA.items():
         m = np.zeros((3, 3))
         m[i, j], m[j, i] = -_MINK_ETA[j], _MINK_ETA[i]
-        for k in range(3):
-            c_k = a[k] @ omega - omega @ a[k] + sum(m[k, l] * a[l] for l in range(3))
-            worst = max(worst, float(np.abs(c_k).max()))
+        omega = omega[..., None]
+        # C_k for every k: the last axis of (a[..., None, :] * m).sum(-1) is k
+        c = (block_product(a, omega) - block_product(omega, a)
+             + (a[:, :, None, :] * m).sum(axis=-1))
+        worst = max(worst, float(np.abs(c).max()))
     return worst

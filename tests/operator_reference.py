@@ -4,7 +4,8 @@ call, and the SL(2, R) generator matrices on a scalar weight ladder.
 The library builds its operators from whole fiber-major band stacks
 (``TruncatedOperator``, ``from_fiber``, ``identity``).  These helpers build
 one from a block per level, give the zero operator and the scalar weight
-lattices, index a level or a basis state and read one block;
+lattices, index a level or a basis state, read one block and the single
+band of an operator;
 ``build_generators`` is the truncated representation whose ladder law and
 series ``sl2`` checks.
 """
@@ -68,6 +69,12 @@ def flat_index(basis: BasisDescriptor, n: float, sigma: int = 0) -> int:
     if not (0 <= sigma < basis.fiber_dim):
         raise KeyError(f"fiber index {sigma} out of range")
     return level_index(basis, n) * basis.fiber_dim + sigma
+
+
+def shift_degree(x: TruncatedOperator) -> int | None:
+    """k when x has the single band k; None when it is zero or spreads over
+    several bands."""
+    return next(iter(x.bands)) if len(x.bands) == 1 else None
 
 
 def band_block(x: TruncatedOperator, n: float, k: int) -> np.ndarray:

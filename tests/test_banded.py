@@ -40,7 +40,7 @@ from specquad.quadruple import (
 from specquad.reconstruct import extract_adm, massless_degeneracy_check
 
 from construction_reference import gauge_transform
-from operator_reference import band_block, level_index, zero
+from operator_reference import band_block, level_index, shift_degree, zero
 
 LINEAR = ("u", "e_perp", "gamma", "t21", "t_plus", "t_minus", "ih")
 POINTS = [(0.0, 0.0, 0.0, 0.0), (1.0, 0.3, 0.0, 0.0), (2.0, 1.0, 0.0, 0.0),
@@ -280,8 +280,8 @@ def test_from_dense_round_trip(rng):
     mat = rng.normal(size=(q.basis.dim,) * 2) + 1j * rng.normal(size=(q.basis.dim,) * 2)
     assert np.array_equal(TruncatedOperator.from_dense(q.basis, mat).to_dense(), mat)
     assert np.array_equal(AntilinearOperator.from_dense(q.basis, mat).to_dense(), mat)
-    assert q.t_plus.shift_degree == 1 and q.t_minus.shift_degree == -1
-    assert TruncatedOperator.from_dense(q.basis, mat).shift_degree is None
+    assert shift_degree(q.t_plus) == 1 and shift_degree(q.t_minus) == -1
+    assert shift_degree(TruncatedOperator.from_dense(q.basis, mat)) is None
 
 
 def planted(q, level):

@@ -4,9 +4,13 @@ A public module-level function or class of ``src/specquad``, and a public
 method of a public class, must be referenced in the package outside its
 own definition (an ``__all__`` entry is a string, not a reference), or be
 traced by name in the span table of ``bench/spans.py`` (a traced
-``Class.method`` counts for the method).  Methods are matched by name, so a
-use of any method of that name counts.  Helpers that only tests use belong
-under ``tests/``.
+``Class.method`` counts for the method).  A reference is a read: an
+attribute ``x.name`` in load context, or for a module-level name a bare
+``name`` in load context that no parameter or assignment of the enclosing
+function rebinds.  A parameter, a loop variable or a local of the same
+spelling is no caller.  Methods are matched by name, so a read of any
+attribute of that name counts.  Helpers that only tests use belong under
+``tests/``.
 """
 
 import ast
@@ -39,25 +43,47 @@ def dead_names(sources, traced):
     'module.Class.method' of every public method of a public class that no
     module references outside the definition of that name, and that is
     not in ``traced``; ``sources`` maps module names to their source."""
-    defined, used = [], set()
+    defined, attrs, names = [], set(), set()
 
-    def scan(node, owners):
+    def scan(node, owners, local):
         for child in ast.iter_child_nodes(node):
-            name = (child.id if isinstance(child, ast.Name)
-                    else child.attr if isinstance(child, ast.Attribute) else None)
-            if name is not None and name not in owners:
-                used.add(name)
-            scan(child, owners | {child.name} if isinstance(child, DEFS) else owners)
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                if child.attr not in owners:
+                    attrs.add(child.attr)
+            elif (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+                  and child.id not in owners and child.id not in local):
+                names.add(child.id)
+            inner = local
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = local | bound_names(child)
+            scan(child, owners | {child.name} if isinstance(child, DEFS) else owners, inner)
 
     for module, source in sources.items():
         tree = ast.parse(source)
         for top in public_defs(tree):
-            defined.append((f"{module}.{top.name}", top.name))
+            defined.append((f"{module}.{top.name}", top.name, False))
             if isinstance(top, ast.ClassDef):
-                defined += [(f"{module}.{top.name}.{m.name}", m.name)
+                defined += [(f"{module}.{top.name}.{m.name}", m.name, True)
                             for m in public_defs(top) if not isinstance(m, ast.ClassDef)]
-        scan(tree, frozenset())
-    return sorted(path for path, name in defined if name not in used and name not in traced)
+        scan(tree, frozenset(), frozenset())
+    return sorted(path for path, name, method in defined
+                  if name not in attrs and (method or name not in names) and name not in traced)
+
+
+def bound_names(func):
+    """The parameters of a function or lambda and the names its own body
+    stores (nested functions and classes excluded)."""
+    args = func.args
+    bound = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+    bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    todo = list(func.body) if isinstance(func.body, list) else [func.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if not isinstance(node, (*DEFS, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return frozenset(bound)
 
 
 def test_every_public_name_has_a_caller():
@@ -84,5 +110,19 @@ def test_guard_sees_what_it_forbids():
     assert dead_names(sources, {"dead", "stale"}) == ["a.Ghost"]
     sources["a"] += "g = Ghost()\n"
     assert dead_names(sources, {"dead", "stale"}) == []
+    # a parameter, a loop variable or a local spelled like a public name is
+    # no caller of it, a bare name is no caller of a method, and neither is
+    # an attribute store
+    shadow = {
+        "a": ("def index(n):\n    return n\n\n"
+              "class Basis:\n    def level(self):\n        return 0\n"),
+        "b": ("from .a import Basis\n\n"
+              "def _walk(index, level):\n    return index + level\n\n"
+              "def _loop(xs):\n    for index in xs:\n        level = index\n    return level\n\n"
+              "def _store(box):\n    box.level = 1\n    return Basis()\n"),
+    }
+    assert dead_names(shadow, set()) == ["a.Basis.level", "a.index"]
+    shadow["b"] += "x = index(1) + Basis().level()\n"
+    assert dead_names(shadow, set()) == []
     # the span table's names are read, methods with their classes
     assert {"massless_degeneracy_check", "TruncatedOperator", "__matmul__"} <= traced_names()

@@ -111,17 +111,17 @@ class TestExitCodes:
         # a T+ defect at the top level of --nmax 4 (3.5) and one beyond it
         # (5.5), and the same at --nmax 64 (63.5, 65.5): the law sees the
         # defect exactly when the truncation holds its level
-        def norm_law(level):
-            with monkeypatch.context() as mp:
-                plant_level("appendix_t_plus", (0, 0), level)(mp)
-                out = tmp_path / "r.json"
-                run(["desitter-crosscheck", "--nmax", str(nmax), "-o", str(out)])
-            [check] = [c for c in json.loads(read(out))["checks"]
-                       if c["id"] == "crosscheck.norm_law"]
-            return check["pass"]
+        argv = ["desitter-crosscheck", "--nmax", str(nmax)]
+        assert norm_law_passes(tmp_path, monkeypatch, argv, nmax - 0.5) is False
+        assert norm_law_passes(tmp_path, monkeypatch, argv, nmax + 1.5) is True
 
-        assert norm_law(nmax - 0.5) is False
-        assert norm_law(nmax + 1.5) is True
+    @pytest.mark.parametrize("nmax", [8, 64])
+    def test_all_reads_the_norm_law_at_its_nmax(self, tmp_path, monkeypatch, nmax):
+        # `all --nmax N` runs its crosscheck at N, not at a fixed 16: the
+        # top-level T+ defect reads red and the one beyond it green
+        argv = ["all", "--nmax", str(nmax)]
+        assert norm_law_passes(tmp_path, monkeypatch, argv, nmax - 0.5) is False
+        assert norm_law_passes(tmp_path, monkeypatch, argv, nmax + 1.5) is True
 
     def test_crash_is_three(self, tmp_path, monkeypatch, capsys):
         # an exception from a section propagates out of run; main prints
@@ -177,6 +177,71 @@ class TestExitCodes:
         checks = {c["id"]: c for c in json.loads(read(out))["checks"]}
         fit = checks["reconstruct.third_order_fit"]
         assert fit["pass"] is False and fit["residual"] > 0.1
+
+
+def unit(i, j, n=3):
+    """The n x n matrix unit E_ij."""
+    e = np.zeros((n, n), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
+def planted_dirac(defect, admission_tol=None):
+    """two_point_dirac(m) + defect(m); with ``admission_tol`` the admission
+    check of build_finite_triple reads that bound."""
+    def patch(monkeypatch):
+        real = finite.two_point_dirac
+        monkeypatch.setattr(finite, "two_point_dirac", lambda m: real(m) + defect(m))
+        if admission_tol is not None:
+            monkeypatch.setattr(finite, "_ADMISSION_TOL", admission_tol)
+    return patch
+
+
+def planted_e_perp(defect):
+    """e_perp = i gamma + defect at every scheduled time."""
+    def patch(monkeypatch):
+        monkeypatch.setattr(finite.FiniteQuadruple, "e_perp",
+                            lambda self, idx: 1j * np.diag(self.triples[idx].gamma) + defect)
+    return patch
+
+
+# (name, defect, argv, red ids in report order): one row per finite id that
+# no other test turns red.  gamma = diag(1, -1, -1) and J swaps the basis
+# vectors 1 and 2 of the two-point triple.
+FINITE_DEFECTS = [
+    # a selfadjoint coupling of the + sector to vector 1 only, admitted
+    # under a looser bound: it anticommutes with gamma and keeps the
+    # first-order pattern, so only JD = DJ breaks
+    ("J-odd coupling", planted_dirac(lambda m: 1e-6 * (unit(0, 1) + unit(1, 0)), 1e-3),
+     ["finite-verify"], ["finite.j_commutes"]),
+    # a hermitian part of e_perp; e_perp^2 = -1 breaks with it
+    ("hermitian e_perp entry", planted_e_perp(1e-6 * unit(0, 0)), ["finite-verify"],
+     ["finite.e_perp_square@0", "finite.e_perp_antihermitian@0",
+      "finite.e_perp_square@1", "finite.e_perp_antihermitian@1"]),
+    # an antihermitian part that anticommutes with gamma: e_perp^2 + 1 is
+    # 1e-14, inside its bound, and e_perp* = -e_perp still holds
+    ("gamma-odd e_perp entry", planted_e_perp(1e-7j * (unit(0, 1) + unit(1, 0))),
+     ["finite-verify"], ["finite.volume_braiding@0", "finite.volume_braiding@1"]),
+    # a 1e-6 coupling left at m = 0: the points are 1e6 apart, not infinitely
+    ("residual coupling at m = 0",
+     planted_dirac(lambda m: finite.two_point_dirac(1e-6) if m == 0 else 0),
+     ["finite-distance", "--m", "0"], ["finite.distance_unbounded"]),
+]
+
+
+@pytest.mark.parametrize("defect,argv,red", [row[1:] for row in FINITE_DEFECTS],
+                         ids=[row[0] for row in FINITE_DEFECTS])
+def test_finite_defect_reads_red(tmp_path, monkeypatch, defect, argv, red):
+    # the residuals are Jacobi norms: the SVD is not called
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    defect(monkeypatch)
+    out = tmp_path / "r.json"
+    assert run([*argv, "-o", str(out)]) == 1
+    assert [c["id"] for c in json.loads(read(out))["checks"] if not c["pass"]] == red
 
 
 class TestOraclePlantedDefects:
@@ -313,6 +378,17 @@ class TestOraclePlantedDefects:
         # every diagonal B intertwines gamma0, and gamma1 needs B_00 = -B_11
         monkeypatch.setattr(geometry, "B_INTERTWINER", np.diag([-1j, 1j * (1 + 1e-6)]))
         assert self.red_ids(tmp_path) == ["oracle.b_intertwiner"]
+
+
+def norm_law_passes(tmp_path, monkeypatch, argv, level):
+    """Whether crosscheck.norm_law passes in the report of ``argv`` with a
+    T+ defect planted at ``level``."""
+    with monkeypatch.context() as mp:
+        plant_level("appendix_t_plus", (0, 0), level)(mp)
+        out = tmp_path / "r.json"
+        run([*argv, "-o", str(out)])
+    [check] = [c for c in json.loads(read(out))["checks"] if c["id"] == "crosscheck.norm_law"]
+    return check["pass"]
 
 
 def plant_level(name, entry, level=1.5):
@@ -514,6 +590,21 @@ class TestReportFormat:
         assert run(["finite-distance", "--m", "2", "-o", str(out)]) == 0
         report = json.loads(read(out))
         assert "d = 0.5" in report["checks"][0]["notes"]
+
+    @pytest.mark.parametrize("m,code,residual,d", [
+        ("1e308", 0, 0.0, "1e-308"), ("1e200", 0, 0.0, "1e-200"), ("3+4j", 0, 0.0, "0.2"),
+        # ||D|| = sqrt(2) |m| is above the largest float here
+        ("1.3e308", 0, 0.0, "7.69230769e-309"), ("1.7976931348623157e308", 0, 0.0, "5.56268465e-309"),
+        # 1e-300 is below the 1e-11 floor of a nonzero distance: unbounded
+        ("1e-300", 1, math.inf, "inf")])
+    def test_finite_distance_at_extreme_masses(self, tmp_path, m, code, residual, d):
+        # the norms are taken in units of a power of two, so entries near
+        # the float limits neither overflow nor underflow
+        out = tmp_path / "r.json"
+        assert run(["finite-distance", "--m", m, "-o", str(out)]) == code
+        [check] = json.loads(read(out))["checks"]
+        assert check["residual"] == residual
+        assert check["notes"].startswith(f"d = {d}, ")
 
     def test_stdout_when_no_output(self, capsys):
         assert run(["desitter-crosscheck", "--nmax", "8"]) == 0

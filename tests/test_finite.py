@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specquad import finite
 from specquad.finite import (
     FiniteTriple,
     FiniteTripleSpec,
@@ -15,6 +16,8 @@ from specquad.finite import (
     two_point_triple,
     validate_finite_triple,
 )
+
+EPS = np.finfo(float).eps
 
 
 def distance_trajectory(quad, i=0, j=1):
@@ -62,6 +65,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FiniteTripleSpec(dims=(1, 1), q=((1, 1), (1, 1)))
 
+    def test_integer_det_is_exact(self, rng):
+        import sympy
+
+        for n in range(1, 7):
+            for _ in range(5):
+                q = rng.integers(-3, 4, size=(n, n))
+                if n > 2:
+                    q[-1] = q[0] - q[1]  # singular in half the cases
+                assert finite._integer_det(q.tolist()) == int(sympy.Matrix(q.tolist()).det())
+                q = rng.integers(-3, 4, size=(n, n))
+                assert finite._integer_det(q.tolist()) == int(sympy.Matrix(q.tolist()).det())
+
+    def test_invertibility_beyond_float_det(self):
+        # q = (a, b)^T (a, b) is singular, but its entries exceed 2^53 and
+        # a float determinant reads -3.6e16; the exact one reads 0
+        a, b = 2 ** 27 + 1, 2 ** 26 + 3
+        q = ((a * a, a * b), (a * b, b * b))
+        assert round(abs(np.linalg.det(np.array(q, dtype=float)))) != 0
+        assert finite._integer_det(q) == 0
+        with pytest.raises(ValueError, match="invertible"):
+            FiniteTripleSpec(dims=(1, 1), q=q)
+        assert finite._integer_det(((a * a, a * b), (a * b, b * b + 1))) == a * a
+
 
 def kron_actions(t, a):
     """pi(a) and pi_op(a) written block by block with np.kron, as the
@@ -92,7 +118,7 @@ class TestAlgebraActions:
 
     @pytest.mark.parametrize("m", [1 + 2j, 0.0, 3 - 0.5j, 1e-300])
     def test_validation_equals_one_norm_per_matrix(self, m):
-        # one SVD call on the stack gives the floats of np.linalg.norm(x, 2)
+        # the Jacobi norms give the floats of np.linalg.norm(x, 2) here
         t = two_point_triple(m)
         d, g = t.dirac, np.diag(t.gamma)
         basis = t.algebra_basis()
@@ -112,6 +138,77 @@ class TestAlgebraActions:
         assert [c.residual for c in quad.validate()] == 2 * [
             float(np.linalg.norm(e @ e + np.eye(3), 2)), float(np.linalg.norm(e.conj().T + e, 2)),
             float(np.linalg.norm(e @ g - g @ e, 2))]
+
+
+def fiber_major(mats):
+    """A list or (k, n, n) array of matrices as one (n, n, k) stack."""
+    return np.stack(list(mats), axis=-1)
+
+
+@pytest.mark.filterwarnings("error")
+class TestJacobiNorms:
+    """``finite._norms`` against the LAPACK SVD, which stays the reference
+    here: agreement within 8 n eps relative, with no float warning (at
+    scale 1e-310 every entry is subnormal)."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e300, 1e-300, 1e-310])
+    def test_matches_svd(self, rng, n, scale):
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        r = max(1, n // 2)
+        mats = np.concatenate([
+            cplx(6, n, n),
+            cplx(3, n, r) @ cplx(3, r, n),          # rank n // 2
+            cplx(2, n, 1) @ cplx(2, 1, n),          # rank 1
+            rng.normal(size=(2, n, n)) + 0j,        # real entries
+            np.zeros((2, n, n))]) * scale
+        want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        got = finite._norms(fiber_major(mats))
+        # a norm below 2**-1022 is subnormal: rounding it to that grid can
+        # add one step of 2**-1074
+        assert np.all(np.abs(got - want) <= 8 * n * EPS * want + 2.0 ** -1074)
+        assert np.all(got[-2:] == 0.0)
+
+    def test_rank_deficient_stack_settles(self):
+        # two rank-4 8 x 8 matrices on which the iteration once ran into
+        # its sweep cap: its end was decided by Gram sums taken in another
+        # order than the sums of the rotations
+        rng = np.random.default_rng(1010)
+        mats = ((rng.normal(size=(2, 8, 4)) + 1j * rng.normal(size=(2, 8, 4)))
+                @ (rng.normal(size=(2, 4, 8)) + 1j * rng.normal(size=(2, 4, 8))))
+        want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        got = finite._norms(fiber_major(mats))
+        assert np.all(np.abs(got - want) <= 8 * 8 * EPS * want)
+
+    def test_nan_reads_nan(self):
+        mats = np.zeros((3, 3, 4), dtype=complex)
+        mats[1, 2, 0] = np.nan
+        mats[0, 0, 1] = 2.0
+        mats[2, 1, 3] = complex(np.inf, 1.0)
+        mats[0, 0, 3] = np.nan
+        got = finite._norms(mats)
+        assert math.isnan(got[0]) and got[1] == 2.0 and got[2] == 0.0 and math.isnan(got[3])
+        mats[0, 0, 3] = 1.0
+        assert finite._norms(mats)[3] == math.inf
+
+    def test_unconverged_sweeps_give_the_frobenius_bound(self, rng, monkeypatch):
+        # a cut-off iteration would under-report; the Frobenius norm bounds
+        # the spectral norm from above
+        mats = rng.normal(size=(4, 9, 9)) + 1j * rng.normal(size=(4, 9, 9))
+        want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        monkeypatch.setattr(finite, "_JACOBI_SWEEPS", 1)
+        got = finite._norms(fiber_major(mats))
+        np.testing.assert_allclose(got, np.sqrt((np.abs(mats) ** 2).sum(axis=(1, 2))),
+                                   rtol=1e-14)
+        assert np.all(got > want)
+        # orthogonal columns take one sweep, which rotates nothing; with
+        # no sweep even they are unchecked
+        diag = fiber_major([np.diag([3.0, -4.0, 1j])])
+        assert finite._norms(diag).tolist() == [4.0]
+        monkeypatch.setattr(finite, "_JACOBI_SWEEPS", 0)
+        assert finite._norms(diag).tolist() == [math.sqrt(26.0)]
 
 
 class TestTwoPointExample:
@@ -163,6 +260,23 @@ class TestTwoPointExample:
         d[0, 1] = 5.0
         with pytest.raises(ValueError, match="selfadjoint"):
             build_finite_triple(two_point_spec(), d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_dirac_rejected(self, bad):
+        # D - D* is nan there, which no > comparison flags
+        d = two_point_dirac(1.0)
+        d[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite entry at block H_"):
+            build_finite_triple(two_point_spec(), d)
+
+    def test_nan_residual_reads_red(self):
+        # a triple assembled without the admission check: its nan reaches
+        # the norms, which report nan instead of raising
+        d = two_point_dirac(1.0)
+        d[1, 0] = d[2, 0] = np.nan
+        rep = validate_finite_triple(FiniteTriple(two_point_spec(), d))
+        assert not rep.passed
+        assert [math.isnan(c.residual) for c in rep] == [True, True, True, True]
 
     def test_j_violating_dirac_rejected(self):
         d = two_point_dirac(1.0)

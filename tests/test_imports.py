@@ -1,11 +1,12 @@
 """Import budget: the default paths load numpy, no scipy submodule and no
-``numpy.ma``.
+``numpy.ma``, and call no ``numpy.linalg`` routine.
 
 scipy is imported only inside the two branches that call it (the dense
 ``expm`` fallback of ``check_noncommutativity`` and the multi-start descent
 of ``connes_distance``), so a CLI process does not pay its 0.6 s import;
 medians come from ``operators.median``, since ``np.median`` imports
-``numpy.ma`` on its first call.
+``numpy.ma`` on its first call.  No default subcommand starts LAPACK: their
+norms, fits and determinants are explicit sums.
 """
 
 import os
@@ -32,13 +33,45 @@ print(" ".join(m for m in {forbidden!r} if m in sys.modules))
 """
 
 
-def test_default_paths_load_no_scipy_submodule(tmp_path):
+def run_fresh(script, tmp_path):
+    """Run ``script`` in a fresh interpreter on this checkout's package,
+    with a report path as its argument."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT.format(forbidden=FORBIDDEN),
-         str(tmp_path / "report.json")],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "report.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_default_paths_load_no_scipy_submodule(tmp_path):
+    proc = run_fresh(SCRIPT.format(forbidden=FORBIDDEN), tmp_path)
     assert proc.stdout.split() == []
+
+
+# the numpy.linalg routines no default subcommand may call
+LINALG = ("svd", "norm", "det", "eig", "eigh", "eigvals", "eigvalsh", "solve",
+          "lstsq", "qr", "pinv", "inv")
+
+NO_LINALG_SCRIPT = """
+import sys
+import numpy.linalg
+
+def forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError("numpy.linalg." + name + " called")
+    return call
+
+for name in {linalg!r}:
+    setattr(numpy.linalg, name, forbidden(name))
+
+import specquad.cli as cli
+
+for argv in (["all"], ["sweep"], ["finite-verify"], ["finite-distance"], ["oracle-check"]):
+    assert cli.run(argv + ["--output", sys.argv[1]]) == 0, argv
+"""
+
+
+def test_default_subcommands_call_no_linalg_routine(tmp_path):
+    run_fresh(NO_LINALG_SCRIPT.format(linalg=LINALG), tmp_path)

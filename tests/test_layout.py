@@ -7,9 +7,13 @@ belongs only to the dense oracle ``to_dense``/``from_dense``, and the
 level-major broadcast ``[:, None, None]`` appears nowhere.  Modules reach
 the block algebra through the public names of ``operators`` only.
 
-The band core, the checks, the de Sitter assembly and the reconstruction
-use no ``numpy.linalg`` or ``scipy.linalg``: their norms and fits are
-explicit sums.  The dense fallbacks are the exceptions, named below.
+The band core, the checks, the de Sitter assembly, the reconstruction and
+the finite triples use no ``numpy.linalg`` or ``scipy.linalg``: their
+norms and fits are explicit sums.  The dense fallbacks and the multi-point
+distance search are the exceptions, named below.  The CLI, the field-side
+checks and the finite triples make no ndarray BLAS product (``@``,
+``dot``, ``matmul``, ``tensordot``, ``inner``, ``vdot`` or ``einsum``)
+outside that search either.
 """
 
 import ast
@@ -77,42 +81,70 @@ def test_guard_sees_what_it_forbids():
     assert len(violations_in("desitter", oracle)) == 1
 
 
-# the modules of the verify and extract path
-BANDED = ("operators", "quadruple", "reconstruct", "desitter")
+# the modules of the verify and extract path, and the finite triples
+BANDED = ("operators", "quadruple", "reconstruct", "desitter", "finite")
+# the branch of connes_distance that searches over free coordinates
+DISTANCE_SEARCH = {("finite", "connes_distance"): "free"}
 # (module, function) -> the test of the `if` whose body a use must sit in,
 # or None for anywhere in the function: the dense SVD norm, the SVD block
-# norms of a fiber that is not 2-dimensional, and the dense exponential
+# norms of a fiber that is not 2-dimensional, the dense exponential and
+# the distance search
 LINALG_ALLOWED = {
     ("operators", "_dense_norm"): None,
     ("operators", "band_norms"): "blocks.shape[:2] != (2, 2)",
     ("quadruple", "check_noncommutativity"): None,
+    **DISTANCE_SEARCH,
 }
+# the modules whose products are block_product sums
+NO_MATMUL = ("cli", "spinfields", "finite")
 
 
-def linalg_uses(module, source):
-    """Every reference to numpy.linalg or scipy.linalg in a module, outside
-    the allowed places, as 'module.py:line'."""
+def is_linalg(node):
+    """A reference to numpy.linalg or scipy.linalg, or an import of one."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "linalg" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy", "scipy"))
+    if isinstance(node, ast.ImportFrom):
+        return (node.module in ("numpy.linalg", "scipy.linalg")
+                or (node.module in ("numpy", "scipy")
+                    and any(a.name == "linalg" for a in node.names)))
+    if isinstance(node, ast.Import):
+        return any(a.name in ("numpy.linalg", "scipy.linalg") for a in node.names)
+    return False
+
+
+# the numpy functions that hand a product to BLAS
+BLAS_PRODUCTS = ("dot", "matmul", "tensordot", "inner", "vdot", "einsum")
+
+
+def is_blas_product(node):
+    """An ``a @ b`` or ``a @= b``, a call of ``np.dot`` and its kin, a
+    ``x.dot(y)``, or an import of one of them from numpy."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        func = node.func
+        return func.attr == "dot" or (
+            func.attr in BLAS_PRODUCTS and isinstance(func.value, ast.Name)
+            and func.value.id in ("np", "numpy"))
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "numpy" and any(a.name in BLAS_PRODUCTS for a in node.names)
+    return False
+
+
+def uses(module, source, forbidden, allowed):
+    """Every node of a module for which ``forbidden`` holds, outside the
+    places ``allowed`` names, as 'module.py:line'.  A function nested in
+    another one sits where its definition sits."""
     found = []
-
-    def is_linalg(node):
-        if isinstance(node, ast.Attribute):
-            return (node.attr == "linalg" and isinstance(node.value, ast.Name)
-                    and node.value.id in ("np", "numpy", "scipy"))
-        if isinstance(node, ast.ImportFrom):
-            return (node.module in ("numpy.linalg", "scipy.linalg")
-                    or (node.module in ("numpy", "scipy")
-                        and any(a.name == "linalg" for a in node.names)))
-        if isinstance(node, ast.Import):
-            return any(a.name in ("numpy.linalg", "scipy.linalg") for a in node.names)
-        return False
 
     def visit(node, func, tests):
         # tests: the tests of the enclosing `if`s whose body holds the node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and func is None:
             func, tests = node.name, ()
-        elif is_linalg(node):
-            allowed = LINALG_ALLOWED.get((module, func), False)
-            if allowed is False or (allowed is not None and allowed not in tests):
+        elif forbidden(node):
+            allow = allowed.get((module, func), False)
+            if allow is False or (allow is not None and allow not in tests):
                 found.append(f"{module}.py:{node.lineno}")
         if isinstance(node, ast.If):
             visit(node.test, func, tests)
@@ -128,10 +160,28 @@ def linalg_uses(module, source):
     return found
 
 
+def linalg_uses(module, source):
+    """Every reference to numpy.linalg or scipy.linalg in a module, outside
+    the allowed places, as 'module.py:line'."""
+    return uses(module, source, is_linalg, LINALG_ALLOWED)
+
+
+def blas_uses(module, source):
+    """Every BLAS product in a module outside the distance search."""
+    return uses(module, source, is_blas_product, DISTANCE_SEARCH)
+
+
 def test_no_linear_algebra_library_on_the_banded_path():
     found = []
     for module in BANDED:
         found += linalg_uses(module, (SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert found == []
+
+
+def test_no_blas_product_in_the_cli_fields_and_finite_triples():
+    found = []
+    for module in NO_MATMUL:
+        found += blas_uses(module, (SRC / f"{module}.py").read_text(encoding="utf-8"))
     assert found == []
 
 
@@ -150,3 +200,27 @@ def test_linalg_guard_sees_what_it_forbids():
     assert linalg_uses("reconstruct", norms) == ["reconstruct.py:3", "reconstruct.py:4"]
     dense = "def check_noncommutativity(q):\n    from scipy.linalg import expm\n"
     assert linalg_uses("quadruple", dense) == []
+    # the distance search may use the SVD and @, in its branch and in a
+    # function defined there; the two-point branch and _norms may not
+    search = ("def connes_distance(t, i, j):\n"
+              "    if free:\n"
+              "        def objective(x):\n"
+              "            return np.linalg.norm(t.dirac @ x - x @ t.dirac, 2)\n"
+              "        dnorm = np.linalg.norm(t.dirac, 2)\n"
+              "    else:\n"
+              "        dnorm = np.linalg.norm(t.dirac @ t.dirac, 2)\n"
+              "def _norms(stack):\n"
+              "    return np.linalg.svd(stack @ stack)\n")
+    assert linalg_uses("finite", search) == ["finite.py:7", "finite.py:9"]
+    assert blas_uses("finite", search) == ["finite.py:7", "finite.py:9"]
+    assert linalg_uses("cli", search) == [
+        "cli.py:4", "cli.py:5", "cli.py:7", "cli.py:9"]
+    assert blas_uses("cli", search) == [
+        "cli.py:4", "cli.py:4", "cli.py:7", "cli.py:9"]
+    products = ("from numpy import einsum, zeros\n"
+                "x = a @ b\ny @= a\nz = a.dot(b)\n"
+                "w = np.dot(a, b) + numpy.matmul(a, b) + np.tensordot(a, b, 1)\n"
+                "v = np.inner(a, b) + np.vdot(a, b) + np.einsum('ij,jk', a, b)\n"
+                "u = np.multiply(a, b).sum() + np.zeros(2) + a.sum(axis=0)\n")
+    assert blas_uses("spinfields", products) == [
+        f"spinfields.py:{line}" for line in (1, 2, 3, 4, 5, 5, 5, 6, 6, 6)]
