@@ -275,7 +275,7 @@ def _section_reconstruct(p: desitter.DeSitterParams, q: SpectralQuadruple,
     rep = AxiomReport()
     rm = p.rm
     if rm == 0.0:
-        terms = reconstruct.commutator_expansion(q.ih, q.u, q.u, min(5, margin), margin)
+        terms = reconstruct.commutator_expansion(q.ih, q.u, min(5, margin), margin)
         residuals = [interior_residual(t, margin) for t in terms]
         mass_scale = reconstruct.fit_third_order(q, terms[3], margin)[0]
     else:
@@ -323,7 +323,10 @@ def _section_finite_distance(m: complex) -> AxiomReport:
         rep.add("finite.distance_unbounded", 0.0 if math.isinf(d) else 1.0,
                 notes="m = 0: distance must be flagged unbounded")
     else:
+        # the table's bound, widened to 8 float spacings of d where it is
+        # below them (|m| < 1.8e-9)
         rep.add("finite.distance", abs(d - 1.0 / abs(m)),
+                max(DEFAULT_TOLERANCES["finite.distance"], 8 * sys.float_info.epsilon / abs(m)),
                 notes=f"d = {d:.9g}, analytic 1/|m| = {1.0 / abs(m):.9g}")
     return rep
 
@@ -427,6 +430,8 @@ def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[
         return {"m": str(m)}, _section_finite_verify(m)
     if sc == "finite-distance":
         m = _parse_complex(args.m)
+        if m and math.isinf(1.0 / abs(m)):
+            raise ConfigError(f"--m {args.m!r}: 1/|m| overflows a double")
         return {"m": str(m)}, _section_finite_distance(m)
     if sc == "oracle-check":
         return {"seed": args.seed}, _section_oracle(args.seed)

@@ -398,8 +398,8 @@ def sign_table(n: int) -> SignTable:
     return SignTable(j2, jd, jg)
 
 
-# the least min ||[D, a]||, relative to max(||D||, 1), that connes_distance
-# reads as nonzero
+# the least min ||[D, a]||, relative to ||D||, that connes_distance reads
+# as nonzero
 _ZERO_TOL = 1e-11
 
 
@@ -409,8 +409,9 @@ def connes_distance(t: FiniteTriple, i: int, j: int) -> float:
 
     Solved through the equivalent convex form 1 / min { ||[D, a]|| :
     a_i - a_j = 1 } with the gauge a_j = 0 (adding a constant to a leaves
-    [D, a] invariant).  Returns math.inf when the minimum vanishes, below
-    1e-11 max(||D||, 1) (the points are infinitely far apart, e.g. m = 0).
+    [D, a] invariant).  Returns math.inf when the minimum vanishes, at or
+    below 1e-11 ||D|| (the points are infinitely far apart, e.g. m = 0,
+    where D = 0).
     With no free coordinate (two points) both norms come from ``_norms``;
     otherwise a multi-start search over the free coordinates minimizes.
     """
@@ -466,8 +467,8 @@ def connes_distance(t: FiniteTriple, i: int, j: int) -> float:
         # so that ||D|| cannot overflow for entries near 1e308
         unit = float(_power_of_two_below(np.abs(t.dirac).max()))
         dnorm, mu = _norms(np.stack([t.dirac, _commutator(t.dirac, pa)], axis=-1) / unit).tolist()
-    # mu <= _ZERO_TOL max(||D||, 1), with both sides in units of unit
-    if mu <= _ZERO_TOL * dnorm or mu * unit <= _ZERO_TOL:
+    # both sides in units of unit, so the test is scale-free
+    if mu <= _ZERO_TOL * dnorm:
         return math.inf
     # 1 / unit is exact, so d = 1 / (mu unit) is rounded once
     return 1.0 / unit / mu

@@ -20,8 +20,10 @@ the batch shape, and a report family gives a list of one ``AxiomReport``
 per point in the C order of the batch (a list of one at a single point).
 ``verify_points`` gives the per-point reports of the whole suite;
 ``verify_quadruple`` is its single-point case.  Whatever is decided from
-the values of a point (a sign, a median, which bands a fit links, whether
-a row is reported) is decided at each point on its own, so every point's
+the values of a point (a sign, a median, whether a row is reported) is
+decided at each point on its own, and the orientability fit, one for the
+whole batch, links the bands stored at any point, which leaves each
+point's floats exact (see ``check_orientability``).  So every point's
 report equals the report of that point checked alone.
 """
 
@@ -39,6 +41,7 @@ from .operators import (
     BasisDescriptor,
     InteriorProjector,
     TruncatedOperator,
+    TruncationError,
     antilinear_conjugate,
     anticommutator,
     block_stack,
@@ -379,19 +382,16 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int,
     are different rows, so a group of candidates that shares no band,
     directly or through other candidates, with gamma has a zero right-hand
     side, fits 0 and adds nothing to the residual.  Only the group linked
-    to the bands of gamma is built and fitted (4 of the 20 candidates for
-    de Sitter, where e_perp u^p [D, u^q] is band p + q and gamma band 0).
-    The links are read from the bands a candidate can have, the sums of
-    its factors' bands: a superset of its stored bands, so the linked group
-    is a union of the exact groups and the fit stays exact.
-
-    Over a batch the points are grouped by the pattern of bands nonzero at
-    them, so a point links the group it would link alone, and the links are
-    read once per pattern.  The candidates linked at some point are built
-    once for the batch, and each group of points is fitted at once by
-    ``_projection_residual``, whose floats at a point do not depend on the
-    other points.  For de Sitter the four linked candidates are multiples of
-    gamma, (2iq / cosh theta) gamma, so their span has rank 1.
+    to the stored bands of gamma is built and fitted (4 of the 20
+    candidates for de Sitter, where e_perp u^p [D, u^q] is band p + q and
+    gamma band 0; the four are (2iq / cosh theta) gamma, of rank 1).  The
+    links are read once for the batch from the bands a candidate can have,
+    the sums of its factors' stored bands.  A band is stored when it is
+    nonzero at some point, so the group holds the one each point links
+    alone, and a candidate not linked at a point has entries there only on
+    rows where b and the candidates linked there are zero: its inner
+    products with them are exact zeros, and each point's residual is that
+    of the point fitted alone.
     """
     d = monomial_degree_bound
     if d < 1:
@@ -406,53 +406,25 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int,
     comms = [q.adm_commutator if deg == 1 and q.even_dim else commutator(dirac, up)
              for deg, up in powers.items() if deg != 0]
     factors = [(up, comm) for up in powers.values() for comm in comms]
-    # one row per point, one column per band of gamma, the prefix and each
-    # factor: whether that band is nonzero at that point
-    npoints = math.prod(q.basis.batch)
-    ops = [gamma, q.e_perp if q.even_dim else q.one, *powers.values(), *comms]
-    nonzero = np.ones((npoints, sum(len(x.bands) for x in ops)), dtype=bool)
-    for col, arr in enumerate(arr for x in ops for arr in x.bands.values()):
-        # a band is stored only when it is nonzero at some point, so a band
-        # with one entry on the point axes is nonzero at each point
-        if math.prod(arr.shape[2:-1]) > 1:
-            nonzero[:, col] = arr.any(axis=(0, 1, -1)).ravel()
-    if not nonzero[:, :len(gamma.bands)].any(axis=1).all():
+    linked, bands = _linked_group(gamma, q.e_perp if q.even_dim else q.one, factors)
+    cols = _entries([proj.project(q.e_perp @ (up @ comm) if q.even_dim else up @ comm)
+                     for up, comm in (factors[i] for i in linked)] + [gamma], bands)
+    if not cols[-1].any(axis=(0, 2)).all():
         raise ValueError("volume element vanishes on the interior")
-    # the points grouped by their row, each row read as one byte string;
-    # the links are read once per group from its first point's row
-    packed = np.packbits(nonzero, axis=1)
-    _, first, which = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-                                return_index=True, return_inverse=True)
-    groups = []
-    for row in nonzero[first].tolist():
-        flags = iter(row)
-        gam, prefix, *rest = [frozenset(k for k in x.bands if next(flags)) for x in ops]
-        groups.append(_linked_group(gam, prefix, tuple(rest[:len(powers)]),
-                                    tuple(rest[len(powers):])))
-    built = sorted(set().union(*(linked for linked, _ in groups)))
-    cands = {}
-    for i in built:
-        up, comm = factors[i]
-        cands[i] = proj.project(q.e_perp @ (up @ comm) if q.even_dim else up @ comm)
-    out = np.ones(npoints)
-    for g, (linked, bands) in enumerate(groups):
-        if linked:
-            # every other entry of the linked bands vanishes in all operands,
-            # so fitting the stored entries is the Frobenius fit
-            at = np.flatnonzero(which == g)
-            out[at] = _projection_residual(*_entries([cands[i] for i in linked] + [gamma],
-                                                     bands, at))
-    return out.reshape(q.basis.batch)
+    # every other entry of the linked bands vanishes in all operands, so
+    # fitting the stored entries is the Frobenius fit
+    return _projection_residual(cols, q.basis.fiber_dim ** 2 * q.basis.nlevels).reshape(
+        q.basis.batch)
 
 
-def _linked_group(gamma: frozenset[int], prefix: frozenset[int], up_bands: tuple,
-                  comm_bands: tuple) -> tuple[list[int], list[int]]:
-    """The indices of the candidates e_perp u^p [D, u^q] (in the order of
-    the (p, q) pairs) linked to the bands of gamma, and the sorted bands
-    they reach, from the bands of each factor nonzero at a point."""
-    reach = [{e + a + b for e in prefix for a in ub for b in cb}
-             for ub in up_bands for cb in comm_bands]
-    bands = set(gamma)
+def _linked_group(gamma: TruncatedOperator, prefix: TruncatedOperator,
+                  factors: list) -> tuple[list[int], list[int]]:
+    """The indices of the candidates prefix u^p [D, u^q], one per factor
+    pair (u^p, [D, u^q]), linked to the stored bands of gamma, and the
+    sorted bands they reach."""
+    reach = [{e + a + b for e in prefix.bands for a in up.bands for b in comm.bands}
+             for up, comm in factors]
+    bands = set(gamma.bands)
     while True:
         linked = [i for i, r in enumerate(reach) if bands & r]
         grown = bands.union(*(reach[i] for i in linked))
@@ -461,27 +433,24 @@ def _linked_group(gamma: frozenset[int], prefix: frozenset[int], up_bands: tuple
         bands = grown
 
 
-def _entries(ops: list[TruncatedOperator], bands: list[int],
-             at: np.ndarray) -> tuple[np.ndarray, int]:
-    """The stored entries of the given bands of each operator at the points
-    ``at`` of the flattened batch, as one fresh (len(ops), rows, len(at),
-    nlevels) stack, a row being one fiber entry of one band; and the number
-    of entries of an operator, d d nlevels per band.  A row zero in every
-    operator at every point adds exact zeros to every sum, so it is left
-    out."""
-    d, nl = ops[0].basis.fiber_dim, ops[0].basis.nlevels
+def _entries(ops: list[TruncatedOperator], bands: list[int]) -> np.ndarray:
+    """The stored entries of the given bands of each operator at every point
+    of the flattened batch, as one fresh (len(ops), rows, points, nlevels)
+    stack, a row being one fiber entry of one band; a band shared by every
+    point broadcasts over the point axis.  A row zero in every operator at
+    every point adds exact zeros to every sum, so it is left out."""
+    basis = ops[0].basis
+    d, nl = basis.fiber_dim, basis.nlevels
     stacks = [[x.band(k).reshape(d * d, -1, nl) for k in bands] for x in ops]
     live = [np.flatnonzero(np.logical_or.reduce([row[j].any(axis=(1, 2)) for row in stacks]))
             for j in range(len(bands))]
-    out = np.empty((len(ops), sum(map(len, live)), len(at), nl), dtype=complex)
+    out = np.empty((len(ops), sum(map(len, live)), math.prod(basis.batch), nl), dtype=complex)
     for row, dest in zip(stacks, out):
         start = 0
         for arr, rows in zip(row, live):
-            # a band shared by every point has one entry on the point axis,
-            # to which every index wraps
-            np.take(arr[rows], at, axis=1, out=dest[start:start + len(rows)], mode="wrap")
+            dest[start:start + len(rows)] = arr[rows]
             start += len(rows)
-    return out, len(bands) * d * d * nl
+    return out
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -496,17 +465,22 @@ def _projection_residual(cols: np.ndarray, size: int) -> np.ndarray:
     """||b - P b|| / ||b|| at each point, b = cols[-1] and P the orthogonal
     projector onto the span of cols[:-1]; ``cols`` is a fresh (ncols + 1,
     rows, points, nlevels) stack, which is overwritten, and ``size`` the
-    number of entries of a column, zero rows included.
+    number of entries of one band.
 
-    Modified Gram-Schmidt with one reorthogonalization, right-looking: each
+    Each column is first divided, at each point, by the power of two at or
+    below its largest real or imaginary part: an exact scaling, under which
+    the residual is unchanged and no square of an entry underflows.  Then
+    modified Gram-Schmidt with one reorthogonalization, right-looking: each
     basis vector, once formed, is removed twice from every later column and
-    from b.  A column whose remainder falls to eps * size times its norm,
-    the rank cutoff of ``numpy.linalg.lstsq``, is dropped at that point: its
-    basis vector is zero there.  Every inner product is an explicit sum,
-    over the rows first and then over the contiguous level axis, so each
-    point's floats are those of that point alone, and no BLAS or LAPACK
-    call is made on these tall, narrow operands.
+    from b.  A column whose remainder falls to eps * size times its norm is
+    dropped at that point: its basis vector is zero there.  Every inner
+    product is an explicit sum, over the rows first and then over the
+    contiguous level axis, so each point's floats are those of that point
+    alone, and no BLAS or LAPACK call is made on these tall, narrow
+    operands.
     """
+    re_im = cols.view(float)
+    re_im /= np.ldexp(1.0, np.frexp(np.abs(re_im).max(axis=(1, 3)))[1] - 1)[:, None, :, None]
     norms = _norm(cols)
     # the norm of each column's remainder, updated after each projection
     left = norms.copy()
@@ -639,7 +613,14 @@ def verify_points(q: SpectralQuadruple, margin: int = 4,
     report per point, in the C order of the batch (a list of one at a single
     point), at the table's bounds; ``AxiomReport.override`` replaces them by
     report id.  ``include_noncommutativity`` is one flag or one per point:
-    the evolution row is reported at the points it marks."""
+    the evolution row is reported at the points it marks.  A truncation too
+    small for the largest margin a check reads raises ``TruncationError``,
+    naming ``margin``, before any check runs."""
+    orient_margin = min(2 * _DEGREE_BOUND, margin + 2)
+    least = max(margin, orient_margin) + 1
+    if q.basis.nmax < least:
+        raise TruncationError(f"margin {margin} needs nmax >= {least}, "
+                              f"not {q.basis.nmax}")
     rep = _PointReports(q)
     rep.extend(check_time_vector(q))
     rep.extend(check_volume_element(q))
@@ -655,7 +636,6 @@ def verify_points(q: SpectralQuadruple, margin: int = 4,
     rep.add("first_order.u_uadj", check_first_order(q, q.u, q.u_adj, fo_margin),
             margin=fo_margin)
 
-    orient_margin = min(2 * _DEGREE_BOUND, margin + 2)
     rep.add("orientability.membership",
             check_orientability(q, _DEGREE_BOUND, orient_margin), margin=orient_margin)
 

@@ -66,18 +66,17 @@ class ADMExtract:
     shape_residual: float
 
 
-def commutator_expansion(ih: TruncatedOperator, f: TruncatedOperator,
-                         g: TruncatedOperator, kmax: int,
+def commutator_expansion(ih: TruncatedOperator, u: TruncatedOperator, kmax: int,
                          margin: int) -> tuple[TruncatedOperator, ...]:
-    """Expansion terms [ad_{iH}^k(f)/k!, g], k = 0..kmax, interior projected
+    """Expansion terms [ad_{iH}^k(u)/k!, u], k = 0..kmax, interior projected
     at the given margin.  Requires kmax <= margin: each order widens the
-    band by the shift degree of f, so smaller margins would let boundary
+    band by the shift degree of u, so smaller margins would let boundary
     contamination leak in.
     """
     if kmax > margin:
         raise ValueError(f"kmax {kmax} exceeds margin {margin}: edge contamination")
     proj = InteriorProjector(ih.basis, margin)
-    return tuple(proj.project(commutator(term, g)) for term in bch_terms(ih, f, kmax))
+    return tuple(proj.project(commutator(term, u)) for term in bch_terms(ih, u, kmax))
 
 
 def _fiber_traces(blocks: np.ndarray) -> np.ndarray:
@@ -116,7 +115,7 @@ def _vanishes(q: SpectralQuadruple, t3: TruncatedOperator, margin: int) -> bool:
 def third_order_coefficient(q: SpectralQuadruple, margin: int = 4) -> tuple[float, float]:
     """(kappa, fit residual) of the third-order term against e_perp u^2;
     both 0 when the term vanishes (the cut of ``fit_third_order``)."""
-    t3 = commutator_expansion(q.ih, q.u, q.u, 3, margin)[3]
+    t3 = commutator_expansion(q.ih, q.u, 3, margin)[3]
     if _vanishes(q, t3, margin):
         return 0.0, 0.0
     return _band_fit(t3, 2, q.e_perp @ q.u_sq, margin)
@@ -146,7 +145,7 @@ def extract_mass_scale(q: SpectralQuadruple, margin: int = 4) -> float:
     above 1e-6 raises ValueError.
     """
     mass_scale, _, resid = fit_third_order(
-        q, commutator_expansion(q.ih, q.u, q.u, 3, margin)[3], margin)
+        q, commutator_expansion(q.ih, q.u, 3, margin)[3], margin)
     if resid > _FIT_TOLERANCE:
         raise ValueError(
             f"third-order term not of the predicted shape (fit residual {resid:.3g})")
@@ -169,7 +168,7 @@ def extract_adm(q: SpectralQuadruple, margin: int = 4) -> ADMExtract:
     lapse_mass = float(np.mean(_fiber_traces(proj.band(q.ih @ q.e_perp, 0)).real))
     shift = median(np.abs(_fiber_traces(proj.band(q.ih_u, 1))))
     _, shape_residual = _band_fit(q.adm_commutator, 1, q.gamma @ q.e_perp @ q.u, margin)
-    terms = commutator_expansion(q.ih, q.u, q.u, 3, margin)
+    terms = commutator_expansion(q.ih, q.u, 3, margin)
     mass_scale, kappa, fit = fit_third_order(q, terms[3], margin)
     return ADMExtract(
         lapse_mass=lapse_mass,
@@ -184,8 +183,8 @@ def extract_adm(q: SpectralQuadruple, margin: int = 4) -> ADMExtract:
 
 def massless_degeneracy_check(q: SpectralQuadruple, kmax: int = 5,
                               margin: int = 6) -> float:
-    """Max interior residual of all expansion orders k <= kmax for f = g = u;
-    for a massless quadruple the commutator vanishes at all times, so every
+    """Max interior residual of all expansion orders k <= kmax; for a
+    massless quadruple the commutator vanishes at all times, so every
     order must vanish."""
     return float(max(interior_residual(t, margin)
-                     for t in commutator_expansion(q.ih, q.u, q.u, kmax, margin)))
+                     for t in commutator_expansion(q.ih, q.u, kmax, margin)))

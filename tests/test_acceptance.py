@@ -136,7 +136,7 @@ def test_acceptance_6_reconstruction():
     kappas = {}
     for rm, theta in GRID:
         q = assemble_quadruple(DeSitterParams(rm=rm, theta=theta, nmax=32))
-        exp = reconstruct.commutator_expansion(q.ih, q.u, q.u, 3, 4)
+        exp = reconstruct.commutator_expansion(q.ih, q.u, 3, 4)
         for k in (0, 1, 2):
             worst_low = max(worst_low, interior_residual(exp[k], 4))
         if rm > 0:

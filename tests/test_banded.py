@@ -510,29 +510,37 @@ def test_orientability_builds_each_power_once(monkeypatch):
     assert sorted(calls) == [-2, -1, 0, 1, 2]
 
 
-def test_orientability_groups_points_by_band_pattern(monkeypatch, rng):
-    # four points, three patterns of nonzero bands: points 0 and 3 are
-    # plain de Sitter, iH vanishes at point 1 (nothing links, residual 1)
-    # and gamma gains a band 2 at point 2; the links are read once per
-    # pattern, and each point's residual is that of the point alone
-    rms, thetas = [1.0, 1.0, 2.0, 0.5], [0.3, 0.0, 1.0, 0.3]
-    q = assemble_quadruple(DeSitterParams(rm=np.array(rms), theta=np.array(thetas), nmax=16))
+MIXED_RMS, MIXED_THETAS = [1.0, 1.0, 2.0, 0.5], [0.3, 0.0, 1.0, 0.3]
+
+
+def mixed_batch(rng):
+    """Four points whose nonzero bands differ: points 0 and 3 are plain de
+    Sitter, iH vanishes at point 1 and gamma gains a band 2 at point 2."""
+    q = assemble_quadruple(DeSitterParams(rm=np.array(MIXED_RMS), theta=np.array(MIXED_THETAS),
+                                          nmax=16))
     nl = q.basis.nlevels
     ih = np.array(np.broadcast_to(q.ih.band(0), (2, 2, 4, nl)))
     ih[:, :, 1] = 0.0
     g2 = np.zeros((2, 2, 4, nl), dtype=complex)
     g2[:, :, 2] = 0.3 * random_blocks(rng, nl)
-    q = dataclasses.replace(q, ih=TruncatedOperator(q.basis, {0: ih}),
-                            gamma=q.gamma + TruncatedOperator(q.basis, {2: g2}))
+    return dataclasses.replace(q, ih=TruncatedOperator(q.basis, {0: ih}),
+                               gamma=q.gamma + TruncatedOperator(q.basis, {2: g2}))
+
+
+def test_orientability_fits_a_mixed_batch_per_point(monkeypatch, rng):
+    # one fit serves the four points, although they link different
+    # candidates (none at point 1, whose residual is 1), and each point's
+    # residual is that of the point alone
+    q = mixed_batch(rng)
     calls = []
     linked_group = quad._linked_group
     monkeypatch.setattr(quad, "_linked_group", lambda *a: calls.append(a) or linked_group(*a))
     got = check_orientability(q, 2, 4)
-    assert len(calls) == 3 and got[1] == 1.0
+    assert len(calls) == 1 and got[1] == 1.0
     monkeypatch.undo()
     for p in range(4):
         single = dataclasses.replace(
-            assemble_quadruple(DeSitterParams(rm=rms[p], theta=thetas[p], nmax=16)),
+            assemble_quadruple(DeSitterParams(rm=MIXED_RMS[p], theta=MIXED_THETAS[p], nmax=16)),
             ih=at_point(q.ih, p), gamma=at_point(q.gamma, p))
         assert got[p].tobytes() == check_orientability(single, 2, 4).tobytes(), p
 
@@ -653,16 +661,9 @@ ONE_PATH = [
 ]
 
 
-@pytest.mark.parametrize("run", [run for _, run in ONE_PATH], ids=[n for n, _ in ONE_PATH])
-def test_single_point_runs_the_batch_path(run):
-    # a single point is the batch shape (): the same return type as a
-    # batch, one report or value per point, and each point's rows or value
-    # bit for bit those of the point assembled alone
-    rms, thetas = [0.0, 1.0, 2.0], [0.3, 0.0, 1.0]
-    got = run(assemble_quadruple(DeSitterParams(rm=np.array(rms), theta=np.array(thetas),
-                                                nmax=16)))
-    alone = [run(assemble_quadruple(DeSitterParams(rm=rm, theta=theta, nmax=16)))
-             for rm, theta in zip(rms, thetas)]
+def assert_each_point(got, alone):
+    """``got``, one check run on a batch, has the type of each single-point
+    run in ``alone`` and, point by point, its rows or value bit for bit."""
 
     def rows(rep):
         return [(e.check_id, e.residual.hex(), e.tolerance, e.margin, e.notes) for e in rep]
@@ -671,8 +672,35 @@ def test_single_point_runs_the_batch_path(run):
         assert type(want) is type(got)
     if isinstance(got, list):
         assert all(isinstance(rep, quad.AxiomReport) for rep in got)
-        assert [len(want) for want in alone] == [1, 1, 1] and len(got) == 3
+        assert [len(want) for want in alone] == [1] * len(alone) and len(got) == len(alone)
         assert [rows(rep) for rep in got] == [rows(want[0]) for want in alone]
     else:
-        assert got.shape == (3,) and [want.shape for want in alone] == [(), (), ()]
-        assert [got[p].tobytes() for p in range(3)] == [want.tobytes() for want in alone]
+        assert got.shape == (len(alone),) and all(want.shape == () for want in alone)
+        assert [got[p].tobytes() for p in range(len(alone))] == [want.tobytes()
+                                                                 for want in alone]
+
+
+@pytest.mark.parametrize("run", [run for _, run in ONE_PATH], ids=[n for n, _ in ONE_PATH])
+def test_single_point_runs_the_batch_path(run):
+    # a single point is the batch shape (): the same return type as a
+    # batch, one report or value per point, and each point's rows or value
+    # bit for bit those of the point assembled alone
+    rms, thetas = [0.0, 1.0, 2.0], [0.3, 0.0, 1.0]
+    got = run(assemble_quadruple(DeSitterParams(rm=np.array(rms), theta=np.array(thetas),
+                                                nmax=16)))
+    assert_each_point(got, [run(assemble_quadruple(DeSitterParams(rm=rm, theta=theta, nmax=16)))
+                            for rm, theta in zip(rms, thetas)])
+
+
+@pytest.mark.parametrize("run", [run for _, run in ONE_PATH], ids=[n for n, _ in ONE_PATH])
+def test_mixed_batch_runs_each_point_alone(run, rng):
+    # the points of a batch differ in their nonzero bands; each point's
+    # rows or value are those of its quadruple with every operator sliced
+    q = mixed_batch(rng)
+
+    def sliced(p):
+        return quad.SpectralQuadruple(dataclasses.replace(q.basis, batch=()),
+                                      cc=AntilinearOperator(at_point(q.cc.linear, p)),
+                                      **{name: at_point(getattr(q, name), p) for name in LINEAR})
+
+    assert_each_point(run(q), [run(sliced(p)) for p in range(4)])

@@ -158,9 +158,14 @@ class TestExitCodes:
     def test_usage_errors_exit_two(self, capsys):
         assert run(["quadruple-verify", "--nmax", "8", "--tol", "nope=1"]) == 2
         assert "unknown tolerance id 'nope'" in capsys.readouterr().err
-        # a truncation too small for the margin
+        # a truncation too small for the margin: the message names the
+        # margin given and the least nmax it needs (the orientability fit
+        # reads margin + 2, up to 4)
         assert run(["quadruple-verify", "--nmax", "5", "--margin", "5"]) == 2
-        assert "margin 5 >= nmax 5" in capsys.readouterr().err
+        assert "margin 5 needs nmax >= 6, not 5" in capsys.readouterr().err
+        for margin in ("3", "2"):
+            assert run(["quadruple-verify", "--nmax", "4", "--margin", margin]) == 2
+            assert f"margin {margin} needs nmax >= 5, not 4" in capsys.readouterr().err
 
     def test_wrong_shape_third_order_is_a_failed_check(self, tmp_path, monkeypatch):
         # iH^3 in place of iH: the third order is not kappa e_perp u^2, which
@@ -595,16 +600,36 @@ class TestReportFormat:
         ("1e308", 0, 0.0, "1e-308"), ("1e200", 0, 0.0, "1e-200"), ("3+4j", 0, 0.0, "0.2"),
         # ||D|| = sqrt(2) |m| is above the largest float here
         ("1.3e308", 0, 0.0, "7.69230769e-309"), ("1.7976931348623157e308", 0, 0.0, "5.56268465e-309"),
-        # 1e-300 is below the 1e-11 floor of a nonzero distance: unbounded
-        ("1e-300", 1, math.inf, "inf")])
+        # a tiny mass is a large finite distance: the zero test is relative
+        # to ||D||, with no absolute floor
+        ("1e-12", 0, 0.0, "1e+12"), ("1e-12+2e-12j", 0, 0.0, "4.47213595e+11"),
+        ("3e-150j", 0, 0.0, "3.33333333e+149"), ("1e-300", 0, 0.0, "1e+300"),
+        ("2e-308", 0, 0.0, "5e+307")])
     def test_finite_distance_at_extreme_masses(self, tmp_path, m, code, residual, d):
         # the norms are taken in units of a power of two, so entries near
         # the float limits neither overflow nor underflow
         out = tmp_path / "r.json"
-        assert run(["finite-distance", "--m", m, "-o", str(out)]) == code
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["finite-distance", "--m", m, "-o", str(out)]) == code
         [check] = json.loads(read(out))["checks"]
         assert check["residual"] == residual
         assert check["notes"].startswith(f"d = {d}, ")
+
+    def test_finite_distance_bound_widens_below_float_spacing(self, tmp_path):
+        # 1e-6 down to |m| = 1.8e-9, then 8 float spacings of d = 1 / |m|
+        for m, bound in (("2", 1e-6), ("1.8e-9", 1e-6), ("1e-12", 8 * 2.0 ** -52 * 1e12)):
+            out = tmp_path / "r.json"
+            run(["finite-distance", "--m", m, "-o", str(out)])
+            [check] = json.loads(read(out))["checks"]
+            assert check["tolerance"] == bound, m
+
+    def test_finite_distance_overflowing_inverse_mass_is_usage_error(self, tmp_path, capsys):
+        # 1 / 1e-310 is above the largest double
+        out = tmp_path / "r.json"
+        assert run(["finite-distance", "--m", "1e-310", "-o", str(out)]) == 2
+        assert "--m" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stdout_when_no_output(self, capsys):
         assert run(["desitter-crosscheck", "--nmax", "8"]) == 0

@@ -155,9 +155,23 @@ class TestOrientability:
         q = with_operator(q_standard, ih=zero(q_standard.basis))
         assert check_orientability(q, 2, 4) == 1.0
 
+    @pytest.mark.parametrize("theta", [372.0, 400.0, 710.0])
+    def test_membership_at_large_theta(self, theta):
+        # the candidates' entries are about 2n / cosh theta, whose squares
+        # underflow unless the fit scales each column first
+        q = assemble_quadruple(DeSitterParams(rm=1.0, theta=theta, nmax=16))
+        assert check_orientability(q, 2, 4) <= 1e-15
+
     def test_empty_span_rejected(self, q_standard):
         with pytest.raises(ValueError):
             check_orientability(q_standard, 0, 0)
+
+    def test_volume_element_vanishing_at_a_point_rejected(self):
+        q = assemble_quadruple(DeSitterParams(rm=1.0, theta=np.array([0.3, 1.0]), nmax=8))
+        g0 = np.array(np.broadcast_to(q.gamma.band(0), (2, 2, 2, q.basis.nlevels)))
+        g0[:, :, 1] = 0.0
+        with pytest.raises(ValueError, match="vanishes"):
+            check_orientability(with_operator(q, gamma=TruncatedOperator(q.basis, {0: g0})), 2, 4)
 
     def test_odd_branch_synthetic(self):
         # synthetic odd quadruple: gamma = 1 is a cycle Sum a u^p [iH, u^q]

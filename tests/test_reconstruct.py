@@ -17,7 +17,7 @@ from construction_reference import gauge_transform
 
 class TestExpansion:
     def test_low_orders_vanish(self, q_standard):
-        exp = commutator_expansion(q_standard.ih, q_standard.u, q_standard.u, 3, 4)
+        exp = commutator_expansion(q_standard.ih, q_standard.u, 3, 4)
         assert interior_residual(exp[0], 4) == 0.0
         assert interior_residual(exp[1], 4) <= 1e-10
         assert interior_residual(exp[2], 4) <= 1e-10
@@ -25,13 +25,12 @@ class TestExpansion:
 
     def test_margin_guard(self, q_standard):
         with pytest.raises(ValueError):
-            commutator_expansion(q_standard.ih, q_standard.u, q_standard.u, 5, 4)
+            commutator_expansion(q_standard.ih, q_standard.u, 5, 4)
 
     def test_order_scaling_under_generator_rescale(self, q_standard):
         # iH -> 2 iH multiplies term k by exactly 2^k
-        exp1 = commutator_expansion(q_standard.ih, q_standard.u, q_standard.u, 3, 4)
-        exp2 = commutator_expansion(2.0 * q_standard.ih, q_standard.u,
-                                    q_standard.u, 3, 4)
+        exp1 = commutator_expansion(q_standard.ih, q_standard.u, 3, 4)
+        exp2 = commutator_expansion(2.0 * q_standard.ih, q_standard.u, 3, 4)
         for k in (1, 2, 3):
             assert op_norm(exp2[k] - (2.0 ** k) * exp1[k]) <= 1e-12 * 2 ** k \
                 * max(op_norm(exp1[k]), 1.0)
@@ -148,7 +147,7 @@ class TestSharedExpansion:
         adm = extract_adm(q, margin=4)
         assert (adm.kappa, adm.third_order_fit) == third_order_coefficient(q, 4)
         for orders in range(4):
-            exp = commutator_expansion(q.ih, q.u, q.u, orders, 4)
+            exp = commutator_expansion(q.ih, q.u, orders, 4)
             assert adm.order_residuals[:orders + 1] == tuple(
                 interior_residual(t, 4) for t in exp)
 
@@ -167,7 +166,7 @@ class TestSharedExpansion:
         original = reconstruct.commutator_expansion
 
         def counted(*args, **kwargs):
-            calls.append(args[3])
+            calls.append(args[2])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(reconstruct, "commutator_expansion", counted)
