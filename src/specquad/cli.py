@@ -421,6 +421,9 @@ def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[
         # the reconstruct section reads the third-order term
         if args.margin < 3:
             raise ConfigError(f"--margin {args.margin}: reconstruct needs a margin of at least 3")
+        if args.nmax < args.margin + 2:  # the term is band 2: three interior levels
+            raise TruncationError(f"margin {args.margin} needs nmax >= {args.margin + 2}, "
+                                  f"not {args.nmax}")
     if sc == "reconstruct":
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax,
                   "margin": args.margin}

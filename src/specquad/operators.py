@@ -11,14 +11,18 @@ block at level index i.  So the block product (``block_product``, an
 explicit sum over the fiber index with no BLAS call per block), the block
 norms and the shifts all run over contiguous level vectors, and
 ``block_stack`` builds a 2x2 stack from its entries.  Only
-``to_dense``/``from_dense``, the dense oracle for tests at small sizes and
-the fallback of several bands at a point, read the level-major,
-fiber-minor flat order.  Truncation simply drops states beyond the cutoff,
-so identities that hold on the infinite ladder are checked on interior
-levels away from the contaminated boundary.  The levels are symmetric about
-0 and unit spaced, so the interior levels |n| <= n_top - margin (n_top
-the top level) are exactly the level indices [margin, nlevels - margin): ``InteriorProjector``
-slices that index run and compares no float levels.
+``to_dense``/``from_dense``, the dense oracle for tests at small sizes,
+read the level-major, fiber-minor flat order.  Truncation simply drops
+states beyond the cutoff, so identities that hold on the infinite ladder
+are checked on interior levels away from the contaminated boundary.  The
+levels are symmetric about 0 and unit spaced, so the interior levels
+|n| <= n_top - margin (n_top the top level) are exactly the level indices
+[margin, nlevels - margin): ``InteriorProjector`` slices that index run and
+compares no float levels.
+
+Norms come from the bands alone: ``interior_residual`` is the bound
+sum_k max_i ||B_{k,i}|| >= ||P A P|| over the kept blocks B_{k,i} of band
+k, the norm where one band is nonzero and zero exactly when P A P is.
 
 A basis carries a batch of parameter points (``BasisDescriptor.batch``):
 one operator holds its value at every point, and one band-algebra call
@@ -28,7 +32,7 @@ code.  A band that differs between points has the batch axes in full,
 axes, (d, d, 1, ..., 1, nlevels), and broadcasts against the others.  The
 constructors give shared operators the size-1 axes, so an unbatched
 (d, d, nlevels) stack never meets a batched one.  ``interior_residual``
-gives one norm per point, an array of the batch shape.
+gives one value per point, an array of the batch shape.
 """
 
 from __future__ import annotations
@@ -67,35 +71,28 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True)
 class BasisDescriptor:
-    """An ordered ladder of levels with a fiber attached to each level.
+    """An ordered ladder of ``nlevels`` levels with a fiber attached to each.
 
-    ``levels`` must be strictly increasing with spacing 1 and symmetric about
-    zero (all half-odd integers for the spinor basis, all integers for the
-    scalar weight lattices of the representation module).
-    ``level_array`` holds the same levels as one read-only float array.
-    ``batch`` is the shape of the parameter points an operator on this
-    basis holds one value for; () is a single point.
+    The levels are unit spaced and symmetric about zero (half-odd integers
+    for an even count, as on the spinor basis, integers for an odd one);
+    ``level_array`` holds them as one read-only float array.  ``batch`` is
+    the shape of the parameter points an operator on this basis holds one
+    value for; () is a single point.
     """
 
-    levels: tuple[float, ...]
+    nlevels: int
     fiber_dim: int = 2
     batch: tuple[int, ...] = ()
     level_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lv = np.asarray(self.levels, dtype=float)
-        if lv.size < 2:
+        if self.nlevels < 2:
             raise ValueError("need at least two levels")
         if self.fiber_dim < 1:
             raise ValueError("fiber_dim must be positive")
         if any(n < 1 for n in self.batch):
             raise ValueError("batch axes must be positive")
-        # absolute tests: InteriorProjector reads levels by index, which
-        # needs the spacing exactly 1, not 1 within a relative 1e-5
-        if not np.all(np.abs(np.diff(lv) - 1.0) <= 1e-12):
-            raise ValueError("levels must be uniformly spaced with spacing 1")
-        if not np.all(np.abs(lv + lv[::-1]) <= 1e-12):
-            raise ValueError("levels must be symmetric about 0")
+        lv = np.arange(self.nlevels) - (self.nlevels - 1) / 2
         lv.setflags(write=False)
         object.__setattr__(self, "level_array", lv)
 
@@ -104,21 +101,15 @@ class BasisDescriptor:
         """Half-integer levels n with |n| <= nmax - 1/2 and a 2-dim fiber."""
         if nmax < 1:
             raise ValueError("nmax must be a positive integer")
-        return cls(levels=tuple(np.arange(-nmax + 0.5, nmax + 0.5).tolist()), fiber_dim=2,
-                   batch=tuple(batch))
-
-    @property
-    def nlevels(self) -> int:
-        return len(self.levels)
+        return cls(2 * nmax, fiber_dim=2, batch=tuple(batch))
 
     @property
     def dim(self) -> int:
-        return self.fiber_dim * len(self.levels)
+        return self.fiber_dim * self.nlevels
 
     @property
     def nmax(self) -> int:
-        """Number of positive levels (equals the spinor-basis cutoff); the
-        levels are symmetric and unit spaced, so that is half of them."""
+        """Number of positive levels, half of them (the spinor-basis cutoff)."""
         return self.nlevels // 2
 
     @property
@@ -162,12 +153,6 @@ def block_stack(b00, b01, b10, b11) -> np.ndarray:
     plus the broadcast shape of the entries otherwise."""
     entries = np.broadcast_arrays(b00, b01, b10, b11)
     return np.array(entries, dtype=complex).reshape((2, 2) + entries[0].shape)
-
-
-def _dense_norm(mat: np.ndarray) -> np.ndarray:
-    """Spectral norms by SVD of a stack (*batch, n, n) of dense matrices,
-    one norm per matrix."""
-    return np.linalg.norm(mat, 2, axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -426,7 +411,8 @@ def median(values: np.ndarray) -> float:
 
 
 def op_norm(a: TruncatedOperator) -> np.ndarray:
-    """Spectral norm (largest singular value) at each point of the batch."""
+    """``interior_residual`` at margin 0: the spectral norm at each point
+    where one band is nonzero, the band bound where several are."""
     return interior_residual(a, 0)
 
 
@@ -537,32 +523,21 @@ class InteriorProjector:
             out[k] = band
         return TruncatedOperator._result(a.basis, out)
 
-    def compress(self, a: TruncatedOperator) -> np.ndarray:
-        """P A P restricted to the kept rows/columns, as the stack
-        (*batch, n, n) of one dense matrix per point."""
-        lo, hi = self._window(0)
-        d = self.basis.fiber_dim
-        return a.to_dense()[..., lo * d:hi * d, lo * d:hi * d]
-
 
 def interior_residual(a: TruncatedOperator, margin: int) -> np.ndarray:
-    """Spectral norm of P A P at each point, an array of the batch shape;
-    asserts "A = 0 away from the cutoff".
+    """The band bound on ||P A P|| at each point, an array of the batch
+    shape; asserts "A = 0 away from the cutoff".
 
-    At a point where one band is nonzero the operator is a direct sum of
-    its blocks, so its norm is the largest block norm; a point where several
-    bands are nonzero falls back to the dense SVD.  Each point is decided
-    by its own bands, so the norms of a batch are those of its points taken
-    one by one.
+    The sum over the stored bands of the largest kept block norm: at a
+    point where one band is nonzero the others add exact zeros, so it is
+    the spectral norm; where several are, an upper bound by the triangle
+    inequality, at most their number times the norm (no band of P A P has
+    a larger norm than P A P) and zero exactly when P A P is.
     """
     proj = InteriorProjector(a.basis, margin)
     out = np.zeros(a.basis.batch)
     for k in a.bands:
-        out = np.maximum(out, proj.band_norms(a, k).max(axis=-1, initial=0.0))
-    if len(a.bands) > 1:
-        several = sum(arr.any(axis=(0, 1, -1)) for arr in a.bands.values()) > 1
-        if several.any():
-            out = np.where(several, _dense_norm(proj.compress(a)), out)
+        out = out + proj.band_norms(a, k).max(axis=-1, initial=0.0)
     # a ufunc gives a numpy scalar, not a 0-d array, at a single point
     return np.asarray(out)
 

@@ -1,11 +1,14 @@
 """Constructors and accessors of the band core that the library does not
-call, and the SL(2, R) generator matrices on a scalar weight ladder.
+call, the dense SVD norm references, and the SL(2, R) generator matrices on
+a scalar weight ladder.
 
 The library builds its operators from whole fiber-major band stacks
 (``TruncatedOperator``, ``from_fiber``, ``identity``).  These helpers build
 one from a block per level, give the zero operator and the scalar weight
 lattices, index a level or a basis state, read one block and the single
-band of an operator;
+band of an operator; ``compress``, ``dense_norm`` and ``band_bound`` read
+the interior of an operator from its dense matrix, the references of
+``interior_residual``;
 ``build_generators`` is the truncated representation whose ladder law and
 series ``sl2`` checks.
 """
@@ -22,13 +25,9 @@ def weight_lattice(nmax: int, lattice: str = "half_integer") -> BasisDescriptor:
     """Scalar (1-dim fiber) ladder on the integer or half-integer lattice."""
     if nmax < 1:
         raise ValueError("nmax must be a positive integer")
-    if lattice == "half_integer":
-        lv = tuple(float(x) for x in np.arange(-nmax + 0.5, nmax + 0.5))
-    elif lattice == "integer":
-        lv = tuple(float(x) for x in np.arange(-float(nmax), nmax + 1.0))
-    else:
+    if lattice not in ("half_integer", "integer"):
         raise ValueError(f"unknown lattice {lattice!r}")
-    return BasisDescriptor(levels=lv, fiber_dim=1)
+    return BasisDescriptor(2 * nmax + (lattice == "integer"), fiber_dim=1)
 
 
 def zero(basis: BasisDescriptor) -> TruncatedOperator:
@@ -46,7 +45,7 @@ def from_shift(basis: BasisDescriptor, k: int,
     d = basis.fiber_dim
     arr = np.zeros((d, d, basis.nlevels), dtype=complex)
     for i in range(max(0, -k), basis.nlevels - max(0, k)):
-        arr[..., i] = np.asarray(block(basis.levels[i]), dtype=complex).reshape(d, d)
+        arr[..., i] = np.asarray(block(basis.level_array[i]), dtype=complex).reshape(d, d)
     return TruncatedOperator(basis, {k: arr})
 
 
@@ -58,8 +57,9 @@ def from_level_diagonal(basis: BasisDescriptor,
 
 def level_index(basis: BasisDescriptor, n: float) -> int:
     """Index of level n on the ladder of the basis."""
-    i = int(round(n - basis.levels[0]))
-    if not (0 <= i < len(basis.levels)) or abs(basis.levels[i] - n) > 1e-9:
+    levels = basis.level_array
+    i = int(round(n - levels[0]))
+    if not (0 <= i < basis.nlevels) or abs(levels[i] - n) > 1e-9:
         raise KeyError(f"level {n} not in basis")
     return i
 
@@ -81,6 +81,30 @@ def band_block(x: TruncatedOperator, n: float, k: int) -> np.ndarray:
     """The fiber block of x mapping level n to level n+k (at every point)."""
     level_index(x.basis, n + k)
     return x.band(k)[..., level_index(x.basis, n)]
+
+
+def compress(x: TruncatedOperator, margin: int) -> np.ndarray:
+    """P A P restricted to the kept rows and columns of the interior at
+    ``margin``, as the stack (*batch, n, n) of one dense matrix per point."""
+    d, lo, hi = x.basis.fiber_dim, margin, x.basis.nlevels - margin
+    return x.to_dense()[..., lo * d:hi * d, lo * d:hi * d]
+
+
+def dense_norm(x: TruncatedOperator, margin: int) -> np.ndarray:
+    """||P A P|| by SVD of the dense matrix, one norm per point."""
+    return np.linalg.norm(compress(x, margin), 2, axis=(-2, -1))
+
+
+def band_bound(x: TruncatedOperator, margin: int) -> float:
+    """The sum over bands k of the largest SVD norm of a kept band-k block
+    of a single-point operator, read from its dense matrix."""
+    d, n = x.basis.fiber_dim, x.basis.nlevels - 2 * margin
+    blocks = compress(x, margin).reshape(n, d, n, d)
+    total = 0.0
+    for k in range(1 - n, n):
+        i = np.arange(max(0, -k), n - max(0, k))
+        total += np.linalg.norm(blocks[i + k, :, i, :], 2, axis=(-2, -1)).max()
+    return total
 
 
 def build_generators(

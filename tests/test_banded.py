@@ -40,7 +40,8 @@ from specquad.quadruple import (
 from specquad.reconstruct import extract_adm, massless_degeneracy_check
 
 from construction_reference import gauge_transform
-from operator_reference import band_block, level_index, shift_degree, zero
+from operator_reference import (band_block, band_bound, compress, dense_norm, level_index,
+                                shift_degree, zero)
 
 LINEAR = ("u", "e_perp", "gamma", "t21", "t_plus", "t_minus", "ih")
 POINTS = [(0.0, 0.0, 0.0, 0.0), (1.0, 0.3, 0.0, 0.0), (2.0, 1.0, 0.0, 0.0),
@@ -105,7 +106,7 @@ def assert_same_bands(got, want):
 def test_random_bands_match_dense(rng, fiber_dim):
     # every band operation at every fiber size, with products whose band
     # leaves the window (7 + 5 and -7 - 4 on 8 levels) and the empty operator
-    basis = BasisDescriptor(tuple(np.arange(-3.5, 4.5)), fiber_dim=fiber_dim)
+    basis = BasisDescriptor(8, fiber_dim=fiber_dim)
     ops = [random_bands(rng, basis, (0,)), random_bands(rng, basis, (-2, 1, 3)),
            random_bands(rng, basis, (7, 5)), random_bands(rng, basis, (-7, -4, 2)),
            zero(basis)]
@@ -149,15 +150,16 @@ def test_random_bands_match_dense(rng, fiber_dim):
     # interior windows on the half-integer lattice and on the integer one,
     # whose level count is odd
     assert_windows_match_levels(ops)
-    lattice = BasisDescriptor(tuple(np.arange(-4.0, 5.0)), fiber_dim=fiber_dim)
+    lattice = BasisDescriptor(9, fiber_dim=fiber_dim)
     assert_windows_match_levels([random_bands(rng, lattice, shifts) for shifts in
                                  ((0,), (-2, 1, 3), (8, 5), (-8, -4, 2))]
                                 + [zero(lattice)])
 
 
 def assert_windows_match_levels(ops):
-    """``project``, ``compress``, ``band`` and ``band_norms`` of every band
-    at every margin, against the kept levels |n| <= max_level - margin."""
+    """``project``, ``band`` and ``band_norms`` of every band, and the
+    reference ``compress``, at every margin, against the kept levels
+    |n| <= max_level - margin."""
     basis = ops[0].basis
     nl, d, levels = basis.nlevels, basis.fiber_dim, basis.level_array
     for x, margin in itertools.product(ops, range(basis.nmax)):
@@ -167,7 +169,7 @@ def assert_windows_match_levels(ops):
         xd = x.to_dense()
         assert np.array_equal(proj.project(x).to_dense(),
                               np.where(np.outer(keep_d, keep_d), xd, 0.0))
-        assert np.array_equal(proj.compress(x), xd[np.ix_(keep_d, keep_d)])
+        assert np.array_equal(compress(x, margin), xd[np.ix_(keep_d, keep_d)])
         blk4 = xd.reshape(nl, d, nl, d)
         for k in range(1 - nl, nl):
             src = [i for i in range(nl) if 0 <= i + k < nl and keep[i] and keep[i + k]]
@@ -192,7 +194,7 @@ def test_band_arrays_are_owned_and_read_only(rng):
     # the constructor copies its input, no algebra result can be written
     # through, and the band accessors give the fiber-major blocks
     for d in (1, 2, 3):
-        basis = BasisDescriptor(tuple(np.arange(-3.5, 4.5)), fiber_dim=d)
+        basis = BasisDescriptor(8, fiber_dim=d)
         arr = rng.normal(size=(d, d, basis.nlevels)) + 0j
         orig = arr.copy()
         x = TruncatedOperator(basis, {1: arr})
@@ -262,17 +264,28 @@ def test_constructor_takes_only_fiber_major_bands():
 
 @pytest.mark.parametrize("nmax,rm,theta,rho,y", CASES)
 def test_interior_residual_matches_dense(nmax, rm, theta, rho, y):
+    # one band: the norm of P A P, pinned to the SVD; several bands: the sum
+    # of the per-band block maxima, between the SVD and nbands times it
     q = quadruple(nmax, rm, theta, rho, y)
-    exprs = [commutator(q.t_plus, q.t_minus) + 2j * q.t21,
-             q.t_plus.adjoint() + q.t_minus,
-             commutator(q.ih, q.u),
-             antilinear_conjugate(q.cc, q.t_plus) + q.t_plus,
-             q.t_plus + q.t_minus,
-             q.u @ q.u @ q.e_perp]
-    for x, margin in itertools.product(exprs, range(nmax)):
-        proj = InteriorProjector(q.basis, margin)
-        want = np.linalg.norm(proj.compress(x), 2)
-        assert abs(interior_residual(x, margin) - want) <= 1e-13 * max(want, 1e-300)
+    single = [commutator(q.t_plus, q.t_minus) + 2j * q.t21,
+              q.t_plus.adjoint() + q.t_minus,
+              commutator(q.ih, q.u),
+              antilinear_conjugate(q.cc, q.t_plus) + q.t_plus,
+              q.u @ q.u @ q.e_perp]
+    several = [q.t_plus + q.t_minus,
+               q.ih + q.u - 0.5j * q.t_minus,
+               commutator(q.t_plus, q.t_minus) + 1e-3 * q.t_plus]
+    cases = [(x, True) for x in single] + [(x, False) for x in several]
+    for (x, one_band), margin in itertools.product(cases, range(nmax)):
+        got, svd = interior_residual(x, margin), dense_norm(x, margin)
+        if one_band:
+            assert len(x.bands) <= 1
+            assert abs(got - svd) <= 1e-13 * max(svd, 1e-300)
+            continue
+        assert len(x.bands) > 1
+        want = band_bound(x, margin)
+        assert abs(got - want) <= 1e-13 * want
+        assert svd * (1 - 1e-13) <= got <= len(x.bands) * svd * (1 + 1e-13)
 
 
 def test_from_dense_round_trip(rng):
@@ -310,7 +323,7 @@ def test_interior_defect_turns_checks_red(q_standard):
 def test_defect_inside_margin_stays_green(q_standard):
     # the block from the second-outermost level to the outermost one: both
     # lie inside the margin of 2, so no interior identity sees it
-    rep = defect_report(planted(q_standard, q_standard.basis.levels[-1] - 1))
+    rep = defect_report(planted(q_standard, q_standard.basis.level_array[-1] - 1))
     for cid in DEFECT_CHECKS:
         assert rep[cid].passed, cid
 
@@ -327,7 +340,6 @@ def test_desitter_checks_stay_banded(monkeypatch):
 
     monkeypatch.setattr(TruncatedOperator, "to_dense", refuse)
     monkeypatch.setattr(AntilinearOperator, "to_dense", refuse)
-    monkeypatch.setattr(operators, "_dense_norm", refuse)
     for name in LINALG:
         monkeypatch.setattr(np.linalg, name, refuse)
     q = assemble_quadruple(DeSitterParams(rm=1.0, theta=0.3, nmax=64))
@@ -341,6 +353,27 @@ def test_desitter_checks_stay_banded(monkeypatch):
                                              theta=np.tile([0.0, 0.3, 1.0], 4), nmax=32))
     reps = verify_points(grid, include_noncommutativity=np.repeat([False, True, True, True], 3))
     assert len(reps) == 12 and all(rep.passed for rep in reps)
+
+
+def test_multi_band_defect_at_nmax_512_stays_banded(monkeypatch):
+    # a band-0 block planted in T- puts two bands into the T+- identities;
+    # their band bounds turn the six ids that read T- red with no dense
+    # matrix and no LAPACK call
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path reached")
+
+    q = assemble_quadruple(DeSitterParams(rm=1.0, theta=0.3, nmax=512))
+    blocks = np.zeros((2, 2, q.basis.nlevels), dtype=complex)
+    blocks[..., level_index(q.basis, 0.5)] = 1e-6 * np.eye(2)
+    q = dataclasses.replace(q, t_minus=q.t_minus + TruncatedOperator(q.basis, {0: blocks}))
+    monkeypatch.setattr(TruncatedOperator, "to_dense", refuse)
+    monkeypatch.setattr(AntilinearOperator, "to_dense", refuse)
+    for name in LINALG:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rep = verify_quadruple(q)
+    assert sorted(c.check_id for c in rep if not c.passed) == [
+        "charge_conjugation.tminus", "charge_conjugation.tplus", "symmetric.sl2_lower",
+        "symmetric.sl2_pair", "symmetric.tminus_adjoint", "symmetric.tplus_adjoint"]
 
 
 def test_verify_at_nmax_256():

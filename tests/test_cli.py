@@ -86,6 +86,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert flag in err and "kmax" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct", "--nmax", "5", "--margin", "4"],
+        ["all", "--nmax", "5"],
+        ["reconstruct", "--rm", "0", "--nmax", "5", "--margin", "4"],
+        ["reconstruct", "--nmax", "4", "--margin", "4"],
+    ])
+    def test_reconstruct_needs_three_interior_levels(self, tmp_path, monkeypatch, capsys, argv):
+        # the expansion terms and the kappa fit are band 2, and nmax =
+        # margin + 1 leaves two interior levels: no block to read, so a
+        # usage error before any quadruple is assembled, not a recovered
+        # rm of 0 (exit 1) or a vacuous pass (exit 0)
+        def refuse(*args):
+            raise AssertionError("a quadruple was assembled")
+
+        monkeypatch.setattr(desitter, "assemble_quadruple", refuse)
+        out = tmp_path / "r.json"
+        assert run([*argv, "-o", str(out)]) == 2
+        nmax = argv[argv.index("--nmax") + 1]
+        assert capsys.readouterr().err == (
+            f"specquad: error: margin 4 needs nmax >= 6, not {nmax}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,flag", [
         (["quadruple-verify", "--nmax", "3"], "--nmax"), (["reconstruct", "--nmax", "2"], "--nmax"),
         (["all", "--nmax", "3"], "--nmax"), (["sweep", "--nmax", "3"], "--nmax"),

@@ -9,8 +9,9 @@ the block algebra through the public names of ``operators`` only.
 
 The band core, the checks, the de Sitter assembly, the reconstruction and
 the finite triples use no ``numpy.linalg`` or ``scipy.linalg``: their
-norms and fits are explicit sums.  The dense fallbacks and the multi-point
-distance search are the exceptions, named below.  The CLI, the field-side
+norms and fits are explicit sums.  The block norms of a fiber that is not
+2-dimensional, the dense exponential and the multi-point distance search
+are the exceptions, named below.  The CLI, the field-side
 checks and the finite triples make no ndarray BLAS product (``@``,
 ``dot``, ``matmul``, ``tensordot``, ``inner``, ``vdot`` or ``einsum``)
 outside that search either.
@@ -86,11 +87,10 @@ BANDED = ("operators", "quadruple", "reconstruct", "desitter", "finite")
 # the branch of connes_distance that searches over free coordinates
 DISTANCE_SEARCH = {("finite", "connes_distance"): "free"}
 # (module, function) -> the test of the `if` whose body a use must sit in,
-# or None for anywhere in the function: the dense SVD norm, the SVD block
-# norms of a fiber that is not 2-dimensional, the dense exponential and
-# the distance search
+# or None for anywhere in the function: the SVD block norms of a fiber that
+# is not 2-dimensional, the dense exponential with its SVD norm, and the
+# distance search
 LINALG_ALLOWED = {
-    ("operators", "_dense_norm"): None,
     ("operators", "band_norms"): "blocks.shape[:2] != (2, 2)",
     ("quadruple", "check_noncommutativity"): None,
     **DISTANCE_SEARCH,

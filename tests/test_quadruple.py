@@ -212,7 +212,7 @@ class TestSpatialTriple:
         # e_perp; the residuals are reported rather than erroring out
         basis = q_standard.basis
         blocks = {n: np.diag([1j, -1j]) if n > 0 else
-                  np.array([[0, 1], [-1, 0]]) for n in basis.levels}
+                  np.array([[0, 1], [-1, 0]]) for n in basis.level_array}
         e_perp = from_level_diagonal(basis, blocks.__getitem__)
         q = with_operator(q_standard, e_perp=e_perp)
         [rep] = check_spatial_triple(q, margin=4)

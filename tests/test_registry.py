@@ -2,6 +2,8 @@
 report id on finished reports, unknown ids rejected."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +133,17 @@ def test_table_and_reported_ids_coincide(tmp_path):
         reported |= {registry_key(c["id"]) for c in checks_of(payload)}
     assert reported - DEFAULT_TOLERANCES.keys() == set()
     assert DEFAULT_TOLERANCES.keys() - reported == set()
+
+
+def test_every_registry_id_is_named_in_a_test():
+    # a full-id search of the test and benchmark sources: an id that none
+    # of them names has no test that turns it red or pins its value
+    root = Path(__file__).resolve().parents[1]
+    text = "\n".join(path.read_text(encoding="utf-8") for folder in ("tests", "bench")
+                     for path in sorted((root / folder).glob("*.py")))
+    unnamed = [key for key in DEFAULT_TOLERANCES
+               if not re.search(rf"(?<!\w){re.escape(key)}(?!\w)", text)]
+    assert unnamed == []
 
 
 class TestSignTable:

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from specquad.operators import commutator, interior_residual, InteriorProjector
+from specquad import cli, sl2
+from specquad.operators import commutator, interior_residual
 from specquad.sl2 import (
     Lattice,
     RepParams,
@@ -11,7 +14,7 @@ from specquad.sl2 import (
     verify_ladder_recursion,
 )
 
-from operator_reference import build_generators, flat_index, weight_lattice
+from operator_reference import build_generators, compress, flat_index, weight_lattice
 
 
 def casimir_candidate(t21, tplus, tminus):
@@ -43,6 +46,19 @@ class TestLadderCoefficients:
 
         worst = max(abs(bad(n) - bad(n - 1.0) - 2.0 * n) for n in ns)
         assert worst == pytest.approx(1e-3, rel=1e-9)
+
+    def test_bump_turns_both_ladder_checks_red(self, tmp_path, monkeypatch):
+        # the same bump in the library's closed form, through the CLI: the
+        # recursion breaks at n = 0.5 and 1.5, the closed form at n = 0.5
+        real = sl2.ladder_coefficient_sq
+        monkeypatch.setattr(sl2, "ladder_coefficient_sq",
+                            lambda n, r2m2: real(n, r2m2) + (1e-3 if n == 0.5 else 0.0))
+        out = tmp_path / "r.json"
+        assert cli.run(["sl2-classify", "--r2m2", "1", "-o", str(out)]) == 1
+        red = {c["id"]: c["residual"] for c in json.loads(out.read_text())["checks"]
+               if not c["pass"]}
+        assert red.keys() == {"sl2.ladder_recursion", "sl2.ladder_closed_form"}
+        assert red["sl2.ladder_closed_form"] == pytest.approx(1e-3, rel=1e-9)
 
 
 class TestClassification:
@@ -138,7 +154,7 @@ class TestGenerators:
             lattice = "integer" if r2m2 < 0 else "half_integer"
             basis, (t21, tp, tm) = self.build(r2m2=r2m2, nmax=8, lattice=lattice)
             cas = casimir_candidate(t21, tp, tm)
-            inner = InteriorProjector(basis, 1).compress(cas)
+            inner = compress(cas, 1)
             eig = np.linalg.eigvals(inner)
             assert np.abs(eig - eig[0]).max() <= 1e-10
 
