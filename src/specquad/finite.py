@@ -9,23 +9,23 @@ quadruple extension sets e_perp = i gamma and H(t) = e_perp D(t) for a
 schedule of Dirac parameters.
 
 The checks and the two-point distance call neither LAPACK nor BLAS:
-products are ``operators.block_product`` sums, spectral norms come from a
-batched one-sided Jacobi iteration (``_norms``) and the invertibility of q
-from an exact integer determinant.  Only the multi-point distance search,
-which loads ``scipy.optimize`` anyway, calls ``numpy.linalg`` and ``@``.
+products are ``operators.block_product`` sums, spectral norms come from
+``operators.block_norms`` (a batched one-sided Jacobi iteration, or the
+closed form on a 2-dimensional Hilbert space) and the invertibility of q
+from an exact integer determinant.  Only the multi-point distance search
+takes SVD norms and BLAS products.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import block_product
+from .operators import block_norms, block_product, power_of_two_below
 from .quadruple import AxiomReport
 
 __all__ = [
@@ -279,7 +279,7 @@ def validate_finite_triple(t: FiniteTriple) -> AxiomReport:
     right = np.stack([t.pi_op(b) for b in basis], axis=-1)
     da = _commutator(d[..., None], left)
     first_order = _commutator(da[..., None], right[..., None, :])
-    norms = _norms(np.concatenate([
+    norms = block_norms(np.concatenate([
         np.stack([d - d.conj().T, t.real_structure.after(d) - t.real_structure.before(d),
                   # gamma is diagonal: (gamma D + D gamma)_ij = (g_i + g_j) D_ij
                   (t.gamma[:, None] + t.gamma) * d], axis=-1),
@@ -295,90 +295,6 @@ def validate_finite_triple(t: FiniteTriple) -> AxiomReport:
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ab - ba of two fiber-major stacks (n, n, ...)."""
     return block_product(a, b) - block_product(b, a)
-
-
-_EPS = np.finfo(float).eps
-# the one-sided Jacobi sweeps _norms runs before it returns the Frobenius
-# bound instead (random complex 3x3 matrices take 4 or 5, the last rotating
-# nothing, and 9x9 take 7 or 8)
-_JACOBI_SWEEPS = 30
-
-
-def _norms(stack: np.ndarray) -> np.ndarray:
-    """The spectral norm of each matrix of a fiber-major stack (n, n, k).
-
-    One-sided (Hestenes) Jacobi on the whole stack at once: a sweep visits,
-    in cyclic order, the column pairs (p, q) with a Gram entry |a_p* a_q| >
-    n eps ||a_p|| ||a_q|| (the rounding of a length-n sum) in some matrix,
-    and rotates a pair in every matrix where its recomputed entry still
-    exceeds that bound.  A matrix is done after a sweep that rotates none
-    of its pairs.  Its columns are then orthogonal, and their norms are the
-    singular values to high relative accuracy (Hestenes, J. SIAM 6, 1958;
-    Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).  Every sum
-    is explicit, so no LAPACK or BLAS routine runs.  Each matrix is first
-    divided by the power of two at or below its largest |entry|, an exact
-    scaling, so entries near 1e+-308 neither overflow nor underflow.  Zero
-    matrices skip the iteration, and so do matrices with a nan entry (nan)
-    or an inf one (inf).  A partial iteration would under-report, so a
-    matrix that still rotates in the last of ``_JACOBI_SWEEPS`` sweeps
-    reports its Frobenius norm, an upper bound.
-    """
-    top = np.abs(stack).max(axis=(0, 1))
-    # a matrix with a nan entry reads nan, one with an inf entry inf
-    out = np.where(np.isfinite(top), 0.0, top)
-    live = np.flatnonzero(np.isfinite(top) & (top != 0))
-    if live.size == 0:
-        return out
-    # the power of two at or below the largest |entry|: dividing by it is
-    # exact, and the entries keep |entry| < 2
-    scale = _power_of_two_below(top[live])
-    a = stack[..., live] / scale
-    n = a.shape[1]
-    # the sums of the rotations, not the Gram sums (taken in another
-    # order), end the iteration: a Gram test of the end can flag a pair
-    # that the rotation then leaves as it is, every sweep
-    rotated = np.ones(live.size, dtype=bool)
-    for _ in range(_JACOBI_SWEEPS):
-        rotated[:] = False
-        gram = (a.conj()[:, :, None] * a[:, None]).sum(axis=0)
-        cols = gram.diagonal().real.T
-        flagged = np.abs(gram) > n * _EPS * np.sqrt(cols[:, None] * cols[None])
-        for p, q in itertools.combinations(range(n), 2):
-            if not flagged[p, q].any():
-                continue
-            ap, aq = a[:, p], a[:, q]
-            alpha = (ap * ap.conj()).real.sum(axis=0)
-            beta = (aq * aq.conj()).real.sum(axis=0)
-            gamma = (ap.conj() * aq).sum(axis=0)
-            g = np.abs(gamma)
-            rotate = g > n * _EPS * np.sqrt(alpha * beta)
-            if not rotate.any():
-                continue
-            rotated |= rotate
-            # the real rotation (c, s) that diagonalizes [[alpha, g], [g,
-            # beta]], taken with the phase of gamma; hypot keeps zeta^2 from
-            # overflowing.  Column q is rescaled by a unit phase afterwards,
-            # which leaves every singular value as it is.  A matrix left as
-            # it is gets t = 0, its g shifted by 1 only to stay a divisor.
-            g = g + ~rotate
-            zeta = (beta - alpha) / (2 * g)
-            t = np.copysign(1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta) * rotate
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            sp = c * t * gamma.conj() / g
-            a[:, p], a[:, q] = c * ap - sp * aq, sp.conj() * ap + c * aq
-        if not rotated.any():
-            break
-    cols = (a * a.conj()).real.sum(axis=0)
-    out[live] = np.sqrt(np.where(rotated, cols.sum(axis=0), cols.max(axis=0))) * scale
-    return out
-
-
-def _power_of_two_below(x: np.ndarray | float) -> np.ndarray:
-    """The power of two at or below each positive finite x, but at least
-    the least normal float (2**-1022), whose reciprocal is finite: numpy's
-    complex division by a real y takes 1 / y.  A zero, inf or nan x
-    gives 1/2."""
-    return np.ldexp(1.0, np.maximum(np.frexp(x)[1] - 1, -1022))
 
 
 class SignTable(NamedTuple):
@@ -412,7 +328,7 @@ def connes_distance(t: FiniteTriple, i: int, j: int) -> float:
     [D, a] invariant).  Returns math.inf when the minimum vanishes, at or
     below 1e-11 ||D|| (the points are infinitely far apart, e.g. m = 0,
     where D = 0).
-    With no free coordinate (two points) both norms come from ``_norms``;
+    With no free coordinate (two points) both norms come from ``block_norms``;
     otherwise a multi-start search over the free coordinates minimizes.
     """
     chars = t.characters()
@@ -465,8 +381,9 @@ def connes_distance(t: FiniteTriple, i: int, j: int) -> float:
         pa = t.pi(assemble(np.zeros(0)))
         # both norms in units of the power of two at or below max |D_ij|,
         # so that ||D|| cannot overflow for entries near 1e308
-        unit = float(_power_of_two_below(np.abs(t.dirac).max()))
-        dnorm, mu = _norms(np.stack([t.dirac, _commutator(t.dirac, pa)], axis=-1) / unit).tolist()
+        unit = float(power_of_two_below(np.abs(t.dirac).max()))
+        stack = np.stack([t.dirac, _commutator(t.dirac, pa)], axis=-1) / unit
+        dnorm, mu = block_norms(stack).tolist()
     # both sides in units of unit, so the test is scale-free
     if mu <= _ZERO_TOL * dnorm:
         return math.inf
@@ -498,7 +415,7 @@ class FiniteQuadruple:
             defects = np.stack([block_product(e, e) + np.eye(e.shape[0])[..., None],
                                 e.conj().swapaxes(0, 1) + e, e * (g[None] - g[:, None])],
                                axis=-1)
-            norms = _norms(defects.reshape(e.shape[:2] + (-1,)))
+            norms = block_norms(defects.reshape(e.shape[:2] + (-1,)))
         rep = AxiomReport()
         for idx, tval in enumerate(self.times):
             note = f"t = {tval:g}"

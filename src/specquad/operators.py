@@ -10,19 +10,21 @@ band or closed-form block formula alike, has the one fiber-major layout
 block at level index i.  So the block product (``block_product``, an
 explicit sum over the fiber index with no BLAS call per block), the block
 norms and the shifts all run over contiguous level vectors, and
-``block_stack`` builds a 2x2 stack from its entries.  Only
-``to_dense``/``from_dense``, the dense oracle for tests at small sizes,
-read the level-major, fiber-minor flat order.  Truncation simply drops
-states beyond the cutoff, so identities that hold on the infinite ladder
-are checked on interior levels away from the contaminated boundary.  The
-levels are symmetric about 0 and unit spaced, so the interior levels
-|n| <= n_top - margin (n_top the top level) are exactly the level indices
-[margin, nlevels - margin): ``InteriorProjector`` slices that index run and
-compares no float levels.
+``block_stack`` builds a 2x2 stack from its entries.  No dense matrix is
+formed: the level-major, fiber-minor dense order is read only by
+``apply`` on a state vector and by the dense oracle of the tests.
+Truncation simply drops states beyond the cutoff, so identities that hold
+on the infinite ladder are checked on interior levels away from the
+contaminated boundary.  The levels are symmetric about 0 and unit spaced,
+so the interior levels |n| <= n_top - margin (n_top the top level) are
+exactly the level indices [margin, nlevels - margin): ``InteriorProjector``
+slices that index run and compares no float levels.
 
 Norms come from the bands alone: ``interior_residual`` is the bound
 sum_k max_i ||B_{k,i}|| >= ||P A P|| over the kept blocks B_{k,i} of band
 k, the norm where one band is nonzero and zero exactly when P A P is.
+``block_norms`` takes the norm of each block, in closed form for 2x2 blocks
+and by a batched one-sided Jacobi iteration for any other size.
 
 A basis carries a batch of parameter points (``BasisDescriptor.batch``):
 one operator holds its value at every point, and one band-algebra call
@@ -37,6 +39,7 @@ gives one value per point, an array of the batch shape.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -57,6 +60,8 @@ __all__ = [
     "antilinear_conjugate",
     "block_product",
     "block_stack",
+    "block_norms",
+    "power_of_two_below",
     "median",
 ]
 
@@ -155,6 +160,109 @@ def block_stack(b00, b01, b10, b11) -> np.ndarray:
     return np.array(entries, dtype=complex).reshape((2, 2) + entries[0].shape)
 
 
+def block_norms(stack: np.ndarray) -> np.ndarray:
+    """The spectral norm of each block of a fiber-major stack (d, d, ...),
+    an array of the trailing shape.
+
+    A 2x2 block B has the squared norm (p + q)/2 + hypot((p - q)/2, |r|),
+    the largest eigenvalue of B*B = [[p, r], [conj(r), q]]: sums of squares
+    and a hypot, so it keeps full relative accuracy when the two singular
+    values nearly coincide; entries beyond about 1e+-154 over- or underflow
+    when squared.  Other sizes take ``_jacobi_norms``, which keeps the
+    whole float range.
+    """
+    if stack.shape[:2] != (2, 2):
+        return _jacobi_norms(stack.reshape(stack.shape[:2] + (-1,))).reshape(stack.shape[2:])
+    sq = stack.real ** 2 + stack.imag ** 2
+    p, q = sq[0, 0] + sq[1, 0], sq[0, 1] + sq[1, 1]
+    r = stack[0, 0].conj() * stack[0, 1] + stack[1, 0].conj() * stack[1, 1]
+    return np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(r)))
+
+
+_EPS = np.finfo(float).eps
+# the one-sided Jacobi sweeps _jacobi_norms runs before it returns the
+# Frobenius bound instead (random complex 3x3 matrices take 4 or 5, the
+# last rotating nothing, and 9x9 take 7 or 8)
+_JACOBI_SWEEPS = 30
+
+
+def _jacobi_norms(stack: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix of a fiber-major stack (n, n, k).
+
+    One-sided (Hestenes) Jacobi on the whole stack at once: a sweep visits,
+    in cyclic order, the column pairs (p, q) with a Gram entry |a_p* a_q| >
+    n eps ||a_p|| ||a_q|| (the rounding of a length-n sum) in some matrix,
+    and rotates a pair in every matrix where its recomputed entry still
+    exceeds that bound.  A matrix is done after a sweep that rotates none
+    of its pairs.  Its columns are then orthogonal, and their norms are the
+    singular values to high relative accuracy (Hestenes, J. SIAM 6, 1958;
+    Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).  Every sum
+    is explicit, so no LAPACK or BLAS routine runs.  Each matrix is first
+    divided by the power of two at or below its largest |entry|, an exact
+    scaling, so entries near 1e+-308 neither overflow nor underflow.  Zero
+    matrices skip the iteration, and so do matrices with a nan entry (nan)
+    or an inf one (inf).  A partial iteration would under-report, so a
+    matrix that still rotates in the last of ``_JACOBI_SWEEPS`` sweeps
+    reports its Frobenius norm, an upper bound.
+    """
+    top = np.abs(stack).max(axis=(0, 1))
+    # a matrix with a nan entry reads nan, one with an inf entry inf
+    out = np.where(np.isfinite(top), 0.0, top)
+    live = np.flatnonzero(np.isfinite(top) & (top != 0))
+    if live.size == 0:
+        return out
+    # the power of two at or below the largest |entry|: dividing by it is
+    # exact, and the entries keep |entry| < 2
+    scale = power_of_two_below(top[live])
+    a = stack[..., live] / scale
+    n = a.shape[1]
+    # the sums of the rotations, not the Gram sums (taken in another
+    # order), end the iteration: a Gram test of the end can flag a pair
+    # that the rotation then leaves as it is, every sweep
+    rotated = np.ones(live.size, dtype=bool)
+    for _ in range(_JACOBI_SWEEPS):
+        rotated[:] = False
+        gram = (a.conj()[:, :, None] * a[:, None]).sum(axis=0)
+        cols = gram.diagonal().real.T
+        flagged = np.abs(gram) > n * _EPS * np.sqrt(cols[:, None] * cols[None])
+        for p, q in itertools.combinations(range(n), 2):
+            if not flagged[p, q].any():
+                continue
+            ap, aq = a[:, p], a[:, q]
+            alpha = (ap * ap.conj()).real.sum(axis=0)
+            beta = (aq * aq.conj()).real.sum(axis=0)
+            gamma = (ap.conj() * aq).sum(axis=0)
+            g = np.abs(gamma)
+            rotate = g > n * _EPS * np.sqrt(alpha * beta)
+            if not rotate.any():
+                continue
+            rotated |= rotate
+            # the real rotation (c, s) that diagonalizes [[alpha, g], [g,
+            # beta]], taken with the phase of gamma; hypot keeps zeta^2 from
+            # overflowing.  Column q is rescaled by a unit phase afterwards,
+            # which leaves every singular value as it is.  A matrix left as
+            # it is gets t = 0, its g shifted by 1 only to stay a divisor.
+            g = g + ~rotate
+            zeta = (beta - alpha) / (2 * g)
+            t = np.copysign(1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta) * rotate
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            sp = c * t * gamma.conj() / g
+            a[:, p], a[:, q] = c * ap - sp * aq, sp.conj() * ap + c * aq
+        if not rotated.any():
+            break
+    cols = (a * a.conj()).real.sum(axis=0)
+    out[live] = np.sqrt(np.where(rotated, cols.sum(axis=0), cols.max(axis=0))) * scale
+    return out
+
+
+def power_of_two_below(x: np.ndarray | float) -> np.ndarray:
+    """The power of two at or below each positive finite x, but at least
+    the least normal float (2**-1022), whose reciprocal is finite: numpy's
+    complex division by a real y takes 1 / y.  A zero, inf or nan x
+    gives 1/2."""
+    return np.ldexp(1.0, np.maximum(np.frexp(x)[1] - 1, -1022))
+
+
 @dataclass(frozen=True)
 class TruncatedOperator:
     """A complex operator on a :class:`BasisDescriptor`, stored as shift bands.
@@ -243,41 +351,6 @@ class TruncatedOperator:
         d = basis.fiber_dim
         return cls(basis, {0: np.broadcast_to(np.asarray(fiber).reshape(d, d, *basis.shared, 1),
                                               (d, d, *basis.shared, basis.nlevels))})
-
-    @classmethod
-    def from_dense(cls, basis: BasisDescriptor, mat: np.ndarray,
-                   shift_degree: int | None = None) -> "TruncatedOperator":
-        """Split a dense level-major matrix into its bands; on a batched
-        basis ``mat`` is the stack (*batch, dim, dim) of one matrix per point.
-
-        With ``shift_degree = k`` the matrix must lie in band k.
-        """
-        nl, d, nb = basis.nlevels, basis.fiber_dim, len(basis.batch)
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (*basis.batch, basis.dim, basis.dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match basis dim {basis.dim}"
-                             f" and batch {basis.batch}")
-        # m4[s, t, *p, j, i] is entry (s, t) of the block from level i to
-        # level j at point p
-        m4 = mat.reshape(*basis.batch, nl, d, nl, d).transpose(
-            nb + 1, nb + 3, *range(nb), nb, nb + 2)
-        i = np.arange(nl)
-        # wrapped-around blocks leave the window and are zeroed on construction
-        op = cls(basis, {k: m4[..., (i + k) % nl, i] for k in range(1 - nl, nl)})
-        if shift_degree is not None and set(op.bands) - {shift_degree}:
-            raise ValueError(f"matrix has entries off the declared shift band k={shift_degree}")
-        return op
-
-    def to_dense(self) -> np.ndarray:
-        """The dense level-major, fiber-minor matrix (a test oracle); on a
-        batched basis the stack (*batch, dim, dim) of one matrix per point."""
-        basis = self.basis
-        nl, d, nb = basis.nlevels, basis.fiber_dim, len(basis.batch)
-        m4, i = np.zeros((d, d, *basis.batch, nl, nl), dtype=complex), np.arange(nl)
-        for k, arr in self.bands.items():
-            m4[..., (i + k) % nl, i] += arr  # wrapped-around blocks are zero
-        return m4.transpose(*range(2, nb + 2), nb + 2, 0, nb + 3, 1).reshape(
-            *basis.batch, basis.dim, basis.dim)
 
     # -- band access -------------------------------------------------------
 
@@ -369,12 +442,6 @@ def _reflect(x: TruncatedOperator) -> TruncatedOperator:
         -k: np.ascontiguousarray(a[..., ::-1]) for k, a in x.bands.items()})
 
 
-def _reflect_rows(basis: BasisDescriptor, mat: np.ndarray) -> np.ndarray:
-    """R mat for a dense matrix or vector."""
-    mat = np.asarray(mat, dtype=complex)
-    return mat.reshape(basis.nlevels, basis.fiber_dim, -1)[::-1].reshape(mat.shape)
-
-
 def _fused(a: TruncatedOperator, b: TruncatedOperator, op) -> TruncatedOperator:
     """op(AB, BA) from both products formed in one pass, as one result.
 
@@ -428,17 +495,9 @@ class AntilinearOperator:
     def basis(self) -> BasisDescriptor:
         return self.linear.basis
 
-    @classmethod
-    def from_dense(cls, basis: BasisDescriptor, mat: np.ndarray) -> "AntilinearOperator":
-        """The map v -> mat @ conj(v)."""
-        return cls(TruncatedOperator.from_dense(basis, _reflect_rows(basis, mat)))
-
-    def to_dense(self) -> np.ndarray:
-        """The matrix M of v -> M conj(v) (a test oracle)."""
-        return _reflect_rows(self.basis, self.linear.to_dense())
-
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return _reflect_rows(self.basis, self.linear.apply(np.conj(np.asarray(v, dtype=complex))))
+        w = self.linear.apply(np.conj(np.asarray(v, dtype=complex)))
+        return w.reshape(self.basis.nlevels, -1)[::-1].reshape(-1)
 
     def compose(self, other: "AntilinearOperator") -> TruncatedOperator:
         """self o other is linear: R B1 conj(R B2) = (R B1 R) conj(B2)."""
@@ -496,22 +555,8 @@ class InteriorProjector:
         return a.bands[k][..., lo:hi]
 
     def band_norms(self, a: TruncatedOperator, k: int) -> np.ndarray:
-        """Spectral norms of the kept blocks of band k, shape (*batch, nkept).
-
-        For a 2-dim fiber the squared norm of a block B is the largest
-        eigenvalue of B*B = [[p, r], [conj(r), q]], (p + q)/2 +
-        hypot((p - q)/2, |r|): sums of squares and a hypot only, so it keeps
-        full relative accuracy when the two singular values nearly coincide,
-        where sqrt(f + sqrt(f^2 - |det B|^2)) cancels.  Entries beyond about
-        1e+-154 over- or underflow when squared.  Other fibers use the SVD.
-        """
-        blocks = self.band(a, k)
-        if blocks.shape[:2] != (2, 2):
-            return np.linalg.norm(blocks, 2, axis=(0, 1))
-        sq = blocks.real ** 2 + blocks.imag ** 2
-        p, q = sq[0, 0] + sq[1, 0], sq[0, 1] + sq[1, 1]
-        r = blocks[0, 0].conj() * blocks[0, 1] + blocks[1, 0].conj() * blocks[1, 1]
-        return np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(r)))
+        """Spectral norms of the kept blocks of band k, shape (*batch, nkept)."""
+        return block_norms(self.band(a, k))
 
     def project(self, a: TruncatedOperator) -> TruncatedOperator:
         """P A P, band by band: each band zeroed outside its kept run."""

@@ -586,21 +586,18 @@ def check_noncommutativity(q: SpectralQuadruple) -> np.ndarray:
     commute with the original one (vanishes identically in the massless
     degenerate case).
 
-    A level-diagonal iH on a 2-dim fiber is exponentiated block by block in
-    closed form: with tau = tr A / 2, the traceless B = A - tau 1 squares to
-    s^2 1, s^2 = -det B, so exp(A) = e^tau (cosh s 1 + (sinh s / s) B).
-    Then the commutator is band 2 and its band bound exact.  Any other
-    generator takes the dense ``expm`` and the commutator's SVD norm: the
-    value must exceed a threshold, which a bound from above cannot show.
+    iH must be level-diagonal on a 2-dim fiber, as in every quadruple the
+    package builds; any other generator raises ``ValueError``.  With tau =
+    tr A / 2, the traceless B = A - tau 1 squares to s^2 1, s^2 = -det B, so
+    exp(A) = e^tau (cosh s 1 + (sinh s / s) B) block by block.  The
+    commutator is then band 2 and its band bound exact, as it must be to
+    show a value above a threshold.
     """
-    if set(q.ih.bands) <= {0} and q.basis.fiber_dim == 2:
-        ut = TruncatedOperator(q.basis, {0: _expm2(q.ih.band(0))})
-        return op_norm(commutator(ut @ q.u @ ut.adjoint(), q.u))
-    # imported here, not at module load: no default path needs scipy
-    from scipy.linalg import expm
-    ut = TruncatedOperator.from_dense(q.basis, expm(q.ih.to_dense()))
-    comm = commutator(ut @ q.u @ ut.adjoint(), q.u)
-    return np.linalg.norm(comm.to_dense(), 2, axis=(-2, -1))
+    if set(q.ih.bands) - {0} or q.basis.fiber_dim != 2:
+        raise ValueError(f"check_noncommutativity needs a level-diagonal iH on a 2-dim fiber, "
+                         f"not bands {sorted(q.ih.bands)} on a {q.basis.fiber_dim}-dim fiber")
+    ut = TruncatedOperator(q.basis, {0: _expm2(q.ih.band(0))})
+    return op_norm(commutator(ut @ q.u @ ut.adjoint(), q.u))
 
 
 # degree bound of the orientability candidates verify_quadruple fits, and

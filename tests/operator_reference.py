@@ -1,24 +1,76 @@
 """Constructors and accessors of the band core that the library does not
-call, the dense SVD norm references, and the SL(2, R) generator matrices on
-a scalar weight ladder.
+call, the dense oracle and its SVD norm references, and the SL(2, R)
+generator matrices on a scalar weight ladder.
 
 The library builds its operators from whole fiber-major band stacks
-(``TruncatedOperator``, ``from_fiber``, ``identity``).  These helpers build
-one from a block per level, give the zero operator and the scalar weight
-lattices, index a level or a basis state, read one block and the single
-band of an operator; ``compress``, ``dense_norm`` and ``band_bound`` read
-the interior of an operator from its dense matrix, the references of
-``interior_residual``;
-``build_generators`` is the truncated representation whose ladder law and
-series ``sl2`` checks.
+(``TruncatedOperator``, ``from_fiber``, ``identity``) and forms no dense
+matrix.  ``from_dense``, ``antilinear_from_dense`` and ``to_dense`` convert
+between an operator and its dense level-major, fiber-minor matrix, the
+oracle of the band algebra at small sizes.  The other helpers build an
+operator from a block per level, give the zero operator and the scalar
+weight lattices, index a level or a basis state, read one block and the
+single band of an operator; ``compress``, ``dense_norm`` and ``band_bound``
+read the interior of an operator from its dense matrix, the references of
+``interior_residual``; ``build_generators`` is the truncated representation
+whose ladder law and series ``sl2`` checks.
 """
 
 from typing import Callable
 
 import numpy as np
 
-from specquad.operators import BasisDescriptor, TruncatedOperator
+from specquad.operators import AntilinearOperator, BasisDescriptor, TruncatedOperator
 from specquad.sl2 import RepParams, SeriesKind, classify, ladder_coefficient_sq
+
+
+def from_dense(basis: BasisDescriptor, mat: np.ndarray,
+               shift_degree: int | None = None) -> TruncatedOperator:
+    """Split a dense level-major matrix into its bands; on a batched basis
+    ``mat`` is the stack (*batch, dim, dim) of one matrix per point.
+
+    With ``shift_degree = k`` the matrix must lie in band k.
+    """
+    nl, d, nb = basis.nlevels, basis.fiber_dim, len(basis.batch)
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (*basis.batch, basis.dim, basis.dim):
+        raise ValueError(f"matrix shape {mat.shape} does not match basis dim {basis.dim}"
+                         f" and batch {basis.batch}")
+    # m4[s, t, *p, j, i] is entry (s, t) of the block from level i to
+    # level j at point p
+    m4 = mat.reshape(*basis.batch, nl, d, nl, d).transpose(
+        nb + 1, nb + 3, *range(nb), nb, nb + 2)
+    i = np.arange(nl)
+    # wrapped-around blocks leave the window and are zeroed on construction
+    op = TruncatedOperator(basis, {k: m4[..., (i + k) % nl, i] for k in range(1 - nl, nl)})
+    if shift_degree is not None and set(op.bands) - {shift_degree}:
+        raise ValueError(f"matrix has entries off the declared shift band k={shift_degree}")
+    return op
+
+
+def _reflect_rows(basis: BasisDescriptor, mat: np.ndarray) -> np.ndarray:
+    """R mat, R the level reflection n -> -n, for a dense matrix."""
+    mat = np.asarray(mat, dtype=complex)
+    return mat.reshape(basis.nlevels, basis.fiber_dim, -1)[::-1].reshape(mat.shape)
+
+
+def antilinear_from_dense(basis: BasisDescriptor, mat: np.ndarray) -> AntilinearOperator:
+    """The map v -> mat @ conj(v)."""
+    return AntilinearOperator(from_dense(basis, _reflect_rows(basis, mat)))
+
+
+def to_dense(x: TruncatedOperator | AntilinearOperator) -> np.ndarray:
+    """The dense level-major, fiber-minor matrix of a linear operator, on a
+    batched basis the stack (*batch, dim, dim) of one matrix per point; the
+    matrix M of v -> M conj(v) of a single-point antilinear one."""
+    if isinstance(x, AntilinearOperator):
+        return _reflect_rows(x.basis, to_dense(x.linear))
+    basis = x.basis
+    nl, d, nb = basis.nlevels, basis.fiber_dim, len(basis.batch)
+    m4, i = np.zeros((d, d, *basis.batch, nl, nl), dtype=complex), np.arange(nl)
+    for k, arr in x.bands.items():
+        m4[..., (i + k) % nl, i] += arr  # wrapped-around blocks are zero
+    return m4.transpose(*range(2, nb + 2), nb + 2, 0, nb + 3, 1).reshape(
+        *basis.batch, basis.dim, basis.dim)
 
 
 def weight_lattice(nmax: int, lattice: str = "half_integer") -> BasisDescriptor:
@@ -87,7 +139,7 @@ def compress(x: TruncatedOperator, margin: int) -> np.ndarray:
     """P A P restricted to the kept rows and columns of the interior at
     ``margin``, as the stack (*batch, n, n) of one dense matrix per point."""
     d, lo, hi = x.basis.fiber_dim, margin, x.basis.nlevels - margin
-    return x.to_dense()[..., lo * d:hi * d, lo * d:hi * d]
+    return to_dense(x)[..., lo * d:hi * d, lo * d:hi * d]
 
 
 def dense_norm(x: TruncatedOperator, margin: int) -> np.ndarray:

@@ -3,6 +3,7 @@ guarantee that the de Sitter checks never leave the banded fast path."""
 
 import dataclasses
 import itertools
+import re
 
 import mpmath
 import numpy as np
@@ -30,6 +31,7 @@ from specquad.operators import (
     interior_residual,
 )
 from specquad.quadruple import (
+    AxiomCheck,
     check_charge_conjugation,
     check_noncommutativity,
     check_orientability,
@@ -40,8 +42,9 @@ from specquad.quadruple import (
 from specquad.reconstruct import extract_adm, massless_degeneracy_check
 
 from construction_reference import gauge_transform
-from operator_reference import (band_block, band_bound, compress, dense_norm, level_index,
-                                shift_degree, zero)
+from operator_reference import (antilinear_from_dense, band_block, band_bound, compress,
+                                dense_norm, from_dense, level_index, shift_degree, to_dense,
+                                zero)
 
 LINEAR = ("u", "e_perp", "gamma", "t21", "t_plus", "t_minus", "ih")
 POINTS = [(0.0, 0.0, 0.0, 0.0), (1.0, 0.3, 0.0, 0.0), (2.0, 1.0, 0.0, 0.0),
@@ -63,26 +66,26 @@ def assert_matches(got, want):
 @pytest.mark.parametrize("nmax,rm,theta,rho,y", CASES)
 def test_algebra_matches_dense(nmax, rm, theta, rho, y):
     q = quadruple(nmax, rm, theta, rho, y)
-    dense = {name: getattr(q, name).to_dense() for name in LINEAR}
-    c = q.cc.to_dense()
+    dense = {name: to_dense(getattr(q, name)) for name in LINEAR}
+    c = to_dense(q.cc)
     for name in LINEAR:
         x, xd = getattr(q, name), dense[name]
-        assert_matches(x.adjoint().to_dense(), xd.conj().T)
-        assert_matches(antilinear_conjugate(q.cc, x).to_dense(), c @ xd.T @ np.conj(c))
-        assert_matches(q.cc.after(x).to_dense(), c @ np.conj(xd))
-        assert_matches(q.cc.before(x).to_dense(), xd @ c)
+        assert_matches(to_dense(x.adjoint()), xd.conj().T)
+        assert_matches(to_dense(antilinear_conjugate(q.cc, x)), c @ xd.T @ np.conj(c))
+        assert_matches(to_dense(q.cc.after(x)), c @ np.conj(xd))
+        assert_matches(to_dense(q.cc.before(x)), xd @ c)
     for a, b in itertools.product(LINEAR, repeat=2):
         x, y_ = getattr(q, a), getattr(q, b)
         xd, yd = dense[a], dense[b]
-        assert_matches((x @ y_).to_dense(), xd @ yd)
-        assert_matches(commutator(x, y_).to_dense(), xd @ yd - yd @ xd)
-    assert_matches(q.cc.compose(q.cc).to_dense(), c @ np.conj(c))
-    other = AntilinearOperator.from_dense(q.basis, dense["t21"] @ c)
-    assert_matches(q.cc.compose(other).to_dense(), c @ np.conj(dense["t21"] @ c))
+        assert_matches(to_dense(x @ y_), xd @ yd)
+        assert_matches(to_dense(commutator(x, y_)), xd @ yd - yd @ xd)
+    assert_matches(to_dense(q.cc.compose(q.cc)), c @ np.conj(c))
+    other = antilinear_from_dense(q.basis, dense["t21"] @ c)
+    assert_matches(to_dense(q.cc.compose(other)), c @ np.conj(dense["t21"] @ c))
     # a C whose banded part does not commute with the level reflection
-    m = other.to_dense()
+    m = to_dense(other)
     for name in LINEAR:
-        assert_matches(antilinear_conjugate(other, getattr(q, name)).to_dense(),
+        assert_matches(to_dense(antilinear_conjugate(other, getattr(q, name))),
                        m @ dense[name].T @ np.conj(m))
 
 
@@ -111,15 +114,15 @@ def test_random_bands_match_dense(rng, fiber_dim):
            random_bands(rng, basis, (7, 5)), random_bands(rng, basis, (-7, -4, 2)),
            zero(basis)]
     for x, y in itertools.product(ops, repeat=2):
-        xd, yd = x.to_dense(), y.to_dense()
-        assert_matches((x @ y).to_dense(), xd @ yd)
-        assert_matches(commutator(x, y).to_dense(), xd @ yd - yd @ xd)
-        assert_matches(anticommutator(x, y).to_dense(), xd @ yd + yd @ xd)
+        xd, yd = to_dense(x), to_dense(y)
+        assert_matches(to_dense(x @ y), xd @ yd)
+        assert_matches(to_dense(commutator(x, y)), xd @ yd - yd @ xd)
+        assert_matches(to_dense(anticommutator(x, y)), xd @ yd + yd @ xd)
         # the fused commutators give the floats of their definition
         assert_same_bands(commutator(x, y), x @ y - y @ x)
         assert_same_bands(anticommutator(x, y), x @ y + y @ x)
-        assert_matches((x + y).to_dense(), xd + yd)
-        assert_matches((x - y).to_dense(), xd - yd)
+        assert_matches(to_dense(x + y), xd + yd)
+        assert_matches(to_dense(x - y), xd - yd)
     # exact cancellations store no band: the level parity (-1)^i commutes
     # with the even bands and anticommutes with the odd ones, exactly
     signs = np.where(np.arange(basis.nlevels) % 2, -1.0, 1.0)
@@ -131,22 +134,22 @@ def test_random_bands_match_dense(rng, fiber_dim):
         assert not anticommutator(parity, TruncatedOperator(basis, odd)).bands
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     for x in ops:
-        xd = x.to_dense()
+        xd = to_dense(x)
         assert_matches(x.apply(v), xd @ v)
-        assert_matches((-x).to_dense(), -xd)
-        assert_matches(((0.5 - 2j) * x).to_dense(), (0.5 - 2j) * xd)
-        assert_matches((x * 3.0).to_dense(), 3.0 * xd)
-        assert_matches(x.adjoint().to_dense(), xd.conj().T)
-        assert_matches(x.conj().to_dense(), xd.conj())
+        assert_matches(to_dense(-x), -xd)
+        assert_matches(to_dense((0.5 - 2j) * x), (0.5 - 2j) * xd)
+        assert_matches(to_dense(x * 3.0), 3.0 * xd)
+        assert_matches(to_dense(x.adjoint()), xd.conj().T)
+        assert_matches(to_dense(x.conj()), xd.conj())
     # antilinear maps v -> m conj(v) from dense matrices with every band
-    maps = [AntilinearOperator.from_dense(basis, random_dense(rng, basis)) for _ in range(2)]
+    maps = [antilinear_from_dense(basis, random_dense(rng, basis)) for _ in range(2)]
     for c1, c2 in itertools.product(maps, repeat=2):
-        assert_matches(c1.compose(c2).to_dense(), c1.to_dense() @ np.conj(c2.to_dense()))
+        assert_matches(to_dense(c1.compose(c2)), to_dense(c1) @ np.conj(to_dense(c2)))
     for c, x in itertools.product(maps, ops):
-        m, xd = c.to_dense(), x.to_dense()
-        assert_matches(c.after(x).to_dense(), m @ np.conj(xd))
-        assert_matches(c.before(x).to_dense(), xd @ m)
-        assert_matches(antilinear_conjugate(c, x).to_dense(), m @ xd.T @ np.conj(m))
+        m, xd = to_dense(c), to_dense(x)
+        assert_matches(to_dense(c.after(x)), m @ np.conj(xd))
+        assert_matches(to_dense(c.before(x)), xd @ m)
+        assert_matches(to_dense(antilinear_conjugate(c, x)), m @ xd.T @ np.conj(m))
     # interior windows on the half-integer lattice and on the integer one,
     # whose level count is odd
     assert_windows_match_levels(ops)
@@ -166,8 +169,8 @@ def assert_windows_match_levels(ops):
         proj = InteriorProjector(basis, margin)
         keep = np.abs(levels) <= levels[-1] - margin
         keep_d = np.repeat(keep, d)
-        xd = x.to_dense()
-        assert np.array_equal(proj.project(x).to_dense(),
+        xd = to_dense(x)
+        assert np.array_equal(to_dense(proj.project(x)),
                               np.where(np.outer(keep_d, keep_d), xd, 0.0))
         assert np.array_equal(compress(x, margin), xd[np.ix_(keep_d, keep_d)])
         blk4 = xd.reshape(nl, d, nl, d)
@@ -203,7 +206,7 @@ def test_band_arrays_are_owned_and_read_only(rng):
         assert np.array_equal(x.band(1)[..., :-1], orig[..., :-1])
         assert not x.band(1)[..., -1].any()
         y = random_bands(rng, basis, (-2, 0, 3))
-        c = AntilinearOperator.from_dense(basis, random_dense(rng, basis))
+        c = antilinear_from_dense(basis, random_dense(rng, basis))
         for op in [x, y, *algebra_results(x, y, c), *algebra_results(y, x, c, margin=2)]:
             for k, stored in op.bands.items():
                 assert not stored.flags.writeable
@@ -291,10 +294,10 @@ def test_interior_residual_matches_dense(nmax, rm, theta, rho, y):
 def test_from_dense_round_trip(rng):
     q = quadruple(4, 1.0, 0.3, 0.4, 0.9)
     mat = rng.normal(size=(q.basis.dim,) * 2) + 1j * rng.normal(size=(q.basis.dim,) * 2)
-    assert np.array_equal(TruncatedOperator.from_dense(q.basis, mat).to_dense(), mat)
-    assert np.array_equal(AntilinearOperator.from_dense(q.basis, mat).to_dense(), mat)
+    assert np.array_equal(to_dense(from_dense(q.basis, mat)), mat)
+    assert np.array_equal(to_dense(antilinear_from_dense(q.basis, mat)), mat)
     assert shift_degree(q.t_plus) == 1 and shift_degree(q.t_minus) == -1
-    assert shift_degree(TruncatedOperator.from_dense(q.basis, mat)) is None
+    assert shift_degree(from_dense(q.basis, mat)) is None
 
 
 def planted(q, level):
@@ -333,13 +336,11 @@ LINALG = ("lstsq", "svd", "solve", "qr", "norm", "eig", "eigh", "pinv", "det")
 
 
 def test_desitter_checks_stay_banded(monkeypatch):
-    # no dense operator, and no LAPACK or linear-algebra call at all: the
-    # block norms and the orientability fit are explicit sums
+    # no LAPACK or linear-algebra call at all: the block norms and the
+    # orientability fit are explicit sums
     def refuse(*args, **kwargs):
-        raise AssertionError("dense path reached")
+        raise AssertionError("linear-algebra routine called")
 
-    monkeypatch.setattr(TruncatedOperator, "to_dense", refuse)
-    monkeypatch.setattr(AntilinearOperator, "to_dense", refuse)
     for name in LINALG:
         monkeypatch.setattr(np.linalg, name, refuse)
     q = assemble_quadruple(DeSitterParams(rm=1.0, theta=0.3, nmax=64))
@@ -357,17 +358,15 @@ def test_desitter_checks_stay_banded(monkeypatch):
 
 def test_multi_band_defect_at_nmax_512_stays_banded(monkeypatch):
     # a band-0 block planted in T- puts two bands into the T+- identities;
-    # their band bounds turn the six ids that read T- red with no dense
-    # matrix and no LAPACK call
+    # their band bounds turn the six ids that read T- red with no LAPACK
+    # call
     def refuse(*args, **kwargs):
-        raise AssertionError("dense path reached")
+        raise AssertionError("linear-algebra routine called")
 
     q = assemble_quadruple(DeSitterParams(rm=1.0, theta=0.3, nmax=512))
     blocks = np.zeros((2, 2, q.basis.nlevels), dtype=complex)
     blocks[..., level_index(q.basis, 0.5)] = 1e-6 * np.eye(2)
     q = dataclasses.replace(q, t_minus=q.t_minus + TruncatedOperator(q.basis, {0: blocks}))
-    monkeypatch.setattr(TruncatedOperator, "to_dense", refuse)
-    monkeypatch.setattr(AntilinearOperator, "to_dense", refuse)
     for name in LINALG:
         monkeypatch.setattr(np.linalg, name, refuse)
     rep = verify_quadruple(q)
@@ -381,25 +380,34 @@ def test_verify_at_nmax_256():
     assert [c.check_id for c in rep if not c.passed] == []
 
 
-def test_noncommutativity_with_off_band_generator(rng):
+def test_noncommutativity_refuses_other_generators():
+    # only a level-diagonal iH on a 2-dim fiber has the closed-form
+    # exponential; any other generator is refused, and so is a batch in
+    # which one point's iH leaves band 0
     q = quadruple(4, 1.0, 0.3, 0.0, 0.0)
-    g = rng.normal(size=(q.basis.dim,) * 2) + 1j * rng.normal(size=(q.basis.dim,) * 2)
-    ih = 0.1 * (g - g.conj().T)
-    ut, u = expm(ih), q.u.to_dense()
-    evolved = ut @ u @ ut.conj().T
-    want = np.linalg.norm(evolved @ u - u @ evolved, 2)
-    got = check_noncommutativity(dataclasses.replace(q, ih=TruncatedOperator.from_dense(q.basis, ih)))
-    assert got == pytest.approx(want, rel=1e-12)
-    # over a batch of two generators the dense exponential is taken per point
-    g = rng.normal(size=(q.basis.dim,) * 2) + 1j * rng.normal(size=(q.basis.dim,) * 2)
-    ihs = np.stack([ih, 0.1 * (g - g.conj().T)])
+    band1 = np.zeros((2, 2, q.basis.nlevels), dtype=complex)
+    band1[0, 1, 3] = 0.1
+    off_band = dataclasses.replace(q, ih=q.ih + TruncatedOperator(q.basis, {1: band1}))
+    basis3 = BasisDescriptor(q.basis.nlevels, fiber_dim=3)
+    diag3 = np.zeros((3, 3, basis3.nlevels), dtype=complex)
+    diag3[0, 0] = diag3[1, 1] = diag3[2, 2] = 1j * basis3.level_array
+    one3 = TruncatedOperator.identity(basis3)
+    fiber3 = dataclasses.replace(
+        q, basis=basis3, u=one3, e_perp=1j * one3, gamma=one3, cc=AntilinearOperator(one3),
+        t21=one3, t_plus=one3, t_minus=one3, ih=TruncatedOperator(basis3, {0: diag3}))
     batched = assemble_quadruple(DeSitterParams(rm=np.ones(2), theta=0.3, nmax=4))
-    got = check_noncommutativity(dataclasses.replace(
-        batched, ih=TruncatedOperator.from_dense(batched.basis, ihs)))
-    assert got.shape == (2,)
-    for p in (0, 1):
-        single = dataclasses.replace(q, ih=TruncatedOperator.from_dense(q.basis, ihs[p]))
-        assert got[p] == pytest.approx(check_noncommutativity(single), rel=1e-13)
+    band1 = np.zeros((2, 2, 2, batched.basis.nlevels), dtype=complex)
+    band1[0, 1, 1, 3] = 0.1
+    mixed = dataclasses.replace(
+        batched, ih=batched.ih + TruncatedOperator(batched.basis, {1: band1}))
+    for bad, bands, dim in ((off_band, "[0, 1]", 2), (fiber3, "[0]", 3),
+                            (mixed, "[0, 1]", 2)):
+        message = f"not bands {bands} on a {dim}-dim fiber"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_noncommutativity(bad)
+        verify = verify_points if bad.basis.batch else verify_quadruple
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify(bad, margin=1)
 
 
 EPS = np.finfo(float).eps
@@ -451,6 +459,39 @@ def test_block_norms_match_svd(rng):
                 assert abs(g / exact - 1) <= EPS
 
 
+def test_block_norms_route_by_block_size(rng, monkeypatch):
+    # every block size but 2x2 takes the Jacobi iteration over the
+    # flattened trailing axes, in the trailing shape; 2x2 blocks take the
+    # closed form
+    for d in (1, 3, 4):
+        stack = rng.normal(size=(d, d, 2, 5)) + 1j * rng.normal(size=(d, d, 2, 5))
+        got = operators.block_norms(stack)
+        assert got.shape == (2, 5)
+        assert np.array_equal(got.ravel(), operators._jacobi_norms(stack.reshape(d, d, 10)))
+        want = np.linalg.norm(per_level(stack.reshape(d, d, 10)), 2, axis=(-2, -1))
+        assert np.abs(got.ravel() / want - 1).max() <= 8 * d * EPS
+
+    def refuse(stack):
+        raise AssertionError("Jacobi iteration on 2x2 blocks")
+
+    monkeypatch.setattr(operators, "_jacobi_norms", refuse)
+    assert operators.block_norms(random_blocks(rng, 10).reshape(2, 2, 2, 5)).shape == (2, 5)
+
+
+@pytest.mark.parametrize("fiber_dim", [1, 3])
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_nonfinite_block_reads_red(fiber_dim, entry):
+    # a nan or inf entry in a block of a fiber that is not 2-dimensional
+    # reads nan or inf, a red check and not a crash
+    basis = BasisDescriptor(8, fiber_dim=fiber_dim)
+    blocks = np.zeros((fiber_dim, fiber_dim, basis.nlevels), dtype=complex)
+    blocks[..., 3] = 0.5
+    blocks[fiber_dim - 1, 0, 4] = entry
+    resid = interior_residual(TruncatedOperator(basis, {0: blocks}), 1)
+    assert np.isnan(resid) if np.isnan(entry) else resid == np.inf
+    assert not AxiomCheck("algebra.u_unitary", float(resid), 1e-12).passed
+
+
 def full_orientability(q, d, margin):
     """Every candidate e_perp u^p [D, u^q] in one least-squares fit."""
     dirac = commutator(q.ih, q.e_perp) if q.even_dim else q.ih
@@ -458,8 +499,8 @@ def full_orientability(q, d, margin):
     gamma = proj.project(q.gamma)
     cands = [proj.project(q.e_perp @ q.u.power(p) @ commutator(dirac, q.u.power(k)))
              for p in range(-d, d + 1) for k in range(-d, d + 1) if k != 0]
-    a = np.array([c.to_dense().ravel() for c in cands]).T
-    b = gamma.to_dense().ravel()
+    a = np.array([to_dense(c).ravel() for c in cands]).T
+    b = to_dense(gamma).ravel()
     coef, *_ = np.linalg.lstsq(a, b, rcond=None)
     return np.linalg.norm(a @ coef - b) / np.linalg.norm(b)
 
@@ -469,7 +510,7 @@ def orientability_cases(rng):
             for theta in (0.0, 0.3, 1.0)]
     q = quadruple(16, 1.0, 0.3, 0.0, 0.0)
     h = rng.normal(size=(q.basis.dim,) * 2)
-    dense_gamma = TruncatedOperator.from_dense(q.basis, h + h.T)
+    dense_gamma = from_dense(q.basis, h + h.T)
     band2 = TruncatedOperator(q.basis, {2: 0.3 * random_blocks(rng, q.basis.nlevels)})
     off_band = np.zeros((q.basis.dim,) * 2, dtype=complex)
     off_band[34, 29] = 0.7
@@ -481,7 +522,7 @@ def orientability_cases(rng):
         quadruple(16, 1.0, 0.3, 0.4, 0.9),
         dataclasses.replace(q, gamma=dense_gamma),
         dataclasses.replace(q, gamma=q.gamma + band2),
-        dataclasses.replace(q, ih=q.ih + TruncatedOperator.from_dense(q.basis, off_band)),
+        dataclasses.replace(q, ih=q.ih + from_dense(q.basis, off_band)),
         dataclasses.replace(q, ih=q.ih + ih_band1),
     ]
 
@@ -635,14 +676,14 @@ def test_batched_algebra_equals_each_point(case):
     residuals = interior_residual(x + y, margin)
     assert residuals.shape == basis.batch
     # the dense oracle holds one matrix per point
-    dense = x.to_dense()
-    split = TruncatedOperator.from_dense(basis, dense)
+    dense = to_dense(x)
+    split = from_dense(basis, dense)
     for p in range(basis.batch[0]):
         xp, yp, zp = at_point(x, p), at_point(y, p), at_point(z, p)
         single = InteriorProjector(xp.basis, margin)
         for got, op in results:
             assert_bitwise(at_point(got, p), op(xp, yp, zp))
-        assert np.array_equal(dense[p], xp.to_dense())
+        assert np.array_equal(dense[p], to_dense(xp))
         assert_bitwise(at_point(split, p), xp)
         for k in range(-3, 4):
             norms = proj.band_norms(x, k)

@@ -4,7 +4,8 @@ A public module-level function or class of ``src/specquad``, and a public
 method of a public class, must be referenced in the package outside its
 own definition (an ``__all__`` entry is a string, not a reference), or be
 traced by name in the span table of ``bench/spans.py`` (a traced
-``Class.method`` counts for the method).  A reference is a read: an
+``Class.method`` counts for the method) or read there as an attribute,
+as the trace reads ``BasisDescriptor.dim``.  A reference is a read: an
 attribute ``x.name`` in load context, or for a module-level name a bare
 ``name`` in load context that no parameter or assignment of the enclosing
 function rebinds.  A parameter, a loop variable or a local of the same
@@ -22,12 +23,15 @@ SPANS = ROOT / "bench" / "spans.py"
 
 
 def traced_names():
-    """The function, class and method names of the span table."""
+    """The function, class and method names of the span table, and the
+    attributes ``bench/spans.py`` reads."""
     tree = ast.parse(SPANS.read_text(encoding="utf-8"))
     table = next(ast.literal_eval(node.value) for node in tree.body
                  if isinstance(node, ast.Assign)
                  and any(isinstance(t, ast.Name) and t.id == "SPAN_NAMES" for t in node.targets))
-    return {part for names in table.values() for attr in names for part in attr.split(".")}
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return reads | {part for names in table.values() for attr in names for part in attr.split(".")}
 
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -124,5 +128,7 @@ def test_guard_sees_what_it_forbids():
     assert dead_names(shadow, set()) == ["a.Basis.level", "a.index"]
     shadow["b"] += "x = index(1) + Basis().level()\n"
     assert dead_names(shadow, set()) == []
-    # the span table's names are read, methods with their classes
-    assert {"massless_degeneracy_check", "TruncatedOperator", "__matmul__"} <= traced_names()
+    # the span table's names are read, methods with their classes, and so
+    # are the attributes the trace reads
+    assert {"massless_degeneracy_check", "TruncatedOperator", "__matmul__",
+            "dim"} <= traced_names()

@@ -570,11 +570,18 @@ class TestReconstructResolutionLimit:
     @pytest.mark.parametrize("argv,red", [
         (["--rm", "1e-11"], []),
         (["--rm", "1e-13"], []),
-        # rm under the cut and 2 rm over it: the two sides disagree
+        # rm under the cut and 2 rm over it: the two sides disagree; item 9
+        # (a "below resolution" note) should turn it green
         (["--rm", "3e-11"], ["reconstruct.linearity_in_mass"]),
-        # cosh^2(30) pushes kappa under the cut at rm = 1
+        # cosh^2(30) pushes kappa under the cut at rm = 1; item 9 (which
+        # datum the round trip reads at large theta) should turn it green
         (["--theta", "30"], ["reconstruct.mass_roundtrip"]),
-    ], ids=["rm-1e-11", "rm-1e-13", "rm-3e-11", "theta-30"])
+        # the fit residual's roundoff is fixed while kappa ~ rm, so it reads
+        # about 1.2e-15 / rm against the fixed 1e-8; item 3's derived
+        # bound should turn both green
+        (["--rm", "1e-7"], ["reconstruct.third_order_fit"]),
+        (["--rm", "1e-8"], ["reconstruct.third_order_fit"]),
+    ], ids=["rm-1e-11", "rm-1e-13", "rm-3e-11", "theta-30", "rm-1e-7", "rm-1e-8"])
     def test_red_ids(self, tmp_path, argv, red):
         out = tmp_path / "r.json"
         assert run(["reconstruct", *argv, "-o", str(out)]) == (1 if red else 0)
@@ -590,6 +597,19 @@ class TestReconstructResolutionLimit:
         monkeypatch.setattr(quad.SpectralQuadruple, "adm_commutator", adm)
         assert run(["reconstruct", "--nmax", "16", "-o", str(tmp_path / "r.json")]) == 0
         assert len(calls) == 1
+
+
+class TestVerifyOutsideTheGrid:
+    def test_theta_700_reads_red_on_noncommutative_only(self, tmp_path):
+        # n / cosh(700) is about 1e-304, so e^{iH} is the level-independent
+        # phase diag(e^{i rm}, e^{-i rm}) to the last bit, which commutes
+        # with u: ||[u(1), u]|| reads 0 against the fixed 1e-4, and every
+        # other id stays green.  Item 11's declared envelope should settle
+        # it: a theta outside the box runs as now and its notes say so
+        out = tmp_path / "r.json"
+        assert run(["quadruple-verify", "--theta", "700", "-o", str(out)]) == 1
+        checks = json.loads(read(out))["checks"]
+        assert [c["id"] for c in checks if not c["pass"]] == ["evolution.noncommutative"]
 
 
 class TestReportFormat:

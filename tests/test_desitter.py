@@ -20,7 +20,7 @@ from specquad.operators import (
 )
 from specquad.quadruple import verify_quadruple
 
-from operator_reference import band_block
+from operator_reference import band_block, to_dense
 
 from construction_reference import (
     U2Params,
@@ -222,18 +222,18 @@ class TestChargeConjugationOperator:
     def test_square_is_identity(self):
         basis = BasisDescriptor.spinor(6)
         cc = charge_conjugation(basis)
-        np.testing.assert_allclose(cc.squared().to_dense(), np.eye(basis.dim), atol=0)
+        np.testing.assert_allclose(to_dense(cc.squared()), np.eye(basis.dim), atol=0)
 
     def test_intertwines_ladder(self, q_standard):
         cc = q_standard.cc
-        r_plus = np.linalg.norm(cc.to_dense() @ np.conj(q_standard.t_plus.to_dense())
-                                - q_standard.t_minus.to_dense() @ cc.to_dense(), 2)
+        r_plus = np.linalg.norm(to_dense(cc) @ np.conj(to_dense(q_standard.t_plus))
+                                - to_dense(q_standard.t_minus) @ to_dense(cc), 2)
         assert r_plus <= 1e-10
 
     def test_conjugates_algebra_generator(self, q_standard):
         cc = q_standard.cc
-        resid = np.linalg.norm(cc.to_dense() @ np.conj(q_standard.u.to_dense())
-                               - q_standard.u.adjoint().to_dense() @ cc.to_dense(), 2)
+        resid = np.linalg.norm(to_dense(cc) @ np.conj(to_dense(q_standard.u))
+                               - to_dense(q_standard.u.adjoint()) @ to_dense(cc), 2)
         assert resid == 0.0
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specquad import finite
+from specquad import finite, operators
 from specquad.finite import (
     FiniteTriple,
     FiniteTripleSpec,
@@ -147,7 +147,8 @@ def fiber_major(mats):
 
 @pytest.mark.filterwarnings("error")
 class TestJacobiNorms:
-    """``finite._norms`` against the LAPACK SVD, which stays the reference
+    """``operators._jacobi_norms``, the branch of ``block_norms`` for every
+    block size but 2x2, against the LAPACK SVD, which stays the reference
     here: agreement within 8 n eps relative, with no float warning (at
     scale 1e-310 every entry is subnormal)."""
 
@@ -165,7 +166,7 @@ class TestJacobiNorms:
             rng.normal(size=(2, n, n)) + 0j,        # real entries
             np.zeros((2, n, n))]) * scale
         want = np.linalg.svd(mats, compute_uv=False)[:, 0]
-        got = finite._norms(fiber_major(mats))
+        got = operators._jacobi_norms(fiber_major(mats))
         # a norm below 2**-1022 is subnormal: rounding it to that grid can
         # add one step of 2**-1074
         assert np.all(np.abs(got - want) <= 8 * n * EPS * want + 2.0 ** -1074)
@@ -179,7 +180,7 @@ class TestJacobiNorms:
         mats = ((rng.normal(size=(2, 8, 4)) + 1j * rng.normal(size=(2, 8, 4)))
                 @ (rng.normal(size=(2, 4, 8)) + 1j * rng.normal(size=(2, 4, 8))))
         want = np.linalg.svd(mats, compute_uv=False)[:, 0]
-        got = finite._norms(fiber_major(mats))
+        got = operators._jacobi_norms(fiber_major(mats))
         assert np.all(np.abs(got - want) <= 8 * 8 * EPS * want)
 
     def test_nan_reads_nan(self):
@@ -188,27 +189,27 @@ class TestJacobiNorms:
         mats[0, 0, 1] = 2.0
         mats[2, 1, 3] = complex(np.inf, 1.0)
         mats[0, 0, 3] = np.nan
-        got = finite._norms(mats)
+        got = operators._jacobi_norms(mats)
         assert math.isnan(got[0]) and got[1] == 2.0 and got[2] == 0.0 and math.isnan(got[3])
         mats[0, 0, 3] = 1.0
-        assert finite._norms(mats)[3] == math.inf
+        assert operators._jacobi_norms(mats)[3] == math.inf
 
     def test_unconverged_sweeps_give_the_frobenius_bound(self, rng, monkeypatch):
         # a cut-off iteration would under-report; the Frobenius norm bounds
         # the spectral norm from above
         mats = rng.normal(size=(4, 9, 9)) + 1j * rng.normal(size=(4, 9, 9))
         want = np.linalg.svd(mats, compute_uv=False)[:, 0]
-        monkeypatch.setattr(finite, "_JACOBI_SWEEPS", 1)
-        got = finite._norms(fiber_major(mats))
+        monkeypatch.setattr(operators, "_JACOBI_SWEEPS", 1)
+        got = operators._jacobi_norms(fiber_major(mats))
         np.testing.assert_allclose(got, np.sqrt((np.abs(mats) ** 2).sum(axis=(1, 2))),
                                    rtol=1e-14)
         assert np.all(got > want)
         # orthogonal columns take one sweep, which rotates nothing; with
         # no sweep even they are unchecked
         diag = fiber_major([np.diag([3.0, -4.0, 1j])])
-        assert finite._norms(diag).tolist() == [4.0]
-        monkeypatch.setattr(finite, "_JACOBI_SWEEPS", 0)
-        assert finite._norms(diag).tolist() == [math.sqrt(26.0)]
+        assert operators._jacobi_norms(diag).tolist() == [4.0]
+        monkeypatch.setattr(operators, "_JACOBI_SWEEPS", 0)
+        assert operators._jacobi_norms(diag).tolist() == [math.sqrt(26.0)]
 
 
 class TestTwoPointExample:

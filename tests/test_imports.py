@@ -1,12 +1,14 @@
 """Import budget: the default paths load numpy, no scipy submodule and no
 ``numpy.ma``, and call no ``numpy.linalg`` routine.
 
-scipy is imported only inside the two branches that call it (the dense
-``expm`` fallback of ``check_noncommutativity`` and the multi-start descent
-of ``connes_distance``), so a CLI process does not pay its 0.6 s import;
+scipy is imported only inside the multi-start descent of
+``connes_distance``, so a CLI process does not pay its 0.6 s import;
 medians come from ``operators.median``, since ``np.median`` imports
-``numpy.ma`` on its first call.  No default subcommand starts LAPACK: their
-norms, fits and determinants are explicit sums.
+``numpy.ma`` on its first call.  No default subcommand starts LAPACK:
+their norms, fits and determinants are explicit sums.  Neither does the
+check of a quadruple that no subcommand builds: a perturbed level-diagonal
+iH keeps the closed-form exponential, and the blocks of a fiber that is not
+2-dimensional take the Jacobi norms.
 """
 
 import os
@@ -70,6 +72,23 @@ import specquad.cli as cli
 
 for argv in (["all"], ["sweep"], ["finite-verify"], ["finite-distance"], ["oracle-check"]):
     assert cli.run(argv + ["--output", sys.argv[1]]) == 0, argv
+
+import dataclasses
+import numpy as np
+from specquad.desitter import DeSitterParams, assemble_quadruple
+from specquad.operators import BasisDescriptor, TruncatedOperator, interior_residual
+from specquad.quadruple import verify_quadruple
+
+# a non-de-Sitter quadruple: iH plus a level-diagonal perturbation
+q = assemble_quadruple(DeSitterParams(rm=1.0, theta=0.3, nmax=8))
+kick = TruncatedOperator.from_fiber(q.basis, np.array([[0.1j, 0.2], [-0.2, -0.3j]]))
+rep = verify_quadruple(dataclasses.replace(q, ih=q.ih + kick))
+assert rep["evolution.noncommutative"].passed
+# blocks of a 3-dim fiber
+basis = BasisDescriptor(8, fiber_dim=3)
+blocks = np.arange(9 * 8).reshape(3, 3, 8) + 1j
+assert interior_residual(TruncatedOperator(basis, {{0: blocks}}), 1) > 0
+assert "scipy.linalg" not in sys.modules
 """
 
 

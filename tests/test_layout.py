@@ -2,29 +2,26 @@
 linear-algebra library on the banded check path.
 
 Every stack of fiber blocks is (d, d, *levels), so no module converts a
-stack between layouts: a transpose or moveaxis that moves a level axis
-belongs only to the dense oracle ``to_dense``/``from_dense``, and the
-level-major broadcast ``[:, None, None]`` appears nowhere.  Modules reach
-the block algebra through the public names of ``operators`` only.
+stack between layouts: no ``transpose`` or ``moveaxis`` call and no
+level-major broadcast ``[:, None, None]`` appears in the package (the
+dense oracle of the tests lives in ``tests/operator_reference.py``).
+Modules reach the block algebra through the public names of ``operators``
+only.
 
 The band core, the checks, the de Sitter assembly, the reconstruction and
 the finite triples use no ``numpy.linalg`` or ``scipy.linalg``: their
-norms and fits are explicit sums.  The block norms of a fiber that is not
-2-dimensional, the dense exponential and the multi-point distance search
-are the exceptions, named below.  The CLI, the field-side
-checks and the finite triples make no ndarray BLAS product (``@``,
-``dot``, ``matmul``, ``tensordot``, ``inner``, ``vdot`` or ``einsum``)
-outside that search either.
+norms and fits are explicit sums.  The multi-point distance search of
+``connes_distance`` is the one exception.  The band core, the checks, the
+de Sitter assembly and the reconstruction import no ``scipy`` at all.  The
+CLI, the field-side checks and the finite triples make no ndarray BLAS
+product (``@``, ``dot``, ``matmul``, ``tensordot``, ``inner``, ``vdot`` or
+``einsum``) outside that search either.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "specquad"
-
-# (module, function) pairs where the dense level-major order is read
-DENSE_ORACLE = {("operators", "to_dense"), ("operators", "from_dense")}
-
 
 def functions_and_nodes(tree):
     """(enclosing function name or None, node) for every node of a module."""
@@ -51,8 +48,7 @@ def violations_in(module, source):
     for func, node in functions_and_nodes(ast.parse(source)):
         where = f"{module}.py:{getattr(node, 'lineno', '?')}"
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("transpose", "moveaxis")
-                and (module, func) not in DENSE_ORACLE):
+                and node.func.attr in ("transpose", "moveaxis")):
             found.append(f"{where} {node.func.attr} in {func}")
         if is_level_major_broadcast(node):
             found.append(f"{where} [:, None, None]")
@@ -76,25 +72,19 @@ def test_guard_sees_what_it_forbids():
     assert sorted(v.split(" ", 1)[1] for v in violations_in("desitter", bad)) == [
         "[:, None, None]", "imports operators._block_product", "moveaxis in f",
         "transpose in f"]
-    # the dense oracle may reorder, in operators only
+    # no function may reorder a stack, not even a dense oracle in operators
     oracle = "def to_dense(self):\n    return m.transpose(2, 0, 3, 1)\n"
-    assert violations_in("operators", oracle) == []
-    assert len(violations_in("desitter", oracle)) == 1
+    assert violations_in("operators", oracle) == ["operators.py:2 transpose in to_dense"]
 
 
 # the modules of the verify and extract path, and the finite triples
 BANDED = ("operators", "quadruple", "reconstruct", "desitter", "finite")
-# the branch of connes_distance that searches over free coordinates
+# the one place a linalg call or a BLAS product may sit, as (module,
+# function) -> the test of the `if` whose body it must sit in: the branch
+# of connes_distance that searches over free coordinates
 DISTANCE_SEARCH = {("finite", "connes_distance"): "free"}
-# (module, function) -> the test of the `if` whose body a use must sit in,
-# or None for anywhere in the function: the SVD block norms of a fiber that
-# is not 2-dimensional, the dense exponential with its SVD norm, and the
-# distance search
-LINALG_ALLOWED = {
-    ("operators", "band_norms"): "blocks.shape[:2] != (2, 2)",
-    ("quadruple", "check_noncommutativity"): None,
-    **DISTANCE_SEARCH,
-}
+# the modules that import no scipy module at all
+NO_SCIPY = ("operators", "quadruple", "reconstruct", "desitter")
 # the modules whose products are block_product sums
 NO_MATMUL = ("cli", "spinfields", "finite")
 
@@ -110,6 +100,15 @@ def is_linalg(node):
                     and any(a.name == "linalg" for a in node.names)))
     if isinstance(node, ast.Import):
         return any(a.name in ("numpy.linalg", "scipy.linalg") for a in node.names)
+    return False
+
+
+def is_scipy_import(node):
+    """An import of scipy or of one of its modules."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level == 0 and node.module.split(".")[0] == "scipy"
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "scipy" for a in node.names)
     return False
 
 
@@ -134,8 +133,9 @@ def is_blas_product(node):
 
 def uses(module, source, forbidden, allowed):
     """Every node of a module for which ``forbidden`` holds, outside the
-    places ``allowed`` names, as 'module.py:line'.  A function nested in
-    another one sits where its definition sits."""
+    places ``allowed`` names (the body of an `if` with the given test in the
+    given function), as 'module.py:line'.  A function nested in another one
+    sits where its definition sits."""
     found = []
 
     def visit(node, func, tests):
@@ -143,8 +143,7 @@ def uses(module, source, forbidden, allowed):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and func is None:
             func, tests = node.name, ()
         elif forbidden(node):
-            allow = allowed.get((module, func), False)
-            if allow is False or (allow is not None and allow not in tests):
+            if allowed.get((module, func)) not in tests:
                 found.append(f"{module}.py:{node.lineno}")
         if isinstance(node, ast.If):
             visit(node.test, func, tests)
@@ -162,8 +161,8 @@ def uses(module, source, forbidden, allowed):
 
 def linalg_uses(module, source):
     """Every reference to numpy.linalg or scipy.linalg in a module, outside
-    the allowed places, as 'module.py:line'."""
-    return uses(module, source, is_linalg, LINALG_ALLOWED)
+    the distance search, as 'module.py:line'."""
+    return uses(module, source, is_linalg, DISTANCE_SEARCH)
 
 
 def blas_uses(module, source):
@@ -171,11 +170,34 @@ def blas_uses(module, source):
     return uses(module, source, is_blas_product, DISTANCE_SEARCH)
 
 
+def scipy_imports(module, source):
+    """Every import of scipy in a module, at any depth, as 'module.py:line'."""
+    return uses(module, source, is_scipy_import, {})
+
+
 def test_no_linear_algebra_library_on_the_banded_path():
     found = []
     for module in BANDED:
         found += linalg_uses(module, (SRC / f"{module}.py").read_text(encoding="utf-8"))
     assert found == []
+
+
+def test_no_scipy_in_the_band_core_checks_and_assembly():
+    found = []
+    for module in NO_SCIPY:
+        found += scipy_imports(module, (SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert found == []
+
+
+def test_scipy_guard_sees_what_it_forbids():
+    bad = ("import scipy\nimport numpy as np, scipy.special as sp\n"
+           "from scipy import optimize\n"
+           "def check(q):\n    from scipy.linalg import expm\n"
+           "    if q:\n        import scipy.optimize\n"
+           "    from .operators import block_norms\n    import numpy\n")
+    assert scipy_imports("quadruple", bad) == [
+        f"quadruple.py:{line}" for line in (1, 2, 3, 5, 7)]
+    assert scipy_imports("desitter", "import numpy as np\nfrom .scipy_like import f\n") == []
 
 
 def test_no_blas_product_in_the_cli_fields_and_finite_triples():
@@ -191,15 +213,15 @@ def test_linalg_guard_sees_what_it_forbids():
            "def fit(a, b):\n    return np.linalg.lstsq(a, b)[0], numpy.linalg.norm(b)\n")
     assert [v.split(":")[1] for v in linalg_uses("quadruple", bad)] == [
         "2", "3", "4", "6", "6"]
-    # band_norms may call the SVD in its branch for other fibers only
+    # the block norms of any fiber, and the noncommutativity check, may not
+    # fall back to the SVD or the dense exponential
     norms = ("def band_norms(self, a, k):\n"
              "    if blocks.shape[:2] != (2, 2):\n"
              "        return np.linalg.norm(blocks, 2, axis=(0, 1))\n"
              "    return np.linalg.norm(blocks[0])\n")
-    assert linalg_uses("operators", norms) == ["operators.py:4"]
-    assert linalg_uses("reconstruct", norms) == ["reconstruct.py:3", "reconstruct.py:4"]
+    assert linalg_uses("operators", norms) == ["operators.py:3", "operators.py:4"]
     dense = "def check_noncommutativity(q):\n    from scipy.linalg import expm\n"
-    assert linalg_uses("quadruple", dense) == []
+    assert linalg_uses("quadruple", dense) == ["quadruple.py:2"]
     # the distance search may use the SVD and @, in its branch and in a
     # function defined there; the two-point branch and _norms may not
     search = ("def connes_distance(t, i, j):\n"
