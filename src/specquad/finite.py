@@ -11,7 +11,8 @@ schedule of Dirac parameters.
 The checks and the two-point distance call neither LAPACK nor BLAS:
 products are ``operators.block_product`` sums, spectral norms come from
 ``operators.block_norms`` (a batched one-sided Jacobi iteration, or the
-closed form on a 2-dimensional Hilbert space) and the invertibility of q
+closed form on a 2-dimensional Hilbert space) of blocks scaled by a power
+of two, so they keep the whole float range, and the invertibility of q
 from an exact integer determinant.  Only the multi-point distance search
 takes SVD norms and BLAS products.
 """
@@ -279,7 +280,7 @@ def validate_finite_triple(t: FiniteTriple) -> AxiomReport:
     right = np.stack([t.pi_op(b) for b in basis], axis=-1)
     da = _commutator(d[..., None], left)
     first_order = _commutator(da[..., None], right[..., None, :])
-    norms = block_norms(np.concatenate([
+    norms = _norms(np.concatenate([
         np.stack([d - d.conj().T, t.real_structure.after(d) - t.real_structure.before(d),
                   # gamma is diagonal: (gamma D + D gamma)_ij = (g_i + g_j) D_ij
                   (t.gamma[:, None] + t.gamma) * d], axis=-1),
@@ -290,6 +291,16 @@ def validate_finite_triple(t: FiniteTriple) -> AxiomReport:
     rep.add("finite.gamma_anticommutes", norms[2])
     rep.add("finite.first_order", norms[3:].max())
     return rep
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """``block_norms`` of a fiber-major stack (n, n, ...), each block first
+    divided by the power of two at or below its largest |entry| and its
+    norm multiplied back, both exact, so the squares of a 2x2 block neither
+    overflow nor underflow (a product by the reciprocal: a complex nan
+    divided by a real warns)."""
+    scale = power_of_two_below(np.abs(stack).max(axis=(0, 1)))
+    return block_norms(stack * (1.0 / scale)) * scale
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -415,7 +426,7 @@ class FiniteQuadruple:
             defects = np.stack([block_product(e, e) + np.eye(e.shape[0])[..., None],
                                 e.conj().swapaxes(0, 1) + e, e * (g[None] - g[:, None])],
                                axis=-1)
-            norms = block_norms(defects.reshape(e.shape[:2] + (-1,)))
+            norms = _norms(defects.reshape(e.shape[:2] + (-1,)))
         rep = AxiomReport()
         for idx, tval in enumerate(self.times):
             note = f"t = {tval:g}"

@@ -581,6 +581,13 @@ def _expm2(a: np.ndarray) -> np.ndarray:
                                      sinhc * a[1, 0], cosh - sinhc * half)
 
 
+def _require_level_diagonal_ih(q: SpectralQuadruple) -> None:
+    """Raise ``ValueError`` unless iH is level-diagonal on a 2-dim fiber."""
+    if set(q.ih.bands) - {0} or q.basis.fiber_dim != 2:
+        raise ValueError(f"check_noncommutativity needs a level-diagonal iH on a 2-dim fiber, "
+                         f"not bands {sorted(q.ih.bands)} on a {q.basis.fiber_dim}-dim fiber")
+
+
 def check_noncommutativity(q: SpectralQuadruple) -> np.ndarray:
     """Norm of [e^{iH} u e^{-iH}, u]: the evolved algebra must not
     commute with the original one (vanishes identically in the massless
@@ -593,9 +600,7 @@ def check_noncommutativity(q: SpectralQuadruple) -> np.ndarray:
     commutator is then band 2 and its band bound exact, as it must be to
     show a value above a threshold.
     """
-    if set(q.ih.bands) - {0} or q.basis.fiber_dim != 2:
-        raise ValueError(f"check_noncommutativity needs a level-diagonal iH on a 2-dim fiber, "
-                         f"not bands {sorted(q.ih.bands)} on a {q.basis.fiber_dim}-dim fiber")
+    _require_level_diagonal_ih(q)
     ut = TruncatedOperator(q.basis, {0: _expm2(q.ih.band(0))})
     return op_norm(commutator(ut @ q.u @ ut.adjoint(), q.u))
 
@@ -614,12 +619,17 @@ def verify_points(q: SpectralQuadruple, margin: int = 4,
     report id.  ``include_noncommutativity`` is one flag or one per point:
     the evolution row is reported at the points it marks.  A truncation too
     small for the largest margin a check reads raises ``TruncationError``,
-    naming ``margin``, before any check runs."""
+    naming ``margin``, and an evolution row asked of an iH that
+    ``check_noncommutativity`` refuses raises its ``ValueError``, both
+    before any check runs."""
     orient_margin = min(2 * _DEGREE_BOUND, margin + 2)
     least = max(margin, orient_margin) + 1
     if q.basis.nmax < least:
         raise TruncationError(f"margin {margin} needs nmax >= {least}, "
                               f"not {q.basis.nmax}")
+    include = np.broadcast_to(include_noncommutativity, q.basis.batch).ravel()
+    if include.any():
+        _require_level_diagonal_ih(q)
     rep = _PointReports(q)
     rep.extend(check_time_vector(q))
     rep.extend(check_volume_element(q))
@@ -641,7 +651,6 @@ def verify_points(q: SpectralQuadruple, margin: int = 4,
     if q.even_dim:
         rep.extend(check_spatial_triple(q, margin))
 
-    include = np.broadcast_to(include_noncommutativity, q.basis.batch).ravel()
     if include.any():
         values = np.ravel(check_noncommutativity(q)).tolist()
         for point, value, wanted in zip(rep.reports, values, include):

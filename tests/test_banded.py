@@ -380,10 +380,11 @@ def test_verify_at_nmax_256():
     assert [c.check_id for c in rep if not c.passed] == []
 
 
-def test_noncommutativity_refuses_other_generators():
+def test_noncommutativity_refuses_other_generators(monkeypatch):
     # only a level-diagonal iH on a 2-dim fiber has the closed-form
     # exponential; any other generator is refused, and so is a batch in
-    # which one point's iH leaves band 0
+    # which one point's iH leaves band 0.  verify_* refuse it before any
+    # check runs, and run the other checks when no evolution row is asked
     q = quadruple(4, 1.0, 0.3, 0.0, 0.0)
     band1 = np.zeros((2, 2, q.basis.nlevels), dtype=complex)
     band1[0, 1, 3] = 0.1
@@ -406,8 +407,17 @@ def test_noncommutativity_refuses_other_generators():
         with pytest.raises(ValueError, match=re.escape(message)):
             check_noncommutativity(bad)
         verify = verify_points if bad.basis.batch else verify_quadruple
-        with pytest.raises(ValueError, match=re.escape(message)):
-            verify(bad, margin=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(quad, "check_time_vector", refuse)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                verify(bad, margin=1)
+    ids = [c.check_id for c in verify_quadruple(off_band, margin=1,
+                                                 include_noncommutativity=False)]
+    assert "orientability.membership" in ids and "evolution.noncommutative" not in ids
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a check ran")
 
 
 EPS = np.finfo(float).eps

@@ -4,8 +4,10 @@ A public module-level function or class of ``src/specquad``, and a public
 method of a public class, must be referenced in the package outside its
 own definition (an ``__all__`` entry is a string, not a reference), or be
 traced by name in the span table of ``bench/spans.py`` (a traced
-``Class.method`` counts for the method) or read there as an attribute,
-as the trace reads ``BasisDescriptor.dim``.  A reference is a read: an
+``Class.method`` counts for the method).  A method or property is also
+called when ``bench/spans.py`` reads an attribute of its name, as
+``_record_dim`` reads ``BasisDescriptor.dim``; such a read credits no
+module-level name.  A reference is a read: an
 attribute ``x.name`` in load context, or for a module-level name a bare
 ``name`` in load context that no parameter or assignment of the enclosing
 function rebinds.  A parameter, a loop variable or a local of the same
@@ -23,15 +25,19 @@ SPANS = ROOT / "bench" / "spans.py"
 
 
 def traced_names():
-    """The function, class and method names of the span table, and the
-    attributes ``bench/spans.py`` reads."""
+    """The function, class and method names of the span table."""
     tree = ast.parse(SPANS.read_text(encoding="utf-8"))
     table = next(ast.literal_eval(node.value) for node in tree.body
                  if isinstance(node, ast.Assign)
                  and any(isinstance(t, ast.Name) and t.id == "SPAN_NAMES" for t in node.targets))
-    reads = {node.attr for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return reads | {part for names in table.values() for attr in names for part in attr.split(".")}
+    return {part for names in table.values() for attr in names for part in attr.split(".")}
+
+
+def bench_reads():
+    """The attribute names ``bench/spans.py`` reads."""
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -42,11 +48,12 @@ def public_defs(node):
     return [d for d in node.body if isinstance(d, DEFS) and not d.name.startswith("_")]
 
 
-def dead_names(sources, traced):
+def dead_names(sources, traced, method_reads=frozenset()):
     """'module.name' of every public module-level function or class and
     'module.Class.method' of every public method of a public class that no
     module references outside the definition of that name, and that is
-    not in ``traced``; ``sources`` maps module names to their source."""
+    not in ``traced``, nor for a method in ``method_reads``; ``sources``
+    maps module names to their source."""
     defined, attrs, names = [], set(), set()
 
     def scan(node, owners, local):
@@ -71,7 +78,8 @@ def dead_names(sources, traced):
                             for m in public_defs(top) if not isinstance(m, ast.ClassDef)]
         scan(tree, frozenset(), frozenset())
     return sorted(path for path, name, method in defined
-                  if name not in attrs and (method or name not in names) and name not in traced)
+                  if name not in attrs and name not in traced
+                  and (name not in method_reads if method else name not in names))
 
 
 def bound_names(func):
@@ -92,7 +100,7 @@ def bound_names(func):
 
 def test_every_public_name_has_a_caller():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert dead_names(sources, traced_names()) == []
+    assert dead_names(sources, traced_names(), bench_reads()) == []
 
 
 def test_guard_sees_what_it_forbids():
@@ -128,7 +136,17 @@ def test_guard_sees_what_it_forbids():
     assert dead_names(shadow, set()) == ["a.Basis.level", "a.index"]
     shadow["b"] += "x = index(1) + Basis().level()\n"
     assert dead_names(shadow, set()) == []
-    # the span table's names are read, methods with their classes, and so
-    # are the attributes the trace reads
-    assert {"massless_degeneracy_check", "TruncatedOperator", "__matmul__",
-            "dim"} <= traced_names()
+    # an attribute the trace reads calls a method of its name, but no
+    # module-level function spelled like it
+    reads = {
+        "a": ("def median(xs):\n    return xs\n\n"
+              "class Basis:\n    @property\n    def dim(self):\n        return 2\n\n"
+              "    def median(self):\n        return 0\n"),
+        "b": "from .a import Basis\n\nx = Basis()\n",
+    }
+    assert dead_names(reads, set()) == ["a.Basis.dim", "a.Basis.median", "a.median"]
+    assert dead_names(reads, set(), {"dim", "median"}) == ["a.median"]
+    # the span table's names are read, methods with their classes; the
+    # trace reads BasisDescriptor.dim
+    assert {"massless_degeneracy_check", "TruncatedOperator", "__matmul__"} <= traced_names()
+    assert "dim" not in traced_names() and {"dim", "median"} <= bench_reads()

@@ -270,6 +270,7 @@ class TestTwoPointExample:
         with pytest.raises(ValueError, match="non-finite entry at block H_"):
             build_finite_triple(two_point_spec(), d)
 
+    @pytest.mark.filterwarnings("error")
     def test_nan_residual_reads_red(self):
         # a triple assembled without the admission check: its nan reaches
         # the norms, which report nan instead of raising
@@ -287,6 +288,16 @@ class TestTwoPointExample:
         d[2, 0] = -1j
         with pytest.raises(ValueError, match="JD = DJ"):
             build_finite_triple(two_point_spec(), d)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [1e200, 1e-200])
+    def test_two_dim_space_keeps_extreme_masses(self, m):
+        # 2x2 blocks take block_norms' closed form, whose squares would
+        # over- or underflow here without the power-of-two scaling
+        spec = FiniteTripleSpec(dims=(1, 1), q=((0, 1), (1, 0)))
+        rep = validate_finite_triple(build_finite_triple(spec, np.array([[0, m], [m, 0]])))
+        assert [c.residual for c in rep] == pytest.approx([0.0, 0.0, 2 * m, m],
+                                                          rel=1e-15, abs=0)
 
     def test_single_block_degenerate_case(self):
         spec = FiniteTripleSpec(dims=(1,), q=((1,),))
