@@ -400,12 +400,12 @@ def _assemble(args: argparse.Namespace) -> tuple[desitter.DeSitterParams, Spectr
     return p, desitter.assemble_quadruple(p)
 
 
-# one sweep point: (params echo, report or None when skipped, skip note)
-SweepCell = tuple[dict, AxiomReport | None, str]
+# one sweep point: (params echo, report)
+SweepCell = tuple[dict, AxiomReport]
 
 
-def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[list[SweepCell]]]:
-    """Returns (params echo, flat report), or for sweep (params echo, grid rows)."""
+def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[SweepCell]]:
+    """Returns (params echo, flat report), or for sweep (params echo, grid points)."""
     sc = args.subcommand
     if sc == "sl2-classify":
         return ({"r2m2": args.r2m2, "lattice": args.lattice},
@@ -486,40 +486,36 @@ def _parse_grid(text: str, flag: str) -> list[float]:
 SWEEP_BATCH = 16
 
 
-def _run_sweep(args: argparse.Namespace) -> tuple[dict, list[list[SweepCell]]]:
-    """The rm x theta grid points checked as batched quadruples of up to
-    ``SWEEP_BATCH`` points; a truncation too small for the margin skips
-    every point with its note."""
+def _run_sweep(args: argparse.Namespace) -> tuple[dict, list[SweepCell]]:
+    """The rm x theta grid points, in C order, checked as batched quadruples
+    of up to ``SWEEP_BATCH`` points.  Every point shares nmax and the margin,
+    so a truncation too small for the margin is a ``TruncationError`` of the
+    whole grid, a usage error."""
     rms, thetas = args.rm, args.theta
     params = {"rm": rms, "theta": thetas, "nmax": args.nmax, "margin": args.margin}
     points = [{"rm": rm, "theta": theta, "nmax": args.nmax, "margin": args.margin}
               for rm in rms for theta in thetas]
     rm, theta = np.repeat(rms, len(thetas)), np.tile(thetas, len(rms))
-    try:
-        reports, note = [], ""
-        for i in range(0, len(points), SWEEP_BATCH):
-            part = slice(i, i + SWEEP_BATCH)
-            q = desitter.assemble_quadruple(desitter.DeSitterParams(
-                rm=rm[part], theta=theta[part], nmax=args.nmax))
-            reports += verify_points(q, args.margin, include_noncommutativity=rm[part] != 0.0)
-    except TruncationError as exc:
-        reports, note = [None] * len(points), f"truncation too small: {exc}"
-    cells = [(point, rep, note) for point, rep in zip(points, reports)]
-    return params, [cells[i:i + len(thetas)] for i in range(0, len(cells), len(thetas))]
+    reports = []
+    for i in range(0, len(points), SWEEP_BATCH):
+        part = slice(i, i + SWEEP_BATCH)
+        q = desitter.assemble_quadruple(desitter.DeSitterParams(
+            rm=rm[part], theta=theta[part], nmax=args.nmax))
+        reports += verify_points(q, args.margin, include_noncommutativity=rm[part] != 0.0)
+    return params, list(zip(points, reports))
 
 
-def _sweep_payload(params: dict, rows: list[list[SweepCell]], tol: dict) -> dict:
-    """Grid entries and aggregate of a sweep, overrides applied per point."""
-    cells = [cell for row in rows for cell in row]
-    for _, rep, _ in cells:
-        if rep is not None:
-            rep.override(tol)
-    grid = [{"params": point, "checks": [] if rep is None else rep.as_dicts(),
-             "passed": rep is not None and rep.passed, "skipped": rep is None,
-             "notes": note} for point, rep, note in cells]
-    matrix = [[None if rep is None else rep.passed for _, rep, _ in row] for row in rows]
-    effective = [rep.passed for _, rep, _ in cells if rep is not None]
-    aggregate = {"passed": bool(effective) and all(effective), "pass_matrix": matrix,
+def _sweep_payload(params: dict, cells: list[SweepCell], tol: dict) -> dict:
+    """Grid entries and aggregate of a sweep, overrides applied per point.
+    No point is skipped: ``skipped`` and ``notes`` of schema version 1 are
+    false and empty in every entry."""
+    for _, rep in cells:
+        rep.override(tol)
+    grid = [{"params": point, "checks": rep.as_dicts(), "passed": rep.passed,
+             "skipped": False, "notes": ""} for point, rep in cells]
+    passed, n = [rep.passed for _, rep in cells], len(params["theta"])
+    aggregate = {"passed": all(passed),
+                 "pass_matrix": [passed[i:i + n] for i in range(0, len(passed), n)],
                  "rm_values": params["rm"], "theta_values": params["theta"]}
     return {"grid": grid, "aggregate": aggregate}
 
@@ -634,8 +630,6 @@ def _render_csv(payload: dict) -> str:
     else:
         for entry in payload.get("grid", []):
             prefix = f"rm={entry['params']['rm']},theta={entry['params']['theta']}:"
-            if entry["skipped"]:
-                writer.writerow([prefix + "skipped", "", "", "", "", entry["notes"]])
             for row in entry["checks"]:
                 writer.writerow([prefix + row["id"], repr(row["residual"]),
                                  repr(row["tolerance"]), row["pass"], row["margin"],

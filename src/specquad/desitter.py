@@ -23,6 +23,7 @@ give one batched quadruple over their points (``assemble_quadruple``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -71,11 +72,12 @@ class DeSitterParams:
     nmax: int = 32
 
     def __post_init__(self):
-        if self.nmax < MIN_NMAX:
-            raise TruncationError(f"nmax must be >= {MIN_NMAX}")
+        if not isinstance(self.nmax, Integral) or self.nmax < MIN_NMAX:
+            raise TruncationError(f"nmax must be an integer >= {MIN_NMAX}, not {self.nmax!r}")
         for name in _POINT_PARAMS:
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
+            value = getattr(self, name)
+            if np.iscomplexobj(value) or not np.isfinite(value).all():
+                raise ValueError(f"{name} must be real and finite")
         self.batch  # raises ValueError unless the parameter shapes broadcast
 
     @property
@@ -181,7 +183,7 @@ def assemble_quadruple(p: DeSitterParams) -> SpectralQuadruple:
     ih = TruncatedOperator(basis, {0: evolution_block(levels, rm, theta)})
     return SpectralQuadruple(
         basis=basis, u=u, e_perp=e_perp, gamma=gamma, cc=charge_conjugation(basis),
-        t21=t21, t_plus=t_plus, t_minus=t_minus, ih=ih, spacetime_dim=2)
+        t21=t21, t_plus=t_plus, t_minus=t_minus, ih=ih)
 
 
 def crosscheck_construction_vs_appendix(p: DeSitterParams) -> float:

@@ -58,7 +58,6 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "registry_key",
     "validate_overrides",
-    "s_exponent",
     "check_time_vector",
     "check_volume_element",
     "check_first_order",
@@ -92,19 +91,12 @@ class SpectralQuadruple:
     t_plus: TruncatedOperator
     t_minus: TruncatedOperator
     ih: TruncatedOperator
-    spacetime_dim: int = 2
 
     def __post_init__(self):
         ops = [self.u, self.e_perp, self.gamma, self.t21, self.t_plus,
                self.t_minus, self.ih]
         if any(op.basis != self.basis for op in ops) or self.cc.basis != self.basis:
             raise ValueError("all operators must share the quadruple's basis")
-        if self.spacetime_dim < 1:
-            raise ValueError("spacetime_dim must be >= 1")
-
-    @property
-    def even_dim(self) -> bool:
-        return self.spacetime_dim % 2 == 0
 
     @cached_property
     def one(self) -> TruncatedOperator:
@@ -254,19 +246,17 @@ DEFAULT_TOLERANCES = {
 class _PointReports:
     """The reports of one check, one per point of the quadruple's batch in
     the C order of its shape.  ``add`` takes a residual per point (an array
-    of the batch shape or a list in its C order) and notes shared by every
-    point or one per point."""
+    of the batch shape or a list in its C order), bounded by the table, and
+    notes shared by every point or one per point."""
 
     def __init__(self, q: SpectralQuadruple):
         self.reports = [AxiomReport() for _ in range(math.prod(q.basis.batch))]
 
-    def add(self, check_id: str, residual, tolerance: float | None = None,
-            margin: int = 0, notes: str | list[str] = ""):
+    def add(self, check_id: str, residual, margin: int = 0, notes: str | list[str] = ""):
         values = np.asarray(residual).ravel().tolist()
         if isinstance(notes, str):
             notes = [notes] * len(values)
-        if tolerance is None:
-            tolerance = DEFAULT_TOLERANCES[registry_key(check_id)]
+        tolerance = DEFAULT_TOLERANCES[registry_key(check_id)]
         for rep, value, note in zip(self.reports, values, notes, strict=True):
             rep.add(check_id, value, tolerance, margin, note)
 
@@ -290,11 +280,6 @@ def validate_overrides(tolerances: Mapping[str, float] | None) -> dict[str, floa
     return {k: float(v) for k, v in tolerances.items()}
 
 
-def s_exponent(n: int) -> int:
-    """Exponent in C^2 = (-1)^{s(n)} for spacetime dimension n."""
-    return (n - 1) * (n - 2) * (n - 3) * (n - 4) // 8
-
-
 def check_time_vector(q: SpectralQuadruple) -> list[AxiomReport]:
     """e_perp^2 = -1 and e_perp* = -e_perp (fiberwise, no edge effects)."""
     rep = _PointReports(q)
@@ -305,8 +290,7 @@ def check_time_vector(q: SpectralQuadruple) -> list[AxiomReport]:
 
 def check_volume_element(q: SpectralQuadruple) -> list[AxiomReport]:
     """gamma^2 = +-1 (sign recorded per point) and the braiding with the
-    time vector: anticommutator for even spacetime dimension, commutator
-    for odd."""
+    time vector, the anticommutator of the even spacetime dimension 2."""
     rep = _PointReports(q)
     square = q.gamma @ q.gamma
     r_plus = op_norm(square - q.one)
@@ -314,12 +298,8 @@ def check_volume_element(q: SpectralQuadruple) -> list[AxiomReport]:
     plus = r_plus <= r_minus
     rep.add("volume.gamma_square", np.where(plus, r_plus, r_minus),
             notes=["gamma^2 = +1" if p else "gamma^2 = -1" for p in np.ravel(plus)])
-    if q.even_dim:
-        rep.add("volume.braiding", op_norm(anticommutator(q.e_perp, q.gamma)),
-                notes="{e_perp, gamma}, even dim")
-    else:
-        rep.add("volume.braiding", op_norm(commutator(q.e_perp, q.gamma)),
-                notes="[e_perp, gamma], odd dim")
+    rep.add("volume.braiding", op_norm(anticommutator(q.e_perp, q.gamma)),
+            notes="{e_perp, gamma}, even dim")
     return rep.reports
 
 
@@ -341,15 +321,13 @@ def _antilinear_intertwine_residual(c: AntilinearOperator, x: TruncatedOperator,
 
 
 def check_charge_conjugation(q: SpectralQuadruple, margin: int) -> list[AxiomReport]:
-    """C^2 = (-1)^{s(n)} and the intertwining of C with the symmetry
-    generators: C T21 = T21 C, C T+ = T- C, C T- = T+ C, C iH = iH C, and
-    the algebra conjugation C u = u* C."""
+    """C^2 = (-1)^{s(n)} = +1 for spacetime dimension n = 2 and the intertwining
+    of C with the symmetry generators: C T21 = T21 C, C T+ = T- C, C T- = T+ C,
+    C iH = iH C, and the algebra conjugation C u = u* C."""
     rep = _PointReports(q)
-    sign = (-1.0) ** s_exponent(q.spacetime_dim)
-    target = sign * q.one
     rep.add("charge_conjugation.square",
-            interior_residual(q.cc.squared() - target, margin), margin=margin,
-            notes=f"C^2 = {'+1' if sign > 0 else '-1'} for n = {q.spacetime_dim}")
+            interior_residual(q.cc.squared() - q.one, margin), margin=margin,
+            notes="C^2 = +1 for n = 2")
     rep.add("charge_conjugation.t21",
             _antilinear_intertwine_residual(q.cc, q.t21, q.t21, margin), margin=margin)
     rep.add("charge_conjugation.tplus",
@@ -369,11 +347,10 @@ def check_charge_conjugation(q: SpectralQuadruple, margin: int) -> list[AxiomRep
     return rep.reports
 
 
-def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int,
-                        margin: int) -> np.ndarray:
+def check_orientability(q: SpectralQuadruple, margin: int) -> np.ndarray:
     """Membership of the volume element in the span of the Hochschild-cycle
-    candidates e_perp u^p [D, u^q] (even spacetime dimension; the e_perp
-    prefix is dropped for odd), as the projection residual
+    candidates e_perp u^p [D, u^q], D = [iH, e_perp] and |p|, |q| at most
+    the degree bound 2 (q nonzero), as the projection residual
     ||b - P b|| / ||b|| of the interior entries b of gamma, P the orthogonal
     projector onto the span of the candidates' interior entries.  A small
     residual certifies membership up to scale.
@@ -393,21 +370,17 @@ def check_orientability(q: SpectralQuadruple, monomial_degree_bound: int,
     products with them are exact zeros, and each point's residual is that
     of the point fitted alone.
     """
-    d = monomial_degree_bound
-    if d < 1:
-        raise ValueError("empty candidate span: degree bound must be >= 1")
-    # D = [iH, e_perp] for even dimension, iH for odd; the even-dim formula
-    # gamma [iH, gamma] reduces to the mass term here and commutes with the
-    # algebra, so it cannot represent the cycle
-    dirac = q.ih_e_perp if q.even_dim else q.ih
+    # the formula gamma [iH, gamma] for D reduces to the mass term here and
+    # commutes with the algebra, so it cannot represent the cycle
+    d = _DEGREE_BOUND
     proj = InteriorProjector(q.basis, margin)
     gamma = proj.project(q.gamma)
     powers = {p: q.u_sq if p == 2 else q.u.power(p) for p in range(-d, d + 1)}
-    comms = [q.adm_commutator if deg == 1 and q.even_dim else commutator(dirac, up)
+    comms = [q.adm_commutator if deg == 1 else commutator(q.ih_e_perp, up)
              for deg, up in powers.items() if deg != 0]
     factors = [(up, comm) for up in powers.values() for comm in comms]
-    linked, bands = _linked_group(gamma, q.e_perp if q.even_dim else q.one, factors)
-    cols = _entries([proj.project(q.e_perp @ (up @ comm) if q.even_dim else up @ comm)
+    linked, bands = _linked_group(gamma, q.e_perp, factors)
+    cols = _entries([proj.project(q.e_perp @ (up @ comm))
                      for up, comm in (factors[i] for i in linked)] + [gamma], bands)
     if not cols[-1].any(axis=(0, 2)).all():
         raise ValueError("volume element vanishes on the interior")
@@ -506,9 +479,6 @@ def check_spatial_triple(q: SpectralQuadruple, margin: int) -> list[AxiomReport]
     first-order condition with D_s in place of iH, and that the algebra
     restricts to the two e_perp eigenspaces.
     """
-    if not q.even_dim:
-        raise ValueError("spatial-triple restriction applies to even spacetime "
-                         "dimension; the odd case checks the unrestricted triple")
     rep = _PointReports(q)
     d_s = q.e_perp @ (-1j * q.ih_e_perp)
     rep.add("spatial.selfadjoint",
@@ -605,8 +575,8 @@ def check_noncommutativity(q: SpectralQuadruple) -> np.ndarray:
     return op_norm(commutator(ut @ q.u @ ut.adjoint(), q.u))
 
 
-# degree bound of the orientability candidates verify_quadruple fits, and
-# the least ||[u(1), u]|| it accepts as a noncommutative evolution
+# degree bound of the orientability candidates, and the least ||[u(1), u]||
+# verify_points accepts as a noncommutative evolution
 _DEGREE_BOUND = 2
 _NONCOMMUTATIVITY_THRESHOLD = 1e-4
 
@@ -645,11 +615,9 @@ def verify_points(q: SpectralQuadruple, margin: int = 4,
     rep.add("first_order.u_uadj", check_first_order(q, q.u, q.u_adj, fo_margin),
             margin=fo_margin)
 
-    rep.add("orientability.membership",
-            check_orientability(q, _DEGREE_BOUND, orient_margin), margin=orient_margin)
-
-    if q.even_dim:
-        rep.extend(check_spatial_triple(q, margin))
+    rep.add("orientability.membership", check_orientability(q, orient_margin),
+            margin=orient_margin)
+    rep.extend(check_spatial_triple(q, margin))
 
     if include.any():
         values = np.ravel(check_noncommutativity(q)).tolist()

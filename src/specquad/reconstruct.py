@@ -105,6 +105,12 @@ def _band_fit(term: TruncatedOperator, k: int, reference: TruncatedOperator,
     return median(coefs.real), float(np.sqrt(num / den))
 
 
+def _require_single_point(q: SpectralQuadruple, name: str) -> None:
+    """Raise ``ValueError`` unless q holds a single parameter point."""
+    if q.basis.batch:
+        raise ValueError(f"{name} checks a single point, not the batch {q.basis.batch}")
+
+
 def _vanishes(q: SpectralQuadruple, t3: TruncatedOperator, margin: int) -> bool:
     """Whether the third-order term t3 is massless roundoff: the roundoff
     grows about linearly with ||iH||, so the cut does too."""
@@ -115,6 +121,7 @@ def _vanishes(q: SpectralQuadruple, t3: TruncatedOperator, margin: int) -> bool:
 def third_order_coefficient(q: SpectralQuadruple, margin: int = 4) -> tuple[float, float]:
     """(kappa, fit residual) of the third-order term against e_perp u^2;
     both 0 when the term vanishes (the cut of ``fit_third_order``)."""
+    _require_single_point(q, "third_order_coefficient")
     t3 = commutator_expansion(q.ih, q.u, 3, margin)[3]
     if _vanishes(q, t3, margin):
         return 0.0, 0.0
@@ -130,6 +137,7 @@ def fit_third_order(q: SpectralQuadruple, t3: TruncatedOperator,
     with cosh(theta) read from the ADM commutator ``q.adm_commutator``.  The mass
     scale only means something when the fit residual is small.
     """
+    _require_single_point(q, "fit_third_order")
     if _vanishes(q, t3, margin):
         return 0.0, 0.0, 0.0
     kappa, resid = _band_fit(t3, 2, q.e_perp @ q.u_sq, margin)
@@ -144,6 +152,7 @@ def extract_mass_scale(q: SpectralQuadruple, margin: int = 4) -> float:
     A vanishing third order returns 0 (massless degeneracy); a fit residual
     above 1e-6 raises ValueError.
     """
+    _require_single_point(q, "extract_mass_scale")
     mass_scale, _, resid = fit_third_order(
         q, commutator_expansion(q.ih, q.u, 3, margin)[3], margin)
     if resid > _FIT_TOLERANCE:
@@ -164,6 +173,7 @@ def extract_adm(q: SpectralQuadruple, margin: int = 4) -> ADMExtract:
     of the predicted shape does not raise: its fit residual is returned as
     third_order_fit.
     """
+    _require_single_point(q, "extract_adm")
     proj = InteriorProjector(q.basis, margin)
     lapse_mass = float(np.mean(_fiber_traces(proj.band(q.ih @ q.e_perp, 0)).real))
     shift = median(np.abs(_fiber_traces(proj.band(q.ih_u, 1))))
@@ -186,5 +196,6 @@ def massless_degeneracy_check(q: SpectralQuadruple, kmax: int = 5,
     """Max interior residual of all expansion orders k <= kmax; for a
     massless quadruple the commutator vanishes at all times, so every
     order must vanish."""
+    _require_single_point(q, "massless_degeneracy_check")
     return float(max(interior_residual(t, margin)
                      for t in commutator_expansion(q.ih, q.u, kmax, margin)))

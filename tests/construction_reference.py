@@ -93,11 +93,9 @@ def eigenframe(theta: float) -> np.ndarray:
 
 
 def spatial_dirac(q: SpectralQuadruple) -> TruncatedOperator:
-    """The Dirac-type operator of the volume-element condition:
-    gamma [iH, gamma] for even spacetime dimension, iH for odd."""
-    if q.even_dim:
-        return q.gamma @ commutator(q.ih, q.gamma)
-    return q.ih
+    """The Dirac-type operator gamma [iH, gamma] of the volume-element
+    condition in even spacetime dimension."""
+    return q.gamma @ commutator(q.ih, q.gamma)
 
 
 def gauge_unitary(basis: BasisDescriptor, rho: float, y: float) -> TruncatedOperator:

@@ -125,7 +125,7 @@ def test_acceptance_5_quadruple_axioms(q_standard):
     cc = max(e.residual for e in rep)
     report("AC5c charge-conjugation intertwining", cc, 1e-10)
 
-    orient = check_orientability(q_standard, 2, 4)
+    orient = check_orientability(q_standard, 4)
     report("AC5d orientability membership (degree window 2)", orient, 1e-8)
 
 

@@ -502,9 +502,10 @@ def test_nonfinite_block_reads_red(fiber_dim, entry):
     assert not AxiomCheck("algebra.u_unitary", float(resid), 1e-12).passed
 
 
-def full_orientability(q, d, margin):
-    """Every candidate e_perp u^p [D, u^q] in one least-squares fit."""
-    dirac = commutator(q.ih, q.e_perp) if q.even_dim else q.ih
+def full_orientability(q, margin):
+    """Every candidate e_perp u^p [D, u^q], |p|, |q| <= 2, in one
+    least-squares fit."""
+    d, dirac = 2, commutator(q.ih, q.e_perp)
     proj = InteriorProjector(q.basis, margin)
     gamma = proj.project(q.gamma)
     cands = [proj.project(q.e_perp @ q.u.power(p) @ commutator(dirac, q.u.power(k)))
@@ -539,8 +540,8 @@ def orientability_cases(rng):
 
 def test_split_orientability_matches_full_fit(rng):
     for q in orientability_cases(rng):
-        for d, margin in ((2, 4), (1, 2)):
-            assert abs(check_orientability(q, d, margin) - full_orientability(q, d, margin)) <= 1e-14
+        for margin in (4, 2):
+            assert abs(check_orientability(q, margin) - full_orientability(q, margin)) <= 1e-14
 
 
 def test_orientability_builds_only_linked_candidates(monkeypatch):
@@ -552,7 +553,7 @@ def test_orientability_builds_only_linked_candidates(monkeypatch):
     project = InteriorProjector.project
     monkeypatch.setattr(InteriorProjector, "project",
                         lambda self, a: built.append(a is not q.gamma) or project(self, a))
-    check_orientability(q, 2, 4)
+    check_orientability(q, 4)
     assert sum(built) == 4
 
 
@@ -590,7 +591,7 @@ def test_orientability_builds_each_power_once(monkeypatch):
     power = TruncatedOperator.power
     monkeypatch.setattr(TruncatedOperator, "power",
                         lambda self, p: calls.append(p) or power(self, p))
-    check_orientability(quadruple(16, 1.0, 0.3, 0.0, 0.0), 2, 4)
+    check_orientability(quadruple(16, 1.0, 0.3, 0.0, 0.0), 4)
     assert sorted(calls) == [-2, -1, 0, 1, 2]
 
 
@@ -619,14 +620,14 @@ def test_orientability_fits_a_mixed_batch_per_point(monkeypatch, rng):
     calls = []
     linked_group = quad._linked_group
     monkeypatch.setattr(quad, "_linked_group", lambda *a: calls.append(a) or linked_group(*a))
-    got = check_orientability(q, 2, 4)
+    got = check_orientability(q, 4)
     assert len(calls) == 1 and got[1] == 1.0
     monkeypatch.undo()
     for p in range(4):
         single = dataclasses.replace(
             assemble_quadruple(DeSitterParams(rm=MIXED_RMS[p], theta=MIXED_THETAS[p], nmax=16)),
             ih=at_point(q.ih, p), gamma=at_point(q.gamma, p))
-        assert got[p].tobytes() == check_orientability(single, 2, 4).tobytes(), p
+        assert got[p].tobytes() == check_orientability(single, 4).tobytes(), p
 
 
 def at_point(x, p):
@@ -736,7 +737,7 @@ ONE_PATH = [
     ("spatial_triple", lambda q: quad.check_spatial_triple(q, 4)),
     ("symmetric_conditions", lambda q: check_symmetric_conditions(q, 2)),
     ("first_order", lambda q: quad.check_first_order(q, q.u_sq, q.u_adj, 3)),
-    ("orientability", lambda q: check_orientability(q, 2, 4)),
+    ("orientability", lambda q: check_orientability(q, 4)),
     ("noncommutativity", check_noncommutativity),
     # one band, the block norms; several bands at each point, the dense SVD
     ("interior_residual.one_band", lambda q: interior_residual(q.ih_u, 2)),

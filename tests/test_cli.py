@@ -890,17 +890,15 @@ class TestSweep:
         assert report["aggregate"]["passed"] is True
         assert report["aggregate"]["pass_matrix"] == [[True, True], [True, True]]
 
-    def test_too_small_truncation_annotated(self, tmp_path):
+    def test_too_small_truncation_annotated(self, tmp_path, capsys):
+        # every point shares nmax and the margin: a usage error, no report
         out = tmp_path / "sweep.json"
-        assert run(["sweep", "--rm", "1", "--theta", "0", "--nmax", "4",
-                    "--margin", "6", "-o", str(out)]) == 1
-        report = json.loads(read(out))
-        entry = report["grid"][0]
-        assert entry["skipped"] is True
-        assert "truncation too small" in entry["notes"]
+        assert run(["sweep", "--nmax", "4", "-o", str(out)]) == 2
+        assert "margin 4 needs nmax >= 5, not 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_error_is_not_a_skipped_point(self, tmp_path, monkeypatch):
-        # only a too-small truncation may be reported as a skipped point
+        # an error raised by a check propagates: no point is skipped
         def boom(*args, **kwargs):
             raise ValueError("boom")
 
@@ -1114,3 +1112,107 @@ class TestOutputPath:
             os.close(fd)
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert json.loads(data)["subcommand"] == "desitter-crosscheck"
+
+
+# (id, tolerance, margin, notes) of every row of a default report, in order;
+# a notes entry of None is computed from the run (a median, a measured
+# value), and so is the tolerance None of reconstruct.linearity_in_mass,
+# which scales with kappa.  No residual is compared.
+VERIFY_ROWS = [
+    ('time_vector.square', 1e-14, 0, ''),
+    ('time_vector.antihermitian', 1e-14, 0, ''),
+    ('volume.gamma_square', 1e-14, 0, 'gamma^2 = +1'),
+    ('volume.braiding', 1e-14, 0, '{e_perp, gamma}, even dim'),
+    ('symmetric.t21_u', 1e-10, 2, ''),
+    ('symmetric.t21_e_perp', 1e-10, 2, ''),
+    ('symmetric.t21_gamma', 1e-10, 2, ''),
+    ('symmetric.sl2_raise', 1e-10, 2, ''),
+    ('symmetric.sl2_lower', 1e-10, 2, ''),
+    ('symmetric.sl2_pair', 1e-10, 2, ''),
+    ('symmetric.tplus_adjoint', 1e-10, 2, ''),
+    ('symmetric.tminus_adjoint', 1e-10, 2, ''),
+    ('charge_conjugation.square', 1e-12, 2, 'C^2 = +1 for n = 2'),
+    ('charge_conjugation.t21', 1e-10, 2, ''),
+    ('charge_conjugation.tplus', 1e-10, 2, ''),
+    ('charge_conjugation.tminus', 1e-10, 2, ''),
+    ('charge_conjugation.u', 1e-10, 2, 'C u = u* C'),
+    ('charge_conjugation.generator', 1e-10, 2, 'C iH = iH C'),
+    ('algebra.u_unitary', 1e-12, 1, ''),
+    ('first_order.u_u', 1e-10, 2, ''),
+    ('first_order.usq_u', 1e-10, 3, ''),
+    ('first_order.u_uadj', 1e-10, 2, ''),
+    ('orientability.membership', 1e-08, 4, ''),
+    ('spatial.selfadjoint', 1e-08, 4, ''),
+    ('spatial.bounded_uniform', 1e-08, 4, None),
+    ('spatial.first_order', 1e-08, 4, ''),
+    ('spatial.eigenspace_algebra', 1e-12, 4, ''),
+]
+ALL_ROWS = [
+    ('sl2.ladder_recursion', 1e-14, 0, ''),
+    ('sl2.ladder_closed_form', 0.0, 0, ''),
+    ('sl2.classification', 0.0, 0,
+     'principal_half_integer [complementary bound read as 0 >= r2m2 > -1/4]'),
+    *VERIFY_ROWS,
+    ('evolution.noncommutative', 0.0, 0, None),
+    ('crosscheck.recursion_vs_closed_form', 1e-12, 0, ''),
+    ('crosscheck.norm_law', 1e-12, 0,
+     'T+(n) T+(n)* = ((n+1/2)^2 + rm^2) 1, relative to (n+1/2)^2 + rm^2'),
+    ('reconstruct.order_1', 1e-10, 0, ''),
+    ('reconstruct.order_2', 1e-10, 0, ''),
+    ('reconstruct.third_order_fit', 1e-08, 0, None),
+    ('reconstruct.mass_roundtrip', 1e-08, 0, None),
+    ('reconstruct.linearity_in_mass', None, 0, 'kappa(2 rm) vs 2 kappa(rm)'),
+    ('reconstruct.lapse_mass', 1e-08, 0, 'fiber trace of iH e_perp'),
+    ('reconstruct.shift', 1e-10, 0, ''),
+    ('reconstruct.adm_shape', 1e-10, 0, ''),
+    ('finite.selfadjoint', 1e-12, 0, ''),
+    ('finite.j_commutes', 1e-12, 0, ''),
+    ('finite.gamma_anticommutes', 1e-12, 0, ''),
+    ('finite.first_order', 1e-12, 0, ''),
+    ('finite.sign_table', 0.0, 0, 'mismatches against the KO-dimension sign table of Connes '
+     '(J. Math. Phys. 36, 1995), n in [0, 15]'),
+    ('finite.e_perp_square@0', 1e-12, 0, 't = 0'),
+    ('finite.e_perp_antihermitian@0', 1e-12, 0, 't = 0'),
+    ('finite.volume_braiding@0', 1e-12, 0, 't = 0'),
+    ('finite.e_perp_square@1', 1e-12, 0, 't = 1'),
+    ('finite.e_perp_antihermitian@1', 1e-12, 0, 't = 1'),
+    ('finite.volume_braiding@1', 1e-12, 0, 't = 1'),
+    ('finite.distance', 1e-06, 0, None),
+    ('oracle.embedding', 1e-12, 0, ''),
+    ('oracle.extrinsic_trace', 1e-09, 0, 'K_A^A = (n-1)/R with n = 3 the embedding dimension'),
+    ('oracle.killing_brackets', 1e-09, 0, ''),
+    ('oracle.casimir', 1e-09, 0, ''),
+    ('oracle.clifford', 1e-12, 0, ''),
+    ('oracle.b_intertwiner', 1e-14, 0, ''),
+    ('oracle.dirac_pair', 1e-09, 0, ''),
+    ('oracle.hamiltonian_vs_grid', 1e-09, 0, 'hamiltonian_theta and level_block theta-derivative '
+     'blocks vs grid T-action, |n| <= 11/2'),
+    ('oracle.slice_independence', 1e-08, 0,
+     "(cosh G)' + M_n^* cosh G + cosh G M_n, |n| <= 11/2, theta in {0, 0.35, 0.7}"),
+    ('oracle.minkowski_commutation', 1e-08, 0, ''),
+]
+
+
+def report_rows(checks, pinned):
+    """(id, tolerance, margin, notes) of each report row, the parts that its
+    row of ``pinned`` leaves open set to None; a report with more or fewer
+    rows than ``pinned`` raises."""
+    return [(c["id"], None if want[1] is None else c["tolerance"], c["margin"],
+             None if want[3] is None else c["notes"])
+            for c, want in zip(checks, pinned, strict=True)]
+
+
+class TestReportStructure:
+    def test_all_rows_and_fixed_notes(self, tmp_path):
+        out = tmp_path / "all.json"
+        assert run(["all", "-o", str(out)]) == 0
+        assert report_rows(json.loads(read(out))["checks"], ALL_ROWS) == ALL_ROWS
+
+    def test_sweep_cell_rows_and_fixed_notes(self, tmp_path):
+        # the default grid's first cell, rm = 0: no evolution row
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "-o", str(out)]) == 0
+        cell = json.loads(read(out))["grid"][0]
+        assert cell["params"] == {"rm": 0.0, "theta": 0.0, "nmax": 32, "margin": 4}
+        assert cell["skipped"] is False and cell["notes"] == ""
+        assert report_rows(cell["checks"], VERIFY_ROWS) == VERIFY_ROWS

@@ -282,6 +282,18 @@ class TestAssembledQuadruple:
         with pytest.raises(ValueError):
             DeSitterParams(rm=1.0, theta=0.0, nmax=3)
 
+    @pytest.mark.parametrize("field,value", [
+        ("nmax", 16.5), ("rm", 1j), ("theta", 0.3 + 0j), ("rm", np.array([1.0, 2j]))],
+        ids=["float-nmax", "complex-rm", "complex-theta", "complex-rm-array"])
+    def test_non_integer_nmax_and_complex_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            DeSitterParams(**{"rm": 1.0, "theta": 0.3, "nmax": 16, field: value})
+
+    def test_numpy_integer_nmax_and_real_arrays_accepted(self):
+        q = assemble_quadruple(DeSitterParams(rm=np.array([1.0, 2.0]), theta=np.float64(0.3),
+                                              nmax=np.int64(16)))
+        assert q.basis.nmax == 16 and q.basis.batch == (2,)
+
     def test_appendix_blocks_adjoint_pairing(self, rng):
         # T+(n)* = -T-(n+1): the unitarity relation behind the recursion
         for _ in range(10):

@@ -7,7 +7,7 @@ import pytest
 from specquad import cli, desitter
 from specquad.desitter import DeSitterParams, assemble_quadruple
 from specquad.operators import (
-    BasisDescriptor,
+    AntilinearOperator,
     TruncatedOperator,
     antilinear_conjugate,
     commutator,
@@ -23,12 +23,11 @@ from specquad.quadruple import (
     check_symmetric_conditions,
     check_time_vector,
     check_volume_element,
-    s_exponent,
     verify_quadruple,
 )
 
 from construction_reference import spatial_dirac
-from operator_reference import (band_block, from_dense, from_level_diagonal, from_shift,
+from operator_reference import (band_block, from_dense, from_level_diagonal,
                                 level_index, to_dense, zero)
 
 
@@ -67,13 +66,6 @@ class TestVolumeElement:
         assert all(e.residual == 0.0 for e in rep)
         assert "gamma^2 = +1" in rep["volume.gamma_square"].notes
 
-    def test_odd_dimension_uses_commutator(self, q_standard):
-        # 1+0-style data: e_perp = i gamma commutes with gamma
-        gamma = q_standard.gamma
-        q = with_operator(q_standard, e_perp=1j * gamma, spacetime_dim=1)
-        [rep] = check_volume_element(q)
-        assert rep["volume.braiding"].residual == 0.0
-
     def test_identity_gamma_negative_control(self, q_standard):
         q = with_operator(q_standard,
                           gamma=TruncatedOperator.identity(q_standard.basis))
@@ -106,29 +98,13 @@ class TestFirstOrder:
 
 
 class TestChargeConjugation:
-    def test_sign_exponents(self):
-        assert s_exponent(2) == 0
-        assert s_exponent(5) == 3
-        assert (-1) ** s_exponent(2) == 1
-        assert (-1) ** s_exponent(5) == -1
-
     def test_desitter_intertwining(self, q_standard):
         [rep] = check_charge_conjugation(q_standard, margin=2)
         assert rep.passed
         assert rep["charge_conjugation.tplus"].residual <= 1e-10
 
-    def test_square_wrong_dimension_detected(self, q_standard):
-        # with spacetime_dim = 5 the axiom wants C^2 = -1; ours squares to +1
-        q = with_operator(q_standard, spacetime_dim=5)
-        [rep] = check_charge_conjugation(q, margin=2)
-        assert not rep["charge_conjugation.square"].passed
-
 
 class TestSpatialDirac:
-    def test_odd_branch_returns_ih(self, q_standard):
-        q = with_operator(q_standard, spacetime_dim=3)
-        assert spatial_dirac(q) is q.ih
-
     def test_even_branch_is_mass_term(self, q_standard):
         # gamma [iH, gamma] picks out (-2x) the gamma-anticommuting part of
         # iH, which is the mass term -2 rm e_perp: fiberwise, level-diagonal
@@ -143,50 +119,32 @@ class TestSpatialDirac:
 
 class TestOrientability:
     def test_desitter_membership(self, q_standard):
-        assert check_orientability(q_standard, 2, 4) <= 1e-8
+        assert check_orientability(q_standard, 4) <= 1e-8
 
     def test_random_hermitian_gamma_not_member(self, q_standard, rng):
         h = rng.normal(size=(q_standard.basis.dim,) * 2)
         q = with_operator(q_standard,
                           gamma=from_dense(q_standard.basis, h + h.T))
         # report-only: typically far from the span
-        assert check_orientability(q, 2, 4) > 0.1
+        assert check_orientability(q, 4) > 0.1
 
     def test_zero_dynamics_gives_unit_residual(self, q_standard):
         q = with_operator(q_standard, ih=zero(q_standard.basis))
-        assert check_orientability(q, 2, 4) == 1.0
+        assert check_orientability(q, 4) == 1.0
 
     @pytest.mark.parametrize("theta", [372.0, 400.0, 710.0])
     def test_membership_at_large_theta(self, theta):
         # the candidates' entries are about 2n / cosh theta, whose squares
         # underflow unless the fit scales each column first
         q = assemble_quadruple(DeSitterParams(rm=1.0, theta=theta, nmax=16))
-        assert check_orientability(q, 2, 4) <= 1e-15
-
-    def test_empty_span_rejected(self, q_standard):
-        with pytest.raises(ValueError):
-            check_orientability(q_standard, 0, 0)
+        assert check_orientability(q, 4) <= 1e-15
 
     def test_volume_element_vanishing_at_a_point_rejected(self):
         q = assemble_quadruple(DeSitterParams(rm=1.0, theta=np.array([0.3, 1.0]), nmax=8))
         g0 = np.array(np.broadcast_to(q.gamma.band(0), (2, 2, 2, q.basis.nlevels)))
         g0[:, :, 1] = 0.0
         with pytest.raises(ValueError, match="vanishes"):
-            check_orientability(with_operator(q, gamma=TruncatedOperator(q.basis, {0: g0})), 2, 4)
-
-    def test_odd_branch_synthetic(self):
-        # synthetic odd quadruple: gamma = 1 is a cycle Sum a u^p [iH, u^q]
-        basis = BasisDescriptor.spinor(8)
-        u = from_shift(basis, 1, lambda n: np.eye(2))
-        ih = from_level_diagonal(basis, lambda n: 1j * n * np.eye(2))
-        e_perp = fiber_op(basis, np.diag([1j, -1j]))
-        from specquad.desitter import charge_conjugation
-        from specquad.quadruple import SpectralQuadruple
-        q = SpectralQuadruple(
-            basis=basis, u=u, e_perp=e_perp,
-            gamma=TruncatedOperator.identity(basis), cc=charge_conjugation(basis),
-            t21=ih, t_plus=u, t_minus=u.adjoint(), ih=ih, spacetime_dim=3)
-        assert check_orientability(q, 1, 2) <= 1e-12
+            check_orientability(with_operator(q, gamma=TruncatedOperator(q.basis, {0: g0})), 4)
 
 
 class TestSpatialTriple:
@@ -202,11 +160,6 @@ class TestSpatialTriple:
         [rep] = check_spatial_triple(q, margin=4)
         assert rep.passed
         assert "degenerate" in rep["spatial.bounded_uniform"].notes
-
-    def test_odd_dimension_rejected(self, q_standard):
-        q = with_operator(q_standard, spacetime_dim=3)
-        with pytest.raises(ValueError):
-            check_spatial_triple(q, margin=4)
 
     def test_non_fiberwise_time_vector_still_reports(self, q_standard):
         # eigenprojections stay defined for a level-dependent antihermitian
@@ -313,6 +266,14 @@ def planted_block(name, k, block):
     return plant
 
 
+def fiber_flip_defect(q):
+    """C with 1e-6 * 1 added to its fiber flip F at level 1/2, a mid level of
+    the interior: C^2 at the levels +-1/2 is 1 + 1e-6 F."""
+    flip = np.array(q.cc.linear.band(0))
+    flip[..., level_index(q.basis, 0.5)] += 1e-6 * np.eye(2)
+    return replace(q, cc=AntilinearOperator(TruncatedOperator(q.basis, {0: flip})))
+
+
 def gamma_plus_sigma_z(q):
     """gamma + 1e-6 sigma_z on band 0 at every level: sigma_z anticommutes
     with the fiber of gamma, so it lies outside the span of the candidates,
@@ -327,6 +288,7 @@ def gamma_plus_sigma_z(q):
 # band +-1 defect keeps
 VERIFY_DEFECTS = {
     "algebra.u_unitary": planted_block("u", 1, np.eye(2)),
+    "charge_conjugation.square": fiber_flip_defect,
     "charge_conjugation.u": planted_block("u", 1, SIGMA_Z),
     "charge_conjugation.t21": planted_block("t21", 0, np.eye(2)),
     "charge_conjugation.generator": planted_block("ih", 0, np.eye(2)),

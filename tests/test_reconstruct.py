@@ -8,6 +8,7 @@ from specquad.reconstruct import (
     commutator_expansion,
     extract_adm,
     extract_mass_scale,
+    fit_third_order,
     massless_degeneracy_check,
     third_order_coefficient,
 )
@@ -200,3 +201,21 @@ class TestSharedExpansion:
         monkeypatch.setattr(TruncatedOperator, "__matmul__", counted)
         extract_adm(q)
         assert len(calls) <= 25
+
+
+# every scalar extraction, as name -> run on a quadruple
+EXTRACTIONS = {
+    "extract_adm": extract_adm,
+    "third_order_coefficient": third_order_coefficient,
+    "fit_third_order": lambda q: fit_third_order(q, q.u, 4),
+    "extract_mass_scale": extract_mass_scale,
+    "massless_degeneracy_check": massless_degeneracy_check,
+}
+
+
+@pytest.mark.parametrize("name", EXTRACTIONS)
+def test_scalar_extractions_refuse_a_batch(name):
+    q = assemble_quadruple(DeSitterParams(rm=np.array([1.0, 2.0]), theta=np.array([0.1, 0.2]),
+                                          nmax=16))
+    with pytest.raises(ValueError, match=rf"^{name} checks a single point"):
+        EXTRACTIONS[name](q)
