@@ -5,6 +5,12 @@ named checks and write one machine-readable report (schema version 1).
 Reports carry no timestamps and all random draws are seeded from the
 config, so identical configurations produce bit-identical files.
 
+A JSON report is ``json.dumps(payload, separators=(",\\n", ": "))`` and a
+newline: json's C encoder, its float spelling (``float.__repr__``, ``NaN``,
+``Infinity``) and ASCII escapes, with a line break after every item's
+comma and no indentation, so two reports compare line by line under
+``diff`` or ``grep``.
+
 Exit codes of ``main``:
 
 - 0: every check passed;
@@ -67,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+        # no prefix matching: --m is finite-verify's Dirac parameter, not
+        # quadruple-verify's --margin
+        p = sub.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
         # a token that starts like a negative number (-1e-3, -.5e0, -1,2,
         # -1+2j) is a flag's value; argparse's own pattern takes only -1 and
         # -.5 and reads the others as unknown options
@@ -162,12 +170,19 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 RM_MAX = float(np.finfo(float).max) ** 0.25 / 2
 
 
+# the least --margin of each subcommand that takes one: margin 0 reads the
+# truncation cutoff, where [T+, T-] = -2i T21 and the first-order identity
+# break, and the reconstruct section reads the third-order term
+MIN_MARGIN = {"quadruple-verify": 1, "sweep": 1, "reconstruct": 3, "all": 3}
+
+
 def _check_parameters(args: argparse.Namespace):
     """Check the --rm, --theta, --r2m2, --seed, --nmax and --margin values
     before any section runs: a nan or inf, an |rm| above ``RM_MAX``, a theta
-    whose cosh overflows a double, a negative seed or margin, or an --nmax
-    below ``desitter.MIN_NMAX`` is a usage error named by its flag, and a
-    sweep's grids become their lists of floats."""
+    whose cosh overflows a double, a negative seed, a margin below the
+    subcommand's ``MIN_MARGIN``, or an --nmax below ``desitter.MIN_NMAX`` is
+    a usage error named by its flag, and a sweep's grids become their lists
+    of floats."""
     for flag in ("rm", "theta", "r2m2"):
         value = getattr(args, flag, None)
         if value is None:
@@ -195,8 +210,10 @@ def _check_parameters(args: argparse.Namespace):
         raise ConfigError(f"--seed {args.seed}: must be non-negative")
     if getattr(args, "nmax", math.inf) < desitter.MIN_NMAX:
         raise ConfigError(f"--nmax {args.nmax}: must be at least {desitter.MIN_NMAX}")
-    if getattr(args, "margin", 0) < 0:
-        raise ConfigError(f"--margin {args.margin}: must be non-negative")
+    least = MIN_MARGIN.get(args.subcommand, 0)
+    if getattr(args, "margin", least) < least:
+        raise ConfigError(f"--margin {args.margin}: {args.subcommand} needs a margin of "
+                          f"at least {least}")
 
 
 def _parse_tolerances(pairs: Sequence[str] | None) -> dict[str, float]:
@@ -418,10 +435,8 @@ def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[
         params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax}
         return params, _section_crosscheck(args.rm, args.theta, args.nmax)
     if sc in ("reconstruct", "all"):
-        # the reconstruct section reads the third-order term
-        if args.margin < 3:
-            raise ConfigError(f"--margin {args.margin}: reconstruct needs a margin of at least 3")
-        if args.nmax < args.margin + 2:  # the term is band 2: three interior levels
+        # the third-order term is band 2: three interior levels
+        if args.nmax < args.margin + 2:
             raise TruncationError(f"margin {args.margin} needs nmax >= {args.margin + 2}, "
                                   f"not {args.nmax}")
     if sc == "reconstruct":
@@ -520,105 +535,6 @@ def _sweep_payload(params: dict, cells: list[SweepCell], tol: dict) -> dict:
     return {"grid": grid, "aggregate": aggregate}
 
 
-def _render_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, without
-    json's pure-Python encoder, which ``indent`` forces on CPython.  A list
-    under a ``checks`` key is written one row per template."""
-    out: list[str] = []
-    _write_json(payload, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-# the keys of AxiomReport.as_dicts, in its order
-CHECK_KEYS = ("id", "residual", "tolerance", "pass", "margin", "notes")
-
-
-def _encode_float(x: float) -> str:
-    """json's spelling of a float."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _write_json(value, newline: str, out: list[str]):
-    """Append the indent-2 JSON of value to out; newline is a line break
-    plus the indent of the line value starts on."""
-    if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_encode_float(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, not {type(key).__name__}")
-            out.append(sep + _encode_str(key) + ": ")
-            if key == "checks" and isinstance(item, list):
-                _write_checks(item, inner, out)
-            else:
-                _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} to a report")
-
-
-def _write_checks(rows: list, newline: str, out: list[str]):
-    """A ``checks`` list, as ``_write_json`` writes it: every row with the
-    keys of ``CHECK_KEYS`` in that order comes from one template, any other
-    row from ``_write_json``."""
-    if not rows:
-        out.append("[]")
-        return
-    row_line = newline + "  "
-    key_line = row_line + "  "
-    template = ("{" + key_line + '"id": %s,' + key_line + '"residual": %s,'
-                + key_line + '"tolerance": %s,' + key_line + '"pass": %s,'
-                + key_line + '"margin": %s,' + key_line + '"notes": %s' + row_line + "}")
-    sep = "[" + row_line
-    for row in rows:
-        out.append(sep)
-        if isinstance(row, dict) and tuple(row) == CHECK_KEYS:
-            out.append(template % (
-                _encode_str(row["id"]), _encode_float(row["residual"]),
-                _encode_float(row["tolerance"]), "true" if row["pass"] else "false",
-                int.__repr__(row["margin"]), _encode_str(row["notes"])))
-        else:
-            _write_json(row, row_line, out)
-        sep = "," + row_line
-    out.append(newline + "]")
-
-
 def _render_csv(payload: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -691,7 +607,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
 
     fmt = args.format or "json"
-    text = _render_json(payload) if fmt == "json" else _render_csv(payload)
+    text = (json.dumps(payload, separators=(",\n", ": ")) + "\n" if fmt == "json"
+            else _render_csv(payload))
     if args.output:
         _write_atomic(args.output, text)
     else:

@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import block_norms, block_product, power_of_two_below
+from .operators import block_norms, block_product, power_of_two_below, scaled_block_norms
 from .quadruple import AxiomReport
 
 __all__ = [
@@ -280,7 +280,7 @@ def validate_finite_triple(t: FiniteTriple) -> AxiomReport:
     right = np.stack([t.pi_op(b) for b in basis], axis=-1)
     da = _commutator(d[..., None], left)
     first_order = _commutator(da[..., None], right[..., None, :])
-    norms = _norms(np.concatenate([
+    norms = scaled_block_norms(np.concatenate([
         np.stack([d - d.conj().T, t.real_structure.after(d) - t.real_structure.before(d),
                   # gamma is diagonal: (gamma D + D gamma)_ij = (g_i + g_j) D_ij
                   (t.gamma[:, None] + t.gamma) * d], axis=-1),
@@ -291,16 +291,6 @@ def validate_finite_triple(t: FiniteTriple) -> AxiomReport:
     rep.add("finite.gamma_anticommutes", norms[2])
     rep.add("finite.first_order", norms[3:].max())
     return rep
-
-
-def _norms(stack: np.ndarray) -> np.ndarray:
-    """``block_norms`` of a fiber-major stack (n, n, ...), each block first
-    divided by the power of two at or below its largest |entry| and its
-    norm multiplied back, both exact, so the squares of a 2x2 block neither
-    overflow nor underflow (a product by the reciprocal: a complex nan
-    divided by a real warns)."""
-    scale = power_of_two_below(np.abs(stack).max(axis=(0, 1)))
-    return block_norms(stack * (1.0 / scale)) * scale
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -426,7 +416,7 @@ class FiniteQuadruple:
             defects = np.stack([block_product(e, e) + np.eye(e.shape[0])[..., None],
                                 e.conj().swapaxes(0, 1) + e, e * (g[None] - g[:, None])],
                                axis=-1)
-            norms = _norms(defects.reshape(e.shape[:2] + (-1,)))
+            norms = scaled_block_norms(defects.reshape(e.shape[:2] + (-1,)))
         rep = AxiomReport()
         for idx, tval in enumerate(self.times):
             note = f"t = {tval:g}"

@@ -61,6 +61,7 @@ __all__ = [
     "block_product",
     "block_stack",
     "block_norms",
+    "scaled_block_norms",
     "power_of_two_below",
     "median",
 ]
@@ -261,6 +262,16 @@ def power_of_two_below(x: np.ndarray | float) -> np.ndarray:
     complex division by a real y takes 1 / y.  A zero, inf or nan x
     gives 1/2."""
     return np.ldexp(1.0, np.maximum(np.frexp(x)[1] - 1, -1022))
+
+
+def scaled_block_norms(stack: np.ndarray) -> np.ndarray:
+    """``block_norms`` of a fiber-major stack (d, d, ...), each block first
+    divided by the power of two at or below its largest |entry| and its
+    norm multiplied back, both exact, so the squares of a 2x2 block neither
+    overflow nor underflow (a product by the reciprocal: a complex nan
+    divided by a real warns)."""
+    scale = power_of_two_below(np.abs(stack).max(axis=(0, 1)))
+    return block_norms(stack * (1.0 / scale)) * scale
 
 
 @dataclass(frozen=True)

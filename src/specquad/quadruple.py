@@ -49,6 +49,7 @@ from .operators import (
     interior_residual,
     median,
     op_norm,
+    scaled_block_norms,
 )
 
 __all__ = [
@@ -165,7 +166,8 @@ class AxiomReport:
 
     def override(self, tolerances: Mapping[str, float] | None) -> "AxiomReport":
         """Replace, in place, the tolerance of every entry whose registry key
-        is overridden; raises ValueError for an id not in the table."""
+        is overridden; raises ValueError for an id not in the table or a nan
+        value."""
         tolerances = validate_overrides(tolerances)
         if not tolerances:
             return self
@@ -272,12 +274,17 @@ def registry_key(check_id: str) -> str:
 
 def validate_overrides(tolerances: Mapping[str, float] | None) -> dict[str, float]:
     """Tolerance overrides as floats; raises ValueError for any id that is
-    not a key of DEFAULT_TOLERANCES."""
+    not a key of DEFAULT_TOLERANCES and for a nan value, which no residual
+    would pass (+-inf and negative values stay: a negative one forces red)."""
     tolerances = dict(tolerances or {})
     unknown = sorted(set(tolerances) - DEFAULT_TOLERANCES.keys())
     if unknown:
         raise ValueError("unknown tolerance id " + ", ".join(map(repr, unknown)))
-    return {k: float(v) for k, v in tolerances.items()}
+    out = {k: float(v) for k, v in tolerances.items()}
+    nan = sorted(k for k, v in out.items() if math.isnan(v))
+    if nan:
+        raise ValueError("nan tolerance for " + ", ".join(map(repr, nan)))
+    return out
 
 
 def check_time_vector(q: SpectralQuadruple) -> list[AxiomReport]:
@@ -485,13 +492,14 @@ def check_spatial_triple(q: SpectralQuadruple, margin: int) -> list[AxiomReport]
             interior_residual(d_s - d_s.adjoint(), margin), margin=margin)
 
     comm_ds_u = commutator(d_s, q.u)
-    all_norms = InteriorProjector(q.basis, margin).band_norms(comm_ds_u, 1)
+    # full-range norms: the blocks shrink like 1/cosh theta
+    all_norms = scaled_block_norms(InteriorProjector(q.basis, margin).band(comm_ds_u, 1))
     uniform, notes = [], []
     # one median per point
     for norms in np.broadcast_to(all_norms, q.basis.batch + all_norms.shape[-1:]).reshape(
             math.prod(q.basis.batch), -1):
         med = median(norms) if norms.size else 0.0
-        if med <= 1e-14:
+        if med == 0.0:
             uniform.append(0.0)
             notes.append("degenerate: [D_s, u] vanishes (no spatial dynamics)")
         else:

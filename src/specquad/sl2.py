@@ -76,12 +76,13 @@ def ladder_coefficient_sq(n: float, r2m2: float) -> float:
 
 
 def verify_ladder_recursion(r2m2: float, nrange: Iterable[float]) -> float:
-    """Max over n of ||c_n|^2 - |c_{n-1}|^2 - 2n| on a contiguous weight set."""
-    ns = sorted(nrange)
+    """Max over n of ||c_n|^2 - |c_{n-1}|^2 - 2n| on a contiguous weight set,
+    each level's defect relative to max(|c_n|^2, |c_{n-1}|^2, 1), the scale
+    of its roundoff."""
     worst = 0.0
-    for n in ns:
-        lhs = ladder_coefficient_sq(n, r2m2) - ladder_coefficient_sq(n - 1.0, r2m2)
-        worst = max(worst, abs(lhs - 2.0 * n))
+    for n in sorted(nrange):
+        upper, lower = ladder_coefficient_sq(n, r2m2), ladder_coefficient_sq(n - 1.0, r2m2)
+        worst = max(worst, abs(upper - lower - 2.0 * n) / max(abs(upper), abs(lower), 1.0))
     return worst
 
 

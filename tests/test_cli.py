@@ -8,8 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from specquad import cli, desitter, finite, geometry, reconstruct, spinfields
 from specquad import quadruple as quad
@@ -117,6 +115,33 @@ class TestExitCodes:
     def test_small_nmax_and_negative_margin_name_their_flag(self, capsys, argv, flag):
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith(f"specquad: error: {flag} ")
+
+    @pytest.mark.parametrize("sc", ["quadruple-verify", "sweep"])
+    def test_margin_zero_is_usage_error(self, tmp_path, capsys, sc):
+        # margin 0 reads the truncation cutoff, where symmetric.sl2_pair and
+        # first_order.u_uadj break on correct data; margin 1 is roundoff only
+        out = tmp_path / "r.json"
+        assert run([sc, "--margin", "0", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("specquad: error: --margin 0: ")
+        assert not out.exists()
+        assert run([sc, "--margin", "1", "-o", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv", [["quadruple-verify", "--m", "1"], ["all", "--th", "1"]])
+    def test_abbreviated_flag_is_usage_error(self, argv):
+        # --m is the finite subcommands' Dirac parameter, not a prefix of --margin
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+    def test_nan_tolerance_is_usage_error(self, tmp_path, capsys):
+        # residual <= nan is false, so a nan bound would turn the check red
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol.symmetric.t21_u = nan\n")
+        for argv in (["--tol", "symmetric.t21_u=nan"], ["--config", str(cfg)]):
+            out = tmp_path / "r.json"
+            assert run(["quadruple-verify", "--nmax", "16", *argv, "-o", str(out)]) == 2
+            assert "'symmetric.t21_u'" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_crosscheck_checks_its_own_small_nmax(self, tmp_path, monkeypatch):
         # --nmax 4 is checked at 4, not raised to a larger truncation
@@ -679,53 +704,34 @@ class TestReportFormat:
         assert payload["passed"] is True
 
 
-# report values at the edges of json's spelling: floats it writes as NaN,
-# Infinity, -0.0, the smallest subnormal and a large exponent, and strings
-# it escapes (quotes, backslashes, control and non-ASCII characters)
-EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
-FLOATS = EDGE_FLOATS | st.floats()
-TEXT = st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é ∂ 😀", 'a "b" \\ c\n']) | st.text()
-CHECK_ROW = st.tuples(TEXT, FLOATS, FLOATS, st.booleans(), st.integers(), TEXT).map(
-    lambda row: dict(zip(("id", "residual", "tolerance", "pass", "margin", "notes"), row)))
-CHECKS = st.lists(CHECK_ROW, max_size=4)
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | FLOATS | TEXT,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
-    max_leaves=12)
-PARAMS = st.dictionaries(TEXT, JSON_VALUES, max_size=4)
-GRID_CELL = st.fixed_dictionaries({"params": PARAMS, "checks": CHECKS, "passed": st.booleans(),
-                                   "skipped": st.booleans(), "notes": TEXT})
-AGGREGATE = st.fixed_dictionaries({
-    "passed": st.booleans(),
-    "pass_matrix": st.lists(st.lists(st.none() | st.booleans(), max_size=3), max_size=3),
-    "rm_values": st.lists(FLOATS, max_size=3), "theta_values": st.lists(FLOATS, max_size=3)})
-HEAD = {"version": st.just(1), "subcommand": TEXT, "params": PARAMS}
-PAYLOADS = (st.fixed_dictionaries({**HEAD, "checks": CHECKS, "passed": st.booleans()})
-            | st.fixed_dictionaries({**HEAD, "grid": st.lists(GRID_CELL, max_size=3),
-                                     "aggregate": AGGREGATE, "passed": st.booleans()})
-            # a checks key holding rows of another shape, or no list at all
-            | st.dictionaries(TEXT | st.just("checks"), JSON_VALUES, max_size=4))
-
-
 class TestRenderJson:
-    """The report writer gives the bytes of json.dumps(payload, indent=2)."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(PAYLOADS)
-    def test_matches_json_dumps(self, payload):
-        assert cli._render_json(payload) == json.dumps(payload, indent=2) + "\n"
+    """A JSON report is json.dumps(payload, separators=(",\\n", ": ")) + "\\n"."""
 
     def test_report_rows_take_the_template(self):
         rep = quad.AxiomReport()
         rep.add("sl2.classification", 0.0, notes="n")
-        assert tuple(rep.as_dicts()[0]) == cli.CHECK_KEYS
+        assert tuple(rep.as_dicts()[0]) == ("id", "residual", "tolerance", "pass", "margin",
+                                            "notes")
 
     @pytest.mark.parametrize("argv", [["all", "--nmax", "8"], ["sweep", "--nmax", "8"]])
     def test_reports_match_json_dumps(self, tmp_path, argv):
         out = tmp_path / "r.json"
         assert run([*argv, "-o", str(out)]) == 0
         text = read(out)
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert text == json.dumps(json.loads(text), separators=(",\n", ": ")) + "\n"
+
+    def test_nan_and_infinity_spelling(self, tmp_path, monkeypatch):
+        # json's spelling of the non-finite floats, which json.loads reads back
+        monkeypatch.setattr(cli.sl2, "verify_ladder_recursion", lambda r2m2, ns: math.nan)
+        out = tmp_path / "r.json"
+        assert run(["sl2-classify", "--r2m2", "1", "--tol", "sl2.ladder_recursion=inf",
+                    "--tol", "sl2.ladder_closed_form=-inf", "-o", str(out)]) == 1
+        text = read(out)
+        assert '"residual": NaN,\n"tolerance": Infinity,\n"pass": false,\n' in text
+        assert '"tolerance": -Infinity,\n' in text
+        recursion, closed = json.loads(text)["checks"][:2]
+        assert math.isnan(recursion["residual"]) and recursion["tolerance"] == math.inf
+        assert closed["tolerance"] == -math.inf
 
 
 class TestConfigFile:

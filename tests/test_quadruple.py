@@ -161,6 +161,16 @@ class TestSpatialTriple:
         assert rep.passed
         assert "degenerate" in rep["spatial.bounded_uniform"].notes
 
+    @pytest.mark.parametrize("theta", [40.0, 700.0])
+    def test_large_theta_reads_its_median(self, theta):
+        # the block norms of [D_s, u] are 2/cosh theta, 1.7e-17 at theta 40
+        # and 3.9e-304 at 700: small, but no degenerate generator
+        q = assemble_quadruple(DeSitterParams(rm=1.0, theta=theta, nmax=32))
+        [rep] = check_spatial_triple(q, margin=4)
+        check = rep["spatial.bounded_uniform"]
+        assert check.notes == f"median fiber-block norm {2 / np.cosh(theta):.6g}"
+        assert check.residual <= 1e-14
+
     def test_non_fiberwise_time_vector_still_reports(self, q_standard):
         # eigenprojections stay defined for a level-dependent antihermitian
         # e_perp; the residuals are reported rather than erroring out

@@ -37,6 +37,18 @@ class TestLadderCoefficients:
     def test_recursion_integer_negative_label(self):
         assert verify_ladder_recursion(-0.2, np.arange(-5, 6)) <= 1e-15
 
+    @pytest.mark.parametrize("argv", [["all", "--rm", "5.33"], ["all", "--rm", "31.7"],
+                                      ["sl2-classify", "--r2m2", "30.0174"],
+                                      ["sl2-classify", "--r2m2", "1000.1"]])
+    def test_large_label_roundoff_stays_green(self, tmp_path, argv):
+        # |c_n|^2 reaches 128 and more here, where one rounding is above
+        # 1e-14: each level's defect is relative to its scale
+        out = tmp_path / "r.json"
+        assert cli.run([*argv, "-o", str(out)]) == 0
+        [row] = [c for c in json.loads(out.read_text())["checks"]
+                 if c["id"] == "sl2.ladder_recursion"]
+        assert row["residual"] <= 4 * np.finfo(float).eps
+
     def test_perturbed_closed_form_detected(self):
         # negative control: a 1e-3 bump at one weight breaks the recursion
         ns = np.arange(-4.5, 5.5)
