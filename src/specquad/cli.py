@@ -3,7 +3,9 @@
 Subcommands rebuild the operator data at the requested parameters, run the
 named checks and write one machine-readable report (schema version 1).
 Reports carry no timestamps and all random draws are seeded from the
-config, so identical configurations produce bit-identical files.
+config, so identical configurations produce bit-identical files.  Each
+flag is declared once, in ``_build_parser``: its type checks a command-line
+or config value, and the subcommand's own flags are the params echo.
 
 A JSON report is ``json.dumps(payload, separators=(",\\n", ": "))`` and a
 newline: json's C encoder, its float spelling (``float.__repr__``, ``NaN``,
@@ -55,72 +57,106 @@ DEFAULT_SEED = 20201121
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first ``run`` of a process and
-    reused: parsing keeps no state in it, since every ``--tol`` list and
-    every config token lands in the fresh namespace of one parse."""
+def _shared_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand shares; the params echo leaves them out."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value file; flags take precedence")
     common.add_argument("--output", "-o", help="report path (default: stdout)")
     common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--tol", action="append", default=None, metavar="ID=VALUE",
+    common.add_argument("--tol", action="append", type=_tolerance, default=None, metavar="ID=VALUE",
                         help="tolerance override per report check id (repeatable); "
                              "name@k shares the entry of name; unknown ids exit 2")
+    return common
 
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``run`` of a process and
+    reused: parsing keeps no state in it, since every ``--tol`` list and
+    every config token lands in the fresh namespace of one parse.
+
+    Each flag is declared once, here: its ``type`` converts and range-checks
+    the value for the command line and config lines alike, its subcommand's
+    ``set_defaults(run=...)`` runs the sections (looked up by name at call
+    time), and the subcommand's own flags, in declaration order, are the
+    report's params echo."""
     parser = argparse.ArgumentParser(
         prog="specquad",
         description="verification suite for truncated spectral quadruples")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, **kwargs):
+    def add(name, run, **kwargs):
         # no prefix matching: --m is finite-verify's Dirac parameter, not
         # quadruple-verify's --margin
-        p = sub.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
+        p = sub.add_parser(name, parents=[_shared_flags()], allow_abbrev=False, **kwargs)
         # a token that starts like a negative number (-1e-3, -.5e0, -1,2,
         # -1+2j) is a flag's value; argparse's own pattern takes only -1 and
         # -.5 and reads the others as unknown options
         p._negative_number_matcher = re.compile(r"-\.?\d")
+        p.set_defaults(run=run)
         return p
 
-    p = add("sl2-classify", help="series classification and ladder law")
-    p.add_argument("--r2m2", type=float, required=True)
-    p.add_argument("--lattice", choices=("integer", "half_integer"),
-                   default="half_integer")
+    finite = (math.isfinite, "must be finite")
+    rm = _flag("rm", float, finite, (lambda v: abs(v) <= RM_MAX, f"|rm| above {RM_MAX!r} "
+                                     "overflows the squares the checks form"))
+    theta = _flag("theta", float, finite, (lambda v: abs(v) <= THETA_MAX, "cosh(theta) overflows "
+                                           "a double (|theta| above about 710.48)"))
+    nmax = _flag("nmax", int, (lambda n: n >= desitter.MIN_NMAX,
+                               f"must be at least {desitter.MIN_NMAX}"))
+    seed = _flag("seed", int, (lambda n: n >= 0, "must be non-negative"))
 
-    for name in ("quadruple-verify", "reconstruct"):
-        p = add(name)
-        p.add_argument("--rm", type=float, default=1.0)
-        p.add_argument("--theta", type=float, default=0.3)
-        p.add_argument("--nmax", type=int, default=32)
-        p.add_argument("--margin", type=int, default=4)
+    def margin(name, least):
+        # margin 0 reads the truncation cutoff, where [T+, T-] = -2i T21 and
+        # the first-order identity break; reconstruct reads the third order
+        return _flag("margin", int, (lambda k: k >= least,
+                                     f"{name} needs a margin of at least {least}"))
 
-    p = add("desitter-crosscheck", help="recursion vs closed-form ladder blocks")
-    p.add_argument("--rm", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--nmax", type=int, default=16)
+    p = add("sl2-classify", lambda a: _section_sl2(a.r2m2, a.lattice),
+            help="series classification and ladder law")
+    p.add_argument("--r2m2", type=_flag("r2m2", float, finite), required=True)
+    p.add_argument("--lattice", choices=("integer", "half_integer"), default="half_integer")
 
-    for name in ("finite-verify", "finite-distance"):
-        p = add(name)
-        p.add_argument("--m", type=str, default="1",
-                       help="Dirac parameter, a Python complex literal")
+    for name, run, least in (
+            ("quadruple-verify", lambda a: _section_quadruple(*_assemble(a), a.margin), 1),
+            ("reconstruct",
+             lambda a: _section_reconstruct(*_assemble_three_interior_levels(a), a.margin), 3)):
+        p = add(name, run)
+        p.add_argument("--rm", type=rm, default=1.0)
+        p.add_argument("--theta", type=theta, default=0.3)
+        p.add_argument("--nmax", type=nmax, default=32)
+        p.add_argument("--margin", type=margin(name, least), default=4)
 
-    p = add("oracle-check", help="independent geometry and symmetry-action suite")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p = add("desitter-crosscheck", lambda a: _section_crosscheck(a.rm, a.theta, a.nmax),
+            help="recursion vs closed-form ladder blocks")
+    p.add_argument("--rm", type=rm, default=1.0)
+    p.add_argument("--theta", type=theta, default=0.5)
+    p.add_argument("--nmax", type=nmax, default=16)
 
-    p = add("all", help="every section at the default parameters")
-    p.add_argument("--rm", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=0.3)
-    p.add_argument("--nmax", type=int, default=32)
-    p.add_argument("--margin", type=int, default=4)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    mass = "Dirac parameter, a Python complex literal"
+    p = add("finite-verify", lambda a: _section_finite_verify(a.m))
+    p.add_argument("--m", type=_flag("m", _parse_complex), default="1", help=mass)
+    p = add("finite-distance", lambda a: _section_finite_distance(a.m))
+    inverse = (lambda m: not m or math.isfinite(1.0 / abs(m)), "1/|m| overflows a double")
+    p.add_argument("--m", type=_flag("m", _parse_complex, inverse), default="1", help=mass)
 
-    p = add("sweep", help="quadruple-verify at every point of an rm x theta grid")
-    p.add_argument("--rm", type=str, default="0,0.5,1,2",
+    p = add("oracle-check", lambda a: _section_oracle(a.seed),
+            help="independent geometry and symmetry-action suite")
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
+
+    p = add("all", _run_all, help="every section at the default parameters")
+    p.add_argument("--rm", type=rm, default=1.0)
+    p.add_argument("--theta", type=theta, default=0.3)
+    p.add_argument("--nmax", type=nmax, default=32)
+    p.add_argument("--margin", type=margin("all", 3), default=4)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
+
+    p = add("sweep", _run_sweep, help="quadruple-verify at every point of an rm x theta grid")
+    p.add_argument("--rm", type=_grid("rm", rm), default="0,0.5,1,2",
                    help="comma-separated rm grid")
-    p.add_argument("--theta", type=str, default="0,0.3,1.0",
+    p.add_argument("--theta", type=_grid("theta", theta), default="0,0.3,1.0",
                    help="comma-separated theta grid")
-    p.add_argument("--nmax", type=int, default=32)
-    p.add_argument("--margin", type=int, default=4)
+    p.add_argument("--nmax", type=nmax, default=32)
+    p.add_argument("--margin", type=margin("sweep", 1), default=4)
     return parser
 
 
@@ -128,39 +164,79 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path: str) -> dict[str, str]:
-    out = {}
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse the command line.  The key = value lines of --config enter as
+    flags placed before it, so each passes the one declaration of its flag,
+    type and range checks included, and an explicit flag wins; a key names
+    a flag of the subcommand, and a tol.ID line becomes --tol ID=VALUE."""
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    flags = {a.dest for a in _subcommand_flags(parser, args.subcommand)}
+    tokens = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                    raise ConfigError(f"{args.config}:{lineno}: expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
-                out[key] = value
+                if key.startswith("tol."):
+                    key, value = "tol", f"{key[4:]}={value}"
+                elif key not in flags:
+                    raise ConfigError(f"unknown config key {key!r}")
+                tokens.append(f"--{key}={value}")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return out
-
-
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse the command line; config lines enter as flags placed before
-    it, so they get the flags' type and choice checks and an explicit flag
-    wins.  A tol.ID line becomes --tol ID=VALUE."""
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    tokens = []
-    for key, value in _load_config(args.config).items():
-        if key.startswith("tol."):
-            key, value = "tol", f"{key[4:]}={value}"
-        elif not hasattr(args, key):
-            raise ConfigError(f"unknown config key {key!r}")
-        tokens.append(f"--{key}={value}")
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     # argv[0] is the subcommand: the top-level parser has no options
     return parser.parse_args([argv[0], *tokens, *argv[1:]])
+
+
+def _subcommand_flags(parser: argparse.ArgumentParser, name: str) -> list[argparse.Action]:
+    """The flags of subcommand ``name``, in declaration order."""
+    [sub] = [a for a in parser._actions if a.dest == "subcommand"]
+    return [a for a in sub.choices[name]._actions if a.dest != "help"]
+
+
+def _flag(flag: str, convert, *rules):
+    """The argparse type of ``--flag``: ``convert`` the text, then test the value
+    with each (predicate, rule) pair; a broken rule is a ConfigError, which
+    argparse lets through, and an unreadable text argparse's own error."""
+    def parse(text: str):
+        value = convert(text)
+        for ok, rule in rules:
+            if not ok(value):
+                raise ConfigError(f"--{flag} {value!r}: {rule}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _grid(flag: str, element):
+    """The argparse type of a sweep grid: comma-separated values of type ``element``."""
+    def parse(text: str) -> list[float]:
+        try:
+            values = [element(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError as exc:
+            raise ConfigError(f"--{flag}: bad grid {text!r}") from exc
+        if not values:
+            raise ConfigError(f"--{flag}: empty grid")
+        return values
+    return parse
+
+
+def _parse_complex(text: str) -> complex:
+    """The --m literal; a nan or inf part is rejected here as a usage error
+    (``build_finite_triple`` would refuse it with a crash exit)."""
+    try:
+        value = complex(text.replace(" ", ""))
+    except ValueError as exc:
+        raise ConfigError(f"--m: bad complex literal {text!r}") from exc
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ConfigError(f"--m {text!r}: real and imaginary parts must be finite")
+    return value
 
 
 # the largest |rm| a run accepts: the checks multiply two mass or ladder
@@ -168,68 +244,21 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 # the block norms and band fits square entries, so (2 rm)^4 must stay a
 # double
 RM_MAX = float(np.finfo(float).max) ** 0.25 / 2
+# the largest |theta| whose cosh is a double
+THETA_MAX = math.acosh(sys.float_info.max)
 
 
-# the least --margin of each subcommand that takes one: margin 0 reads the
-# truncation cutoff, where [T+, T-] = -2i T21 and the first-order identity
-# break, and the reconstruct section reads the third-order term
-MIN_MARGIN = {"quadruple-verify": 1, "sweep": 1, "reconstruct": 3, "all": 3}
-
-
-def _check_parameters(args: argparse.Namespace):
-    """Check the --rm, --theta, --r2m2, --seed, --nmax and --margin values
-    before any section runs: a nan or inf, an |rm| above ``RM_MAX``, a theta
-    whose cosh overflows a double, a negative seed, a margin below the
-    subcommand's ``MIN_MARGIN``, or an --nmax below ``desitter.MIN_NMAX`` is
-    a usage error named by its flag, and a sweep's grids become their lists
-    of floats."""
-    for flag in ("rm", "theta", "r2m2"):
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if args.subcommand == "sweep":
-            values = _parse_grid(value, flag)
-            setattr(args, flag, values)
-        elif math.isfinite(value):
-            values = [value]
-        else:
-            raise ConfigError(f"--{flag} {value!r}: must be finite")
-        if flag == "theta":
-            for theta in values:
-                try:
-                    math.cosh(theta)
-                except OverflowError:
-                    raise ConfigError(f"--theta {theta!r}: cosh(theta) overflows a double "
-                                      f"(|theta| above about 710.48)") from None
-        if flag == "rm":
-            for rm in values:
-                if abs(rm) > RM_MAX:
-                    raise ConfigError(f"--rm {rm!r}: |rm| above {RM_MAX!r} overflows "
-                                      f"the squares the checks form")
-    if getattr(args, "seed", 0) < 0:
-        raise ConfigError(f"--seed {args.seed}: must be non-negative")
-    if getattr(args, "nmax", math.inf) < desitter.MIN_NMAX:
-        raise ConfigError(f"--nmax {args.nmax}: must be at least {desitter.MIN_NMAX}")
-    least = MIN_MARGIN.get(args.subcommand, 0)
-    if getattr(args, "margin", least) < least:
-        raise ConfigError(f"--margin {args.margin}: {args.subcommand} needs a margin of "
-                          f"at least {least}")
-
-
-def _parse_tolerances(pairs: Sequence[str] | None) -> dict[str, float]:
-    """ID=VALUE overrides, later ones winning; an id that is not a
-    registry key is a usage error."""
-    out = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ConfigError(f"bad tolerance override {pair!r}, expected ID=VALUE")
-        key, value = pair.split("=", 1)
-        try:
-            out[key.strip()] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value in {pair!r}") from exc
+def _tolerance(pair: str) -> tuple[str, float]:
+    """The type of --tol: ID=VALUE, a registry key and a float other than nan."""
+    if "=" not in pair:
+        raise ConfigError(f"bad tolerance override {pair!r}, expected ID=VALUE")
+    key, value = pair.split("=", 1)
     try:
-        return validate_overrides(out)
+        value = float(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad tolerance value in {pair!r}") from exc
+    try:
+        return validate_overrides({key.strip(): value}).popitem()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -417,83 +446,26 @@ def _assemble(args: argparse.Namespace) -> tuple[desitter.DeSitterParams, Spectr
     return p, desitter.assemble_quadruple(p)
 
 
-# one sweep point: (params echo, report)
-SweepCell = tuple[dict, AxiomReport]
+def _assemble_three_interior_levels(args: argparse.Namespace):
+    """``_assemble``, but first refuse fewer than three interior levels: the
+    reconstruct section reads the third-order term, band 2."""
+    if args.nmax < args.margin + 2:
+        raise TruncationError(f"margin {args.margin} needs nmax >= {args.margin + 2}, "
+                              f"not {args.nmax}")
+    return _assemble(args)
 
 
-def _run_subcommand(args: argparse.Namespace) -> tuple[dict, AxiomReport | list[SweepCell]]:
-    """Returns (params echo, flat report), or for sweep (params echo, grid points)."""
-    sc = args.subcommand
-    if sc == "sl2-classify":
-        return ({"r2m2": args.r2m2, "lattice": args.lattice},
-                _section_sl2(args.r2m2, args.lattice))
-    if sc == "quadruple-verify":
-        params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax,
-                  "margin": args.margin}
-        return params, _section_quadruple(*_assemble(args), args.margin)
-    if sc == "desitter-crosscheck":
-        params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax}
-        return params, _section_crosscheck(args.rm, args.theta, args.nmax)
-    if sc in ("reconstruct", "all"):
-        # the third-order term is band 2: three interior levels
-        if args.nmax < args.margin + 2:
-            raise TruncationError(f"margin {args.margin} needs nmax >= {args.margin + 2}, "
-                                  f"not {args.nmax}")
-    if sc == "reconstruct":
-        params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax,
-                  "margin": args.margin}
-        return params, _section_reconstruct(*_assemble(args), args.margin)
-    if sc == "finite-verify":
-        m = _parse_complex(args.m)
-        return {"m": str(m)}, _section_finite_verify(m)
-    if sc == "finite-distance":
-        m = _parse_complex(args.m)
-        if m and math.isinf(1.0 / abs(m)):
-            raise ConfigError(f"--m {args.m!r}: 1/|m| overflows a double")
-        return {"m": str(m)}, _section_finite_distance(m)
-    if sc == "oracle-check":
-        return {"seed": args.seed}, _section_oracle(args.seed)
-    if sc == "all":
-        params = {"rm": args.rm, "theta": args.theta, "nmax": args.nmax,
-                  "margin": args.margin, "seed": args.seed}
-        rep = AxiomReport()
-        rep.extend(_section_sl2(args.rm ** 2, "half_integer"))
-        p, q = _assemble(args)
-        rep.extend(_section_quadruple(p, q, args.margin))
-        rep.extend(_section_crosscheck(args.rm, args.theta, args.nmax))
-        rep.extend(_section_reconstruct(p, q, args.margin))
-        rep.extend(_section_finite_verify(1 + 2j))
-        rep.extend(_section_finite_distance(2.0))
-        rep.extend(_section_oracle(args.seed))
-        return params, rep
-    if sc == "sweep":
-        return _run_sweep(args)
-    raise ConfigError(f"unknown subcommand {sc}")
-
-
-def _parse_complex(text: str) -> complex:
-    """The --m value; a nan or inf part is rejected here as a usage error
-    (``build_finite_triple`` would refuse it with a crash exit)."""
-    try:
-        value = complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"--m: bad complex literal {text!r}") from exc
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ConfigError(f"--m {text!r}: real and imaginary parts must be finite")
-    return value
-
-
-def _parse_grid(text: str, flag: str) -> list[float]:
-    """A comma-separated --rm or --theta grid of finite floats."""
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"--{flag}: bad grid {text!r}") from exc
-    if not values:
-        raise ConfigError(f"--{flag}: empty grid")
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"--{flag} {text!r}: grid values must be finite")
-    return values
+def _run_all(args: argparse.Namespace) -> AxiomReport:
+    rep = AxiomReport()
+    rep.extend(_section_sl2(args.rm ** 2, "half_integer"))
+    p, q = _assemble_three_interior_levels(args)
+    rep.extend(_section_quadruple(p, q, args.margin))
+    rep.extend(_section_crosscheck(args.rm, args.theta, args.nmax))
+    rep.extend(_section_reconstruct(p, q, args.margin))
+    rep.extend(_section_finite_verify(1 + 2j))
+    rep.extend(_section_finite_distance(2.0))
+    rep.extend(_section_oracle(args.seed))
+    return rep
 
 
 # grid points per batched quadruple: the default 4 x 3 grid is one batch,
@@ -501,55 +473,50 @@ def _parse_grid(text: str, flag: str) -> list[float]:
 SWEEP_BATCH = 16
 
 
-def _run_sweep(args: argparse.Namespace) -> tuple[dict, list[SweepCell]]:
-    """The rm x theta grid points, in C order, checked as batched quadruples
-    of up to ``SWEEP_BATCH`` points.  Every point shares nmax and the margin,
-    so a truncation too small for the margin is a ``TruncationError`` of the
-    whole grid, a usage error."""
-    rms, thetas = args.rm, args.theta
-    params = {"rm": rms, "theta": thetas, "nmax": args.nmax, "margin": args.margin}
-    points = [{"rm": rm, "theta": theta, "nmax": args.nmax, "margin": args.margin}
-              for rm in rms for theta in thetas]
-    rm, theta = np.repeat(rms, len(thetas)), np.tile(thetas, len(rms))
+def _run_sweep(args: argparse.Namespace) -> list[AxiomReport]:
+    """The reports of the rm x theta grid points, in C order, checked as
+    batched quadruples of up to ``SWEEP_BATCH`` points.  Every point shares
+    nmax and the margin, so a truncation too small for the margin is a
+    ``TruncationError`` of the whole grid, a usage error."""
+    rm, theta = np.repeat(args.rm, len(args.theta)), np.tile(args.theta, len(args.rm))
     reports = []
-    for i in range(0, len(points), SWEEP_BATCH):
+    for i in range(0, rm.size, SWEEP_BATCH):
         part = slice(i, i + SWEEP_BATCH)
         q = desitter.assemble_quadruple(desitter.DeSitterParams(
             rm=rm[part], theta=theta[part], nmax=args.nmax))
         reports += verify_points(q, args.margin, include_noncommutativity=rm[part] != 0.0)
-    return params, list(zip(points, reports))
+    return reports
 
 
-def _sweep_payload(params: dict, cells: list[SweepCell], tol: dict) -> dict:
-    """Grid entries and aggregate of a sweep, overrides applied per point.
-    No point is skipped: ``skipped`` and ``notes`` of schema version 1 are
-    false and empty in every entry."""
-    for _, rep in cells:
+def _sweep_payload(params: dict, reports: list[AxiomReport], tol: dict) -> dict:
+    """Grid entries, aggregate and verdict of a sweep, overrides applied per
+    point; each entry echoes the params at its own rm and theta.  No point is
+    skipped: ``skipped`` and ``notes`` of schema version 1 are false and
+    empty in every entry."""
+    for rep in reports:
         rep.override(tol)
+    points = [{**params, "rm": rm, "theta": theta}
+              for rm in params["rm"] for theta in params["theta"]]
     grid = [{"params": point, "checks": rep.as_dicts(), "passed": rep.passed,
-             "skipped": False, "notes": ""} for point, rep in cells]
-    passed, n = [rep.passed for _, rep in cells], len(params["theta"])
+             "skipped": False, "notes": ""} for point, rep in zip(points, reports)]
+    passed, n = [rep.passed for rep in reports], len(params["theta"])
     aggregate = {"passed": all(passed),
                  "pass_matrix": [passed[i:i + n] for i in range(0, len(passed), n)],
                  "rm_values": params["rm"], "theta_values": params["theta"]}
-    return {"grid": grid, "aggregate": aggregate}
+    return {"grid": grid, "aggregate": aggregate, "passed": aggregate["passed"]}
 
 
 def _render_csv(payload: dict) -> str:
+    sections = ([("", payload["checks"])] if "checks" in payload else
+                [(f"rm={e['params']['rm']},theta={e['params']['theta']}:", e["checks"])
+                 for e in payload["grid"]])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "residual", "tolerance", "pass", "margin", "notes"])
-    if "checks" in payload:
-        for row in payload["checks"]:
-            writer.writerow([row["id"], repr(row["residual"]), repr(row["tolerance"]),
+    for prefix, checks in sections:
+        for row in checks:
+            writer.writerow([prefix + row["id"], repr(row["residual"]), repr(row["tolerance"]),
                              row["pass"], row["margin"], row["notes"]])
-    else:
-        for entry in payload.get("grid", []):
-            prefix = f"rm={entry['params']['rm']},theta={entry['params']['theta']}:"
-            for row in entry["checks"]:
-                writer.writerow([prefix + row["id"], repr(row["residual"]),
-                                 repr(row["tolerance"]), row["pass"], row["margin"],
-                                 row["notes"]])
     return buf.getvalue()
 
 
@@ -589,30 +556,34 @@ def run(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(parser, argv)
-        _check_parameters(args)
-        tol = _parse_tolerances(args.tol)
+        tol = dict(args.tol or ())  # a later override wins
+        # the params echo; json writes no complex, so --m echoes str(m)
+        params = {a.dest: str(v) if isinstance(v := getattr(args, a.dest), complex) else v
+                  for a in _subcommand_flags(parser, args.subcommand)
+                  if a not in _shared_flags()._actions}
 
-        params, result = _run_subcommand(args)
+        result = args.run(args)
         payload: dict = {"version": REPORT_VERSION, "subcommand": args.subcommand,
                          "params": params}
         if isinstance(result, AxiomReport):
             result.override(tol)
-            payload["checks"] = result.as_dicts()
-            payload["passed"] = result.passed
+            payload.update(checks=result.as_dicts(), passed=result.passed)
         else:
             payload.update(_sweep_payload(params, result, tol))
-            payload["passed"] = payload["aggregate"]["passed"]
+
+        text = (_render_csv(payload) if args.format == "csv"
+                else json.dumps(payload, separators=(",\n", ": ")) + "\n")
+        if args.output:
+            try:
+                _write_atomic(args.output, text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write report {args.output}: "
+                                  f"{exc.strerror or exc}") from exc
+        else:
+            sys.stdout.write(text)
     except (ConfigError, TruncationError) as exc:
         print(f"specquad: error: {exc}", file=sys.stderr)
         return 2
-
-    fmt = args.format or "json"
-    text = (json.dumps(payload, separators=(",\n", ": ")) + "\n" if fmt == "json"
-            else _render_csv(payload))
-    if args.output:
-        _write_atomic(args.output, text)
-    else:
-        sys.stdout.write(text)
     return 0 if payload["passed"] else 1
 
 

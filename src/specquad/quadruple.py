@@ -296,15 +296,11 @@ def check_time_vector(q: SpectralQuadruple) -> list[AxiomReport]:
 
 
 def check_volume_element(q: SpectralQuadruple) -> list[AxiomReport]:
-    """gamma^2 = +-1 (sign recorded per point) and the braiding with the
-    time vector, the anticommutator of the even spacetime dimension 2."""
+    """gamma^2 = +1, the grading of the spacetime dimension 2, and the
+    braiding with the time vector, the anticommutator of that even
+    dimension."""
     rep = _PointReports(q)
-    square = q.gamma @ q.gamma
-    r_plus = op_norm(square - q.one)
-    r_minus = op_norm(square + q.one)
-    plus = r_plus <= r_minus
-    rep.add("volume.gamma_square", np.where(plus, r_plus, r_minus),
-            notes=["gamma^2 = +1" if p else "gamma^2 = -1" for p in np.ravel(plus)])
+    rep.add("volume.gamma_square", op_norm(q.gamma @ q.gamma - q.one), notes="gamma^2 = +1")
     rep.add("volume.braiding", op_norm(anticommutator(q.e_perp, q.gamma)),
             notes="{e_perp, gamma}, even dim")
     return rep.reports

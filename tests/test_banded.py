@@ -708,7 +708,8 @@ def test_batched_algebra_equals_each_point(case):
 def test_batched_verify_decides_each_point_alone(rng):
     # the points differ in what a check decides from their values: gamma
     # gains a band 2 at point 1, so its orientability fit links more
-    # candidates, and becomes i gamma at point 2, so gamma^2 = -1 there
+    # candidates, and becomes i gamma at point 2, so gamma^2 = -1 there and
+    # volume.gamma_square reads red
     rms, thetas = [0.0, 1.0, 2.0], [0.3, 0.0, 1.0]
     batched = assemble_quadruple(DeSitterParams(rm=np.array(rms), theta=np.array(thetas), nmax=16))
     nl = batched.basis.nlevels
@@ -720,8 +721,9 @@ def test_batched_verify_decides_each_point_alone(rng):
         batched, gamma=TruncatedOperator(batched.basis, {0: g0, 2: g2})))
     with pytest.raises(ValueError, match="verify_points"):
         verify_quadruple(batched)
-    assert [r["volume.gamma_square"].notes for r in reps] == [
-        "gamma^2 = +1", "gamma^2 = +1", "gamma^2 = -1"]
+    squares = [r["volume.gamma_square"] for r in reps]
+    assert [c.notes for c in squares] == ["gamma^2 = +1"] * 3
+    assert not squares[2].passed and squares[2].residual == pytest.approx(2.0)
     for p, (rm, theta) in enumerate(zip(rms, thetas)):
         single = assemble_quadruple(DeSitterParams(rm=rm, theta=theta, nmax=16))
         gamma = TruncatedOperator(single.basis, {0: g0[:, :, p], 2: g2[:, :, p]})

@@ -783,6 +783,43 @@ class TestConfigFile:
     def test_missing_config_rejected(self, tmp_path):
         assert run(["quadruple-verify", "--config", str(tmp_path / "nope")]) == 2
 
+    @pytest.mark.parametrize("key", ["subcommand", "run"])
+    def test_key_that_is_no_flag_rejected(self, tmp_path, capsys, key):
+        # the namespace holds the subcommand and its dispatch too; only the
+        # subcommand's flags are config keys
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = sweep\n")
+        out = tmp_path / "r.json"
+        assert run(["quadruple-verify", "--nmax", "8", "--config", str(cfg), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"specquad: error: unknown config key {key!r}\n"
+        assert not out.exists()
+
+
+# the params echo of each run, key order included: the subcommand's own
+# flags in declaration order, --m as str(m)
+PARAMS_ECHO = [
+    (["sl2-classify", "--r2m2", "-0.25"], [("r2m2", -0.25), ("lattice", "half_integer")]),
+    (["quadruple-verify"], [("rm", 1.0), ("theta", 0.3), ("nmax", 32), ("margin", 4)]),
+    (["reconstruct"], [("rm", 1.0), ("theta", 0.3), ("nmax", 32), ("margin", 4)]),
+    (["desitter-crosscheck"], [("rm", 1.0), ("theta", 0.5), ("nmax", 16)]),
+    (["finite-verify"], [("m", "(1+0j)")]),
+    (["finite-distance"], [("m", "(1+0j)")]),
+    (["oracle-check"], [("seed", 20201121)]),
+    (["all"], [("rm", 1.0), ("theta", 0.3), ("nmax", 32), ("margin", 4), ("seed", 20201121)]),
+    (["sweep"], [("rm", [0.0, 0.5, 1.0, 2.0]), ("theta", [0.0, 0.3, 1.0]), ("nmax", 32),
+                 ("margin", 4)]),
+    (["sweep", "--rm", "0,1", "--theta", "0.2"],
+     [("rm", [0.0, 1.0]), ("theta", [0.2]), ("nmax", 32), ("margin", 4)]),
+    (["finite-verify", "--m", "1-2j"], [("m", "(1-2j)")]),
+]
+
+
+@pytest.mark.parametrize("argv,echo", PARAMS_ECHO, ids=[" ".join(a) for a, _ in PARAMS_ECHO])
+def test_params_echo(tmp_path, argv, echo):
+    out = tmp_path / "r.json"
+    assert run([*argv, "-o", str(out)]) == 0
+    assert list(json.loads(read(out))["params"].items()) == echo
+
 
 class TestParserReuse:
     def test_parser_is_built_once(self):
@@ -1081,6 +1118,21 @@ class TestDeterminism:
 
 
 class TestOutputPath:
+    def test_directory_output_is_usage_error(self, tmp_path, capsys):
+        # the report cannot replace a directory: exit 2, as for an unreadable
+        # config, not a traceback
+        assert run(["desitter-crosscheck", "--nmax", "8", "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"specquad: error: cannot write report {tmp_path}: Is a directory\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert run(["desitter-crosscheck", "--nmax", "8", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"specquad: error: cannot write report {out}: No such file or directory\n"
+        assert os.listdir(tmp_path) == []
+
     def test_symlinked_output_writes_the_target(self, tmp_path):
         target, link = tmp_path / "target.json", tmp_path / "link.json"
         target.write_text("old", encoding="utf-8")

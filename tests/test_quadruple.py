@@ -309,6 +309,8 @@ VERIFY_DEFECTS = {
     "symmetric.sl2_lower": planted_block("t_minus", 0, np.eye(2)),
     "symmetric.t21_e_perp": planted_block("e_perp", 1, np.eye(2)),
     "symmetric.t21_gamma": planted_block("gamma", 1, np.eye(2)),
+    # i gamma squares to -1, the grading sign of dimension 4 mod 8
+    "volume.gamma_square": lambda q: replace(q, gamma=1j * q.gamma),
 }
 
 
